@@ -24,8 +24,9 @@ from .gradest import (Cutoff, averaged_energy, averaged_energy_profile,
 from .heat import (HeatOperator, build_heat, check_gaussian,
                    check_heat_caccioppoli, heat_apply, heat_kernel)
 from .space import (Ball, MetricMeasureSpace, build_space, estimate_doubling,
-                    estimate_poincare, metric_ball, two_point, uniform_cycle,
-                    uniform_torus, weighted_grid_1d, weighted_grid_2d)
+                    estimate_poincare, metric_ball, product_space, two_point,
+                    uniform_cycle, uniform_torus, weighted_grid_1d,
+                    weighted_grid_2d)
 
 __all__ = [
     "Ball", "ConfigError", "Cutoff", "HeatOperator", "MetricMeasureSpace",
@@ -37,7 +38,7 @@ __all__ = [
     "classify_harmonicity", "energy", "estimate_ckappa", "estimate_doubling",
     "estimate_poincare", "generator_apply", "heat_apply", "heat_kernel",
     "holder_fit", "lip_field", "local_sup_bound", "metric_ball",
-    "run_counterexample", "solve", "two_point", "uniform_cycle",
+    "product_space", "run_counterexample", "solve", "two_point", "uniform_cycle",
     "uniform_torus", "variance", "variance_log_integral", "weak_harnack",
     "weak_residual", "weighted_grid_1d", "weighted_grid_2d",
 ]

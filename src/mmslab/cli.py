@@ -512,12 +512,6 @@ def reverify_report(path: str) -> bool:
 
 
 def main(argv=None) -> int:
-    workers = os.environ.get("MMSLAB_WORKERS")
-    if workers:
-        # best-effort cap on the BLAS/LAPACK pools backing the heavy kernels
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ[var] = workers
     parser = argparse.ArgumentParser(
         prog="mmslab",
         description="metric-measure-space laboratory on weighted graphs")

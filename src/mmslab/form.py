@@ -3,11 +3,11 @@
 For fields f, g on a space with masses mu and conductances c:
 
     Gamma(f,g)(i) = 1/(2 mu_i) * sum_j c_ij (f_j - f_i)(g_j - g_i)
-    E(f,g)        = sum_edges c_ij (f_i - f_j)(g_i - g_j) = \int Gamma(f,g) dmu
+    E(f,g)        = sum_edges c_ij (f_i - f_j)(g_i - g_j) = \\int Gamma(f,g) dmu
     (A f)_i       = 1/mu_i * sum_j c_ij (f_j - f_i)
 
 A is self-adjoint in the mu-weighted inner product, and the integration by
-parts \int g (Af) dmu = -E(g,f), the Leibniz rule for the form, and the
+parts \\int g (Af) dmu = -E(g,f), the Leibniz rule for the form, and the
 generator product rule A(uv) = u Av + v Au + 2 Gamma(u,v) all hold exactly
 (to round-off) for these discrete operators.
 """
@@ -57,7 +57,7 @@ def check_leibniz(space: MetricMeasureSpace, u, v, phi) -> float:
     """Residual of the two product rules of the form calculus.
 
     Checks, with all terms evaluated independently:
-      scalar:    E(phi, uv) = E(phi u, v) + E(phi v, u) - 2 \int phi Gamma(u,v) dmu
+      scalar:    E(phi, uv) = E(phi u, v) + E(phi v, u) - 2 \\int phi Gamma(u,v) dmu
       vertexwise A(uv) = u Av + v Au + 2 Gamma(u,v)
     and returns the larger of the two absolute residuals.
     """

@@ -21,7 +21,7 @@ import numpy as np
 
 from .curvature import estimate_ckappa, variance
 from .elliptic import Problem, holder_fit, solve
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError
 from .form import carre_du_champ, generator_apply, lip_field
 from .heat import HeatOperator, build_heat
 from .quad import cumulative_log_quadrature, log_time_quadrature
@@ -60,6 +60,16 @@ def _require_probe(space, cutoff, x0):
         raise ConfigError("probe vertex must lie in B(y0, R)")
 
 
+def _converged_quadrature(eval_batch, a, b, **kwargs):
+    """`log_time_quadrature` that raises instead of returning an unconverged value."""
+    value, info = log_time_quadrature(eval_batch, a, b, **kwargs)
+    if not info["converged"]:
+        raise NumericalError(
+            f"time quadrature on [{a:g}, {b:g}] did not converge in "
+            f"{info['levels']} levels (last change {info['last_change']:.3e})")
+    return value, info
+
+
 def averaged_energy(H: HeatOperator, space: MetricMeasureSpace, u, cutoff: Cutoff,
                     x0: int, t: float, rtol: float = 1e-6) -> float:
     """J(x0, t): nonnegative; tends to Gamma(u psi)(x0) as t drops to mesh scale."""
@@ -72,8 +82,8 @@ def averaged_energy(H: HeatOperator, space: MetricMeasureSpace, u, cutoff: Cutof
     def eval_batch(ts):
         return [col[x0] for _, col in H.apply_grid(F, ts)]
 
-    val, _ = log_time_quadrature(eval_batch, 0.0, t, rtol=rtol,
-                                 zero_limit=float(F[x0]))
+    val, _ = _converged_quadrature(eval_batch, 0.0, t, rtol=rtol,
+                                   zero_limit=float(F[x0]))
     return val / t
 
 
@@ -118,7 +128,7 @@ def check_variance_identity(H: HeatOperator, space: MetricMeasureSpace, f,
             out.append(cols[x0, 0] - 2.0 * cols[x0, 1] * cols[x0, 2])
         return out
 
-    lhs, _ = log_time_quadrature(eval_batch, eps, t, rtol=rtol)
+    lhs, _ = _converged_quadrature(eval_batch, eps, t, rtol=rtol)
     rhs = float(variance(H, f, t)[x0] - variance(H, f, eps)[x0])
     return abs(lhs - rhs)
 
@@ -196,8 +206,8 @@ def variance_log_integral(H: HeatOperator, space: MetricMeasureSpace, u,
             out.append(max(cols[x0, 0] - cols[x0, 1] ** 2, 0.0))
         return np.asarray(out)
 
-    integral, info = log_time_quadrature(lambda ts: var_at(ts) / ts, h2, R ** 2,
-                                         rtol=rtol)
+    integral, info = _converged_quadrature(lambda ts: var_at(ts) / ts, h2,
+                                           R ** 2, rtol=rtol)
     scale = _scale_norm(space, u, g_field, cutoff.support, R)
     var_h2 = float(var_at(np.array([h2]))[0])
     remainder = var_h2 / gamma if gamma else None

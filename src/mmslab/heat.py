@@ -1,14 +1,19 @@
 """Heat semigroup T_t = e^{tA} on a weighted graph, and its kernel checks.
 
-Two realizations:
+Three realizations, chosen from the structure of the space:
 
 * dense-spectral: full eigendecomposition of the generator, symmetrized in
   the mu-weighted inner product.  Exact up to round-off for any t; kernel
   matrices are cached and clamped at zero so nonnegative inputs map to
   exactly nonnegative outputs.
+* product: for a Cartesian product X x Y (`space.factors`), the generator
+  is the Kronecker sum A_x (+) A_y, so T_t = T_t^x (x) T_t^y.  Each factor
+  keeps its own dense spectral decomposition; a field stack is pushed
+  through the clamped factor kernels one axis at a time, so nothing of
+  size n x n is formed and positivity is exact at every size.
 * stepping: error-controlled Taylor action of the matrix exponential
-  (`scipy.sparse.linalg.expm_multiply`) for spaces past the dense cap,
-  swept incrementally along ascending time grids.
+  (`scipy.sparse.linalg.expm_multiply`) for other spaces past the dense
+  cap, swept incrementally along ascending time grids.
 
 Kernel conventions: T_t f(x) = sum_y p(t, x, y) f(y) mu_y, with
 p(t, x, y) = p(t, y, x) >= 0 and sum_y p(t, x, y) mu_y = 1 (the semigroup
@@ -29,6 +34,38 @@ from .reports import GaussianFit, VerificationReport
 from .space import Ball, MetricMeasureSpace, metric_ball, _ball_masses
 
 DENSE_CAP_DEFAULT = 4000
+# Per time, product mode forms the two factor kernels (~nx^3 + ny^3 flops)
+# and pushes each field through them (~nx ny (nx + ny)); the ratio of the
+# two is about the aspect nx / ny.  Past this aspect the kernels dominate and
+# an elongated product is left to the dense or stepping realization.
+PRODUCT_MAX_ASPECT = 16
+
+
+def _product_pays(factors, dense_cap: int) -> bool:
+    """True when a product space should use the product realization."""
+    if factors is None:
+        return False
+    small, large = sorted(f.n for f in factors)
+    return large <= dense_cap and large <= PRODUCT_MAX_ASPECT * small
+
+
+def _spectrum(space: MetricMeasureSpace):
+    """(theta, basis): eigenvalues of -A clipped at 0, mu-orthonormal eigenfields."""
+    inv_sqrt_mu = 1.0 / np.sqrt(space.mu)
+    S = (space.laplacian().toarray() * inv_sqrt_mu[:, None]) * inv_sqrt_mu[None, :]
+    S = 0.5 * (S + S.T)
+    try:
+        w, V = scipy.linalg.eigh(S, check_finite=False)
+    except scipy.linalg.LinAlgError as e:
+        raise NumericalError(f"eigendecomposition failed: {e}") from e
+    return np.clip(w, 0.0, None), V * inv_sqrt_mu[:, None]
+
+
+def _time_grid(ts) -> np.ndarray:
+    ts = np.asarray(ts, dtype=float)
+    if ts.size and (np.any(np.diff(ts) < 0) or ts[0] < 0):
+        raise ConfigError("time grid must be ascending and nonnegative")
+    return ts
 
 
 class HeatOperator:
@@ -38,46 +75,42 @@ class HeatOperator:
     ----------
     space : MetricMeasureSpace
     mode : {"auto", "dense", "stepping"}
-        "auto" picks dense-spectral up to `dense_cap` vertices.
+        "auto" picks product on a Cartesian-product space whose factors fit
+        the dense cap and are no more than `PRODUCT_MAX_ASPECT` times apart
+        in size, else dense-spectral up to `dense_cap` vertices, else
+        stepping.  The product realization is reached only through "auto".
     dense_cap : int
-        Largest vertex count for the dense eigendecomposition.
+        Largest vertex count for a dense eigendecomposition (of the space in
+        dense mode, of each factor in product mode).
     kernel_cache_cap : int
-        Largest vertex count for which full kernel matrices are built and
-        cached (they cost O(n^3) to form but make `apply` exactly
+        Largest vertex count for which dense mode builds and caches full
+        kernel matrices (they cost O(n^3) to form but make `apply` exactly
         positivity-preserving).
     """
 
     def __init__(self, space: MetricMeasureSpace, mode="auto",
-                 dense_cap=DENSE_CAP_DEFAULT, kernel_cache_cap=1300,
-                 step_tol=None):
+                 dense_cap=DENSE_CAP_DEFAULT, kernel_cache_cap=1300):
         self.space = space
         n = space.n
         if mode == "auto":
-            mode = "dense" if n <= dense_cap else "stepping"
-        if mode not in ("dense", "stepping"):
+            if _product_pays(space.factors, dense_cap):
+                mode = "product"
+            else:
+                mode = "dense" if n <= dense_cap else "stepping"
+        elif mode not in ("dense", "stepping"):
             raise ConfigError(f"unknown heat mode {mode!r}")
         if mode == "dense" and n > dense_cap:
             raise ConfigError(f"dense mode capped at {dense_cap} vertices (space has {n})")
         self.mode = mode
         self.kernel_cache_cap = kernel_cache_cap
-        self.step_tol = step_tol    # informational; expm action is machine-accurate
-        self._kernel_cache: dict[float, np.ndarray] = {}
+        self._kernel_cache: dict = {}
+        self.theta = self.basis = self._A = self._factors = None
 
-        L = space.laplacian()
         if mode == "dense":
-            inv_sqrt_mu = 1.0 / np.sqrt(space.mu)
-            S = (L.toarray() * inv_sqrt_mu[:, None]) * inv_sqrt_mu[None, :]
-            S = 0.5 * (S + S.T)
-            try:
-                w, V = scipy.linalg.eigh(S, check_finite=False)
-            except scipy.linalg.LinAlgError as e:
-                raise NumericalError(f"eigendecomposition failed: {e}") from e
-            self.theta = np.clip(w, 0.0, None)
-            self.basis = V * inv_sqrt_mu[:, None]   # mu-orthonormal eigenfields
-            self._A = None
+            self.theta, self.basis = _spectrum(space)
+        elif mode == "product":
+            self._factors = [(f.mu,) + _spectrum(f) for f in space.factors]
         else:
-            self.theta = None
-            self.basis = None
             self._A = sp.csr_matrix(
                 (sp.diags(1.0 / space.mu) @ (space.conductance_matrix
                                              - sp.diags(space.degree))))
@@ -86,9 +119,13 @@ class HeatOperator:
 
     @property
     def eigenvalues(self) -> np.ndarray:
-        """Eigenvalues 0 = theta_0 < theta_1 <= ... of -A (dense mode only)."""
+        """Eigenvalues 0 = theta_0 < theta_1 <= ... of -A (dense and product
+        modes; a product's are the pairwise sums of its factors')."""
+        if self.mode == "product":
+            (_, tx, _), (_, ty, _) = self._factors
+            return np.sort((tx[:, None] + ty[None, :]).ravel())
         if self.theta is None:
-            raise ConfigError("eigenvalues only available in dense-spectral mode")
+            raise ConfigError("eigenvalues need the dense-spectral or product mode")
         return self.theta
 
     # -- semigroup application ----------------------------------------------
@@ -96,8 +133,9 @@ class HeatOperator:
     def apply(self, f, t: float) -> np.ndarray:
         """T_t f for a single field; errors on t < 0; T_0 is the identity.
 
-        In dense mode on spaces below `kernel_cache_cap` this goes through
-        the clamped kernel matrix, so f >= 0 yields exactly T_t f >= 0.
+        In product mode, and in dense mode on spaces below
+        `kernel_cache_cap`, this goes through clamped kernel matrices, so
+        f >= 0 yields exactly T_t f >= 0.
         """
         f = self.space.check_field(f)
         if t < 0:
@@ -121,18 +159,19 @@ class HeatOperator:
             damp = np.exp(-self.theta * t)
             d = damp[:, None] if F.ndim == 2 else damp
             return self.basis @ (d * coeff)
+        if self.mode == "product":
+            return self._product_apply(F, t)
         return expm_multiply(self._A * t, F)
 
     def apply_grid(self, F, ts):
         """Yield (t, T_t F) for an ascending positive time grid.
 
-        Dense mode reuses the spectral coefficients of F; stepping mode
-        advances incrementally through the grid (one exponential action per
+        Dense mode reuses the spectral coefficients of F; product mode
+        forms the two factor kernels per time; stepping mode advances
+        incrementally through the grid (one exponential action per
         increment).
         """
-        ts = np.asarray(ts, dtype=float)
-        if ts.size and (np.any(np.diff(ts) < 0) or ts[0] < 0):
-            raise ConfigError("time grid must be ascending and nonnegative")
+        ts = _time_grid(ts)
         F = np.asarray(F, dtype=float)
         if self.mode == "dense":
             mu = self.space.mu[:, None] if F.ndim == 2 else self.space.mu
@@ -141,6 +180,9 @@ class HeatOperator:
                 damp = np.exp(-self.theta * t)
                 d = damp[:, None] if F.ndim == 2 else damp
                 yield float(t), self.basis @ (d * coeff)
+        elif self.mode == "product":
+            for t in ts:
+                yield float(t), self._product_apply(F, t)
         else:
             cur = F.copy()
             t_prev = 0.0
@@ -150,6 +192,29 @@ class HeatOperator:
                     cur = expm_multiply(self._A * dt, cur)
                 t_prev = t
                 yield float(t), cur.copy()
+
+    def _factor_kernels(self, t: float):
+        """Clamped kernel matrices p_x(t), p_y(t) of the two factors.
+
+        The pair for the last time asked is kept: callers that read many
+        kernel columns sweep t in the outer loop.
+        """
+        pair = self._kernel_cache.get(t)
+        if pair is None:
+            pair = [self._spectral_kernel(theta, basis, t)
+                    for _, theta, basis in self._factors]
+            self._kernel_cache = {t: pair}
+        return pair
+
+    def _product_apply(self, F, t: float) -> np.ndarray:
+        """(T_t^x (x) T_t^y) F with F viewed as (nx, ny, k): x first, then y."""
+        (mx, _, _), (my, _, _) = self._factors
+        px, py = self._factor_kernels(t)
+        G = ((px * mx) @ F.reshape(mx.size, -1)).reshape(mx.size, my.size, -1)
+        # one (ny, ny) x (ny, nx k) product; a batched matmul over x rows is
+        # many times slower
+        G = np.tensordot(py * my, G, axes=(1, 1))
+        return G.transpose(1, 0, 2).reshape(F.shape)
 
     # -- kernel ---------------------------------------------------------------
 
@@ -161,10 +226,7 @@ class HeatOperator:
             raise ConfigError("kernel needs t > 0")
         K = self._kernel_cache.get(t)
         if K is None:
-            damp = np.exp(-self.theta * t)
-            K = self.basis @ (damp[:, None] * self.basis.T)
-            K = 0.5 * (K + K.T)
-            self._clamp(K)
+            K = self._spectral_kernel(self.theta, self.basis, t)
             if len(self._kernel_cache) >= 64:
                 self._kernel_cache.pop(next(iter(self._kernel_cache)))
             self._kernel_cache[t] = K
@@ -175,6 +237,10 @@ class HeatOperator:
         if t <= 0:
             raise ConfigError("kernel needs t > 0")
         x0 = int(x0)
+        if self.mode == "product":
+            px, py = self._factor_kernels(t)
+            a, b = divmod(x0, py.shape[0])
+            return np.outer(px[a], py[b]).ravel()
         if self.mode == "dense":
             if self.space.n <= self.kernel_cache_cap:
                 return self.kernel_matrix(t)[x0].copy()
@@ -190,12 +256,24 @@ class HeatOperator:
 
     def kernel_grid(self, x0: int, ts):
         """Yield (t, p(t, x0, .)) along an ascending positive time grid."""
+        if self.mode == "product":
+            for t in _time_grid(ts):
+                yield float(t), self.kernel(t, x0)
+            return
         e = np.zeros(self.space.n)
         e[int(x0)] = 1.0 / self.space.mu[int(x0)]
         for t, col in self.apply_grid(e, ts):
             col = col.copy()
             self._clamp(col)
             yield t, col
+
+    @classmethod
+    def _spectral_kernel(cls, theta, basis, t: float) -> np.ndarray:
+        """Symmetrized kernel matrix basis e^{-theta t} basis^T, clamped at 0."""
+        K = basis @ (np.exp(-theta * t)[:, None] * basis.T)
+        K = 0.5 * (K + K.T)
+        cls._clamp(K)
+        return K
 
     @staticmethod
     def _clamp(arr, rel=1e-10):

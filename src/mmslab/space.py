@@ -5,7 +5,9 @@ symmetric edge conductances ``c`` and edge lengths ``l``.  The metric is the
 shortest-path metric induced by the lengths; balls are open.  Built-in
 families: two-point space, uniform cycle, uniform torus, and vertex-centered
 finite-volume discretizations of weighted intervals/rectangles (weight
-catalog: constant, sqrt|x|, tabulated).
+catalog: constant, sqrt|x|, tabulated).  The torus and the separably
+weighted rectangle are Cartesian products of 1-d spaces (`product_space`)
+and keep their factors, which the heat module uses.
 
 Measured constants:
 
@@ -40,7 +42,7 @@ class MetricMeasureSpace:
     ----------
     mu : array_like
         Strictly positive vertex masses.
-    edges : iterable of (i, j, c, l)
+    edges : (m, 4) array or iterable of (i, j, c, l)
         Undirected edges with conductance c > 0 and length l > 0.  Each
         edge is listed once; symmetry is implicit.
     positions : array_like, optional
@@ -49,6 +51,12 @@ class MetricMeasureSpace:
         Label used in reports.
     rim : array_like, optional
         Geometric boundary vertices for grid families (empty otherwise).
+
+    Attributes
+    ----------
+    factors : (MetricMeasureSpace, MetricMeasureSpace) or None
+        The factors X, Y of a Cartesian product built by `product_space`;
+        None for every other space.
     """
 
     def __init__(self, mu, edges, positions=None, name="", rim=None):
@@ -59,31 +67,37 @@ class MetricMeasureSpace:
             raise ConfigError("every vertex mass must be finite and strictly positive")
         self.mu = mu
         self.name = name
+        self.factors = None
 
         n = mu.size
-        ei, ej, ec, el = [], [], [], []
-        seen = set()
-        for (i, j, c, l) in edges:
-            i, j = int(i), int(j)
-            if i == j:
-                raise ConfigError(f"self loop at vertex {i}")
-            if not (0 <= i < n and 0 <= j < n):
-                raise ConfigError(f"edge ({i},{j}) out of range")
-            if i > j:
-                i, j = j, i
-            if (i, j) in seen:
-                raise ConfigError(f"duplicate edge ({i},{j})")
-            seen.add((i, j))
-            if not (c > 0 and l > 0 and np.isfinite(c) and np.isfinite(l)):
-                raise ConfigError(f"edge ({i},{j}) needs c > 0 and l > 0, got c={c}, l={l}")
-            ei.append(i)
-            ej.append(j)
-            ec.append(float(c))
-            el.append(float(l))
-        self.edge_i = np.asarray(ei, dtype=np.intp)
-        self.edge_j = np.asarray(ej, dtype=np.intp)
-        self.edge_c = np.asarray(ec, dtype=float)
-        self.edge_l = np.asarray(el, dtype=float)
+        E = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges),
+                       dtype=float)
+        if E.size == 0:
+            E = E.reshape(0, 4)
+        if E.ndim != 2 or E.shape[1] != 4:
+            raise ConfigError("edges must be (i, j, c, l) rows")
+        i, j = E[:, 0].astype(np.intp), E[:, 1].astype(np.intp)
+        c, l = E[:, 2], E[:, 3]
+
+        def first(bad, msg):
+            if np.any(bad):
+                k = int(np.argmax(bad))
+                raise ConfigError(msg.format(i=i[k], j=j[k], c=c[k], l=l[k]))
+
+        first(i == j, "self loop at vertex {i}")
+        first((i < 0) | (i >= n) | (j < 0) | (j >= n), "edge ({i},{j}) out of range")
+        i, j = np.minimum(i, j), np.maximum(i, j)
+        key = i * n + j
+        order = np.argsort(key, kind="stable")
+        dup = np.zeros(key.size, dtype=bool)
+        dup[order[1:]] = key[order[1:]] == key[order[:-1]]
+        first(dup, "duplicate edge ({i},{j})")
+        first(~((c > 0) & (l > 0) & np.isfinite(c) & np.isfinite(l)),
+              "edge ({i},{j}) needs c > 0 and l > 0, got c={c}, l={l}")
+        self.edge_i = i
+        self.edge_j = j
+        self.edge_c = np.ascontiguousarray(c)
+        self.edge_l = np.ascontiguousarray(l)
 
         if positions is not None:
             positions = np.atleast_2d(np.asarray(positions, dtype=float))
@@ -249,34 +263,59 @@ def uniform_cycle(n: int) -> MetricMeasureSpace:
     return MetricMeasureSpace(np.ones(n), edges, positions=pos, name=f"cycle_{n}")
 
 
+def product_space(X: MetricMeasureSpace, Y: MetricMeasureSpace, positions=None,
+                  name="") -> MetricMeasureSpace:
+    """Cartesian product X x Y with the product measure mu_x (x) mu_y.
+
+    Vertex (i, j) is numbered i * ny + j.  An x-edge (i, a) -- (i', a)
+    carries c^x_ii' mu^y_a and a y-edge (i, a) -- (i, a') carries
+    mu^x_i c^y_aa', both with the factor edge's length, so the generator is
+    the Kronecker sum A = A_x (+) A_y and T_t = T_t^x (x) T_t^y.  Positions
+    default to the Cartesian product of the factor embeddings (when both
+    have one); the rim is (rim_X x Y) u (X x rim_Y).
+    """
+    nx, ny = X.n, Y.n
+    rows = np.arange(nx)[:, None] * ny
+    cols = np.arange(ny)
+    x_edges = np.column_stack([
+        (X.edge_i[:, None] * ny + cols).ravel(),
+        (X.edge_j[:, None] * ny + cols).ravel(),
+        np.outer(X.edge_c, Y.mu).ravel(),
+        np.repeat(X.edge_l, ny)])
+    y_edges = np.column_stack([
+        (rows + Y.edge_i).ravel(),
+        (rows + Y.edge_j).ravel(),
+        np.outer(X.mu, Y.edge_c).ravel(),
+        np.tile(Y.edge_l, nx)])
+    if positions is None and X.positions is not None and Y.positions is not None:
+        positions = np.hstack([np.repeat(X.positions, ny, axis=0),
+                               np.tile(Y.positions, (nx, 1))])
+    i, j = np.divmod(np.arange(nx * ny), ny)
+    rim = np.flatnonzero(np.isin(i, X.rim) | np.isin(j, Y.rim))
+    space = MetricMeasureSpace(np.outer(X.mu, Y.mu).ravel(),
+                               np.vstack([x_edges, y_edges]),
+                               positions=positions, name=name, rim=rim)
+    space.factors = (X, Y)
+    return space
+
+
 def uniform_torus(n1: int, n2: int) -> MetricMeasureSpace:
+    """Unit torus cycle(n1) x cycle(n2), embedded at integer grid points."""
     if n1 < 3 or n2 < 3:
         raise ConfigError("torus needs n1, n2 >= 3")
-    def idx(a, b):
-        return (a % n1) * n2 + (b % n2)
-    edges = []
-    for a in range(n1):
-        for b in range(n2):
-            edges.append((idx(a, b), idx(a + 1, b), 1.0, 1.0))
-            edges.append((idx(a, b), idx(a, b + 1), 1.0, 1.0))
-    pos = np.array([(a, b) for a in range(n1) for b in range(n2)], dtype=float)
-    return MetricMeasureSpace(np.ones(n1 * n2), edges, positions=pos,
-                              name=f"torus_{n1}x{n2}")
+    pos = np.column_stack(np.divmod(np.arange(n1 * n2), n2)).astype(float)
+    return product_space(uniform_cycle(n1), uniform_cycle(n2), positions=pos,
+                         name=f"torus_{n1}x{n2}")
 
 
 class _Weight:
-    """Separable weight w(x, y) = wx(x): cell integrals and face averages."""
+    """Separable weight w(x, y) = wx(x): cell integrals and point values."""
 
     def integral_x(self, a, b):     # \int_a^b wx
         raise NotImplementedError
 
     def value_x(self, x):
         raise NotImplementedError
-
-    def average_x(self, a, b):
-        if b <= a:
-            raise ConfigError("empty cell")
-        return self.integral_x(a, b) / (b - a)
 
 
 class ConstantWeight(_Weight):
@@ -346,71 +385,40 @@ def weighted_grid_2d(bounds=((-1.0, 1.0), (-1.0, 1.0)), h=0.25,
     Conductances use the average of the weight over the shared face times
     |face|/h, so they stay strictly positive across the degeneracy line
     x = 0 of the sqrt|x| weight.  Edge lengths are Euclidean (= h).
+
+    A separable weight w(x, y) = wx(x) gives the Cartesian product
+    grid1d(wx) x grid1d(1); a tabulated weight gives a plain lattice graph
+    with the face average taken between the two cells.
     """
     (ax, bx), (ay, by) = bounds
+    if tabulated is None:
+        return product_space(weighted_grid_1d((ax, bx), h, weight, weight_value),
+                             weighted_grid_1d((ay, by), h, "constant"),
+                             name=f"grid2d_{weight}_h{h:g}")
+
     xs = _grid_axis(float(ax), float(bx), h)
     ys = _grid_axis(float(ay), float(by), h)
     nx, ny = xs.size, ys.size
-
-    if tabulated is not None:
-        wtab = np.asarray(tabulated, dtype=float).reshape(nx, ny)
-        if np.any(wtab <= 0) or not np.all(np.isfinite(wtab)):
-            raise ConfigError("tabulated weight must be strictly positive")
-        w = None
-    else:
-        w = _make_weight(weight, weight_value)
-        wtab = None
-
-    def idx(i, j):
-        return i * ny + j
-
-    xlo = np.maximum(xs - h / 2, ax)
-    xhi = np.minimum(xs + h / 2, bx)
-    ylo = np.maximum(ys - h / 2, ay)
-    yhi = np.minimum(ys + h / 2, by)
-
-    mu = np.empty(nx * ny)
-    pos = np.empty((nx * ny, 2))
-    for i in range(nx):
-        if w is not None:
-            ix = w.integral_x(xlo[i], xhi[i])
-        for j in range(ny):
-            k = idx(i, j)
-            pos[k] = (xs[i], ys[j])
-            if w is not None:
-                mu[k] = ix * (yhi[j] - ylo[j])
-            else:
-                mu[k] = wtab[i, j] * (xhi[i] - xlo[i]) * (yhi[j] - ylo[j])
-    if np.any(mu <= 0):
-        raise ConfigError("weight produced a zero-mass cell")
-
-    edges = []
-    for i in range(nx):
-        for j in range(ny):
-            if i + 1 < nx:      # face at x = midpoint, y in the (clipped) cell
-                if w is not None:
-                    wbar = w.value_x((xs[i] + xs[i + 1]) / 2)
-                else:
-                    wbar = 0.5 * (wtab[i, j] + wtab[i + 1, j])
-                c = wbar * (yhi[j] - ylo[j]) / h
-                if c <= 0:
-                    raise ConfigError("zero conductance face")
-                edges.append((idx(i, j), idx(i + 1, j), c, h))
-            if j + 1 < ny:      # face at y = midpoint, x in the (clipped) cell
-                if w is not None:
-                    wbar = w.average_x(xlo[i], xhi[i])
-                else:
-                    wbar = 0.5 * (wtab[i, j] + wtab[i, j + 1])
-                c = wbar * (xhi[i] - xlo[i]) / h
-                if c <= 0:
-                    raise ConfigError("zero conductance face")
-                edges.append((idx(i, j), idx(i, j + 1), c, h))
-
-    rim = [idx(i, j) for i in range(nx) for j in range(ny)
-           if i in (0, nx - 1) or j in (0, ny - 1)]
-    wname = "tabulated" if wtab is not None else weight
-    return MetricMeasureSpace(mu, edges, positions=pos,
-                              name=f"grid2d_{wname}_h{h:g}", rim=rim)
+    wtab = np.asarray(tabulated, dtype=float).reshape(nx, ny)
+    if np.any(wtab <= 0) or not np.all(np.isfinite(wtab)):
+        raise ConfigError("tabulated weight must be strictly positive")
+    dx = np.minimum(xs + h / 2, bx) - np.maximum(xs - h / 2, ax)
+    dy = np.minimum(ys + h / 2, by) - np.maximum(ys - h / 2, ay)
+    idx = np.arange(nx * ny).reshape(nx, ny)
+    # face at the x (y) midpoint between two cells, spanning the other cell width
+    cx = 0.5 * (wtab[:-1, :] + wtab[1:, :]) * dy[None, :] / h
+    cy = 0.5 * (wtab[:, :-1] + wtab[:, 1:]) * dx[:, None] / h
+    edges = np.column_stack([
+        np.concatenate([idx[:-1, :].ravel(), idx[:, :-1].ravel()]),
+        np.concatenate([idx[1:, :].ravel(), idx[:, 1:].ravel()]),
+        np.concatenate([cx.ravel(), cy.ravel()]),
+        np.full(cx.size + cy.size, h)])
+    i, j = np.divmod(idx.ravel(), ny)
+    rim = np.flatnonzero((i == 0) | (i == nx - 1) | (j == 0) | (j == ny - 1))
+    pos = np.column_stack([xs[i], ys[j]])
+    return MetricMeasureSpace((wtab * dx[:, None] * dy[None, :]).ravel(), edges,
+                              positions=pos, name=f"grid2d_tabulated_h{h:g}",
+                              rim=rim)
 
 
 def _make_weight(weight, weight_value):

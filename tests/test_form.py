@@ -124,9 +124,12 @@ def test_lip_gamma_sandwich(sqrt_square_16):
 ])
 def test_generator_kernel_is_constants(builder):
     # connectedness: the second-smallest eigenvalue of -A is strictly positive
-    H = build_heat(builder())
+    space = builder()
+    H = build_heat(space, mode="dense")
     theta = H.eigenvalues
     assert theta[0] <= 1e-10
     assert theta[1] > 1e-8
     phi0 = H.basis[:, 0]
     assert np.max(np.abs(phi0 - phi0[0])) <= 1e-8 * max(abs(phi0[0]), 1e-30)
+    if space.factors is not None:
+        assert np.max(np.abs(build_heat(space).eigenvalues - theta)) <= 1e-10

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from mmslab import ConfigError
+from mmslab import ConfigError, NumericalError
+from mmslab import gradest
 from mmslab import space as sp_mod
 from mmslab.curvature import estimate_ckappa, variance
 from mmslab.elliptic import Problem, holder_fit, solve
@@ -104,6 +105,23 @@ def test_averaged_energy_probe_must_sit_in_ball(heat32, torus32):
     far = torus32.vertex_at((0, 0))
     with pytest.raises(ConfigError):
         averaged_energy(heat32, torus32, np.ones(torus32.n), cut, far, 1.0)
+
+
+def test_unconverged_quadrature_raises(heat32, torus32, monkeypatch):
+    def unconverged(eval_batch, a, b, **kwargs):
+        return 1.0, {"converged": False, "levels": 7, "nodes": 1025,
+                     "last_change": 0.5}
+
+    monkeypatch.setattr(gradest, "log_time_quadrature", unconverged)
+    y0 = torus32.vertex_at((16, 16))
+    cut = build_cutoff(torus32, y0, 2.0)
+    u = torus32.positions[:, 0].copy()
+    with pytest.raises(NumericalError):
+        averaged_energy(heat32, torus32, u, cut, y0, 1.0)
+    with pytest.raises(NumericalError):
+        check_variance_identity(heat32, torus32, u, y0, 0.01, 1.0)
+    with pytest.raises(NumericalError):
+        variance_log_integral(heat32, torus32, u, cut, y0, np.zeros(torus32.n))
 
 
 # -- variance identity ---------------------------------------------------------
@@ -384,6 +402,7 @@ def test_counterexample_mini_sweep():
     assert rep.ck_ratio >= 2.0
     assert -0.65 <= rep.grad_slope <= -0.35
     assert len(rep.rows) == 3 and rep.rows[0]["h"] == 1 / 8
+    assert [row["heat_mode"] for row in rep.rows] == ["product"] * 3
 
 
 def test_holder_gamma_on_counterexample(sqrt32):
