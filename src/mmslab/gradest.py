@@ -21,10 +21,10 @@ import numpy as np
 
 from .curvature import estimate_ckappa, variance
 from .elliptic import Problem, holder_fit, solve
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError
 from .form import carre_du_champ, generator_apply, lip_field
 from .heat import HeatOperator, build_heat
-from .quad import cumulative_log_quadrature, log_time_quadrature
+from .quad import cumulative_log_quadrature, log_time_quadrature, require_converged
 from .reports import (CurvatureReport, RatioReport, ScalingReport,
                       VerificationReport)
 from .space import Ball, MetricMeasureSpace, metric_ball, weighted_grid_2d
@@ -63,10 +63,7 @@ def _require_probe(space, cutoff, x0):
 def _converged_quadrature(eval_batch, a, b, **kwargs):
     """`log_time_quadrature` that raises instead of returning an unconverged value."""
     value, info = log_time_quadrature(eval_batch, a, b, **kwargs)
-    if not info["converged"]:
-        raise NumericalError(
-            f"time quadrature on [{a:g}, {b:g}] did not converge in "
-            f"{info['levels']} levels (last change {info['last_change']:.3e})")
+    require_converged(info, a, b)
     return value, info
 
 

@@ -29,7 +29,7 @@ from scipy.sparse.linalg import expm_multiply
 
 from .errors import ConfigError, NumericalError
 from .form import carre_du_champ
-from .quad import log_time_quadrature
+from .quad import log_time_quadrature, require_converged
 from .reports import GaussianFit, VerificationReport
 from .space import Ball, MetricMeasureSpace, metric_ball, _ball_masses
 
@@ -423,6 +423,7 @@ def check_heat_caccioppoli(H: HeatOperator, x: int, R: float, s: float,
 
     lhs, info = log_time_quadrature(eval_batch, 0.0, s, rtol=rtol,
                                     zero_limit=zero_limit)
+    require_converged(info, 0.0, s)
     if c is None:
         c = 1.0 / gaussian_fit.C1 if gaussian_fit is not None else 0.25
     unit = np.exp(-c * R * R / s) / inner.measure

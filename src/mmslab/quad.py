@@ -80,6 +80,15 @@ def log_time_quadrature(eval_batch, a, b, rtol=1e-6, atol=0.0,
                   "nodes": panels // 2 + 1, "last_change": change}
 
 
+def require_converged(info, a, b):
+    """Raise NumericalError when a `log_time_quadrature` result on [a, b]
+    did not converge."""
+    if not info["converged"]:
+        raise NumericalError(
+            f"time quadrature on [{a:g}, {b:g}] did not converge in "
+            f"{info['levels']} levels (last change {info['last_change']:.3e})")
+
+
 def cumulative_log_quadrature(eval_batch, ts, zero_limit=None):
     """Cumulative integrals \\int_0^{ts[k]} f via trapezoid on the given grid.
 

@@ -7,7 +7,10 @@ families: two-point space, uniform cycle, uniform torus, and vertex-centered
 finite-volume discretizations of weighted intervals/rectangles (weight
 catalog: constant, sqrt|x|, tabulated).  The torus and the separably
 weighted rectangle are Cartesian products of 1-d spaces (`product_space`)
-and keep their factors, which the heat module uses.
+and keep their factors.  The path metric of a product graph is the sum of
+the factor metrics, d((i, a), (i', a')) = d_X(i, i') + d_Y(a, a'), so its
+distance rows are sums of factor rows; other graphs run Dijkstra.  The heat
+module uses the factors as well.
 
 Measured constants:
 
@@ -33,6 +36,8 @@ from .errors import ConfigError, NumericalError
 from .reports import DoublingReport, PoincareReport
 
 _SQRT2 = np.sqrt(2.0)
+_DIST_CACHE_BYTES = 64 * 2 ** 20   # Dijkstra rows kept per generic graph
+_ROW_BLOCK = 2 ** 18               # doubles per (rows x n) block in estimate_doubling
 
 
 class MetricMeasureSpace:
@@ -121,7 +126,7 @@ class MetricMeasureSpace:
 
         self.degree = np.asarray(self._W.sum(axis=1)).ravel()
         self._dist_cache: dict[int, np.ndarray] = {}
-        self._dist_cache_cap = 1024
+        self._dist_cache_cap = _DIST_CACHE_BYTES // (8 * n)
 
     # -- basic structure ---------------------------------------------------
 
@@ -160,10 +165,19 @@ class MetricMeasureSpace:
     # -- metric ------------------------------------------------------------
 
     def distances_from(self, v: int) -> np.ndarray:
-        """Shortest-path distances from vertex v (cached per source)."""
+        """Shortest-path distances from vertex v.
+
+        On a product X x Y this is d_X(i, .) + d_Y(j, .) for v = (i, j),
+        built from the factors' cached rows and not cached itself.  Other
+        graphs run Dijkstra and cache rows per source up to a byte budget.
+        """
         v = int(v)
         if not 0 <= v < self.n:
             raise ConfigError(f"vertex {v} out of range")
+        if self.factors is not None:
+            X, Y = self.factors
+            i, j = divmod(v, Y.n)
+            return np.add.outer(X.distances_from(i), Y.distances_from(j)).ravel()
         d = self._dist_cache.get(v)
         if d is None:
             d = dijkstra(self._len_graph, directed=False, indices=v)
@@ -172,12 +186,17 @@ class MetricMeasureSpace:
         return d
 
     def distance_rows(self, sources) -> np.ndarray:
-        """Distance rows for a batch of sources (bypasses the cache)."""
-        return dijkstra(self._len_graph, directed=False, indices=np.asarray(sources))
+        """Distance rows (len(sources), n) for a 1-d array of sources.
 
-    def diameter(self) -> float:
-        # one Dijkstra per vertex; intended for modest spaces
-        return float(self.distance_rows(np.arange(self.n)).max())
+        Generic graphs run one batched Dijkstra that bypasses the cache.
+        """
+        sources = np.asarray(sources)
+        if self.factors is None:
+            return dijkstra(self._len_graph, directed=False, indices=sources)
+        X, Y = self.factors
+        dx = np.array([X.distances_from(i) for i in sources // Y.n])
+        dy = np.array([Y.distances_from(j) for j in sources % Y.n])
+        return (dx[:, :, None] + dy[:, None, :]).reshape(sources.size, self.n)
 
     def vertex_at(self, coords, tol=1e-9) -> int:
         """Vertex whose embedded position equals coords (within tol)."""
@@ -270,9 +289,11 @@ def product_space(X: MetricMeasureSpace, Y: MetricMeasureSpace, positions=None,
     Vertex (i, j) is numbered i * ny + j.  An x-edge (i, a) -- (i', a)
     carries c^x_ii' mu^y_a and a y-edge (i, a) -- (i, a') carries
     mu^x_i c^y_aa', both with the factor edge's length, so the generator is
-    the Kronecker sum A = A_x (+) A_y and T_t = T_t^x (x) T_t^y.  Positions
-    default to the Cartesian product of the factor embeddings (when both
-    have one); the rim is (rim_X x Y) u (X x rim_Y).
+    the Kronecker sum A = A_x (+) A_y and T_t = T_t^x (x) T_t^y.  A shortest
+    path splits into its x-steps and y-steps, so the path metric is
+    d((i, a), (i', a')) = d_X(i, i') + d_Y(a, a'), which `distances_from`
+    uses.  Positions default to the Cartesian product of the factor
+    embeddings (when both have one); the rim is (rim_X x Y) u (X x rim_Y).
     """
     nx, ny = X.n, Y.n
     rows = np.arange(nx)[:, None] * ny
@@ -504,23 +525,29 @@ def radius_grid(space: MetricMeasureSpace, R0: float) -> np.ndarray:
     return np.asarray(out)
 
 
-def _ball_masses(d_row: np.ndarray, mu: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """mu(B(x, r)) for every r in radii, from one distance row (open balls)."""
-    order = np.argsort(d_row)
-    cum = np.concatenate([[0.0], np.cumsum(mu[order])])
-    counts = np.searchsorted(d_row[order], radii, side="left")
-    return cum[counts]
+def _ball_masses(d_rows: np.ndarray, mu: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """mu(B(x, r)) for every r in radii from a distance row (n,) or a block of
+    rows (k, n) (open balls).  Each row is sorted once, and the masses are
+    read off the cumulative sum of mu in that order."""
+    block = np.atleast_2d(d_rows)
+    order = np.argsort(block, axis=1)
+    cum = np.zeros((block.shape[0], block.shape[1] + 1))
+    np.cumsum(mu[order], axis=1, out=cum[:, 1:])
+    counts = [np.searchsorted(row[o], radii, side="left")
+              for row, o in zip(block, order)]
+    masses = np.take_along_axis(cum, np.asarray(counts), axis=1)
+    return masses if d_rows.ndim == 2 else masses[0]
 
 
-def estimate_doubling(space: MetricMeasureSpace, R0: float,
-                      batch: int = 256) -> DoublingReport:
+def estimate_doubling(space: MetricMeasureSpace, R0: float) -> DoublingReport:
     """Measure the doubling constant and fit the Q-doubling power law.
 
     C_d is the exact maximum of mu(B(x,2r)) / mu(B(x,r)) over all vertices
     and the geometric radius grid restricted to r < R0/2.  (Q_fit, C_Q) come
     from least squares on log mu(B(x,R)) - log mu(B(x,r)) against log(R/r)
     over all grid pairs r < R, with the intercept raised afterwards so the
-    power-law bound holds for every sample.
+    power-law bound holds for every sample.  Distance rows are taken in
+    blocks of about `_ROW_BLOCK` doubles.
     """
     if space.n < 2:
         raise ConfigError("doubling needs at least two vertices")
@@ -533,29 +560,27 @@ def estimate_doubling(space: MetricMeasureSpace, R0: float,
     small = radii[radii < R0 / 2]
     if small.size == 0:
         raise ConfigError("no radii below R0/2; increase R0")
+    k = small.size
+    queries = np.concatenate([small, 2 * small, radii])
     ia, ib = np.triu_indices(radii.size, k=1)
-    log_rr = np.log(radii[ib] / radii[ia])
 
     best = -np.inf
     worst = (0, 0.0)
-    xs_cols, ys_cols = [], []
+    ys = []
+    batch = max(1, _ROW_BLOCK // space.n)
     for start in range(0, space.n, batch):
-        idx = np.arange(start, min(start + batch, space.n))
-        rows = space.distance_rows(idx)
-        for v, row in zip(idx, rows):
-            m_small = _ball_masses(row, space.mu, small)
-            m_double = _ball_masses(row, space.mu, 2 * small)
-            ratios = m_double / m_small
-            k = int(np.argmax(ratios))
-            if ratios[k] > best:
-                best = float(ratios[k])
-                worst = (int(v), float(small[k]))
-            m_all = _ball_masses(row, space.mu, radii)
-            ys_cols.append(np.log(m_all[ib]) - np.log(m_all[ia]))
-            xs_cols.append(log_rr)
+        rows = space.distance_rows(np.arange(start, min(start + batch, space.n)))
+        masses = _ball_masses(rows, space.mu, queries)
+        ratios = masses[:, k:2 * k] / masses[:, :k]
+        v, j = np.unravel_index(np.argmax(ratios), ratios.shape)
+        if ratios[v, j] > best:
+            best = float(ratios[v, j])
+            worst = (start + int(v), float(small[j]))
+        m_all = masses[:, 2 * k:]
+        ys.append((np.log(m_all[:, ib]) - np.log(m_all[:, ia])).ravel())
 
-    x = np.concatenate(xs_cols)
-    y = np.concatenate(ys_cols)
+    x = np.tile(np.log(radii[ib] / radii[ia]), space.n)
+    y = np.concatenate(ys)
     A = np.column_stack([x, np.ones_like(x)])
     (q, b), *_ = np.linalg.lstsq(A, y, rcond=None)
     if q <= 0:
@@ -567,20 +592,11 @@ def estimate_doubling(space: MetricMeasureSpace, R0: float,
 
 
 def _subgraph_energy_matrix(space: MetricMeasureSpace, members: np.ndarray):
-    """Dense Laplacian of the induced subgraph (edges with both ends inside)."""
-    loc = -np.ones(space.n, dtype=np.intp)
-    loc[members] = np.arange(members.size)
-    li = loc[space.edge_i]
-    lj = loc[space.edge_j]
-    keep = (li >= 0) & (lj >= 0)
-    m = members.size
-    L = np.zeros((m, m))
-    for a, b, c in zip(li[keep], lj[keep], space.edge_c[keep]):
-        L[a, a] += c
-        L[b, b] += c
-        L[a, b] -= c
-        L[b, a] -= c
-    return L
+    """Dense Laplacian of the induced subgraph (edges with both ends inside)
+    and whether that subgraph is connected."""
+    W = space.conductance_matrix[members][:, members]
+    connected = connected_components(W, directed=False)[0] == 1
+    return np.diag(np.asarray(W.sum(axis=1)).ravel()) - W.toarray(), connected
 
 
 def _sharp_poincare(space, ball_members, outer_members, radius,
@@ -588,15 +604,20 @@ def _sharp_poincare(space, ball_members, outer_members, radius,
     """Sharp constant of ||u - u_B||_{L2(B)} <= C r ||sqrt(Gamma u)||_{L2(2B)}.
 
     Solved as a generalized eigenproblem on the vertex set of the doubled
-    ball, with the energy of the induced subgraph on the right.  Falls back
-    to random-field sampling above `dense_cap` vertices.  Returns (C, method)
-    or (None, reason) when the ball is degenerate.
+    ball, with the energy of the induced subgraph on the right.  Both sides
+    annihilate constants, so the energy is lifted by tr(L)/m^2 on the
+    constants to make it definite; that adds only the eigenvalue 0 and
+    leaves the largest one unchanged.  Falls back to random-field sampling
+    above `dense_cap` vertices.  Returns (C, method) or (None, reason) when
+    the ball is degenerate.
     """
     S = outer_members
     m = S.size
     if ball_members.size < 2:
         return None, "single-vertex ball"
-    L = _subgraph_energy_matrix(space, S)
+    L, connected = _subgraph_energy_matrix(space, S)
+    if not connected:
+        return None, "doubled ball induces a disconnected subgraph"
     loc = -np.ones(space.n, dtype=np.intp)
     loc[S] = np.arange(m)
     bloc = loc[ball_members]
@@ -608,18 +629,12 @@ def _sharp_poincare(space, ball_members, outer_members, radius,
         QL = np.zeros((m, m))
         QL[np.ix_(bloc, bloc)] -= np.outer(mu_b, mu_b) / mass_b
         QL[bloc, bloc] += mu_b
-        ones = np.full((m, 1), 1.0 / np.sqrt(m))
-        Z = scipy.linalg.null_space(ones.T)
-        A1 = Z.T @ QL @ Z
-        B1 = Z.T @ (radius ** 2 * L) @ Z
         try:
-            vals = scipy.linalg.eigh(A1, B1, eigvals_only=True)
-        except scipy.linalg.LinAlgError:
-            return None, "doubled ball induces a disconnected subgraph"
-        lam = float(vals[-1])
-        if lam < 0:
-            lam = 0.0
-        return np.sqrt(lam), "eigen"
+            lam = scipy.linalg.eigh(QL, radius ** 2 * (L + np.trace(L) / m ** 2),
+                                    eigvals_only=True, subset_by_index=[m - 1, m - 1])
+        except scipy.linalg.LinAlgError as e:
+            raise NumericalError(f"Poincare energy matrix is not definite: {e}") from None
+        return np.sqrt(max(float(lam[0]), 0.0)), "eigen"
 
     rng = np.random.default_rng(0) if rng is None else rng
     best = 0.0

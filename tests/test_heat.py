@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from mmslab import ConfigError
+from mmslab import ConfigError, NumericalError
+from mmslab import heat
 from mmslab import space as sp_mod
+from mmslab.cli import main
 from mmslab.heat import (build_heat, check_gaussian, check_heat_caccioppoli,
                          heat_apply, heat_kernel)
 
@@ -180,3 +182,20 @@ def test_heat_caccioppoli_empty_annulus(torus16):
         check_heat_caccioppoli(H, 0, 0.25, 0.05)    # R below mesh scale
     with pytest.raises(ConfigError):
         check_heat_caccioppoli(H, 0, 6.0, 1.0)      # 3R swallows the torus
+
+
+def test_heat_caccioppoli_unconverged_quadrature_raises(torus16, monkeypatch,
+                                                        tmp_path):
+    def unconverged(eval_batch, a, b, **kwargs):
+        return 1.0, {"converged": False, "levels": 7, "nodes": 1025,
+                     "last_change": 0.5}
+
+    monkeypatch.setattr(heat, "log_time_quadrature", unconverged)
+    with pytest.raises(NumericalError):
+        check_heat_caccioppoli(build_heat(torus16), torus16.vertex_at((8, 8)),
+                               2.0, 1.0)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"space": {"family": "torus", "n1": 16, "n2": 16}, '
+                   '"task": "heat-caccioppoli", '
+                   '"params": {"x": [8, 8], "R": 2.0, "s_list": [1.0]}}')
+    assert main(["run", str(cfg), "--out", str(tmp_path / "rep")]) == 3

@@ -1,15 +1,17 @@
-"""Cartesian-product spaces and the product heat realization.
+"""Cartesian-product spaces, the product metric and the product heat realization.
 
 The built-in torus and separable grid are products of 1-d spaces; these
 tests pin their construction against the double-loop builders they
-replaced, and cross-check the product realization against the dense and
-stepping ones.
+replaced, check the product metric d_X + d_Y against Dijkstra on the
+assembled graph, and cross-check the product realization against the dense
+and stepping ones.
 """
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
+from scipy.sparse.csgraph import dijkstra
 
 from mmslab import ConfigError
 from mmslab import space as sp_mod
@@ -127,6 +129,57 @@ def test_kronecker_sum_is_the_assembled_generator(space):
             + sp.kron(sp.identity(X.n), generator(Y)))
     A = generator(space)
     assert abs(ksum - A).max() <= 1e-13 * abs(A).max()
+
+
+# -- the product metric d_X + d_Y against Dijkstra ----------------------------------
+
+def dijkstra_rows(space, sources):
+    return dijkstra(space._len_graph, directed=False, indices=sources)
+
+
+def sample_sources(space, count=12):
+    rng = np.random.default_rng(space.n)
+    return np.unique(np.concatenate([[0, space.n // 2, space.n - 1],
+                                     rng.integers(space.n, size=count)]))
+
+
+# every product space the benchmark builds, and two small ones
+@pytest.mark.parametrize("make", [
+    lambda: sp_mod.uniform_torus(5, 7),
+    lambda: sp_mod.uniform_torus(16, 16),
+    lambda: sp_mod.uniform_torus(32, 32),
+    lambda: sp_mod.uniform_torus(48, 48),
+    lambda: sp_mod.uniform_torus(64, 64),
+    *[lambda h=h, w=w: sp_mod.weighted_grid_2d(SQUARE, h, w)
+      for h in (1 / 16, 1 / 32, 1 / 64, 1 / 128)
+      for w in ("constant", "sqrt_abs_x")],
+], ids=["torus5x7", "torus16", "torus32", "torus48", "torus64",
+        *[f"grid-{w}-1/{m}" for m in (16, 32, 64, 128)
+          for w in ("constant", "sqrt")]])
+def test_product_distances_equal_dijkstra_bit_for_bit(make):
+    space = make()
+    src = sample_sources(space, 4 if space.n > 20000 else 12)
+    want = dijkstra_rows(space, src)
+    assert np.array_equal(space.distance_rows(src), want)
+    for v, row in zip(src, want):
+        assert np.array_equal(space.distances_from(v), row)
+    assert space._dist_cache == {}          # product rows are never cached
+
+
+def test_product_distances_on_a_non_dyadic_mesh():
+    space = sp_mod.weighted_grid_2d(SQUARE, 0.1, "sqrt_abs_x")
+    src = sample_sources(space)
+    np.testing.assert_allclose(space.distance_rows(src), dijkstra_rows(space, src),
+                               rtol=1e-14, atol=0.0)
+
+
+def test_generic_graphs_cache_dijkstra_rows_within_a_byte_budget():
+    space = MetricMeasureSpace.from_text(sp_mod.uniform_torus(8, 8).to_text())
+    assert space.factors is None
+    assert space._dist_cache_cap * 8 * space.n <= 64 * 2 ** 20
+    row = space.distances_from(9)
+    assert space.distances_from(9) is row
+    assert np.array_equal(row, dijkstra_rows(space, 9))
 
 
 # -- product realization against dense and stepping ------------------------------
@@ -259,3 +312,12 @@ def test_random_products_agree_with_dense(X, Y, t):
     assert close(P.apply_batch(F, t), D.apply_batch(F, t), 1e-10)
     assert close(P.kernel(t, space.n - 1), D.kernel(t, space.n - 1), 1e-10)
     assert close(P.eigenvalues, D.eigenvalues, 1e-10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(connected_graphs(), connected_graphs())
+def test_random_products_have_the_sum_metric(X, Y):
+    space = product_space(X, Y)
+    every = np.arange(space.n)
+    np.testing.assert_allclose(space.distance_rows(every), dijkstra_rows(space, every),
+                               rtol=1e-14, atol=0.0)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy.sparse.csgraph import dijkstra
 
 from mmslab import ConfigError, build_heat, carre_du_champ, metric_ball
 from mmslab import space as sp_mod
@@ -146,6 +148,44 @@ def test_doubling_constant_valid_exhaustively(cycle64):
                     <= rep.C_d * ball_mass_oracle(cycle64, x, r) * (1 + 1e-12))
 
 
+def ball_masses_one_row(d_row, mu, radii):
+    order = np.argsort(d_row)
+    cum = np.concatenate([[0.0], np.cumsum(mu[order])])
+    return cum[np.searchsorted(d_row[order], radii, side="left")]
+
+
+def doubling_reference(space, R0):
+    """Vertex by vertex: one Dijkstra row and three ball-mass sorts each."""
+    radii = radius_grid(space, R0)
+    radii = radii[radii > space.min_edge_length * (1 + 1e-12)]
+    small = radii[radii < R0 / 2]
+    ia, ib = np.triu_indices(radii.size, k=1)
+    best, worst, ys = -np.inf, None, []
+    for v in range(space.n):
+        row = dijkstra(space._len_graph, directed=False, indices=v)
+        ratios = (ball_masses_one_row(row, space.mu, 2 * small)
+                  / ball_masses_one_row(row, space.mu, small))
+        k = int(np.argmax(ratios))
+        if ratios[k] > best:
+            best, worst = float(ratios[k]), (v, float(small[k]))
+        m_all = ball_masses_one_row(row, space.mu, radii)
+        ys.append(np.log(m_all[ib]) - np.log(m_all[ia]))
+    x = np.tile(np.log(radii[ib] / radii[ia]), space.n)
+    y = np.concatenate(ys)
+    (q, b), *_ = np.linalg.lstsq(np.column_stack([x, np.ones_like(x)]), y, rcond=None)
+    b = max(b, float(np.max(y - q * x)))
+    return best, worst, float(q), max(1.0, float(np.exp(b)))
+
+
+@pytest.mark.parametrize("space,R0", [
+    (sp_mod.uniform_torus(32, 32), 8.0),
+    (sp_mod.weighted_grid_2d(((-1, 1), (-1, 1)), 1 / 16, "sqrt_abs_x"), 0.5),
+], ids=["torus32", "sqrt16"])
+def test_doubling_equals_the_per_vertex_reference(space, R0):
+    rep = estimate_doubling(space, R0)
+    assert (rep.C_d, rep.worst_pair, rep.Q_fit, rep.C_Q) == doubling_reference(space, R0)
+
+
 def test_doubling_single_vertex_rejected():
     lonely = MetricMeasureSpace([1.0], [])
     with pytest.raises(ConfigError):
@@ -165,6 +205,54 @@ def test_poincare_path_matches_neumann_eigenvalue():
     assert how == "eigen"
     assert c == pytest.approx(1.0 / np.sqrt(theta1), rel=1e-9)
     assert c == pytest.approx(1.0 / np.pi, rel=1e-3)
+
+
+def poincare_reference(space, ball, outer):
+    """Sharp constant by projecting both forms onto the complement of constants."""
+    S = outer.members
+    m = S.size
+    loc = -np.ones(space.n, dtype=np.intp)
+    loc[S] = np.arange(m)
+    L = np.zeros((m, m))
+    for i, j, c in zip(space.edge_i, space.edge_j, space.edge_c):
+        a, b = loc[i], loc[j]
+        if a >= 0 and b >= 0:
+            L[a, a] += c
+            L[b, b] += c
+            L[a, b] -= c
+            L[b, a] -= c
+    bloc = loc[ball.members]
+    mu_b = space.mu[ball.members]
+    QL = np.zeros((m, m))
+    QL[np.ix_(bloc, bloc)] -= np.outer(mu_b, mu_b) / mu_b.sum()
+    QL[bloc, bloc] += mu_b
+    Z = scipy.linalg.null_space(np.ones((1, m)))
+    lam = scipy.linalg.eigh(Z.T @ QL @ Z, Z.T @ (ball.radius ** 2 * L) @ Z,
+                            eigvals_only=True)[-1]
+    return np.sqrt(max(lam, 0.0))
+
+
+@pytest.mark.parametrize("space,radii", [
+    (sp_mod.uniform_torus(32, 32), (1.5, 2.9, 4.1, 6.0)),
+    (sp_mod.weighted_grid_2d(((-1, 1), (-1, 1)), 1 / 16, "sqrt_abs_x"),
+     (0.07, 0.13, 0.26)),
+], ids=["torus32", "sqrt16"])
+def test_poincare_lift_equals_the_null_space_projection(space, radii):
+    rng = np.random.default_rng(5)
+    for r in radii:
+        for x in rng.integers(space.n, size=2):
+            ball, outer = metric_ball(space, x, r), metric_ball(space, x, 2 * r)
+            c, how = _sharp_poincare(space, ball.members, outer.members, r)
+            assert how == "eigen"
+            assert c == pytest.approx(poincare_reference(space, ball, outer),
+                                      rel=1e-10, abs=0.0)
+
+
+def test_poincare_disconnected_member_set_is_degenerate(cycle32):
+    ball, outer = np.array([0, 1]), np.array([0, 1, 10, 11])
+    for cap in (1500, 2):           # eigen and sampled paths
+        c, reason = _sharp_poincare(cycle32, ball, outer, 2.0, dense_cap=cap)
+        assert c is None and "disconnected" in reason
 
 
 def test_poincare_constant_field_contributes_nothing(cycle32):
