@@ -4,16 +4,20 @@ Three realizations, chosen from the structure of the space:
 
 * dense-spectral: full eigendecomposition of the generator, symmetrized in
   the mu-weighted inner product.  Exact up to round-off for any t; kernel
-  matrices are cached and clamped at zero so nonnegative inputs map to
-  exactly nonnegative outputs.
+  matrices are clamped at zero so nonnegative inputs map to exactly
+  nonnegative outputs, and up to `CACHE_BYTES` of them are cached.
 * product: for a Cartesian product X x Y (`space.factors`), the generator
   is the Kronecker sum A_x (+) A_y, so T_t = T_t^x (x) T_t^y.  Each factor
   keeps its own dense spectral decomposition; a field stack is pushed
   through the clamped factor kernels one axis at a time, so nothing of
   size n x n is formed and positivity is exact at every size.
-* stepping: error-controlled Taylor action of the matrix exponential
-  (`scipy.sparse.linalg.expm_multiply`) for other spaces past the dense
-  cap, swept incrementally along ascending time grids.
+* stepping: for other spaces past the dense cap, a Chebyshev expansion of
+  e^{tA} in the shifted generator X = (2/lam)(-A) - I, whose spectrum lies
+  in [-1, 1] for the Gershgorin bound lam = max 2 degree/mu.  The Bessel
+  coefficients are cut where their tail drops below 2^-60 (never silently:
+  a tail that stays above raises), so an action costs O(sqrt(lam_max t))
+  sparse matvecs.  Time grids are swept incrementally, one expansion per
+  increment, and the recurrence is column-blocked (about 512 KB a block).
 
 Kernel conventions: T_t f(x) = sum_y p(t, x, y) f(y) mu_y, with
 p(t, x, y) = p(t, y, x) >= 0 and sum_y p(t, x, y) mu_y = 1 (the semigroup
@@ -25,13 +29,12 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-from scipy.sparse.linalg import expm_multiply
 
 from .errors import ConfigError, NumericalError
 from .form import carre_du_champ
 from .quad import log_time_quadrature, require_converged
 from .reports import GaussianFit, VerificationReport
-from .space import Ball, MetricMeasureSpace, metric_ball, _ball_masses
+from .space import CACHE_BYTES, Ball, MetricMeasureSpace, metric_ball, _ball_masses
 
 DENSE_CAP_DEFAULT = 4000
 # Per time, product mode forms the two factor kernels (~nx^3 + ny^3 flops)
@@ -39,6 +42,11 @@ DENSE_CAP_DEFAULT = 4000
 # two is about the aspect nx / ny.  Past this aspect the kernels dominate and
 # an elongated product is left to the dense or stepping realization.
 PRODUCT_MAX_ASPECT = 16
+# The Chebyshev series stops where the tail sum of |c_k| (the whole sum is 1)
+# drops below this.
+CHEB_TAIL = 2.0 ** -60
+# Columns per block of the Chebyshev recurrence: about 2**16 doubles (512 KB).
+_COLUMN_BLOCK = 2 ** 16
 
 
 def _product_pays(factors, dense_cap: int) -> bool:
@@ -59,6 +67,29 @@ def _spectrum(space: MetricMeasureSpace):
     except scipy.linalg.LinAlgError as e:
         raise NumericalError(f"eigendecomposition failed: {e}") from e
     return np.clip(w, 0.0, None), V * inv_sqrt_mu[:, None]
+
+
+def _chebyshev_coefficients(z: float) -> np.ndarray:
+    """c_k with e^{-z (X + I)} = sum_k c_k T_k(X) for X with spectrum in [-1, 1].
+
+    c_0 = ive(0, z) and c_k = 2 (-1)^k ive(k, z), where ive(k, z) =
+    e^{-z} I_k(z).  The series is cut where the tail sum of |c_k| drops below
+    `CHEB_TAIL`; past k of about 12 sqrt(z) + 64 it is far below that, and a
+    tail that is still larger there raises instead of being cut.
+    """
+    # imported here: scipy.special adds about 4 MB of resident memory to a
+    # process, and only stepping mode needs it
+    from scipy.special import ive
+
+    c = ive(np.arange(int(12.0 * np.sqrt(z)) + 64), z)
+    c[1:] *= 2.0
+    c[1::2] *= -1.0
+    tail = np.cumsum(np.abs(c[::-1]))[::-1]      # tail[k] = sum_{j >= k} |c_j|
+    if not tail[-1] < CHEB_TAIL:
+        raise NumericalError(
+            f"Chebyshev series of exp at z={z:.3e} did not converge: tail "
+            f"{tail[-1]:.3e} after {c.size} terms")
+    return c[:int(np.argmax(tail < CHEB_TAIL))]
 
 
 def _time_grid(ts) -> np.ndarray:
@@ -85,7 +116,8 @@ class HeatOperator:
     kernel_cache_cap : int
         Largest vertex count for which dense mode builds and caches full
         kernel matrices (they cost O(n^3) to form but make `apply` exactly
-        positivity-preserving).
+        positivity-preserving).  The cache keeps the last
+        max(1, CACHE_BYTES // (8 n^2)) of them.
     """
 
     def __init__(self, space: MetricMeasureSpace, mode="auto",
@@ -104,16 +136,15 @@ class HeatOperator:
         self.mode = mode
         self.kernel_cache_cap = kernel_cache_cap
         self._kernel_cache: dict = {}
-        self.theta = self.basis = self._A = self._factors = None
+        self.theta = self.basis = self._factors = self._X2 = self._lam = None
 
         if mode == "dense":
             self.theta, self.basis = _spectrum(space)
         elif mode == "product":
             self._factors = [(f.mu,) + _spectrum(f) for f in space.factors]
         else:
-            self._A = sp.csr_matrix(
-                (sp.diags(1.0 / space.mu) @ (space.conductance_matrix
-                                             - sp.diags(space.degree))))
+            # Gershgorin: the spectrum of -A = (D - W)/mu lies in [0, lam]
+            self._lam = float(np.max(2.0 * space.degree / space.mu))
 
     # -- eigen data ----------------------------------------------------------
 
@@ -161,14 +192,14 @@ class HeatOperator:
             return self.basis @ (d * coeff)
         if self.mode == "product":
             return self._product_apply(F, t)
-        return expm_multiply(self._A * t, F)
+        return self._chebyshev_apply(F, t)
 
     def apply_grid(self, F, ts):
         """Yield (t, T_t F) for an ascending positive time grid.
 
         Dense mode reuses the spectral coefficients of F; product mode
         forms the two factor kernels per time; stepping mode advances
-        incrementally through the grid (one exponential action per
+        incrementally through the grid (one Chebyshev expansion per
         increment).
         """
         ts = _time_grid(ts)
@@ -189,9 +220,47 @@ class HeatOperator:
             for t in ts:
                 dt = t - t_prev
                 if dt > 0:
-                    cur = expm_multiply(self._A * dt, cur)
+                    cur = self._chebyshev_apply(cur, dt)
                 t_prev = t
                 yield float(t), cur.copy()
+
+    def _shifted_generator(self):
+        """2X = 2((2/lam)(-A) - I) in CSR, built on first use."""
+        if self._X2 is None:
+            space = self.space
+            minus_A = sp.diags(1.0 / space.mu) @ (sp.diags(space.degree)
+                                                   - space.conductance_matrix)
+            self._X2 = sp.csr_matrix(2.0 * ((2.0 / self._lam) * minus_A
+                                           - sp.identity(space.n)))
+        return self._X2
+
+    def _chebyshev_apply(self, F, t: float) -> np.ndarray:
+        """e^{tA} F = sum_k c_k T_k(X) F, with T_{k+1} = 2X T_k - T_{k-1}.
+
+        The stored matrix is 2X, so T_1 = (2X) T_0 / 2 and T_{k+1} =
+        (2X) T_k - T_{k-1}.  X 1 = -1 and 1^T M X = -1^T M, so mass is kept to
+        round-off.  The recurrence runs on column blocks of about
+        `_COLUMN_BLOCK` doubles.
+        """
+        X2 = self._shifted_generator()
+        c = _chebyshev_coefficients(0.5 * self._lam * t)
+        n = self.space.n
+        F2 = F.reshape(n, -1)
+        out = np.empty(F2.shape)
+        width = max(1, _COLUMN_BLOCK // n)
+        for j in range(0, F2.shape[1], width):
+            prev = np.ascontiguousarray(F2[:, j:j + width])
+            acc = c[0] * prev
+            if c.size > 1:
+                cur = 0.5 * (X2 @ prev)
+                acc += c[1] * cur
+                for ck in c[2:]:
+                    nxt = X2 @ cur
+                    nxt -= prev
+                    acc += ck * nxt
+                    prev, cur = cur, nxt
+            out[:, j:j + width] = acc
+        return out.reshape(F.shape)
 
     def _factor_kernels(self, t: float):
         """Clamped kernel matrices p_x(t), p_y(t) of the two factors.
@@ -227,7 +296,7 @@ class HeatOperator:
         K = self._kernel_cache.get(t)
         if K is None:
             K = self._spectral_kernel(self.theta, self.basis, t)
-            if len(self._kernel_cache) >= 64:
+            if len(self._kernel_cache) >= max(1, CACHE_BYTES // K.nbytes):
                 self._kernel_cache.pop(next(iter(self._kernel_cache)))
             self._kernel_cache[t] = K
         return K
@@ -250,7 +319,7 @@ class HeatOperator:
             return col
         e = np.zeros(self.space.n)
         e[x0] = 1.0 / self.space.mu[x0]
-        col = expm_multiply(self._A * t, e)
+        col = self._chebyshev_apply(e, t)
         self._clamp(col)
         return col
 
@@ -347,8 +416,11 @@ def check_gaussian(H: HeatOperator, t_grid, pair_count: int, R: float,
 
     xs = sorted({x for x, _, _ in pairs})
     xpos = {x: k for k, x in enumerate(xs)}
+    # ball masses mu(B(x, sqrt t)) for every time: one sort per source
+    sqrt_t = np.sqrt(t_grid)
+    ball = [_ball_masses(space.distances_from(x), space.mu, sqrt_t) for x in xs]
     logs, zs = [], []
-    for t in t_grid:
+    for i, t in enumerate(t_grid):
         if H.mode == "dense":
             damp = np.exp(-H.theta * t)
             cols = H.basis @ (damp[:, None] * H.basis[xs].T)   # column k: p(t, xs[k], .)
@@ -358,8 +430,7 @@ def check_gaussian(H: HeatOperator, t_grid, pair_count: int, R: float,
             p = float(cols[y, xpos[x]])
             if p <= 0:
                 raise NumericalError(f"nonpositive kernel value at t={t}, pair=({x},{y})")
-            mb = _ball_masses(space.distances_from(x), space.mu,
-                              np.array([np.sqrt(t)]))[0]
+            mb = ball[xpos[x]][i]
             logs.append(np.log(p) + np.log(mb))
             zs.append(d * d / t)
     yv = np.asarray(logs)

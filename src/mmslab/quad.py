@@ -15,8 +15,16 @@ from .errors import NumericalError
 
 def _composite_simpson(u, v):
     """Composite Simpson on uniformly spaced nodes u (odd count)."""
-    h = u[1] - u[0]
+    h = (u[-1] - u[0]) / (u.size - 1)
     return h / 3.0 * (v[0] + v[-1] + 4.0 * v[1:-1:2].sum() + 2.0 * v[2:-1:2].sum())
+
+
+def _interleave(even, odd):
+    """[even[0], odd[0], even[1], ..., odd[-1], even[-1]]."""
+    out = np.empty(even.size + odd.size)
+    out[0::2] = even
+    out[1::2] = odd
+    return out
 
 
 def log_time_quadrature(eval_batch, a, b, rtol=1e-6, atol=0.0,
@@ -27,9 +35,11 @@ def log_time_quadrature(eval_batch, a, b, rtol=1e-6, atol=0.0,
     Parameters
     ----------
     eval_batch : callable
-        Maps an ascending array of times to integrand values.  Called once
-        per refinement level with the full node set, so semigroup-stepping
-        callers can sweep incrementally.
+        Maps an ascending array of times to integrand values.  Called first
+        with the base grid, then once per refinement level with only the new
+        nodes (the midpoints of the previous grid, ascending), so every node
+        is evaluated once and semigroup-stepping callers can sweep
+        incrementally.
     a, b : float
         Integration bounds.  When a == 0 the integrand must have a finite
         limit at 0, supplied as `zero_limit`; the head [0, b*head_frac] is
@@ -42,7 +52,8 @@ def log_time_quadrature(eval_batch, a, b, rtol=1e-6, atol=0.0,
     Returns
     -------
     value : float
-    info : dict with keys 'converged', 'levels', 'nodes', 'last_change'.
+    info : dict with keys 'converged', 'levels', 'nodes' (size of the final
+        grid, which is also the number of evaluations), 'last_change'.
     """
     if not (b > a >= 0):
         raise NumericalError(f"bad quadrature interval [{a}, {b}]")
@@ -53,18 +64,24 @@ def log_time_quadrature(eval_batch, a, b, rtol=1e-6, atol=0.0,
             raise NumericalError("a == 0 requires the integrand limit at 0")
         lo = b * head_frac
 
-    ulo, uhi = np.log(lo), np.log(b)
-    prev = None
-    value = 0.0
-    change = np.inf
-    panels = base_panels
-    for level in range(max_levels):
-        u = np.linspace(ulo, uhi, panels + 1)
-        ts = np.exp(u)
-        ts[0], ts[-1] = lo, b           # exact endpoints
+    def evaluate(ts):
         vals = np.asarray(eval_batch(ts), dtype=float)
         if vals.shape != ts.shape:
             raise NumericalError("eval_batch returned the wrong number of values")
+        return vals
+
+    u = np.linspace(np.log(lo), np.log(b), base_panels + 1)
+    ts = np.exp(u)
+    ts[0], ts[-1] = lo, b           # exact endpoints
+    vals = evaluate(ts)
+    prev = None
+    change = np.inf
+    for level in range(max_levels):
+        if level:
+            mid = 0.5 * (u[:-1] + u[1:])
+            t_mid = np.exp(mid)
+            vals = _interleave(vals, evaluate(t_mid))
+            u, ts = _interleave(u, mid), _interleave(ts, t_mid)
         value = float(_composite_simpson(u, vals * ts))   # du-substitution
         if a == 0.0:
             head = 0.5 * lo * (zero_limit + vals[0])
@@ -75,9 +92,8 @@ def log_time_quadrature(eval_batch, a, b, rtol=1e-6, atol=0.0,
                 return total, {"converged": True, "levels": level + 1,
                                "nodes": ts.size, "last_change": change}
         prev = total
-        panels *= 2
     return prev, {"converged": False, "levels": max_levels,
-                  "nodes": panels // 2 + 1, "last_change": change}
+                  "nodes": ts.size, "last_change": change}
 
 
 def require_converged(info, a, b):

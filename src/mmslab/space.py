@@ -36,7 +36,7 @@ from .errors import ConfigError, NumericalError
 from .reports import DoublingReport, PoincareReport
 
 _SQRT2 = np.sqrt(2.0)
-_DIST_CACHE_BYTES = 64 * 2 ** 20   # Dijkstra rows kept per generic graph
+CACHE_BYTES = 64 * 2 ** 20         # per cache: Dijkstra rows, dense heat kernels
 _ROW_BLOCK = 2 ** 18               # doubles per (rows x n) block in estimate_doubling
 
 
@@ -126,7 +126,7 @@ class MetricMeasureSpace:
 
         self.degree = np.asarray(self._W.sum(axis=1)).ravel()
         self._dist_cache: dict[int, np.ndarray] = {}
-        self._dist_cache_cap = _DIST_CACHE_BYTES // (8 * n)
+        self._dist_cache_cap = CACHE_BYTES // (8 * n)
 
     # -- basic structure ---------------------------------------------------
 

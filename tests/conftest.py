@@ -4,8 +4,10 @@ import heapq
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from mmslab import space as sp_mod
+from mmslab.space import MetricMeasureSpace
 
 
 def dijkstra_oracle(space, source):
@@ -32,6 +34,28 @@ def dijkstra_oracle(space, source):
 def ball_mass_oracle(space, source, radius):
     d = dijkstra_oracle(space, source)
     return float(space.mu[d < radius].sum())
+
+
+def close(a, b, tol=1e-12):
+    """|a - b| <= tol relative to the size of the result."""
+    return float(np.max(np.abs(a - b))) <= tol * max(1.0, float(np.max(np.abs(b))))
+
+
+@st.composite
+def connected_graphs(draw, max_n=6):
+    """A random spanning tree plus extra edges, with random weights."""
+    n = draw(st.integers(2, max_n))
+    pos = st.floats(0.1, 10.0)
+    edges = {}
+    for v in range(1, n):
+        u = draw(st.integers(0, v - 1))
+        edges[(u, v)] = (draw(pos), draw(pos))
+    for _ in range(draw(st.integers(0, n))):
+        u, v = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2,
+                                    max_size=2, unique=True)))
+        edges[(u, v)] = (draw(pos), draw(pos))
+    mu = draw(st.lists(pos, min_size=n, max_size=n))
+    return MetricMeasureSpace(mu, [(u, v, c, l) for (u, v), (c, l) in edges.items()])
 
 
 @pytest.fixture(scope="session")

@@ -2,13 +2,26 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import close, connected_graphs
 from mmslab import ConfigError, NumericalError
 from mmslab import heat
 from mmslab import space as sp_mod
 from mmslab.cli import main
 from mmslab.heat import (build_heat, check_gaussian, check_heat_caccioppoli,
                          heat_apply, heat_kernel)
+from mmslab.space import CACHE_BYTES, MetricMeasureSpace, _ball_masses
+
+SQUARE = ((-1.0, 1.0), (-1.0, 1.0))
+
+
+def tabulated_grid(h, seed=0):
+    """The square at mesh h with seeded log-normal cell weights: no product
+    structure, so the generic realizations serve it."""
+    m = int(round(2.0 / h)) + 1
+    wtab = np.exp(0.5 * np.random.default_rng(seed).standard_normal((m, m)))
+    return sp_mod.weighted_grid_2d(SQUARE, h, tabulated=wtab)
 
 
 def test_two_point_eigenvalues(two_point):
@@ -118,6 +131,94 @@ def test_heat_grid_monotone_interface(torus16):
         assert np.max(np.abs(v - H.apply_batch(F, t))) <= 1e-10
 
 
+# -- Chebyshev stepping realization ---------------------------------------------
+
+@pytest.fixture(scope="module")
+def tab16():
+    space = tabulated_grid(1 / 16)
+    h2 = (1 / 16) ** 2
+    times = (h2 / 4, h2, 1 / 64, 0.25, 2.0)
+    return (space, times, build_heat(space, mode="dense"),
+            build_heat(space, mode="stepping"))
+
+
+def test_stepping_matches_dense_on_a_tabulated_grid(tab16):
+    space, times, D, S = tab16
+    F = np.random.default_rng(9).standard_normal((space.n, 5))
+    grids = {H.mode: list(H.apply_grid(F, times)) for H in (D, S)}
+    kgrids = {H.mode: list(H.kernel_grid(40, times)) for H in (D, S)}
+    for k, t in enumerate(times):
+        assert close(S.apply_batch(F, t), D.apply_batch(F, t)), t
+        assert close(S.apply_batch(F[:, 0], t), D.apply_batch(F[:, 0], t)), t
+        assert grids["stepping"][k][0] == t
+        assert close(grids["stepping"][k][1], grids["dense"][k][1]), t
+        assert close(kgrids["stepping"][k][1], kgrids["dense"][k][1]), t
+        for x0 in (0, 40, space.n // 2, space.n - 1):
+            assert close(S.kernel(t, x0), D.kernel(t, x0)), (t, x0)
+
+
+def test_stepping_matches_expm_multiply_at_h32():
+    from scipy.sparse.linalg import expm_multiply   # independent oracle
+
+    h = 1 / 32
+    space = tabulated_grid(h, seed=1)
+    S = build_heat(space, mode="stepping")
+    A = -(space.laplacian().tocsr().multiply(1.0 / space.mu[:, None])).tocsr()
+    F = np.random.default_rng(10).standard_normal((space.n, 3))
+    for t in (h * h / 4, 1 / 64):
+        assert close(S.apply_batch(F, t), expm_multiply(A * t, F)), t
+
+
+def test_stepping_kernel_mass_positivity_and_symmetry(tab16):
+    space, times, _, S = tab16
+    rng = np.random.default_rng(11)
+    for t in times:
+        x, y = (int(v) for v in rng.integers(space.n, size=2))
+        px, py = S.kernel(t, x), S.kernel(t, y)
+        for p in (px, py):
+            assert np.min(p) >= 0.0
+            assert abs(float(p @ space.mu) - 1.0) <= 1e-13
+        assert abs(px[y] - py[x]) <= 1e-12 * max(1.0, float(np.max(px)))
+
+
+def test_stepping_leaves_the_global_generator_alone(tab16):
+    space, _, _, S = tab16
+    state = np.random.get_state()
+    S.apply_batch(np.ones(space.n), 0.1)
+    after = np.random.get_state()
+    assert all(np.array_equal(a, b) for a, b in zip(state, after))
+
+
+def test_unconverged_chebyshev_series_raises(tab16, monkeypatch):
+    space, _, _, S = tab16
+    monkeypatch.setattr("scipy.special.ive", lambda k, z: np.full(np.shape(k), 0.25))
+    with pytest.raises(NumericalError):
+        S.apply_batch(np.ones(space.n), 0.1)
+    with pytest.raises(NumericalError):
+        S.kernel(0.1, 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(connected_graphs(max_n=12), st.floats(0.01, 5.0))
+def test_random_imported_graphs_step_like_dense(graph, t):
+    space = MetricMeasureSpace.from_text(graph.to_text())
+    D, S = build_heat(space, mode="dense"), build_heat(space, mode="stepping")
+    F = np.random.default_rng(0).standard_normal((space.n, 3))
+    assert close(S.apply_batch(F, t), D.apply_batch(F, t), 1e-10)
+    assert close(S.kernel(t, space.n - 1), D.kernel(t, space.n - 1), 1e-10)
+    for (_, a), (_, b) in zip(S.apply_grid(F, [t / 3, t]), D.apply_grid(F, [t / 3, t])):
+        assert close(a, b, 1e-10)
+
+
+def test_dense_kernel_cache_stays_within_the_byte_budget(tab16):
+    space, _, D, _ = tab16
+    for t in np.geomspace(0.001, 1.0, 20):
+        D.kernel(t, 0)
+        cache = D._kernel_cache
+        assert 1 <= len(cache) and sum(K.nbytes for K in cache.values()) <= CACHE_BYTES
+    assert t in cache and len(cache) == CACHE_BYTES // (8 * space.n ** 2)
+
+
 # -- Gaussian bounds ---------------------------------------------------------
 
 def test_gaussian_fit_torus16(torus16):
@@ -126,6 +227,42 @@ def test_gaussian_fit_torus16(torus16):
     assert fit.violations == 0
     assert fit.C1 >= fit.C2 > 0
     assert fit.C >= 1.0
+
+
+def gaussian_reference(H, t_grid, pair_count, R, seed=0, bracket=2.0):
+    """check_gaussian with one ball-mass sort per (pair, time)."""
+    space = H.space
+    h = space.min_edge_length
+    rng = np.random.default_rng(seed)
+    pairs = []
+    while len(pairs) < pair_count:
+        x = int(rng.integers(space.n))
+        d = space.distances_from(x)
+        ok = np.flatnonzero((d >= h * (1 - 1e-12)) & (d < R))
+        if ok.size:
+            y = int(rng.choice(ok))
+            pairs.append((x, y, float(d[y])))
+    logs, zs = [], []
+    for t in t_grid:
+        for x, y, d in pairs:
+            mb = _ball_masses(space.distances_from(x), space.mu,
+                              np.array([np.sqrt(t)]))[0]
+            logs.append(np.log(H.kernel(t, x)[y]) + np.log(mb))
+            zs.append(d * d / t)
+    yv, z = np.asarray(logs), np.asarray(zs)
+    c0 = abs(-1.0 / (float(np.cov(z, yv, bias=True)[0, 1]) / float(np.var(z))))
+    c1, c2 = bracket * c0, c0 / bracket
+    C = float(np.exp(max(float(np.max(yv + z / c1)),
+                         float(np.max(-(yv + z / c2))), 0.0)))
+    return C, c1, c2
+
+
+def test_gaussian_ball_masses_match_the_per_pair_reference():
+    torus = sp_mod.uniform_torus(24, 24)
+    H = build_heat(torus)
+    t_grid = np.geomspace(1.0, 36.0, 5)
+    fit = check_gaussian(H, t_grid, 40, R=6.0, seed=3)
+    assert (fit.C, fit.C1, fit.C2) == gaussian_reference(H, t_grid, 40, 6.0, seed=3)
 
 
 def test_gaussian_rejects_subscale_times(torus16):

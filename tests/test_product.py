@@ -13,6 +13,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 from scipy.sparse.csgraph import dijkstra
 
+from conftest import close, connected_graphs
 from mmslab import ConfigError
 from mmslab import space as sp_mod
 from mmslab.heat import build_heat
@@ -198,11 +199,6 @@ def realizations(request):
     return space, times, H
 
 
-def close(a, b, tol=1e-12):
-    """|a - b| <= tol relative to the size of the result."""
-    return float(np.max(np.abs(a - b))) <= tol * max(1.0, float(np.max(np.abs(b))))
-
-
 def test_auto_mode_follows_space_structure(realizations):
     space, _, _ = realizations
     assert build_heat(space).mode == "product"
@@ -284,23 +280,6 @@ def test_product_factor_kernels_are_built_once_per_time(realizations, monkeypatc
 
 
 # -- random products ---------------------------------------------------------------
-
-@st.composite
-def connected_graphs(draw):
-    """A random spanning tree plus extra edges, with random weights."""
-    n = draw(st.integers(2, 6))
-    pos = st.floats(0.1, 10.0)
-    edges = {}
-    for v in range(1, n):
-        u = draw(st.integers(0, v - 1))
-        edges[(u, v)] = (draw(pos), draw(pos))
-    for _ in range(draw(st.integers(0, n))):
-        u, v = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2,
-                                    max_size=2, unique=True)))
-        edges[(u, v)] = (draw(pos), draw(pos))
-    mu = draw(st.lists(pos, min_size=n, max_size=n))
-    return MetricMeasureSpace(mu, [(u, v, c, l) for (u, v), (c, l) in edges.items()])
-
 
 @settings(max_examples=40, deadline=None)
 @given(connected_graphs(), connected_graphs(), st.floats(0.01, 5.0))
