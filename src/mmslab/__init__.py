@@ -22,7 +22,7 @@ from .gradest import (Cutoff, averaged_energy, averaged_energy_profile,
                       check_variance_identity, run_counterexample,
                       variance_log_integral, verify_gradient_estimate)
 from .heat import (HeatOperator, build_heat, check_gaussian,
-                   check_heat_caccioppoli, heat_apply, heat_kernel)
+                   check_heat_caccioppoli)
 from .space import (Ball, MetricMeasureSpace, build_space, estimate_doubling,
                     estimate_poincare, metric_ball, product_space, two_point,
                     uniform_cycle, uniform_torus, weighted_grid_1d,
@@ -36,9 +36,9 @@ __all__ = [
     "check_gaussian", "check_heat_caccioppoli", "check_leibniz",
     "check_prop31", "check_semigroup_holder", "check_variance_identity",
     "classify_harmonicity", "energy", "estimate_ckappa", "estimate_doubling",
-    "estimate_poincare", "generator_apply", "heat_apply", "heat_kernel",
-    "holder_fit", "lip_field", "local_sup_bound", "metric_ball",
-    "product_space", "run_counterexample", "solve", "two_point", "uniform_cycle",
+    "estimate_poincare", "generator_apply", "holder_fit", "lip_field",
+    "local_sup_bound", "metric_ball", "product_space", "run_counterexample",
+    "solve", "two_point", "uniform_cycle",
     "uniform_torus", "variance", "variance_log_integral", "weak_harnack",
     "weak_residual", "weighted_grid_1d", "weighted_grid_2d",
 ]

@@ -99,6 +99,13 @@ def _record(name, lhs, rhs, constant, passed, kind="bound", **extra):
     return rec
 
 
+def _required(mapping, key):
+    """mapping[key] for a required config key; a missing one is a config error."""
+    if key not in mapping:
+        raise ConfigError(f"missing required parameter {key!r}")
+    return mapping[key]
+
+
 def _resolve_vertex(space, ref):
     if isinstance(ref, (list, tuple)):
         return space.vertex_at(ref)
@@ -115,7 +122,7 @@ def _boundary_field(space, spec, seed):
     if pos is None:
         raise ConfigError(f"boundary type {kind!r} needs an embedded space")
     if kind == "affine":
-        coeffs = [float(c) for c in spec["coeffs"]]
+        coeffs = [float(c) for c in _required(spec, "coeffs")]
         out = np.full(space.n, coeffs[0])
         for d in range(min(len(coeffs) - 1, pos.shape[1])):
             out += coeffs[d + 1] * pos[:, d]
@@ -127,11 +134,11 @@ def _boundary_field(space, spec, seed):
         return pos[:, int(spec.get("axis", 0))].astype(float)
     if kind == "chart":
         axis = int(spec.get("axis", 0))
-        c = _resolve_vertex(space, spec["center"])
+        c = _resolve_vertex(space, _required(spec, "center"))
         L = pos[:, axis].max() - pos[:, axis].min() + 1.0
         return (pos[:, axis] - pos[c, axis] + L / 2) % L - L / 2
     if kind == "distance_plus":
-        origin = _resolve_vertex(space, spec["origin"])
+        origin = _resolve_vertex(space, _required(spec, "origin"))
         return space.distances_from(origin) + float(spec.get("offset", 1.0))
     raise ConfigError(f"unknown boundary type {kind!r}")
 
@@ -144,12 +151,13 @@ def _domain_vertices(space, spec):
             raise ConfigError("all_interior needs a space with a geometric rim")
         return np.setdiff1d(np.arange(space.n), space.rim)
     if kind == "ball":
-        c = _resolve_vertex(space, spec["center"])
-        return metric_ball(space, c, float(spec["radius"])).members
+        c = _resolve_vertex(space, _required(spec, "center"))
+        return metric_ball(space, c, float(_required(spec, "radius"))).members
     if kind == "annulus":
-        c = _resolve_vertex(space, spec["center"])
+        c = _resolve_vertex(space, _required(spec, "center"))
         d = space.distances_from(c)
-        return np.flatnonzero((d > float(spec["r_in"])) & (d < float(spec["r_out"])))
+        r_in, r_out = float(_required(spec, "r_in")), float(_required(spec, "r_out"))
+        return np.flatnonzero((d > r_in) & (d < r_out))
     raise ConfigError(f"unknown domain type {kind!r}")
 
 
@@ -158,8 +166,8 @@ def _build_problem(space, params, seed):
     if prob_spec is None:
         raise ConfigError("task needs a 'problem' parameter")
     _check_keys(prob_spec, {"domain", "boundary", "lambda", "f"}, "problem")
-    domain = _domain_vertices(space, prob_spec["domain"])
-    bc = _boundary_field(space, prob_spec["boundary"], seed)
+    domain = _domain_vertices(space, _required(prob_spec, "domain"))
+    bc = _boundary_field(space, _required(prob_spec, "boundary"), seed)
     lam = np.full(space.n, float(prob_spec.get("lambda", 0.0)))
     f = np.full(space.n, float(prob_spec.get("f", 0.0)))
     return Problem(space, domain, bc, lam, f)
@@ -176,7 +184,7 @@ def _positive(params, names):
 def _task_doubling(space, params, seed):
     _check_keys(params, {"R0"}, "params")
     _positive(params, ["R0"])
-    rep = estimate_doubling(space, float(params["R0"]))
+    rep = estimate_doubling(space, float(_required(params, "R0")))
     ok = rep.C_d >= 1 and rep.C_Q >= 1 and rep.Q_fit > 0
     return [_record("doubling", rep.C_d, 1.0, rep.C_d, ok, kind="info",
                     report=rep)], None
@@ -185,7 +193,7 @@ def _task_doubling(space, params, seed):
 def _task_poincare(space, params, seed):
     _check_keys(params, {"R0", "sample_count", "recheck_fields"}, "params")
     _positive(params, ["R0"])
-    rep = estimate_poincare(space, float(params["R0"]),
+    rep = estimate_poincare(space, float(_required(params, "R0")),
                             int(params.get("sample_count", 24)), seed=seed)
     # independent recheck: random fields on the worst ball must respect C_P
     rng = np.random.default_rng(seed + 1)
@@ -227,7 +235,7 @@ def _task_heat_caccioppoli(space, params, seed):
     _check_keys(params, {"x", "R", "s_list", "c"}, "params")
     H = build_heat(space)
     x = _resolve_vertex(space, params.get("x", 0))
-    R = float(params["R"])
+    R = float(_required(params, "R"))
     s_list = [float(s) for s in params.get("s_list", [R * R / 4, R * R])]
     c = params.get("c")
     recs, lhs_prev = [], -np.inf
@@ -286,8 +294,8 @@ def _ball_param(space, params, key="ball"):
     if spec is None:
         raise ConfigError(f"task needs a {key!r} parameter")
     _check_keys(spec, {"center", "radius"}, key)
-    c = _resolve_vertex(space, spec["center"])
-    return metric_ball(space, c, float(spec["radius"]))
+    c = _resolve_vertex(space, _required(spec, "center"))
+    return metric_ball(space, c, float(_required(spec, "radius")))
 
 
 def _task_caccioppoli(space, params, seed):
@@ -295,10 +303,11 @@ def _task_caccioppoli(space, params, seed):
     prob = _build_problem(space, params, seed)
     u = solve(prob)
     g = -prob.lam * u + prob.source
-    rep = check_caccioppoli(space, u, g, _resolve_vertex(space, params["y0"]),
-                            float(params["r1"]), float(params["r2"]))
-    return [_record("caccioppoli", rep.lhs, rep.rhs, rep.constant, rep.passed,
-                    kind="info", report=rep)], None
+    y0 = _resolve_vertex(space, _required(params, "y0"))
+    rep = check_caccioppoli(space, u, g, y0, float(_required(params, "r1")),
+                            float(_required(params, "r2")))
+    return [_record("caccioppoli", rep.lhs, rep.rhs, rep.constant,
+                    np.isfinite(rep.constant), kind="info", report=rep)], None
 
 
 def _task_moser(space, params, seed):
@@ -317,10 +326,10 @@ def _task_harnack(space, params, seed):
     prob = _build_problem(space, params, seed)
     u = solve(prob)
     ball = _ball_param(space, params)
-    rep = weak_harnack(space, u, ball, float(params.get("q", 0.5)),
-                       cap=float(params.get("cap", 1e3)))
-    return [_record("harnack", rep.lhs, rep.rhs, rep.constant,  rep.passed,
-                    report=rep)], None
+    cap = float(params.get("cap", 1e3))
+    rep = weak_harnack(space, u, ball, float(params.get("q", 0.5)), cap=cap)
+    return [_record("harnack", rep.lhs, rep.rhs, rep.constant, rep.constant <= cap,
+                    kind="cap", cap=cap, report=rep)], None
 
 
 def _task_hoelder(space, params, seed):
@@ -342,8 +351,8 @@ def _task_prop31(space, params, seed):
     u = solve(prob)
     g = -prob.lam * u + prob.source
     rep = check_prop31(build_heat(space), space, u, g,
-                       _resolve_vertex(space, params["y0"]), float(params["R"]),
-                       seed=seed)
+                       _resolve_vertex(space, _required(params, "y0")),
+                       float(_required(params, "R")), seed=seed)
     return [_record("prop31", rep.lhs, rep.rhs, rep.constant,
                     np.isfinite(rep.constant), kind="info", report=rep)], None
 
@@ -502,13 +511,18 @@ def reverify_report(path: str) -> bool:
     with open(path) as fh:
         report = json.load(fh)
     ok = True
-    for rec in report["records"]:
-        if not isinstance(rec["pass"], bool):
-            return False
-        if rec["kind"] == "bound":
-            rederived = rec["lhs"] <= rec["constant"] * rec["rhs"] * (1 + 1e-9)
-            ok &= rederived == rec["pass"]
-    return ok and report["pass"] == all(r["pass"] for r in report["records"])
+    try:
+        for rec in report["records"]:
+            if not isinstance(rec["pass"], bool):
+                return False
+            if rec["kind"] == "bound":
+                rederived = rec["lhs"] <= rec["constant"] * rec["rhs"] * (1 + 1e-9)
+                ok &= rederived == rec["pass"]
+            elif rec["kind"] == "cap":
+                ok &= (rec["constant"] <= rec["cap"]) == rec["pass"]
+        return ok and report["pass"] == all(r["pass"] for r in report["records"])
+    except KeyError as e:
+        raise ConfigError(f"report {path} lacks the field {e.args[0]!r}") from None
 
 
 def main(argv=None) -> int:
@@ -564,7 +578,7 @@ def main(argv=None) -> int:
                   f"constant={rec['constant']:.6g}")
         print(f"report written to {out_dir}/report_{report['task']}.json")
         return 0 if passed else 1
-    except (ConfigError, json.JSONDecodeError, FileNotFoundError, KeyError) as e:
+    except (ConfigError, json.JSONDecodeError, FileNotFoundError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except NumericalError as e:

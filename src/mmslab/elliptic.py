@@ -22,7 +22,7 @@ from scipy.sparse.linalg import ArpackNoConvergence, cg, eigsh
 
 from .errors import ConfigError, NumericalError
 from .form import carre_du_champ
-from .reports import HoelderReport, VerificationReport
+from .reports import HoelderReport, Measurement
 from .space import Ball, MetricMeasureSpace, metric_ball
 
 
@@ -176,7 +176,7 @@ def classify_harmonicity(space: MetricMeasureSpace, u, domain, tol=None):
 
 
 def check_caccioppoli(space: MetricMeasureSpace, u, g_field, y0: int,
-                      r1: float, r2: float) -> VerificationReport:
+                      r1: float, r2: float) -> Measurement:
     """Interior gradient energy against L2 mass plus the source coupling:
 
         \\int_{B(y0,r1)} Gamma(u,u) dmu
@@ -200,16 +200,14 @@ def check_caccioppoli(space: MetricMeasureSpace, u, g_field, y0: int,
     else:
         C = (lhs - coupling) * (r2 - r1) ** 2 / mass
     rhs = mass / (r2 - r1) ** 2
-    return VerificationReport(
-        name="caccioppoli", lhs=lhs, rhs=rhs,
-        constant=float(C), margin=float(C * rhs + coupling - lhs),
-        passed=True,
+    return Measurement(
+        name="caccioppoli", lhs=lhs, rhs=rhs, constant=float(C),
         extras={"r1": float(r1), "r2": float(r2), "mass_term": mass,
                 "coupling_term": coupling})
 
 
 def local_sup_bound(space: MetricMeasureSpace, u, lam, ball: Ball,
-                    p: float, Q: float = None) -> VerificationReport:
+                    p: float, Q: float = None) -> Measurement:
     """Realized constant of |u|_inf(B) <= C (avg_{2B} |u|^p dmu)^{1/p}."""
     if not (p > 0):
         raise ConfigError("p must be positive")
@@ -225,13 +223,12 @@ def local_sup_bound(space: MetricMeasureSpace, u, lam, ball: Ball,
         lam_sup = float(np.max(np.abs(lam[outer.members])))
         extras["lambda_normalized"] = C / (1.0 + lam_sup * ball.radius ** 2) ** (Q / 4)
         extras["Q"] = float(Q)
-    return VerificationReport(name="local_sup_bound", lhs=lhs, rhs=rhs,
-                              constant=float(C), margin=0.0, passed=True,
-                              extras=extras)
+    return Measurement(name="local_sup_bound", lhs=lhs, rhs=rhs,
+                       constant=float(C), extras=extras)
 
 
 def weak_harnack(space: MetricMeasureSpace, u, ball: Ball, q: float,
-                 cap: float = 1e3, q_grid=None) -> VerificationReport:
+                 cap: float = 1e3, q_grid=None) -> Measurement:
     """Realized constant of (avg_{2B} u^q dmu)^{1/q} <= C inf_B u.
 
     Requires u > 0 and superharmonic (or harmonic) on the doubled ball.
@@ -260,9 +257,9 @@ def weak_harnack(space: MetricMeasureSpace, u, ball: Ball, q: float,
         q_grid = np.geomspace(1.0 / 16.0, 4.0, 15)
     scan = [(float(qq), float(realized(qq))) for qq in q_grid]
     admissible = [qq for qq, cc in scan if cc <= cap]
-    return VerificationReport(
+    return Measurement(
         name="weak_harnack", lhs=float(realized(q) * inf_b), rhs=inf_b,
-        constant=float(C), margin=0.0, passed=C <= cap,
+        constant=float(C),
         extras={"q": float(q), "q_scan": scan,
                 "largest_admissible_q": max(admissible) if admissible else None,
                 "cap": float(cap), "harmonicity": label,

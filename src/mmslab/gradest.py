@@ -25,8 +25,8 @@ from .errors import ConfigError
 from .form import carre_du_champ, generator_apply, lip_field
 from .heat import HeatOperator, build_heat
 from .quad import cumulative_log_quadrature, log_time_quadrature, require_converged
-from .reports import (CurvatureReport, RatioReport, ScalingReport,
-                      VerificationReport)
+from .reports import (CurvatureReport, Measurement, RatioReport,
+                      ScalingReport)
 from .space import Ball, MetricMeasureSpace, metric_ball, weighted_grid_2d
 
 
@@ -137,7 +137,7 @@ def _scale_norm(space, u, g_field, members, R):
 
 def check_semigroup_holder(H: HeatOperator, space: MetricMeasureSpace, u,
                            cutoff: Cutoff, x0: int, t_grid, gamma: float,
-                           g_field) -> VerificationReport:
+                           g_field) -> Measurement:
     """Decay of the smoothed oscillation around the probe:
 
         T_t(|u psi(.) - (u psi)(x0)|)(x0)
@@ -165,9 +165,9 @@ def check_semigroup_holder(H: HeatOperator, space: MetricMeasureSpace, u,
     ok = lhs > 0
     slope = (float(np.polyfit(np.log(t_grid[ok]), np.log(lhs[ok]), 1)[0])
              if np.count_nonzero(ok) >= 2 else float("nan"))
-    return VerificationReport(
+    return Measurement(
         name="semigroup_holder", lhs=float(np.max(lhs)),
-        rhs=float(np.max(unit)), constant=C, margin=0.0, passed=True,
+        rhs=float(np.max(unit)), constant=C,
         extras={"gamma": float(gamma), "slope": slope,
                 "target_slope": gamma / 2.0,
                 "table": [(float(a), float(b)) for a, b in zip(t_grid, lhs)]})
@@ -175,7 +175,7 @@ def check_semigroup_holder(H: HeatOperator, space: MetricMeasureSpace, u,
 
 def variance_log_integral(H: HeatOperator, space: MetricMeasureSpace, u,
                           cutoff: Cutoff, x0: int, g_field, gamma: float = None,
-                          rtol: float = 1e-6) -> VerificationReport:
+                          rtol: float = 1e-6) -> Measurement:
     """Logarithmic time integral of the cutoff variance:
 
         \\int_0^{R^2} Var_t(u psi)(x0) dt/t
@@ -209,9 +209,9 @@ def variance_log_integral(H: HeatOperator, space: MetricMeasureSpace, u,
     var_h2 = float(var_at(np.array([h2]))[0])
     remainder = var_h2 / gamma if gamma else None
     C = integral / scale ** 2 if scale > 0 else 0.0
-    return VerificationReport(
+    return Measurement(
         name="variance_log_integral", lhs=float(integral),
-        rhs=float(scale ** 2), constant=float(C), margin=0.0, passed=True,
+        rhs=float(scale ** 2), constant=float(C),
         extras={"remainder_bound": remainder, "var_at_h2": var_h2,
                 "quadrature": info})
 
@@ -225,7 +225,7 @@ def _ball_inside(space, y0, radius):
 
 def check_prop31(H: HeatOperator, space: MetricMeasureSpace, u, g_field,
                  y0: int, R: float, n_probes: int = 4,
-                 profile_points: int = 12, seed: int = 0) -> VerificationReport:
+                 profile_points: int = 12, seed: int = 0) -> Measurement:
     """A-priori bound on the averaged energy at the top of the time window:
 
         J(x0, R^2) <= C ( sup|u|(8B)^2 / R^2 + R^2 sup|g|(8B)^2 ).
@@ -263,10 +263,9 @@ def check_prop31(H: HeatOperator, space: MetricMeasureSpace, u, g_field,
         j_end = max(j_end, prof[-1][1])
         realized = max(realized, max(j for _, j in prof) / rhs if rhs > 0 else 0.0)
     var_col = float(variance(H, u * cutoff.values, R ** 2)[probes[0]] / (2 * R ** 2))
-    return VerificationReport(
+    return Measurement(
         name="averaged_energy_bound", lhs=float(j_end), rhs=float(rhs),
-        constant=float(realized), margin=float(realized * rhs - j_end),
-        passed=True,
+        constant=float(realized),
         extras={"R": float(R), "probes": probes, "profile": first_profile,
                 "variance_half_bound": var_col, "c_psi": cutoff.c_psi})
 

@@ -3,9 +3,9 @@
 Three realizations, chosen from the structure of the space:
 
 * dense-spectral: full eigendecomposition of the generator, symmetrized in
-  the mu-weighted inner product.  Exact up to round-off for any t; kernel
-  matrices are clamped at zero so nonnegative inputs map to exactly
-  nonnegative outputs, and up to `CACHE_BYTES` of them are cached.
+  the mu-weighted inner product.  Exact up to round-off for any t; a field
+  stack is pushed through its spectral coefficients and a kernel column is
+  basis e^{-theta t} basis[x0], so nothing of size n x n is formed per time.
 * product: for a Cartesian product X x Y (`space.factors`), the generator
   is the Kronecker sum A_x (+) A_y, so T_t = T_t^x (x) T_t^y.  Each factor
   keeps its own dense spectral decomposition; a field stack is pushed
@@ -21,7 +21,9 @@ Three realizations, chosen from the structure of the space:
 
 Kernel conventions: T_t f(x) = sum_y p(t, x, y) f(y) mu_y, with
 p(t, x, y) = p(t, y, x) >= 0 and sum_y p(t, x, y) mu_y = 1 (the semigroup
-is stochastically complete: T_t 1 = 1).
+is stochastically complete: T_t 1 = 1).  In every realization kernel
+columns, and `apply` of a nonnegative field, are clamped at zero, so
+positivity is exact; a negative value past the round-off floor raises.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ import scipy.sparse as sp
 from .errors import ConfigError, NumericalError
 from .form import carre_du_champ
 from .quad import log_time_quadrature, require_converged
-from .reports import GaussianFit, VerificationReport
-from .space import CACHE_BYTES, Ball, MetricMeasureSpace, metric_ball, _ball_masses
+from .reports import GaussianFit, Measurement
+from .space import MetricMeasureSpace, metric_ball, _ball_masses
 
 DENSE_CAP_DEFAULT = 4000
 # Per time, product mode forms the two factor kernels (~nx^3 + ny^3 flops)
@@ -113,15 +115,10 @@ class HeatOperator:
     dense_cap : int
         Largest vertex count for a dense eigendecomposition (of the space in
         dense mode, of each factor in product mode).
-    kernel_cache_cap : int
-        Largest vertex count for which dense mode builds and caches full
-        kernel matrices (they cost O(n^3) to form but make `apply` exactly
-        positivity-preserving).  The cache keeps the last
-        max(1, CACHE_BYTES // (8 n^2)) of them.
     """
 
     def __init__(self, space: MetricMeasureSpace, mode="auto",
-                 dense_cap=DENSE_CAP_DEFAULT, kernel_cache_cap=1300):
+                 dense_cap=DENSE_CAP_DEFAULT):
         self.space = space
         n = space.n
         if mode == "auto":
@@ -134,8 +131,7 @@ class HeatOperator:
         if mode == "dense" and n > dense_cap:
             raise ConfigError(f"dense mode capped at {dense_cap} vertices (space has {n})")
         self.mode = mode
-        self.kernel_cache_cap = kernel_cache_cap
-        self._kernel_cache: dict = {}
+        self._factor_pair: dict = {}
         self.theta = self.basis = self._factors = self._X2 = self._lam = None
 
         if mode == "dense":
@@ -164,32 +160,25 @@ class HeatOperator:
     def apply(self, f, t: float) -> np.ndarray:
         """T_t f for a single field; errors on t < 0; T_0 is the identity.
 
-        In product mode, and in dense mode on spaces below
-        `kernel_cache_cap`, this goes through clamped kernel matrices, so
-        f >= 0 yields exactly T_t f >= 0.
+        When f >= 0 the result is clamped at zero, so T_t f >= 0 exactly in
+        every realization (a negative value past the round-off floor raises
+        `NumericalError`).
         """
         f = self.space.check_field(f)
-        if t < 0:
-            raise ConfigError("negative time")
-        if t == 0:
-            return f.copy()
-        if self.mode == "dense" and self.space.n <= self.kernel_cache_cap:
-            return self.kernel_matrix(t) @ (self.space.mu * f)
-        return self.apply_batch(f, t)
+        out = self.apply_batch(f, t)
+        if float(np.min(f)) >= 0:
+            self._clamp(out)
+        return out
 
     def apply_batch(self, F, t: float) -> np.ndarray:
-        """T_t applied to one field or a (n, k) stack of fields."""
+        """T_t applied to one field or a (n, k) stack of fields (unclamped)."""
         F = np.asarray(F, dtype=float)
         if t < 0:
             raise ConfigError("negative time")
         if t == 0:
             return F.copy()
         if self.mode == "dense":
-            mu = self.space.mu[:, None] if F.ndim == 2 else self.space.mu
-            coeff = self.basis.T @ (mu * F)
-            damp = np.exp(-self.theta * t)
-            d = damp[:, None] if F.ndim == 2 else damp
-            return self.basis @ (d * coeff)
+            return self._spectral_apply(self._coefficients(F), t, F.shape)
         if self.mode == "product":
             return self._product_apply(F, t)
         return self._chebyshev_apply(F, t)
@@ -205,12 +194,9 @@ class HeatOperator:
         ts = _time_grid(ts)
         F = np.asarray(F, dtype=float)
         if self.mode == "dense":
-            mu = self.space.mu[:, None] if F.ndim == 2 else self.space.mu
-            coeff = self.basis.T @ (mu * F)
+            coeff = self._coefficients(F)
             for t in ts:
-                damp = np.exp(-self.theta * t)
-                d = damp[:, None] if F.ndim == 2 else damp
-                yield float(t), self.basis @ (d * coeff)
+                yield float(t), self._spectral_apply(coeff, t, F.shape)
         elif self.mode == "product":
             for t in ts:
                 yield float(t), self._product_apply(F, t)
@@ -223,6 +209,14 @@ class HeatOperator:
                     cur = self._chebyshev_apply(cur, dt)
                 t_prev = t
                 yield float(t), cur.copy()
+
+    def _coefficients(self, F) -> np.ndarray:
+        """Spectral coefficients basis^T M F of a field or stack, as (n, k)."""
+        return self.basis.T @ (self.space.mu[:, None] * F.reshape(self.space.n, -1))
+
+    def _spectral_apply(self, coeff, t: float, shape) -> np.ndarray:
+        """T_t of the fields with spectral coefficients `coeff`, in `shape`."""
+        return (self.basis @ (np.exp(-self.theta * t)[:, None] * coeff)).reshape(shape)
 
     def _shifted_generator(self):
         """2X = 2((2/lam)(-A) - I) in CSR, built on first use."""
@@ -268,11 +262,11 @@ class HeatOperator:
         The pair for the last time asked is kept: callers that read many
         kernel columns sweep t in the outer loop.
         """
-        pair = self._kernel_cache.get(t)
+        pair = self._factor_pair.get(t)
         if pair is None:
             pair = [self._spectral_kernel(theta, basis, t)
                     for _, theta, basis in self._factors]
-            self._kernel_cache = {t: pair}
+            self._factor_pair = {t: pair}
         return pair
 
     def _product_apply(self, F, t: float) -> np.ndarray:
@@ -288,53 +282,48 @@ class HeatOperator:
     # -- kernel ---------------------------------------------------------------
 
     def kernel_matrix(self, t: float) -> np.ndarray:
-        """Full kernel matrix p(t, ., .) (dense mode, cached, clamped at 0)."""
+        """Full kernel matrix p(t, ., .) (dense mode, clamped at 0)."""
         if self.mode != "dense":
             raise ConfigError("kernel matrices require dense-spectral mode")
         if t <= 0:
             raise ConfigError("kernel needs t > 0")
-        K = self._kernel_cache.get(t)
-        if K is None:
-            K = self._spectral_kernel(self.theta, self.basis, t)
-            if len(self._kernel_cache) >= max(1, CACHE_BYTES // K.nbytes):
-                self._kernel_cache.pop(next(iter(self._kernel_cache)))
-            self._kernel_cache[t] = K
-        return K
+        return self._spectral_kernel(self.theta, self.basis, t)
 
-    def kernel(self, t: float, x0: int) -> np.ndarray:
-        """Kernel column p(t, x0, .) as a field."""
+    def kernel(self, t: float, x0) -> np.ndarray:
+        """Kernel column p(t, x0, .) as a field, or the (n, k) columns of a
+        1-d array of k sources."""
         if t <= 0:
             raise ConfigError("kernel needs t > 0")
-        x0 = int(x0)
+        xs = np.asarray(x0, dtype=np.intp)
         if self.mode == "product":
             px, py = self._factor_kernels(t)
-            a, b = divmod(x0, py.shape[0])
-            return np.outer(px[a], py[b]).ravel()
+            a, b = np.divmod(xs, py.shape[0])
+            # entry (i, j) of column k is px[a_k, i] py[b_k, j]
+            cols = px[a].T[:, None] * py[b].T[None, :]
+            return cols.reshape(self.space.n, *xs.shape)
         if self.mode == "dense":
-            if self.space.n <= self.kernel_cache_cap:
-                return self.kernel_matrix(t)[x0].copy()
-            damp = np.exp(-self.theta * t)
-            col = self.basis @ (damp * self.basis[x0])
-            self._clamp(col)
-            return col
-        e = np.zeros(self.space.n)
-        e[x0] = 1.0 / self.space.mu[x0]
-        col = self._chebyshev_apply(e, t)
-        self._clamp(col)
-        return col
+            cols = self.basis @ (np.exp(-self.theta * t) * self.basis[xs]).T
+        else:
+            cols = self._chebyshev_apply(self._delta(xs), t)
+        self._clamp(cols)
+        return cols
 
     def kernel_grid(self, x0: int, ts):
         """Yield (t, p(t, x0, .)) along an ascending positive time grid."""
-        if self.mode == "product":
+        if self.mode != "stepping":
             for t in _time_grid(ts):
                 yield float(t), self.kernel(t, x0)
             return
-        e = np.zeros(self.space.n)
-        e[int(x0)] = 1.0 / self.space.mu[int(x0)]
-        for t, col in self.apply_grid(e, ts):
-            col = col.copy()
+        for t, col in self.apply_grid(self._delta(x0), ts):
             self._clamp(col)
             yield t, col
+
+    def _delta(self, xs) -> np.ndarray:
+        """The fields 1_{x}/mu_x (whose T_t is p(t, x, .)), (n,) or (n, k)."""
+        xs = np.asarray(xs, dtype=np.intp)
+        e = np.zeros((self.space.n, xs.size))
+        e[xs.ravel(), np.arange(xs.size)] = 1.0 / self.space.mu[xs.ravel()]
+        return e.reshape((self.space.n,) + xs.shape)
 
     @classmethod
     def _spectral_kernel(cls, theta, basis, t: float) -> np.ndarray:
@@ -357,16 +346,6 @@ class HeatOperator:
 def build_heat(space: MetricMeasureSpace, mode="auto", **kwargs) -> HeatOperator:
     """Construct the heat semigroup realization for a space."""
     return HeatOperator(space, mode=mode, **kwargs)
-
-
-def heat_apply(H: HeatOperator, f, t: float) -> np.ndarray:
-    """T_t f; identity at t = 0, mass-conserving and positivity-preserving."""
-    return H.apply(f, t)
-
-
-def heat_kernel(H: HeatOperator, t: float, x0: int) -> np.ndarray:
-    """p(t, x0, .) with p >= 0 and sum_y p mu_y = 1."""
-    return H.kernel(t, x0)
 
 
 # ---------------------------------------------------------------------------
@@ -421,11 +400,7 @@ def check_gaussian(H: HeatOperator, t_grid, pair_count: int, R: float,
     ball = [_ball_masses(space.distances_from(x), space.mu, sqrt_t) for x in xs]
     logs, zs = [], []
     for i, t in enumerate(t_grid):
-        if H.mode == "dense":
-            damp = np.exp(-H.theta * t)
-            cols = H.basis @ (damp[:, None] * H.basis[xs].T)   # column k: p(t, xs[k], .)
-        else:
-            cols = np.column_stack([H.kernel(t, x) for x in xs])
+        cols = H.kernel(t, xs)                  # column k: p(t, xs[k], .)
         for x, y, d in pairs:
             p = float(cols[y, xpos[x]])
             if p <= 0:
@@ -457,7 +432,7 @@ def check_gaussian(H: HeatOperator, t_grid, pair_count: int, R: float,
 
 def check_heat_caccioppoli(H: HeatOperator, x: int, R: float, s: float,
                            c: float = None, gaussian_fit: GaussianFit = None,
-                           rtol: float = 1e-6) -> VerificationReport:
+                           rtol: float = 1e-6) -> Measurement:
     """Annulus gradient energy of the kernel against its decay envelope.
 
         \\int_0^s \\int_{B(x,2R)\\B(x,R)} Gamma_y(p(t,x,.)) dmu dt
@@ -502,9 +477,9 @@ def check_heat_caccioppoli(H: HeatOperator, x: int, R: float, s: float,
     pareto = []
     for ck in np.geomspace(c / 8, 8 * c, 13):
         pareto.append((float(ck), float(lhs / (np.exp(-ck * R * R / s) / inner.measure))))
-    return VerificationReport(
+    return Measurement(
         name="heat_caccioppoli", lhs=float(lhs), rhs=float(unit),
-        constant=float(C), margin=0.0, passed=True,
+        constant=float(C),
         extras={"c": float(c), "s": float(s), "R": float(R),
                 "annulus_size": int(annulus.size),
                 "ball_mass": float(inner.measure),

@@ -1,7 +1,8 @@
 """Structured results of the inequality checks.
 
 Every check returns a small dataclass carrying the two sides of the
-inequality it verified, the fitted or realized constants, and a pass flag.
+inequality it measured and the fitted or realized constants; verdicts
+against a bound are drawn by the CLI, where they are stored and re-derived.
 `to_jsonable` converts any of them (numpy scalars/arrays included) into
 plain Python containers for the CLI report files.
 """
@@ -31,15 +32,13 @@ def to_jsonable(obj: Any) -> Any:
 
 
 @dataclass
-class VerificationReport:
-    """Outcome of one inequality check: lhs <= constant * rhs."""
+class Measurement:
+    """A realized constant of one inequality lhs <= constant * rhs."""
 
     name: str
     lhs: float
     rhs: float              # right side without the constant
     constant: float         # smallest admissible / realized constant
-    margin: float           # constant * rhs - lhs (nonnegative when passed)
-    passed: bool
     extras: dict = field(default_factory=dict)
 
 

@@ -36,7 +36,7 @@ from .errors import ConfigError, NumericalError
 from .reports import DoublingReport, PoincareReport
 
 _SQRT2 = np.sqrt(2.0)
-CACHE_BYTES = 64 * 2 ** 20         # per cache: Dijkstra rows, dense heat kernels
+CACHE_BYTES = 64 * 2 ** 20         # budget of the Dijkstra row cache
 _ROW_BLOCK = 2 ** 18               # doubles per (rows x n) block in estimate_doubling
 
 

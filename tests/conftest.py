@@ -41,6 +41,23 @@ def close(a, b, tol=1e-12):
     return float(np.max(np.abs(a - b))) <= tol * max(1.0, float(np.max(np.abs(b))))
 
 
+def assert_markov_semigroup(H, t, tol=1e-10):
+    """The exact identities of a heat realization at time t: unit mass,
+    kernel symmetry, the semigroup law, and exact positivity of `apply`."""
+    space = H.space
+    assert close(H.apply(np.ones(space.n), t), np.ones(space.n), tol)
+    P = H.kernel(t, np.arange(space.n))           # P[y, x] = p(t, x, y)
+    assert close(P, P.T, tol)
+    F = np.random.default_rng(1).standard_normal((space.n, 2))
+    assert close(H.apply_batch(H.apply_batch(F, t / 3), 2 * t / 3),
+                 H.apply_batch(F, t), tol)
+    for x in (0, space.n - 1):
+        delta = np.zeros(space.n)
+        delta[x] = 1.0
+        assert np.min(H.apply(delta, t)) >= 0.0
+        assert np.min(H.apply(delta + np.abs(F[:, 0]), t)) >= 0.0
+
+
 @st.composite
 def connected_graphs(draw, max_n=6):
     """A random spanning tree plus extra edges, with random weights."""

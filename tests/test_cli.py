@@ -190,3 +190,42 @@ def test_every_elliptic_task_runs(tmp_path, task, params):
     assert passed
     assert report["records"][0]["name"].startswith(task)
     assert reverify_report(str(tmp_path / "r" / f"report_{task}.json"))
+
+
+def test_failed_harnack_report_reverifies(tmp_path):
+    # C = 1.0653 on this grid: the record fails its cap, and verify-report
+    # re-derives that from the stored constant and cap
+    cfg = {"space": {"family": "grid", "dim": 2, "h": 1 / 16}, "task": "harnack",
+           "params": {"problem": {"domain": {"type": "all_interior"},
+                                  "boundary": {"type": "affine",
+                                               "coeffs": [3.0, 1.0, 0.5]}},
+                      "ball": {"center": [0.0, 0.0], "radius": 0.25},
+                      "cap": 1.0001}}
+    out = tmp_path / "r"
+    assert main(["run", write_config(tmp_path, cfg), "--out", str(out)]) == 1
+    path = out / "report_harnack.json"
+    report = json.loads(path.read_text())
+    rec = report["records"][0]
+    assert rec["constant"] == pytest.approx(1.0653, abs=1e-4) and rec["cap"] == 1.0001
+    assert main(["verify-report", str(path)]) == 0
+    rec["pass"] = report["pass"] = True
+    path.write_text(json.dumps(report))
+    assert main(["verify-report", str(path)]) == 1
+
+
+def test_missing_required_parameter_is_a_config_error(tmp_path, capsys):
+    cfg = {"space": {"family": "torus", "n1": 16, "n2": 16},
+           "task": "heat-caccioppoli", "params": {"x": [8, 8]}}
+    assert main(["run", write_config(tmp_path, cfg)]) == 2
+    assert "'R'" in capsys.readouterr().err
+
+
+def test_key_error_inside_a_task_is_not_a_config_error(tmp_path, monkeypatch):
+    def broken(space, R0):
+        raise KeyError("internal")
+
+    monkeypatch.setattr("mmslab.cli.estimate_doubling", broken)
+    cfg = {"space": {"family": "cycle", "n": 8}, "task": "doubling",
+           "params": {"R0": 4.0}}
+    with pytest.raises(KeyError, match="internal"):
+        main(["run", write_config(tmp_path, cfg), "--out", str(tmp_path / "r")])

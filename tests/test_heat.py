@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import close, connected_graphs
+from conftest import assert_markov_semigroup, close, connected_graphs
 from mmslab import ConfigError, NumericalError
 from mmslab import heat
 from mmslab import space as sp_mod
 from mmslab.cli import main
-from mmslab.heat import (build_heat, check_gaussian, check_heat_caccioppoli,
-                         heat_apply, heat_kernel)
-from mmslab.space import CACHE_BYTES, MetricMeasureSpace, _ball_masses
+from mmslab.heat import build_heat, check_gaussian, check_heat_caccioppoli
+from mmslab.space import MetricMeasureSpace, _ball_masses
 
 SQUARE = ((-1.0, 1.0), (-1.0, 1.0))
 
@@ -37,16 +36,16 @@ def test_cycle_eigenvalues_circulant(cycle32):
 def test_apply_t0_identity(cycle32):
     H = build_heat(cycle32)
     f = np.random.default_rng(0).standard_normal(cycle32.n)
-    assert np.array_equal(heat_apply(H, f, 0.0), f)
+    assert np.array_equal(H.apply(f, 0.0), f)
     with pytest.raises(ConfigError):
-        heat_apply(H, f, -0.1)
+        H.apply(f, -0.1)
 
 
 def test_stochastic_completeness(torus16):
     H = build_heat(torus16)
     ones = np.ones(torus16.n)
     for t in (0.05, 0.7, 5.0):
-        assert np.max(np.abs(heat_apply(H, ones, t) - 1.0)) <= 1e-12
+        assert np.max(np.abs(H.apply(ones, t) - 1.0)) <= 1e-12
 
 
 def test_two_point_closed_form(two_point):
@@ -54,9 +53,9 @@ def test_two_point_closed_form(two_point):
     f = np.array([0.0, 1.0])
     for t in (0.01, 0.1, 1.0, 10.0):
         want = np.array([(1 - np.exp(-2 * t)) / 2, (1 + np.exp(-2 * t)) / 2])
-        assert np.max(np.abs(heat_apply(H, f, t) - want)) <= 1e-12
-        assert heat_kernel(H, t, 0)[0] == pytest.approx((1 + np.exp(-2 * t)) / 2,
-                                                        abs=1e-12)
+        assert np.max(np.abs(H.apply(f, t) - want)) <= 1e-12
+        assert H.kernel(t, 0)[0] == pytest.approx((1 + np.exp(-2 * t)) / 2,
+                                                  abs=1e-12)
 
 
 def test_kernel_probability_and_symmetry(torus16):
@@ -64,14 +63,14 @@ def test_kernel_probability_and_symmetry(torus16):
     rng = np.random.default_rng(1)
     for t in (0.2, 1.0, 4.0):
         for x0 in rng.integers(torus16.n, size=4):
-            p = heat_kernel(H, t, int(x0))
+            p = H.kernel(t, int(x0))
             assert np.min(p) >= 0.0
             assert float(p @ torus16.mu) == pytest.approx(1.0, abs=1e-10)
         x, y = rng.integers(torus16.n, size=2)
-        assert heat_kernel(H, t, int(x))[y] == pytest.approx(
-            heat_kernel(H, t, int(y))[x], abs=1e-10)
+        assert H.kernel(t, int(x))[y] == pytest.approx(
+            H.kernel(t, int(y))[x], abs=1e-10)
     with pytest.raises(ConfigError):
-        heat_kernel(H, 0.0, 0)
+        H.kernel(0.0, 0)
 
 
 def test_semigroup_property_and_contraction(cycle64):
@@ -80,10 +79,10 @@ def test_semigroup_property_and_contraction(cycle64):
     for _ in range(5):
         f = rng.standard_normal(cycle64.n)
         s, t = rng.uniform(0.05, 2.0, size=2)
-        err = np.max(np.abs(heat_apply(H, heat_apply(H, f, t), s)
-                            - heat_apply(H, f, s + t)))
+        err = np.max(np.abs(H.apply(H.apply(f, t), s)
+                            - H.apply(f, s + t)))
         assert err <= 1e-8
-        assert np.max(np.abs(heat_apply(H, f, t))) <= np.max(np.abs(f)) * (1 + 1e-12)
+        assert np.max(np.abs(H.apply(f, t))) <= np.max(np.abs(f)) * (1 + 1e-12)
 
 
 def test_positivity_exact(torus16):
@@ -91,7 +90,7 @@ def test_positivity_exact(torus16):
     rng = np.random.default_rng(3)
     for t in (0.01, 0.5, 3.0):
         f = np.abs(rng.standard_normal(torus16.n))
-        assert np.min(heat_apply(H, f, t)) >= 0.0
+        assert np.min(H.apply(f, t)) >= 0.0
 
 
 def test_variance_nonnegative_pointwise(cycle32):
@@ -99,7 +98,7 @@ def test_variance_nonnegative_pointwise(cycle32):
     rng = np.random.default_rng(4)
     for t in (0.05, 1.0):
         g = rng.standard_normal(cycle32.n)
-        v = heat_apply(H, g * g, t) - heat_apply(H, g, t) ** 2
+        v = H.apply(g * g, t) - H.apply(g, t) ** 2
         assert np.min(v) >= -1e-12
 
 
@@ -208,15 +207,29 @@ def test_random_imported_graphs_step_like_dense(graph, t):
     assert close(S.kernel(t, space.n - 1), D.kernel(t, space.n - 1), 1e-10)
     for (_, a), (_, b) in zip(S.apply_grid(F, [t / 3, t]), D.apply_grid(F, [t / 3, t])):
         assert close(a, b, 1e-10)
+    for H in (D, S):
+        assert_markov_semigroup(H, t)
 
 
-def test_dense_kernel_cache_stays_within_the_byte_budget(tab16):
-    space, _, D, _ = tab16
-    for t in np.geomspace(0.001, 1.0, 20):
-        D.kernel(t, 0)
-        cache = D._kernel_cache
-        assert 1 <= len(cache) and sum(K.nbytes for K in cache.values()) <= CACHE_BYTES
-    assert t in cache and len(cache) == CACHE_BYTES // (8 * space.n ** 2)
+def test_apply_of_a_nonnegative_field_is_exactly_nonnegative(monkeypatch):
+    # h = 1/20 puts the tabulated grid (n = 1681) in dense mode, where the
+    # spectral sum for a point source at t = 1e-3 has entries of about -1e-15
+    # far from the source, where the kernel is close to zero
+    space = tabulated_grid(1 / 20)
+    D, S = build_heat(space), build_heat(space, mode="stepping")
+    P = build_heat(sp_mod.weighted_grid_2d(SQUARE, 1 / 20, "sqrt_abs_x"))
+    assert (D.mode, P.mode) == ("dense", "product")
+    for x0 in (0, 100, space.n // 2):
+        delta = np.zeros(space.n)
+        delta[x0] = 1.0
+        for t in (1e-3, 1 / 400, 0.1):
+            got = {H.mode: H.apply(delta, t) for H in (D, S, P)}
+            assert all(np.min(v) >= 0.0 for v in got.values()), (x0, t)
+            assert close(got["stepping"], got["dense"]), (x0, t)
+    # past the round-off floor a negative value is an error, not clamped away
+    monkeypatch.setattr(D, "apply_batch", lambda F, t: -np.ones(space.n))
+    with pytest.raises(NumericalError):
+        D.apply(np.ones(space.n), 0.1)
 
 
 # -- Gaussian bounds ---------------------------------------------------------
@@ -281,7 +294,7 @@ def test_cycle_diagonal_kernel_times_ball_mass_bounded(cycle64):
     ratios = []
     for t in np.geomspace(1.0, 16.0, 7):
         diag = float(np.exp(-theta * t).sum() / n)
-        assert heat_kernel(H, t, 0)[0] == pytest.approx(diag, rel=1e-10)
+        assert H.kernel(t, 0)[0] == pytest.approx(diag, rel=1e-10)
         mass = sp_mod.metric_ball(cycle64, 0, np.sqrt(t)).measure
         ratios.append(diag * mass)
     assert 0.2 <= min(ratios) and max(ratios) <= 5.0
@@ -292,7 +305,7 @@ def test_equilibrium_regime_brackets(torus16):
     # a moderate constant since every exponential factor is close to 1
     H = build_heat(torus16)
     t = 300.0
-    p = heat_kernel(H, t, 0)
+    p = H.kernel(t, 0)
     eq = 1.0 / torus16.total_mass
     assert np.max(np.abs(p - eq)) <= 1e-6 * eq
 

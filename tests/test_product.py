@@ -13,7 +13,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 from scipy.sparse.csgraph import dijkstra
 
-from conftest import close, connected_graphs
+from conftest import assert_markov_semigroup, close, connected_graphs
 from mmslab import ConfigError
 from mmslab import space as sp_mod
 from mmslab.heat import build_heat
@@ -291,6 +291,7 @@ def test_random_products_agree_with_dense(X, Y, t):
     assert close(P.apply_batch(F, t), D.apply_batch(F, t), 1e-10)
     assert close(P.kernel(t, space.n - 1), D.kernel(t, space.n - 1), 1e-10)
     assert close(P.eigenvalues, D.eigenvalues, 1e-10)
+    assert_markov_semigroup(P, t)
 
 
 @settings(max_examples=40, deadline=None)
