@@ -31,8 +31,8 @@ from . import __version__
 from .curvature import (check_commutation, default_sample_fields,
                         estimate_ckappa, variance)
 from .elliptic import (Problem, check_caccioppoli, classify_harmonicity,
-                       holder_fit, local_sup_bound, solve, weak_harnack,
-                       weak_residual)
+                       holder_fit, local_sup_bound, solve, solver_path,
+                       weak_harnack, weak_residual)
 from .errors import ConfigError, NumericalError
 from .form import carre_du_champ, check_leibniz, energy, generator_apply
 from .gradest import (build_cutoff, check_prop31, run_counterexample,
@@ -277,7 +277,7 @@ def _task_solve(space, params, seed):
     scale = float((np.max(np.abs(u)) + np.max(np.abs(prob.source)))
                   * max(float(np.max(space.degree)), 1.0))
     recs = [_record("weak_residual", res, max(scale, 1e-300), 1e-9,
-                    res <= 1e-9 * max(scale, 1e-300))]
+                    res <= 1e-9 * max(scale, 1e-300), solver=solver_path(prob))]
     if np.max(np.abs(prob.lam)) == 0 and np.max(np.abs(prob.source)) == 0:
         comp = np.setdiff1d(np.arange(space.n), prob.domain)
         inside = (float(np.min(u[prob.domain])), float(np.max(u[prob.domain])))
@@ -338,11 +338,11 @@ def _task_hoelder(space, params, seed):
     u = solve(prob)
     ball = _ball_param(space, params)
     g = -prob.lam * u + prob.source
-    rep = holder_fit(space, u, ball, g, cap=float(params.get("cap", 1e3)),
-                     seed=seed)
-    ok = 0 < rep.gamma <= 1 and rep.constant <= float(params.get("cap", 1e3))
-    return [_record("hoelder", rep.constant, 1.0, rep.gamma, ok, kind="info",
-                    report=rep)], None
+    cap = float(params.get("cap", 1e3))
+    rep = holder_fit(space, u, ball, g, cap=cap, seed=seed)
+    ok = 0 < rep.gamma <= 1 and rep.constant <= cap
+    return [_record("hoelder", rep.constant, 1.0, rep.constant, ok, kind="cap",
+                    cap=cap, report=rep)], None
 
 
 def _task_prop31(space, params, seed):

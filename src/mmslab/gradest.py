@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature import estimate_ckappa, variance
-from .elliptic import Problem, holder_fit, solve
+from .elliptic import Problem, holder_fit, solve, solver_path
 from .errors import ConfigError
 from .form import carre_du_champ, generator_apply, lip_field
 from .heat import HeatOperator, build_heat
@@ -368,7 +368,8 @@ def run_counterexample(h_list, T: float = 1.0 / 64.0, inner_radius: float = 0.2,
         x = space.positions[:, 0]
         bc = np.sign(x) * np.sqrt(np.abs(x))
         interior = np.setdiff1d(np.arange(space.n), space.rim)
-        u = solve(Problem(space, interior, bc))
+        problem = Problem(space, interior, bc)
+        u = solve(problem)
         center = space.vertex_at((0.0, 0.0))
         ball = metric_ball(space, center, inner_radius)
         grad = np.sqrt(np.clip(carre_du_champ(space, u), 0.0, None))
@@ -384,7 +385,7 @@ def run_counterexample(h_list, T: float = 1.0 / 64.0, inner_radius: float = 0.2,
         gammas.append(float(hoe.gamma))
         rows.append({"h": h, "n": space.n, "sup_grad": sup_g, "c_kappa": float(ck),
                      "gamma": float(hoe.gamma), "hoelder_constant": hoe.constant,
-                     "heat_mode": H.mode})
+                     "heat_mode": H.mode, "solver": solver_path(problem)})
 
     slope = float(np.polyfit(np.log(h_list), np.log(sup_grads), 1)[0])
     ck_ratio = cks[-1] / cks[0] if cks[0] > 0 else float("inf")

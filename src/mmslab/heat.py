@@ -36,27 +36,14 @@ from .errors import ConfigError, NumericalError
 from .form import carre_du_champ
 from .quad import log_time_quadrature, require_converged
 from .reports import GaussianFit, Measurement
-from .space import MetricMeasureSpace, metric_ball, _ball_masses
+from .space import (DENSE_CAP_DEFAULT, MetricMeasureSpace, _ball_masses,
+                    metric_ball, product_pays)
 
-DENSE_CAP_DEFAULT = 4000
-# Per time, product mode forms the two factor kernels (~nx^3 + ny^3 flops)
-# and pushes each field through them (~nx ny (nx + ny)); the ratio of the
-# two is about the aspect nx / ny.  Past this aspect the kernels dominate and
-# an elongated product is left to the dense or stepping realization.
-PRODUCT_MAX_ASPECT = 16
 # The Chebyshev series stops where the tail sum of |c_k| (the whole sum is 1)
 # drops below this.
 CHEB_TAIL = 2.0 ** -60
 # Columns per block of the Chebyshev recurrence: about 2**16 doubles (512 KB).
 _COLUMN_BLOCK = 2 ** 16
-
-
-def _product_pays(factors, dense_cap: int) -> bool:
-    """True when a product space should use the product realization."""
-    if factors is None:
-        return False
-    small, large = sorted(f.n for f in factors)
-    return large <= dense_cap and large <= PRODUCT_MAX_ASPECT * small
 
 
 def _spectrum(space: MetricMeasureSpace):
@@ -109,9 +96,10 @@ class HeatOperator:
     space : MetricMeasureSpace
     mode : {"auto", "dense", "stepping"}
         "auto" picks product on a Cartesian-product space whose factors fit
-        the dense cap and are no more than `PRODUCT_MAX_ASPECT` times apart
-        in size, else dense-spectral up to `dense_cap` vertices, else
-        stepping.  The product realization is reached only through "auto".
+        the dense cap and are no more than `space.PRODUCT_MAX_ASPECT` times
+        apart in size (`space.product_pays`), else dense-spectral up to
+        `dense_cap` vertices, else stepping.  The product realization is
+        reached only through "auto".
     dense_cap : int
         Largest vertex count for a dense eigendecomposition (of the space in
         dense mode, of each factor in product mode).
@@ -122,7 +110,7 @@ class HeatOperator:
         self.space = space
         n = space.n
         if mode == "auto":
-            if _product_pays(space.factors, dense_cap):
+            if product_pays(space.factors, dense_cap):
                 mode = "product"
             else:
                 mode = "dense" if n <= dense_cap else "stepping"

@@ -10,7 +10,8 @@ weighted rectangle are Cartesian products of 1-d spaces (`product_space`)
 and keep their factors.  The path metric of a product graph is the sum of
 the factor metrics, d((i, a), (i', a')) = d_X(i, i') + d_Y(a, a'), so its
 distance rows are sums of factor rows; other graphs run Dijkstra.  The heat
-module uses the factors as well.
+realization and the Dirichlet solve use the factors as well, when
+`product_pays` says the factor decompositions are worth forming.
 
 Measured constants:
 
@@ -38,6 +39,13 @@ from .reports import DoublingReport, PoincareReport
 _SQRT2 = np.sqrt(2.0)
 CACHE_BYTES = 64 * 2 ** 20         # budget of the Dijkstra row cache
 _ROW_BLOCK = 2 ** 18               # doubles per (rows x n) block in estimate_doubling
+DENSE_CAP_DEFAULT = 4000           # largest dense eigendecomposition, in vertices
+# Product-structured solvers (the heat realization, the Dirichlet solve)
+# decompose each factor once (~nx^3 + ny^3 flops) and then push fields
+# through the factor bases (~nx ny (nx + ny) each); the ratio of the two is
+# about the aspect nx / ny.  Past this aspect the decompositions dominate and
+# an elongated product is left to the generic path.
+PRODUCT_MAX_ASPECT = 16
 
 
 class MetricMeasureSpace:
@@ -239,6 +247,16 @@ class MetricMeasureSpace:
             mu[i] = float(row[-1])
         edges = [(int(r[0]), int(r[1]), float(r[2]), float(r[3])) for r in rows[1 + n:]]
         return cls(mu, edges, positions=pos, name=name)
+
+
+def product_pays(factors, dense_cap: int = DENSE_CAP_DEFAULT) -> bool:
+    """True when a space with these `factors` should be handled factor by
+    factor: both factors fit `dense_cap` and are at most
+    `PRODUCT_MAX_ASPECT` times apart in size."""
+    if factors is None:
+        return False
+    small, large = sorted(f.n for f in factors)
+    return large <= dense_cap and large <= PRODUCT_MAX_ASPECT * small
 
 
 @dataclass

@@ -85,6 +85,43 @@ def test_verification_failure_exits_1(tmp_path):
     assert reverify_report(str(tmp_path / "r" / "report_hoelder.json"))
 
 
+def test_failed_hoelder_report_reverifies_and_tampering_fails(tmp_path):
+    cfg = {"space": {"family": "grid", "dim": 2, "h": 0.125},
+           "task": "hoelder",
+           "params": {"problem": {"domain": {"type": "all_interior"},
+                                  "boundary": {"type": "affine",
+                                               "coeffs": [0.0, 1.0, -0.5]}},
+                      "ball": {"center": [0.0, 0.0], "radius": 0.25},
+                      "cap": 1e-9}}
+    out = tmp_path / "r"
+    assert main(["run", write_config(tmp_path, cfg), "--out", str(out)]) == 1
+    path = out / "report_hoelder.json"
+    report = json.loads(path.read_text())
+    rec = report["records"][0]
+    assert rec["kind"] == "cap" and rec["cap"] == 1e-9
+    assert rec["constant"] == rec["report"]["constant"] > rec["cap"]
+    assert main(["verify-report", str(path)]) == 0
+    rec["pass"] = report["pass"] = True
+    path.write_text(json.dumps(report))
+    assert main(["verify-report", str(path)]) == 1
+
+
+def test_solve_report_names_its_solver(tmp_path):
+    problem = {"domain": {"type": "all_interior"},
+               "boundary": {"type": "affine", "coeffs": [3.0, 1.7, -0.4]}}
+    cfg = {"space": {"family": "grid", "dim": 2, "h": 0.125}, "task": "solve",
+           "params": {"problem": problem}}
+    passed, report, _ = run_config(cfg)
+    assert passed
+    assert report["records"][0]["solver"] == "fast_diagonalization"
+    cfg["params"]["problem"] = dict(problem, domain={"type": "ball",
+                                                     "center": [0.0, 0.0],
+                                                     "radius": 0.5})
+    passed, report, _ = run_config(cfg)
+    assert passed
+    assert report["records"][0]["solver"] == "cg"
+
+
 def test_determinism_identical_reports(tmp_path):
     cfg = {"space": {"family": "torus", "n1": 8, "n2": 8}, "task": "poincare",
            "params": {"R0": 4.0, "sample_count": 6}, "seed": 11}

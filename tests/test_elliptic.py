@@ -2,13 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import close, connected_graphs
 from mmslab import ConfigError, NumericalError
 from mmslab import space as sp_mod
 from mmslab.elliptic import (Problem, check_caccioppoli, classify_harmonicity,
-                             holder_fit, local_sup_bound, solve, weak_harnack,
-                             weak_residual)
-from mmslab.space import metric_ball
+                             holder_fit, local_sup_bound, solve, solver_path,
+                             weak_harnack, weak_residual)
+from mmslab.space import MetricMeasureSpace, metric_ball, product_space
 
 
 def uniform_square(h):
@@ -57,6 +59,110 @@ def test_mildly_negative_lambda_certified_and_solved():
     prob = Problem(g, interior_of(g), np.ones(g.n), lam=np.full(g.n, -1.0))
     u = solve(prob)
     assert weak_residual(prob, u) <= 1e-9 * (np.max(np.abs(u)) + 1.0) * 8
+
+
+# -- the two solver paths ---------------------------------------------------
+
+def on_cg(problem):
+    """The same problem on the grid rebuilt from text, which has no factors
+    and so is solved by CG."""
+    flat = MetricMeasureSpace.from_text(problem.space.to_text())
+    twin = Problem(flat, problem.domain, problem.boundary_values,
+                   problem.lam, problem.source)
+    assert solver_path(twin) == "cg"
+    return twin
+
+
+def rectangle(space, xs, ys):
+    """Vertices of the grid rectangle xs x ys (open intervals), as I_x x I_y."""
+    X, Y = space.factors
+    ix = np.flatnonzero((X.positions[:, 0] > xs[0]) & (X.positions[:, 0] < xs[1]))
+    iy = np.flatnonzero((Y.positions[:, 0] > ys[0]) & (Y.positions[:, 0] < ys[1]))
+    return (ix[:, None] * Y.n + iy[None, :]).ravel()
+
+
+FAST_CASES = {
+    "harmonic": lambda g, x, y: (interior_of(g), 0.0, 0.0),
+    "lambda": lambda g, x, y: (interior_of(g), 2.5, 0.0),
+    "source": lambda g, x, y: (interior_of(g), 0.0, 1.0 + x * y),
+    "rectangle": lambda g, x, y: (rectangle(g, (-0.6, 0.8), (-0.9, 0.3)), 0.7,
+                                  np.cos(3 * x)),
+    "negative_lambda": lambda g, x, y: (interior_of(g), -1.0, 0.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAST_CASES))
+@pytest.mark.parametrize("weight", ["constant", "sqrt_abs_x"])
+@pytest.mark.parametrize("h", [1 / 16, 1 / 32])
+def test_fast_diagonalization_matches_cg(h, weight, case):
+    g = sp_mod.weighted_grid_2d(((-1.0, 1.0), (-1.0, 1.0)), h, weight)
+    x, y = g.positions.T
+    domain, lam, f = FAST_CASES[case](g, x, y)
+    bc = np.sign(x) * np.sqrt(np.abs(x)) + 0.3 * y + np.sin(2 * y)
+    prob = Problem(g, domain, bc, np.full(g.n, lam), np.zeros(g.n) + f)
+    assert solver_path(prob) == "fast_diagonalization"
+    u = solve(prob)
+    assert close(u, solve(on_cg(prob)), 1e-10)
+    assert weak_residual(prob, u) <= 1e-12 * max(1.0, float(np.max(np.abs(u))))
+
+
+def test_indefinite_problem_raises_on_cg_too():
+    g = uniform_square(1 / 8)
+    prob = Problem(g, interior_of(g), np.ones(g.n), lam=np.full(g.n, -1000.0))
+    with pytest.raises(NumericalError, match="not positive definite"):
+        solve(on_cg(prob))
+
+
+def test_fast_path_never_calls_cg(monkeypatch):
+    def no_cg(*args, **kwargs):
+        raise AssertionError("CG called on a product domain")
+
+    monkeypatch.setattr("mmslab.elliptic.cg", no_cg)
+    g = uniform_square(1 / 16)
+    solve(Problem(g, interior_of(g), g.positions[:, 0] ** 2))
+
+
+def test_other_problems_stay_on_cg():
+    torus = sp_mod.uniform_torus(16, 16)
+    ball = metric_ball(torus, torus.vertex_at((8, 8)), 5.0).members
+    problems = [Problem(torus, ball, torus.positions[:, 0])]
+    # an elongated product fails product_pays, even on a product domain
+    thin = sp_mod.uniform_torus(3, 400)
+    problems.append(Problem(thin, (np.arange(2)[:, None] * 400
+                                   + np.arange(10, 390)[None, :]).ravel(),
+                            thin.positions[:, 1]))
+    # lambda that varies on the domain
+    g = uniform_square(1 / 16)
+    problems.append(Problem(g, interior_of(g), np.ones(g.n),
+                            lam=1.0 + g.positions[:, 0] ** 2))
+    for prob in problems:
+        assert solver_path(prob) == "cg"
+        u = solve(prob)
+        assert weak_residual(prob, u) <= 1e-10 * max(1.0, float(np.max(np.abs(u))))
+
+
+@st.composite
+def product_problems(draw):
+    """A product of random connected graphs, a random sub-rectangle of it
+    (not the whole space), a constant lambda >= 0 and random data."""
+    X, Y = draw(connected_graphs()), draw(connected_graphs())
+    ix = draw(st.lists(st.integers(0, X.n - 1), min_size=1, unique=True))
+    iy = draw(st.lists(st.integers(0, Y.n - 1), min_size=1, unique=True))
+    if len(ix) == X.n and len(iy) == Y.n:
+        iy = iy[1:]
+    space = product_space(X, Y)
+    domain = (np.array(ix)[:, None] * Y.n + np.array(iy)[None, :]).ravel()
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    lam = draw(st.sampled_from([0.0, 0.01, 1.0, 5.0]))
+    return Problem(space, domain, rng.standard_normal(space.n),
+                   np.full(space.n, lam), rng.standard_normal(space.n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(product_problems())
+def test_fast_diagonalization_matches_cg_on_random_products(prob):
+    assert solver_path(prob) == "fast_diagonalization"
+    assert close(solve(prob), solve(on_cg(prob)), 1e-10)
 
 
 def test_full_space_domain_rejected():

@@ -403,6 +403,7 @@ def test_counterexample_mini_sweep():
     assert -0.65 <= rep.grad_slope <= -0.35
     assert len(rep.rows) == 3 and rep.rows[0]["h"] == 1 / 8
     assert [row["heat_mode"] for row in rep.rows] == ["product"] * 3
+    assert [row["solver"] for row in rep.rows] == ["fast_diagonalization"] * 3
 
 
 def test_holder_gamma_on_counterexample(sqrt32):
