@@ -139,14 +139,21 @@ def estimate_ckappa(H: HeatOperator, T: float, samples=None, t_grid=None,
                            argmax=argmax, per_t_profile=profile)
 
 
-def check_commutation(H: HeatOperator, g, t: float) -> float:
-    """min_x [T_t Gamma(g,g) - Gamma(T_t g, T_t g)](x).
+def check_commutation(H: HeatOperator, G, t: float) -> float:
+    """min over fields g and vertices x of [T_t Gamma(g,g) - Gamma(T_t g, T_t g)](x),
+    for one field or the columns of an (n, k) stack G.
 
-    Nonnegative margins across a field collection certify c_kappa = 0.
+    The stack [G | Gamma(G)] goes through one heat action.  Nonnegative
+    margins across a field collection certify c_kappa = 0.
     """
     if not (t > 0):
         raise ConfigError("t must be positive")
-    g = H.space.check_field(g)
-    gamma = carre_du_champ(H.space, g)
-    out = H.apply_batch(np.column_stack([g, gamma]), t)
-    return float(np.min(out[:, 1] - carre_du_champ(H.space, out[:, 0])))
+    G = np.asarray(G, dtype=float)
+    fields = [H.space.check_field(g) for g in (G.T if G.ndim == 2 else [G])]
+    k = len(fields)
+    if k == 0:
+        raise ConfigError("empty field stack")
+    gammas = [carre_du_champ(H.space, g) for g in fields]
+    out = H.apply_batch(np.column_stack(fields + gammas), t)
+    return min(float(np.min(out[:, k + i] - carre_du_champ(H.space, out[:, i])))
+               for i in range(k))

@@ -177,8 +177,20 @@ def test_heat_caccioppoli_task(tmp_path):
            "params": {"x": [8, 8], "R": 2.0, "s_list": [1.0, 4.0], "c": 0.25}}
     passed, report, _ = run_config(cfg, out_dir=str(tmp_path / "r"))
     assert passed
-    names = [r["name"] for r in report["records"]]
-    assert "lhs_nondecreasing_in_s" in names
+    rec = next(r for r in report["records"] if r["name"] == "lhs_nondecreasing_in_s")
+    lhs = [r["lhs"] for r in report["records"][:2]]
+    # the worst drop from one s to the next, re-derived as the bound drop <= 0
+    assert rec["kind"] == "bound" and rec["rhs"] == 0.0 and rec["constant"] == 1.0
+    assert rec["lhs"] == lhs[0] - lhs[1] - 1e-12 * abs(lhs[1]) < 0.0
+    path = tmp_path / "r" / "report_heat-caccioppoli.json"
+    stored = json.loads(path.read_text())
+    stored["records"][-1]["pass"] = stored["pass"] = False
+    path.write_text(json.dumps(stored))
+    assert main(["verify-report", str(path)]) == 1
+    # one s: no drop, the record reads 0 and passes
+    cfg["params"]["s_list"] = [4.0]
+    passed, report, _ = run_config(cfg)
+    assert passed and report["records"][-1]["lhs"] == 0.0
 
 
 def test_curvature_task(tmp_path):

@@ -60,6 +60,23 @@ def test_commutation_trivial_constant(torus16):
         0.0, abs=1e-13)
 
 
+def test_commutation_of_a_stack_is_the_min_over_its_fields(torus16):
+    m = 17
+    wtab = np.exp(0.5 * np.random.default_rng(4).standard_normal((m, m)))
+    tab = sp_mod.weighted_grid_2d(((-1, 1), (-1, 1)), 1 / 8, tabulated=wtab)
+    rng = np.random.default_rng(5)
+    for H in (build_heat(tab, mode="stepping"), build_heat(torus16)):
+        G = rng.standard_normal((H.space.n, 6))
+        per_field = min(check_commutation(H, G[:, k], 0.05) for k in range(6))
+        if H.mode == "stepping":
+            # a column's Chebyshev arithmetic does not depend on its block
+            assert check_commutation(H, G, 0.05) == per_field
+        else:
+            assert check_commutation(H, G, 0.05) == pytest.approx(per_field, rel=1e-12)
+        with pytest.raises(ConfigError):
+            check_commutation(H, G[:, :0], 0.05)
+
+
 def test_commutation_negative_near_degeneracy():
     # coordinate field at small t dips negative next to the x = 0 line
     g2 = sp_mod.weighted_grid_2d(((-1, 1), (-1, 1)), 1 / 8, "sqrt_abs_x")

@@ -1,5 +1,9 @@
 """Heat semigroup axioms, closed-form oracles, and kernel bound checks."""
 
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +13,7 @@ from mmslab import ConfigError, NumericalError
 from mmslab import heat
 from mmslab import space as sp_mod
 from mmslab.cli import main
+from mmslab.form import carre_du_champ
 from mmslab.heat import build_heat, check_gaussian, check_heat_caccioppoli
 from mmslab.space import MetricMeasureSpace, _ball_masses
 
@@ -197,6 +202,61 @@ def test_unconverged_chebyshev_series_raises(tab16, monkeypatch):
         S.kernel(0.1, 0)
 
 
+def test_stepping_blocks_give_the_same_bits_on_any_thread(tab16, monkeypatch):
+    space, times, _, S = tab16
+    width = heat._COLUMN_BLOCK // space.n
+    F = np.random.default_rng(12).standard_normal((space.n, 3 * width + 7))
+
+    def actions():
+        return [S.apply_batch(F, 0.01), S.kernel(0.01, np.arange(0, space.n, 4))]\
+            + [v for _, v in S.apply_grid(F, times[:3])]
+
+    default = actions()
+    monkeypatch.setattr(S, "_block_workers", lambda blocks: (None, 0))
+    alone = actions()
+    # more threads than cores, switching often: a block lost or written
+    # twice would show
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        with ThreadPoolExecutor(3) as pool:
+            monkeypatch.setattr(S, "_block_workers",
+                                lambda blocks: (pool, min(3, blocks - 1)))
+            shared = actions()
+    finally:
+        sys.setswitchinterval(interval)
+    for a, b, c in zip(default, alone, shared):
+        assert np.array_equal(a, b) and np.array_equal(a, c)
+
+
+def test_stepping_kernel_grid_clamps_copies_not_the_sweep(tab16, monkeypatch):
+    space, times, _, S = tab16
+    delta = np.zeros(space.n)
+    delta[40] = 1.0 / space.mu[40]
+    sweep = [v.copy() for _, v in S.apply_grid(delta, times)]
+    # a clamp that visibly writes in place: if it reached the start of the
+    # next increment, later columns would grow by more than the factor 2
+    monkeypatch.setattr(heat.HeatOperator, "_clamp",
+                        staticmethod(lambda arr, rel=1e-10: np.multiply(arr, 2.0, out=arr)))
+    for v, (_, col) in zip(sweep, S.kernel_grid(40, times)):
+        assert np.array_equal(col, 2.0 * v)
+
+
+def test_block_workers_never_outnumber_the_blocks(tab16, monkeypatch):
+    space = tab16[0]
+    S = build_heat(space, mode="stepping")
+    monkeypatch.setattr(heat.os, "sched_getaffinity", lambda pid: set(range(8)))
+    assert S._block_workers(1) == (None, 0)
+    assert S._block_workers(3)[1] == 2 and S._block_workers(40)[1] == 7
+    before = set(threading.enumerate())
+    two_blocks = np.ones((space.n, heat._COLUMN_BLOCK // space.n + 1))
+    try:
+        assert close(S.apply_batch(two_blocks, 0.01), two_blocks)
+        assert len(set(threading.enumerate()) - before) <= 1
+    finally:
+        S._pool.shutdown()
+
+
 @settings(max_examples=40, deadline=None)
 @given(connected_graphs(max_n=12), st.floats(0.01, 5.0))
 def test_random_imported_graphs_step_like_dense(graph, t):
@@ -324,6 +384,40 @@ def test_heat_caccioppoli_monotone_and_limits(torus16):
         assert rep.constant >= 0.0
     assert lhs[0] < lhs[-1]
     assert lhs == sorted(lhs)
+
+
+@pytest.mark.parametrize("case", ["torus16", "sqrt16", "tab16"])
+def test_heat_caccioppoli_annulus_energy_is_the_carre_du_champ_integral(
+        case, torus16, sqrt_square_16, tab16, monkeypatch):
+    if case == "torus16":
+        H, x, R = build_heat(torus16), torus16.vertex_at((8, 8)), 2.0
+    else:
+        space = sqrt_square_16 if case == "sqrt16" else tab16[0]
+        H = build_heat(space) if case == "sqrt16" else tab16[3]
+        x, R = space.vertex_at((0.0, 0.0)), 0.125
+    assert H.mode == {"torus16": "product", "sqrt16": "product",
+                      "tab16": "stepping"}[case]
+    space = H.space
+    seen = {}
+
+    def capture(eval_batch, a, b, **kwargs):
+        seen.update(eval_batch=eval_batch, zero_limit=kwargs["zero_limit"])
+        return 1.0, {"converged": True, "levels": 1, "nodes": 17, "last_change": 0.0}
+
+    monkeypatch.setattr(heat, "log_time_quadrature", capture)
+    check_heat_caccioppoli(H, x, R, R * R)
+    inner = sp_mod.metric_ball(space, x, R).members
+    annulus = np.setdiff1d(sp_mod.metric_ball(space, x, 2 * R).members, inner)
+
+    def reference(f):
+        return float(space.mu[annulus] @ carre_du_champ(space, f)[annulus])
+
+    ts = np.geomspace(1e-4 * R * R, R * R, 9)
+    want = [reference(col) for _, col in H.kernel_grid(x, ts)]
+    assert np.allclose(seen["eval_batch"](ts), want, rtol=1e-13, atol=0.0)
+    delta = np.zeros(space.n)
+    delta[x] = 1.0 / space.mu[x]
+    assert seen["zero_limit"] == pytest.approx(reference(delta), rel=1e-13)
 
 
 def test_heat_caccioppoli_empty_annulus(torus16):

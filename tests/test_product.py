@@ -15,6 +15,7 @@ from scipy.sparse.csgraph import dijkstra
 
 from conftest import assert_markov_semigroup, close, connected_graphs
 from mmslab import ConfigError
+from mmslab import heat as heat_mod
 from mmslab import space as sp_mod
 from mmslab.heat import build_heat
 from mmslab.space import MetricMeasureSpace, product_space
@@ -263,7 +264,7 @@ def test_auto_mode_leaves_costly_products_to_the_generic_path(cycle32):
         build_heat(sp_mod.uniform_torus(8, 8), mode="product")
 
 
-def test_product_factor_kernels_are_built_once_per_time(realizations, monkeypatch):
+def test_product_kernels_form_no_factor_matrix(realizations, monkeypatch):
     space, times, H = realizations
     P = H["product"]
     calls = []
@@ -272,11 +273,45 @@ def test_product_factor_kernels_are_built_once_per_time(realizations, monkeypatc
                         lambda *a: calls.append(a[-1]) or build(*a))
     t = times[1] * 1.5        # a time no other test has cached
     cols = [P.kernel(t, x) for x in range(0, space.n, 7)]
-    assert len(calls) == 2 and len(cols) > 2
+    grid = list(P.kernel_grid(7, [t / 2, t, 2 * t]))
+    assert calls == [] and len(cols) > 2
+    assert np.array_equal(grid[1][1], cols[1])
     delta = np.zeros(space.n)
     delta[7] = 1.0 / space.mu[7]
     assert close(P.apply_batch(delta, t), cols[1])
-    assert len(calls) == 2
+    assert close(P.apply_batch(2 * delta, t), 2 * cols[1])
+    assert calls == [t, t]
+
+
+def test_product_kernel_grid_matches_dense_across_chunks():
+    # factors of 128 and 8 vertices: a 1 MB chunk of factor rows holds 8
+    # times, so a 64-time grid crosses 7 chunk boundaries
+    space = sp_mod.uniform_torus(128, 8)
+    P, D = build_heat(space), build_heat(space, mode="dense")
+    assert P.mode == "product"
+    ts = np.geomspace(0.01, 40.0, 64)
+    assert heat_mod._ROW_BLOCK // (128 * 128) < ts.size
+    for x0 in (0, 517, space.n - 1):
+        grid = list(P.kernel_grid(x0, ts))
+        assert [t for t, _ in grid] == list(ts)
+        for t, col in grid:
+            assert close(col, D.kernel(t, x0)), (x0, t)
+            assert np.array_equal(col, P.kernel(t, x0)), (x0, t)
+    assert np.array_equal(P.kernel(0.3, [5, 517])[:, 1], P.kernel(0.3, 517))
+
+
+@pytest.mark.parametrize("t", [0.01, 0.7, 16.0])
+def test_product_kernel_matrix_is_exactly_symmetric(torus16, t):
+    # a factor of 128: past the size where a BLAS row is not symmetric
+    for space in (torus16, sp_mod.uniform_torus(128, 8)):
+        P = build_heat(space)
+        K = P.kernel(t, np.arange(space.n))
+        assert np.array_equal(K, K.T)
+        # one source per call, as kernel_grid asks
+        xs = np.arange(3, space.n, 29)
+        single = np.column_stack([P.kernel(t, x)[xs] for x in xs])
+        assert np.array_equal(single, single.T)
+        assert np.array_equal(single, K[np.ix_(xs, xs)])
 
 
 # -- random products ---------------------------------------------------------------
@@ -291,6 +326,8 @@ def test_random_products_agree_with_dense(X, Y, t):
     assert close(P.apply_batch(F, t), D.apply_batch(F, t), 1e-10)
     assert close(P.kernel(t, space.n - 1), D.kernel(t, space.n - 1), 1e-10)
     assert close(P.eigenvalues, D.eigenvalues, 1e-10)
+    K = P.kernel(t, np.arange(space.n))
+    assert np.array_equal(K, K.T)
     assert_markov_semigroup(P, t)
 
 
