@@ -66,14 +66,6 @@ def default_sample_fields(H: HeatOperator, seed: int = 0, n_random: int = 32,
     return F
 
 
-def default_time_grid(H: HeatOperator, T: float, points: int = 24) -> np.ndarray:
-    """Geometric grid in [h^2, T]; binding values sit at small t."""
-    h2 = H.space.min_edge_length ** 2
-    if T < h2 * (1 - 1e-12):
-        raise ConfigError(f"horizon T={T} below the mesh time h^2={h2}")
-    return np.unique(np.geomspace(min(h2, T), T, points))
-
-
 def estimate_ckappa(H: HeatOperator, T: float, samples=None, t_grid=None,
                     seed: int = 0, n_random: int = 32) -> CurvatureReport:
     """Smallest sampled constant making the variance bound hold up to time T.
@@ -85,20 +77,24 @@ def estimate_ckappa(H: HeatOperator, T: float, samples=None, t_grid=None,
     and c_kappa is the maximum over the sample.  Where T_t Gamma vanishes
     the variance must vanish too (checked; anything else signals numerical
     corruption).  The result is floored at zero and is a lower estimate of
-    the true minimal constant.
+    the true minimal constant.  `samples` is an (n, k) stack, one field per
+    column; the default `t_grid` is 24 geometric times in [h^2, T].
     """
     if not (T > 0):
         raise ConfigError("horizon T must be positive")
     if t_grid is None:
-        t_grid = default_time_grid(H, T)
+        h2 = H.space.min_edge_length ** 2
+        if T < h2 * (1 - 1e-12):
+            raise ConfigError(f"horizon T={T} below the mesh time h^2={h2}")
+        t_grid = np.unique(np.geomspace(min(h2, T), T, 24))
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(t_grid <= 0) or np.any(t_grid > T * (1 + 1e-12)):
         raise ConfigError("t grid must lie in (0, T]")
     if samples is None:
         samples = default_sample_fields(H, seed=seed, n_random=n_random)
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    if samples.shape[0] != H.space.n:
-        samples = samples.T
+    samples = np.asarray(samples, dtype=float)
+    if samples.ndim != 2 or samples.shape[0] != H.space.n:
+        raise ConfigError(f"samples must be an (n, k) stack, got {samples.shape}")
     k = samples.shape[1]
     if k == 0:
         raise ConfigError("empty sample collection")

@@ -31,7 +31,7 @@ Hoelder seminorm of the solution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -50,6 +50,8 @@ CG_RTOL = 1e-13
 # A positive-definiteness certificate at or below this fraction of the
 # operator scale is treated as a failure.
 PD_FLOOR = 1e-12
+GAMMA_STEP = 0.05           # grid of the fitted Hoelder exponents
+HOELDER_SOURCES = 48        # most seeded pair sources in the doubled ball
 
 
 @dataclass
@@ -243,7 +245,7 @@ def solve(problem: Problem) -> np.ndarray:
     return u
 
 
-def classify_harmonicity(space: MetricMeasureSpace, u, domain, tol=None):
+def classify_harmonicity(space: MetricMeasureSpace, u, domain):
     """Classify u on a vertex set via the sign of -E(u, hat) over its hats.
 
     Returns (label, margin) with label in {"harmonic", "subharmonic",
@@ -253,9 +255,8 @@ def classify_harmonicity(space: MetricMeasureSpace, u, domain, tol=None):
     u = space.check_field(u)
     domain = np.asarray(domain, dtype=np.intp)
     s = -(space.laplacian() @ u)[domain]
-    if tol is None:
-        scale = (space.degree * np.abs(u) + space.conductance_matrix @ np.abs(u))
-        tol = 1e-8 * max(float(np.max(scale[domain])), 1e-300)
+    scale = (space.degree * np.abs(u) + space.conductance_matrix @ np.abs(u))
+    tol = 1e-8 * max(float(np.max(scale[domain])), 1e-300)
     lo, hi = float(np.min(s)), float(np.max(s))
     if lo >= -tol and hi <= tol:
         return "harmonic", max(abs(lo), abs(hi))
@@ -319,7 +320,7 @@ def local_sup_bound(space: MetricMeasureSpace, u, lam, ball: Ball,
 
 
 def weak_harnack(space: MetricMeasureSpace, u, ball: Ball, q: float,
-                 cap: float = 1e3, q_grid=None) -> Measurement:
+                 cap: float = 1e3) -> Measurement:
     """Realized constant of (avg_{2B} u^q dmu)^{1/q} <= C inf_B u.
 
     Requires u > 0 and superharmonic (or harmonic) on the doubled ball.
@@ -344,8 +345,7 @@ def weak_harnack(space: MetricMeasureSpace, u, ball: Ball, q: float,
         return avg ** (1.0 / qq) / inf_b
 
     C = realized(q)
-    if q_grid is None:
-        q_grid = np.geomspace(1.0 / 16.0, 4.0, 15)
+    q_grid = np.geomspace(1.0 / 16.0, 4.0, 15)
     scan = [(float(qq), float(realized(qq))) for qq in q_grid]
     admissible = [qq for qq, cc in scan if cc <= cap]
     return Measurement(
@@ -377,8 +377,7 @@ def _pair_distances(space: MetricMeasureSpace, hull: np.ndarray,
 
 
 def holder_fit(space: MetricMeasureSpace, u, ball: Ball, g_field,
-               gamma_step: float = 0.05, cap: float = 1e3,
-               n_sources: int = 48, seed: int = 0) -> HoelderReport:
+               cap: float = 1e3, seed: int = 0) -> HoelderReport:
     """Hoelder exponent and constant of u over pairs in the doubled ball:
 
         |u(x) - u(y)| <= constant * scale * (d(x,y)/R)^gamma,
@@ -402,11 +401,11 @@ def holder_fit(space: MetricMeasureSpace, u, ball: Ball, g_field,
 
     members = two_b.members
     rng = np.random.default_rng(seed)
-    if members.size <= n_sources:
+    if members.size <= HOELDER_SOURCES:
         sources = members
     else:
-        sources = np.unique(np.concatenate(
-            [[ball.center], rng.choice(members, n_sources - 1, replace=False)]))
+        extra = rng.choice(members, HOELDER_SOURCES - 1, replace=False)
+        sources = np.unique(np.concatenate([[ball.center], extra]))
     D = _pair_distances(space, four_b.members, sources)
     loc = -np.ones(space.n, dtype=np.intp)
     loc[four_b.members] = np.arange(four_b.members.size)
@@ -445,15 +444,15 @@ def holder_fit(space: MetricMeasureSpace, u, ball: Ball, g_field,
         slope = float(np.polyfit(lx, ly, 1)[0])
     else:
         slope = 1.0
-    gamma = float(np.clip(np.round(slope / gamma_step) * gamma_step,
-                          gamma_step, 1.0))
+    gamma = float(np.clip(np.round(slope / GAMMA_STEP) * GAMMA_STEP,
+                          GAMMA_STEP, 1.0))
 
     def constant_at(gam):
         return float(np.max(ud_all / (scale * (d_all / R) ** gam)))
 
     const = constant_at(gamma)
-    while const > cap and gamma > gamma_step * 1.5:
-        gamma = round(gamma - gamma_step, 10)
+    while const > cap and gamma > GAMMA_STEP * 1.5:
+        gamma = round(gamma - GAMMA_STEP, 10)
         const = constant_at(gamma)
     return HoelderReport(gamma=gamma, constant=const, ball=ball,
                          pair_sample=n_pairs, scale=scale)

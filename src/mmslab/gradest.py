@@ -29,6 +29,9 @@ from .reports import (CurvatureReport, Measurement, RatioReport,
                       ScalingReport)
 from .space import Ball, MetricMeasureSpace, metric_ball, weighted_grid_2d
 
+PROFILE_POINTS = 12     # times of an averaged-energy profile on [h^2, R^2]
+PROP31_PROBES = 4       # vertices of B(y0, R) probed by `check_prop31`
+
 
 @dataclass
 class Cutoff:
@@ -224,8 +227,7 @@ def _ball_inside(space, y0, radius):
 
 
 def check_prop31(H: HeatOperator, space: MetricMeasureSpace, u, g_field,
-                 y0: int, R: float, n_probes: int = 4,
-                 profile_points: int = 12, seed: int = 0) -> Measurement:
+                 y0: int, R: float, seed: int = 0) -> Measurement:
     """A-priori bound on the averaged energy at the top of the time window:
 
         J(x0, R^2) <= C ( sup|u|(8B)^2 / R^2 + R^2 sup|g|(8B)^2 ).
@@ -247,11 +249,12 @@ def check_prop31(H: HeatOperator, space: MetricMeasureSpace, u, g_field,
     rng = np.random.default_rng(seed)
     probes = [int(y0)]
     if ball.members.size > 1:
-        extra = rng.choice(ball.members, min(n_probes - 1, ball.members.size - 1),
+        extra = rng.choice(ball.members,
+                           min(PROP31_PROBES - 1, ball.members.size - 1),
                            replace=False)
         probes += [int(v) for v in extra if v != y0]
     h2 = space.min_edge_length ** 2
-    ts = np.unique(np.geomspace(min(h2, R ** 2), R ** 2, profile_points))
+    ts = np.unique(np.geomspace(min(h2, R ** 2), R ** 2, PROFILE_POINTS))
 
     j_end = 0.0
     realized = 0.0
@@ -272,8 +275,7 @@ def check_prop31(H: HeatOperator, space: MetricMeasureSpace, u, g_field,
 
 def verify_gradient_estimate(H: HeatOperator, space: MetricMeasureSpace,
                              problem: Problem, ball: Ball, mode: str,
-                             curvature_report: CurvatureReport,
-                             profile_points: int = 12) -> RatioReport:
+                             curvature_report: CurvatureReport) -> RatioReport:
     """Realized constant of one of the three gradient-estimate conclusions.
 
     mode "thm31":  sup_B |Du| <= C (1/R + sqrt(ck)) [sup|u|(8B) + R^2 sup|g|(8B)]
@@ -338,7 +340,7 @@ def verify_gradient_estimate(H: HeatOperator, space: MetricMeasureSpace,
         if np.all(dom_mask[eight_b.members]):
             cutoff = build_cutoff(space, y0, R)
             h2 = space.min_edge_length ** 2
-            ts = np.unique(np.geomspace(min(h2, R ** 2), R ** 2, profile_points))
+            ts = np.unique(np.geomspace(min(h2, R ** 2), R ** 2, PROFILE_POINTS))
             profile = averaged_energy_profile(H, space, u, cutoff, y0, ts)
 
     constant = left / right if right > 0 else 0.0
@@ -347,8 +349,7 @@ def verify_gradient_estimate(H: HeatOperator, space: MetricMeasureSpace,
 
 
 def run_counterexample(h_list, T: float = 1.0 / 64.0, inner_radius: float = 0.2,
-                       n_random: int = 8, seed: int = 0,
-                       ck_grid_points: int = 16) -> ScalingReport:
+                       n_random: int = 8, seed: int = 0) -> ScalingReport:
     """Refinement sweep of the sqrt|x|-weighted square where Lipschitz fails.
 
     For each mesh width h: build the space, solve the harmonic problem with
@@ -376,7 +377,7 @@ def run_counterexample(h_list, T: float = 1.0 / 64.0, inner_radius: float = 0.2,
         sup_g = float(np.max(grad[ball.members]))
 
         H = build_heat(space)
-        t_grid = np.unique(np.geomspace(min(h * h, T), T, ck_grid_points))
+        t_grid = np.unique(np.geomspace(min(h * h, T), T, 16))
         ck = estimate_ckappa(H, T, t_grid=t_grid, seed=seed,
                              n_random=n_random).c_kappa
         hoe = holder_fit(space, u, ball, np.zeros(space.n), seed=seed)

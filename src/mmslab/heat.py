@@ -540,17 +540,15 @@ def _annulus_energy(space: MetricMeasureSpace, annulus):
 
 
 def check_heat_caccioppoli(H: HeatOperator, x: int, R: float, s: float,
-                           c: float = None, gaussian_fit: GaussianFit = None,
-                           rtol: float = 1e-6) -> Measurement:
+                           c: float = 0.25) -> Measurement:
     """Annulus gradient energy of the kernel against its decay envelope.
 
         \\int_0^s \\int_{B(x,2R)\\B(x,R)} Gamma_y(p(t,x,.)) dmu dt
               <= C mu(B(x,R))^-1 exp(-c R^2 / s)
 
     The left side uses the adaptive log-time quadrature; the smallest C is
-    fitted at the configured decay rate c (default: the upper-envelope rate
-    1/C1 of a supplied Gaussian fit, else 0.25).  The report also carries a
-    small Pareto scan of (c, C(c)) pairs.
+    fitted at the decay rate c.  The report also carries a small Pareto scan
+    of (c, C(c)) pairs.
     """
     space = H.space
     if not (0 < s <= R * R * (1 + 1e-12)):
@@ -572,11 +570,8 @@ def check_heat_caccioppoli(H: HeatOperator, x: int, R: float, s: float,
     e0_field[x] = 1.0 / space.mu[x]
     zero_limit = energy(e0_field)
 
-    lhs, info = log_time_quadrature(eval_batch, 0.0, s, rtol=rtol,
-                                    zero_limit=zero_limit)
+    lhs, info = log_time_quadrature(eval_batch, 0.0, s, zero_limit=zero_limit)
     require_converged(info, 0.0, s)
-    if c is None:
-        c = 1.0 / gaussian_fit.C1 if gaussian_fit is not None else 0.25
     unit = np.exp(-c * R * R / s) / inner.measure
     C = lhs / unit
     pareto = []

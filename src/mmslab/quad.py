@@ -12,6 +12,10 @@ import numpy as np
 
 from .errors import NumericalError
 
+BASE_PANELS = 16        # log-uniform panels of the first level
+MAX_LEVELS = 7          # levels, each doubling the panels of the one before
+HEAD_FRAC = 1e-6        # from a == 0, [0, b * HEAD_FRAC] is one trapezoid
+
 
 def _composite_simpson(u, v):
     """Composite Simpson on uniformly spaced nodes u (odd count)."""
@@ -27,9 +31,7 @@ def _interleave(even, odd):
     return out
 
 
-def log_time_quadrature(eval_batch, a, b, rtol=1e-6, atol=0.0,
-                        base_panels=16, max_levels=7,
-                        zero_limit=None, head_frac=1e-6):
+def log_time_quadrature(eval_batch, a, b, rtol=1e-6, zero_limit=None):
     """Integrate a scalar function of time over [a, b] (0 <= a < b).
 
     Parameters
@@ -42,10 +44,10 @@ def log_time_quadrature(eval_batch, a, b, rtol=1e-6, atol=0.0,
         incrementally.
     a, b : float
         Integration bounds.  When a == 0 the integrand must have a finite
-        limit at 0, supplied as `zero_limit`; the head [0, b*head_frac] is
+        limit at 0, supplied as `zero_limit`; the head [0, b*HEAD_FRAC] is
         then covered by a single trapezoid and the rest is log-uniform.
-    rtol, atol : float
-        Stopping tolerances on the change between refinement levels.
+    rtol : float
+        Relative stopping tolerance on the change between refinement levels.
     zero_limit : float, optional
         Integrand value at t = 0 (required when a == 0).
 
@@ -62,7 +64,7 @@ def log_time_quadrature(eval_batch, a, b, rtol=1e-6, atol=0.0,
     if a == 0.0:
         if zero_limit is None:
             raise NumericalError("a == 0 requires the integrand limit at 0")
-        lo = b * head_frac
+        lo = b * HEAD_FRAC
 
     def evaluate(ts):
         vals = np.asarray(eval_batch(ts), dtype=float)
@@ -70,13 +72,13 @@ def log_time_quadrature(eval_batch, a, b, rtol=1e-6, atol=0.0,
             raise NumericalError("eval_batch returned the wrong number of values")
         return vals
 
-    u = np.linspace(np.log(lo), np.log(b), base_panels + 1)
+    u = np.linspace(np.log(lo), np.log(b), BASE_PANELS + 1)
     ts = np.exp(u)
     ts[0], ts[-1] = lo, b           # exact endpoints
     vals = evaluate(ts)
     prev = None
     change = np.inf
-    for level in range(max_levels):
+    for level in range(MAX_LEVELS):
         if level:
             mid = 0.5 * (u[:-1] + u[1:])
             t_mid = np.exp(mid)
@@ -88,11 +90,11 @@ def log_time_quadrature(eval_batch, a, b, rtol=1e-6, atol=0.0,
         total = value + head
         if prev is not None:
             change = abs(total - prev)
-            if change <= rtol * abs(total) + atol:
+            if change <= rtol * abs(total):
                 return total, {"converged": True, "levels": level + 1,
                                "nodes": ts.size, "last_change": change}
         prev = total
-    return prev, {"converged": False, "levels": max_levels,
+    return prev, {"converged": False, "levels": MAX_LEVELS,
                   "nodes": ts.size, "last_change": change}
 
 

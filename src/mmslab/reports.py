@@ -1,8 +1,8 @@
 """Structured results of the inequality checks.
 
 Every check returns a small dataclass carrying the two sides of the
-inequality it measured and the fitted or realized constants; verdicts
-against a bound are drawn by the CLI, where they are stored and re-derived.
+inequality it measured and the fitted or realized constants, never a
+verdict; the CLI derives every pass flag from the numbers it stores.
 `to_jsonable` converts any of them (numpy scalars/arrays included) into
 plain Python containers for the CLI report files.
 """

@@ -206,14 +206,14 @@ class MetricMeasureSpace:
         dy = np.array([Y.distances_from(j) for j in sources % Y.n])
         return (dx[:, :, None] + dy[:, None, :]).reshape(sources.size, self.n)
 
-    def vertex_at(self, coords, tol=1e-9) -> int:
-        """Vertex whose embedded position equals coords (within tol)."""
+    def vertex_at(self, coords) -> int:
+        """Vertex whose embedded position equals coords (within 1e-9)."""
         if self.positions is None:
             raise ConfigError("space has no embedding")
         coords = np.atleast_1d(np.asarray(coords, dtype=float))
         d = np.abs(self.positions - coords[None, :]).max(axis=1)
         k = int(np.argmin(d))
-        if d[k] > tol:
+        if d[k] > 1e-9:
             raise ConfigError(f"no vertex at {coords} (closest is {self.positions[k]})")
         return k
 

@@ -1,13 +1,73 @@
 """CLI: config validation, exit codes, determinism, report verification."""
 
+import copy
 import json
 
 import numpy as np
 import pytest
 
-from mmslab.cli import main, reverify_report, run_config
+from mmslab.cli import TASKS, main, reverify_report, run_config
 from mmslab.errors import ConfigError
 from mmslab.space import MetricMeasureSpace
+
+GRID8 = {"family": "grid", "dim": 2, "h": 0.125}
+TORUS16 = {"family": "torus", "n1": 16, "n2": 16}
+QUAD_PROBLEM = {"domain": {"type": "all_interior"},
+                "boundary": {"type": "affine", "coeffs": [3.0, 1.0, -0.5]}}
+
+# One small config per task.  The hoelder one fails: its cap is far below
+# the realized constant.
+SMALL_CONFIGS = {
+    "doubling": {"space": {"family": "cycle", "n": 64}, "task": "doubling",
+                 "params": {"R0": 16.0}, "seed": 7},
+    "poincare": {"space": {"family": "torus", "n1": 8, "n2": 8}, "task": "poincare",
+                 "params": {"R0": 4.0, "sample_count": 6}, "seed": 11},
+    "gaussian": {"space": {"family": "torus", "n1": 12, "n2": 12},
+                 "task": "gaussian", "params": {"pairs": 40}, "seed": 3},
+    "heat-caccioppoli": {"space": TORUS16, "task": "heat-caccioppoli", "seed": 5,
+                         "params": {"x": [8, 8], "R": 2.0, "s_list": [1.0, 4.0],
+                                    "c": 0.25}},
+    "curvature": {"space": {"family": "cycle", "n": 32}, "task": "curvature",
+                  "seed": 4, "params": {"T": 1.0, "n_random": 8}},
+    "solve": {"space": GRID8, "task": "solve",
+              "params": {"problem": {"domain": {"type": "all_interior"},
+                                     "boundary": {"type": "affine",
+                                                  "coeffs": [3.0, 1.7, -0.4]}}}},
+    "caccioppoli": {"space": GRID8, "task": "caccioppoli", "seed": 3,
+                    "params": {"problem": QUAD_PROBLEM, "y0": [0.0, 0.0],
+                               "r1": 0.25, "r2": 0.5}},
+    "moser": {"space": GRID8, "task": "moser", "seed": 3,
+              "params": {"problem": QUAD_PROBLEM,
+                         "ball": {"center": [0.0, 0.0], "radius": 0.25},
+                         "p": 1.0, "Q": 2.5}},
+    "harnack": {"space": GRID8, "task": "harnack", "seed": 3,
+                "params": {"problem": QUAD_PROBLEM,
+                           "ball": {"center": [0.0, 0.0], "radius": 0.25},
+                           "q": 0.5}},
+    "hoelder": {"space": GRID8, "task": "hoelder",
+                "params": {"problem": {"domain": {"type": "all_interior"},
+                                       "boundary": {"type": "affine",
+                                                    "coeffs": [0.0, 1.0, -0.5]}},
+                           "ball": {"center": [0.0, 0.0], "radius": 0.25},
+                           "cap": 1e-9}},
+    "prop31": {"space": GRID8, "task": "prop31", "seed": 3,
+               "params": {"problem": QUAD_PROBLEM, "y0": [0.0, 0.0], "R": 0.1}},
+    "gradest": {"space": TORUS16, "task": "gradest", "seed": 2,
+                "params": {"mode": "thm11",
+                           "problem": {"domain": {"type": "ball", "center": [8, 8],
+                                                  "radius": 7.0},
+                                       "boundary": {"type": "chart", "axis": 0,
+                                                    "center": [8, 8]}},
+                           "ball": {"center": [8, 8], "radius": 3.0},
+                           "n_random": 4}},
+    "counterexample": {"task": "counterexample", "seed": 3,
+                       "params": {"h_list": [1 / 8, 1 / 16, 1 / 32]}},
+    "all": {"space": {"family": "two_point"}, "task": "all", "seed": 1},
+}
+
+
+def small_config(task):
+    return copy.deepcopy(SMALL_CONFIGS[task])
 
 
 def write_config(tmp_path, cfg, name="cfg.json"):
@@ -27,8 +87,7 @@ def test_describe_known_and_unknown(capsys):
 
 
 def test_run_doubling_cycle(tmp_path, capsys):
-    cfg = {"space": {"family": "cycle", "n": 64}, "task": "doubling",
-           "params": {"R0": 16.0}, "seed": 7}
+    cfg = small_config("doubling")
     code = main(["run", write_config(tmp_path, cfg), "--out", str(tmp_path / "rep")])
     assert code == 0
     report = json.loads((tmp_path / "rep" / "report_doubling.json").read_text())
@@ -71,13 +130,7 @@ def test_numerical_failure_exits_3(tmp_path):
 
 def test_verification_failure_exits_1(tmp_path):
     # an impossibly small cap forces the Hoelder check to fail
-    cfg = {"space": {"family": "grid", "dim": 2, "h": 0.125},
-           "task": "hoelder",
-           "params": {"problem": {"domain": {"type": "all_interior"},
-                                  "boundary": {"type": "affine",
-                                               "coeffs": [0.0, 1.0, -0.5]}},
-                      "ball": {"center": [0.0, 0.0], "radius": 0.25},
-                      "cap": 1e-9}}
+    cfg = small_config("hoelder")
     code = main(["run", write_config(tmp_path, cfg), "--out", str(tmp_path / "r")])
     assert code == 1
     report = json.loads((tmp_path / "r" / "report_hoelder.json").read_text())
@@ -86,20 +139,14 @@ def test_verification_failure_exits_1(tmp_path):
 
 
 def test_failed_hoelder_report_reverifies_and_tampering_fails(tmp_path):
-    cfg = {"space": {"family": "grid", "dim": 2, "h": 0.125},
-           "task": "hoelder",
-           "params": {"problem": {"domain": {"type": "all_interior"},
-                                  "boundary": {"type": "affine",
-                                               "coeffs": [0.0, 1.0, -0.5]}},
-                      "ball": {"center": [0.0, 0.0], "radius": 0.25},
-                      "cap": 1e-9}}
+    cfg = small_config("hoelder")
     out = tmp_path / "r"
     assert main(["run", write_config(tmp_path, cfg), "--out", str(out)]) == 1
     path = out / "report_hoelder.json"
     report = json.loads(path.read_text())
     rec = report["records"][0]
-    assert rec["kind"] == "cap" and rec["cap"] == 1e-9
-    assert rec["constant"] == rec["report"]["constant"] > rec["cap"]
+    assert rec["kind"] == "range" and rec["hi"] == 1e-9
+    assert rec["constant"] == rec["report"]["constant"] > rec["hi"]
     assert main(["verify-report", str(path)]) == 0
     rec["pass"] = report["pass"] = True
     path.write_text(json.dumps(report))
@@ -107,10 +154,8 @@ def test_failed_hoelder_report_reverifies_and_tampering_fails(tmp_path):
 
 
 def test_solve_report_names_its_solver(tmp_path):
-    problem = {"domain": {"type": "all_interior"},
-               "boundary": {"type": "affine", "coeffs": [3.0, 1.7, -0.4]}}
-    cfg = {"space": {"family": "grid", "dim": 2, "h": 0.125}, "task": "solve",
-           "params": {"problem": problem}}
+    cfg = small_config("solve")
+    problem = cfg["params"]["problem"]
     passed, report, _ = run_config(cfg)
     assert passed
     assert report["records"][0]["solver"] == "fast_diagonalization"
@@ -123,9 +168,7 @@ def test_solve_report_names_its_solver(tmp_path):
 
 
 def test_determinism_identical_reports(tmp_path):
-    cfg = {"space": {"family": "torus", "n1": 8, "n2": 8}, "task": "poincare",
-           "params": {"R0": 4.0, "sample_count": 6}, "seed": 11}
-    p = write_config(tmp_path, cfg)
+    p = write_config(tmp_path, small_config("poincare"))
     main(["run", p, "--out", str(tmp_path / "a")])
     main(["run", p, "--out", str(tmp_path / "b")])
     a = (tmp_path / "a" / "report_poincare.json").read_text()
@@ -145,8 +188,7 @@ def test_export_space_roundtrip(tmp_path):
 
 
 def test_run_config_all_on_two_point(tmp_path):
-    cfg = {"space": {"family": "two_point"}, "task": "all", "seed": 1}
-    passed, report, _ = run_config(cfg, out_dir=str(tmp_path / "r"))
+    passed, report, _ = run_config(small_config("all"), out_dir=str(tmp_path / "r"))
     assert passed
     names = [r["name"] for r in report["records"]]
     assert "two_point_closed_forms" in names
@@ -155,16 +197,7 @@ def test_run_config_all_on_two_point(tmp_path):
 
 
 def test_gradest_task_via_cli(tmp_path):
-    cfg = {"space": {"family": "torus", "n1": 16, "n2": 16},
-           "task": "gradest", "seed": 2,
-           "params": {"mode": "thm11",
-                      "problem": {"domain": {"type": "ball",
-                                             "center": [8, 8], "radius": 7.0},
-                                  "boundary": {"type": "chart", "axis": 0,
-                                               "center": [8, 8]}},
-                      "ball": {"center": [8, 8], "radius": 3.0},
-                      "n_random": 4}}
-    passed, report, _ = run_config(cfg, out_dir=str(tmp_path / "r"))
+    passed, report, _ = run_config(small_config("gradest"), out_dir=str(tmp_path / "r"))
     assert passed
     rec = report["records"][0]
     assert rec["name"] == "gradest_thm11"
@@ -172,9 +205,7 @@ def test_gradest_task_via_cli(tmp_path):
 
 
 def test_heat_caccioppoli_task(tmp_path):
-    cfg = {"space": {"family": "torus", "n1": 16, "n2": 16},
-           "task": "heat-caccioppoli", "seed": 5,
-           "params": {"x": [8, 8], "R": 2.0, "s_list": [1.0, 4.0], "c": 0.25}}
+    cfg = small_config("heat-caccioppoli")
     passed, report, _ = run_config(cfg, out_dir=str(tmp_path / "r"))
     assert passed
     rec = next(r for r in report["records"] if r["name"] == "lhs_nondecreasing_in_s")
@@ -194,9 +225,7 @@ def test_heat_caccioppoli_task(tmp_path):
 
 
 def test_curvature_task(tmp_path):
-    cfg = {"space": {"family": "cycle", "n": 32}, "task": "curvature",
-           "seed": 4, "params": {"T": 1.0, "n_random": 8}}
-    passed, report, _ = run_config(cfg)
+    passed, report, _ = run_config(small_config("curvature"))
     assert passed
     rec = report["records"][0]
     assert rec["constant"] <= 1e-6
@@ -204,9 +233,7 @@ def test_curvature_task(tmp_path):
 
 
 def test_counterexample_csv(tmp_path):
-    cfg = {"task": "counterexample", "seed": 3,
-           "params": {"h_list": [1 / 8, 1 / 16, 1 / 32]}}
-    passed, report, rows = run_config(cfg, out_dir=str(tmp_path / "r"))
+    passed, report, rows = run_config(small_config("counterexample"), out_dir=str(tmp_path / "r"))
     assert passed
     csv_text = (tmp_path / "r" / "counterexample.csv").read_text()
     assert csv_text.splitlines()[0].startswith("h,")
@@ -218,23 +245,11 @@ def test_run_config_rejects_non_dict():
         run_config(["not", "a", "mapping"])
 
 
-QUAD_PROBLEM = {"domain": {"type": "all_interior"},
-                "boundary": {"type": "affine", "coeffs": [3.0, 1.0, -0.5]}}
-
-
 @pytest.mark.parametrize("task,params", [
-    ("caccioppoli", {"problem": QUAD_PROBLEM, "y0": [0.0, 0.0],
-                     "r1": 0.25, "r2": 0.5}),
-    ("moser", {"problem": QUAD_PROBLEM,
-               "ball": {"center": [0.0, 0.0], "radius": 0.25},
-               "p": 1.0, "Q": 2.5}),
-    ("harnack", {"problem": QUAD_PROBLEM,
-                 "ball": {"center": [0.0, 0.0], "radius": 0.25}, "q": 0.5}),
-    ("prop31", {"problem": QUAD_PROBLEM, "y0": [0.0, 0.0], "R": 0.1}),
-])
+    (task, SMALL_CONFIGS[task]["params"])
+    for task in ("caccioppoli", "moser", "harnack", "prop31")])
 def test_every_elliptic_task_runs(tmp_path, task, params):
-    cfg = {"space": {"family": "grid", "dim": 2, "h": 0.125},
-           "task": task, "params": params, "seed": 3}
+    cfg = {"space": GRID8, "task": task, "params": params, "seed": 3}
     passed, report, _ = run_config(cfg, out_dir=str(tmp_path / "r"))
     assert passed
     assert report["records"][0]["name"].startswith(task)
@@ -255,11 +270,61 @@ def test_failed_harnack_report_reverifies(tmp_path):
     path = out / "report_harnack.json"
     report = json.loads(path.read_text())
     rec = report["records"][0]
-    assert rec["constant"] == pytest.approx(1.0653, abs=1e-4) and rec["cap"] == 1.0001
+    assert rec["constant"] == pytest.approx(1.0653, abs=1e-4) and rec["hi"] == 1.0001
     assert main(["verify-report", str(path)]) == 0
     rec["pass"] = report["pass"] = True
     path.write_text(json.dumps(report))
     assert main(["verify-report", str(path)]) == 1
+
+
+@pytest.mark.parametrize("task", TASKS)
+def test_every_record_verdict_is_rederived(tmp_path, task):
+    out = tmp_path / "r"
+    passed, report, _ = run_config(small_config(task), out_dir=str(out))
+    assert passed is (task != "hoelder")
+    path = out / f"report_{task}.json"
+    assert main(["verify-report", str(path)]) == 0
+    tampered = tmp_path / "tampered.json"
+
+    def verify_with(i, changes):
+        # the report's own flag is kept consistent with its records
+        stored = json.loads(path.read_text())
+        stored["records"][i].update(changes)
+        stored["pass"] = all(r["pass"] for r in stored["records"])
+        tampered.write_text(json.dumps(stored))
+        return main(["verify-report", str(tampered)])
+
+    for i, rec in enumerate(report["records"]):
+        assert verify_with(i, {"pass": not rec["pass"]}) == 1, rec["name"]
+        # a kind the verdict rule does not know is never skipped
+        assert verify_with(i, {"kind": "flag"}) == 2, rec["name"]
+
+
+@pytest.mark.parametrize("record,verdict", [
+    # bound: lhs <= constant * rhs exactly, with no slack
+    ({"kind": "bound", "lhs": 1e-10, "rhs": 1.0, "constant": 1e-10}, True),
+    ({"kind": "bound", "lhs": 1.00000000005e-10, "rhs": 1.0, "constant": 1e-10},
+     False),
+    # range: a finite constant in [lo, hi], a null end open
+    ({"kind": "range", "lhs": 2.0, "rhs": 1.0, "constant": 2.0, "lo": 1.0,
+      "hi": None}, True),
+    ({"kind": "range", "lhs": 0.5, "rhs": 1.0, "constant": 0.5, "lo": 1.0,
+      "hi": None}, False),
+    ({"kind": "range", "lhs": 3.0, "rhs": 1.0, "constant": 3.0, "lo": None,
+      "hi": 2.0}, False),
+    ({"kind": "range", "lhs": 0.0, "rhs": 1.0, "constant": 0.0, "lo": 5e-324,
+      "hi": None}, False),
+    ({"kind": "range", "lhs": 1.0, "rhs": 0.0, "constant": float("inf"),
+      "lo": None, "hi": None}, False),
+])
+def test_verify_report_applies_the_verdict_rule(tmp_path, record, verdict):
+    path = tmp_path / "report.json"
+    for flag, report_flag, code in ((verdict, verdict, 0),
+                                    (not verdict, not verdict, 1),
+                                    (verdict, not verdict, 1)):
+        rec = {**record, "name": "r", "pass": flag}
+        path.write_text(json.dumps({"records": [rec], "pass": report_flag}))
+        assert main(["verify-report", str(path)]) == code
 
 
 def test_missing_required_parameter_is_a_config_error(tmp_path, capsys):

@@ -148,6 +148,11 @@ def test_ckappa_validates_inputs(torus16):
         estimate_ckappa(H, 1.0, t_grid=[0.5, 2.0])   # grid beyond horizon
     with pytest.raises(ConfigError):
         estimate_ckappa(H, 1.0, samples=np.empty((torus16.n, 0)))
+    # samples are (n, k) only: a (k, n) stack or a single field is not guessed
+    fields = default_sample_fields(H, seed=0, n_random=4)
+    for bad in (fields.T, fields[:, 0]):
+        with pytest.raises(ConfigError, match="samples"):
+            estimate_ckappa(H, 1.0, samples=bad)
 
 
 def test_report_profile_and_argmax_fields(torus16):

@@ -1,5 +1,7 @@
-"""Every module of the package compiles with warnings turned into errors."""
+"""Every module of the package compiles with warnings turned into errors and
+uses every name it imports."""
 
+import ast
 import pathlib
 import warnings
 
@@ -8,6 +10,13 @@ import pytest
 SOURCES = sorted((pathlib.Path(__file__).resolve().parents[1]
                   / "src" / "mmslab").glob("*.py"))
 
+# (module, name) imported without a use in the module, with the reason
+UNUSED_IMPORTS = {
+    ("heat.py", "carre_du_champ"):
+        "perfbench/tests reads mmslab.heat.carre_du_champ until the benchmark "
+        "change of ROADMAP item 5",
+}
+
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_module_compiles_without_warnings(path):
@@ -15,3 +24,16 @@ def test_module_compiles_without_warnings(path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         compile(path.read_text(), str(path), "exec")
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_every_imported_name_is_used(path):
+    tree = ast.parse(path.read_text())
+    imported = {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+                for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = {name for name in imported - used
+              if (path.name, name) not in UNUSED_IMPORTS}
+    assert not unused, f"{path.name} imports {sorted(unused)} without using them"
