@@ -229,7 +229,7 @@ def _task_heat_caccioppoli(space, params, seed):
 
 
 def _task_curvature(space, params, seed):
-    _check_keys(params, {"T", "n_random", "t_points", "margin_t"}, "params")
+    _check_keys(params, {"T", "n_random", "margin_t"}, "params")
     _positive(params, ["T"])
     H = build_heat(space)
     T = float(params.get("T", 1.0))

@@ -358,12 +358,14 @@ def weak_harnack(space: MetricMeasureSpace, u, ball: Ball, q: float,
 
 
 def _pair_distances(space: MetricMeasureSpace, hull: np.ndarray,
-                    sources: np.ndarray) -> np.ndarray:
-    """Distances from `sources` to every hull vertex, inside the hull subgraph.
+                    sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Distances (len(sources), len(targets)) inside the subgraph induced on
+    `hull`, one Dijkstra per source over the hull.
 
-    Geodesics between vertices of a ball stay inside the 2x hull on the
-    grid-like families, so the induced distance matches the global one
-    there; it never underestimates it.
+    A vertex on a geodesic between two points of B(x, 2R) lies within half
+    their distance, less than 2R, of one of them, so with the 4B hull the
+    induced distance between 2B vertices is the global one.  This is the
+    path for graphs without product structure.
     """
     loc = -np.ones(space.n, dtype=np.intp)
     loc[hull] = np.arange(hull.size)
@@ -373,7 +375,18 @@ def _pair_distances(space: MetricMeasureSpace, hull: np.ndarray,
     cols = np.concatenate([lj[keep], li[keep]])
     data = np.concatenate([space.edge_l[keep], space.edge_l[keep]])
     g = sp.csr_matrix((data, (rows, cols)), shape=(hull.size, hull.size))
-    return dijkstra(g, directed=False, indices=loc[sources])
+    return dijkstra(g, directed=False, indices=loc[sources])[:, loc[targets]]
+
+
+def _factor_pair_distances(space: MetricMeasureSpace, sources: np.ndarray,
+                           targets: np.ndarray) -> np.ndarray:
+    """Distances (len(sources), len(targets)) on a product X x Y:
+    d_X(a, a') + d_Y(b, b') from the factors' cached rows, read at the
+    targets only, so no product row of length n is formed."""
+    X, Y = space.factors
+    ta, tb = np.divmod(targets, Y.n)
+    return np.array([X.distances_from(a)[ta] + Y.distances_from(b)[tb]
+                     for a, b in zip(*np.divmod(sources, Y.n))])
 
 
 def holder_fit(space: MetricMeasureSpace, u, ball: Ball, g_field,
@@ -387,7 +400,10 @@ def holder_fit(space: MetricMeasureSpace, u, ball: Ball, g_field,
     |u(x)-u(y)| over distance bins (snapped to the gamma grid), because the
     largest-exponent-under-a-cap rule saturates at mesh scale; the cap is
     kept as a validity guard and gamma is lowered if the constant exceeds
-    it.  Pair distances from a bounded set of seeded source vertices.
+    it.  Pair distances run from a bounded set of seeded source vertices
+    to every vertex of 2B: sums of factor rows on a product space, Dijkstra
+    inside the 4B hull on other graphs (the two agree, see
+    `_pair_distances`).
     """
     u = space.check_field(u)
     g_field = space.check_field(g_field)
@@ -406,10 +422,10 @@ def holder_fit(space: MetricMeasureSpace, u, ball: Ball, g_field,
     else:
         extra = rng.choice(members, HOELDER_SOURCES - 1, replace=False)
         sources = np.unique(np.concatenate([[ball.center], extra]))
-    D = _pair_distances(space, four_b.members, sources)
-    loc = -np.ones(space.n, dtype=np.intp)
-    loc[four_b.members] = np.arange(four_b.members.size)
-    D = D[:, loc[members]]                      # sources x 2B-members
+    if space.factors is not None:               # sources x 2B-members
+        D = _factor_pair_distances(space, sources, members)
+    else:
+        D = _pair_distances(space, four_b.members, sources, members)
     ud = np.abs(u[sources][:, None] - u[members][None, :])
     # single-edge increments are one-sided at mesh scale and bias the
     # envelope upward; fit over separations of at least two mesh lengths

@@ -32,6 +32,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components, dijkstra
+from scipy.sparse.linalg import splu
 
 from .errors import ConfigError, NumericalError
 from .reports import DoublingReport, PoincareReport
@@ -40,6 +41,7 @@ _SQRT2 = np.sqrt(2.0)
 CACHE_BYTES = 64 * 2 ** 20         # budget of the Dijkstra row cache
 _ROW_BLOCK = 2 ** 18               # doubles per (rows x n) block in estimate_doubling
 DENSE_CAP_DEFAULT = 4000           # largest dense eigendecomposition, in vertices
+POINCARE_DENSE_CAP = 1500          # largest doubled ball B(x, 2r) solved exactly, in vertices
 # Product-structured solvers (the heat realization, the Dirichlet solve)
 # decompose each factor once (~nx^3 + ny^3 flops) and then push fields
 # through the factor bases (~nx ny (nx + ny) each); the ratio of the two is
@@ -609,66 +611,86 @@ def estimate_doubling(space: MetricMeasureSpace, R0: float) -> DoublingReport:
                           worst_pair=worst, n_samples=int(x.size))
 
 
-def _subgraph_energy_matrix(space: MetricMeasureSpace, members: np.ndarray):
-    """Dense Laplacian of the induced subgraph (edges with both ends inside)
-    and whether that subgraph is connected."""
-    W = space.conductance_matrix[members][:, members]
-    connected = connected_components(W, directed=False)[0] == 1
-    return np.diag(np.asarray(W.sum(axis=1)).ravel()) - W.toarray(), connected
-
-
 def _sharp_poincare(space, ball_members, outer_members, radius,
-                    dense_cap=1500, rng=None):
+                    dense_cap=POINCARE_DENSE_CAP, rng=None):
     """Sharp constant of ||u - u_B||_{L2(B)} <= C r ||sqrt(Gamma u)||_{L2(2B)}.
 
-    Solved as a generalized eigenproblem on the vertex set of the doubled
-    ball, with the energy of the induced subgraph on the right.  Both sides
-    annihilate constants, so the energy is lifted by tr(L)/m^2 on the
-    constants to make it definite; that adds only the eigenvalue 0 and
-    leaves the largest one unchanged.  Falls back to random-field sampling
-    above `dense_cap` vertices.  Returns (C, method) or (None, reason) when
+    The oscillation Q(u) = sum_B mu (u - u_B)^2 sees only v = u|B, and for a
+    fixed v the energy E(u) of the subgraph induced on 2B is smallest at the
+    harmonic extension of v into the annulus A = 2B \\ B, where it equals
+    v^T S v with S the Schur complement of the induced Laplacian onto B.
+    Both forms ignore constants, so u is grounded at one annulus vertex
+    (at one ball vertex, whose row and column of Q are dropped, when A is
+    empty), which makes S definite.  C^2 is the largest eigenvalue of
+    (Q_B, r^2 S), a dense problem of size |B|.  Only the ball vertices with
+    an annulus neighbour couple to A, so one sparse LU of L_AA solves for
+    those columns and their correction lands on that rim block of L_BB.
+    Above `dense_cap` vertices in 2B, random fields are sampled on the
+    sparse Laplacian instead.  Returns (C, method) or (None, reason) when
     the ball is degenerate.
     """
-    S = outer_members
-    m = S.size
-    if ball_members.size < 2:
+    k = ball_members.size
+    if k < 2:
         return None, "single-vertex ball"
-    L, connected = _subgraph_energy_matrix(space, S)
-    if not connected:
+    annulus = np.setdiff1d(outer_members, ball_members, assume_unique=True)
+    order = np.concatenate([ball_members, annulus])     # 2B, ball first
+    W = space.conductance_matrix[order][:, order]
+    if connected_components(W, directed=False)[0] != 1:
         return None, "doubled ball induces a disconnected subgraph"
-    loc = -np.ones(space.n, dtype=np.intp)
-    loc[S] = np.arange(m)
-    bloc = loc[ball_members]
+    W = W.tocoo()
+    i, j, c = W.row, W.col, W.data                      # both orientations
+    degree = np.bincount(i, weights=c, minlength=order.size)
     mu_b = space.mu[ball_members]
     mass_b = mu_b.sum()
 
-    if m <= dense_cap:
-        # Q_L(u) = sum_B mu (u - mean_B u)^2, assembled on the 2B vertex set
-        QL = np.zeros((m, m))
-        QL[np.ix_(bloc, bloc)] -= np.outer(mu_b, mu_b) / mass_b
-        QL[bloc, bloc] += mu_b
+    if order.size <= dense_cap:
+        Q = np.diag(mu_b) - np.outer(mu_b, mu_b) / mass_b
+        E = np.diag(degree[:k])
+        inner = (i < k) & (j < k)
+        E[i[inner], j[inner]] = -c[inner]
+        if annulus.size == 0:
+            Q, E = Q[1:, 1:], E[1:, 1:]
+        elif annulus.size > 1:              # annulus vertex k is grounded
+            f = order.size - k - 1          # free annulus vertices k+1, ...
+            cross = (i > k) & (j < k)       # annulus row, ball column
+            near = i[cross] - k - 1
+            rim, col = np.unique(j[cross], return_inverse=True)
+            coupling = np.zeros((f, rim.size))          # -L_AB on the rim
+            coupling[near, col] = c[cross]
+            both = (i > k) & (j > k)
+            L_AA = sp.csc_matrix(
+                (np.concatenate([degree[k + 1:], -c[both]]),
+                 (np.concatenate([np.arange(f), i[both] - k - 1]),
+                  np.concatenate([np.arange(f), j[both] - k - 1]))), shape=(f, f))
+            try:
+                X = splu(L_AA).solve(coupling)
+            except RuntimeError as e:
+                raise NumericalError(f"Poincare annulus energy is singular: {e}") from None
+            near = np.unique(near)          # annulus vertices next to B
+            E[np.ix_(rim, rim)] -= coupling[near].T @ X[near]
         try:
-            lam = scipy.linalg.eigh(QL, radius ** 2 * (L + np.trace(L) / m ** 2),
-                                    eigvals_only=True, subset_by_index=[m - 1, m - 1])
+            lam = scipy.linalg.eigh(Q, radius ** 2 * E, eigvals_only=True,
+                                    subset_by_index=[Q.shape[0] - 1] * 2)
         except scipy.linalg.LinAlgError as e:
             raise NumericalError(f"Poincare energy matrix is not definite: {e}") from None
         return np.sqrt(max(float(lam[0]), 0.0)), "eigen"
 
+    L = (sp.diags(degree) - W).tocsr()
     rng = np.random.default_rng(0) if rng is None else rng
     best = 0.0
     for _ in range(256):
-        u = rng.standard_normal(m)
+        u = rng.standard_normal(order.size)
         e = float(u @ (L @ u))
         if e <= 1e-14 * float(u @ u):
             continue
-        ub = u[bloc]
+        ub = u[:k]
         osc = float(mu_b @ (ub - (mu_b @ ub) / mass_b) ** 2)
         best = max(best, osc / (radius ** 2 * e))
     return np.sqrt(best), "sampled"
 
 
 def estimate_poincare(space: MetricMeasureSpace, R0: float, sample_count: int,
-                      seed: int = 0, dense_cap: int = 1500) -> PoincareReport:
+                      seed: int = 0) -> PoincareReport:
     """Worst sharp constant of the L2-L2 Poincare surrogate over sampled balls.
 
     Balls B(x, r) are sampled with r < R0 from the geometric radius grid;
@@ -696,8 +718,7 @@ def estimate_poincare(space: MetricMeasureSpace, R0: float, sample_count: int,
         r = float(rng.choice(radii))
         ball = metric_ball(space, x, r)
         outer = metric_ball(space, x, 2 * r)
-        c, how = _sharp_poincare(space, ball.members, outer.members, r,
-                                 dense_cap=dense_cap, rng=rng)
+        c, how = _sharp_poincare(space, ball.members, outer.members, r, rng=rng)
         if c is None:
             skipped += 1
             continue

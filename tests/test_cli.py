@@ -114,6 +114,15 @@ def test_unknown_task_and_bad_params(tmp_path):
     assert main(["run", write_config(tmp_path, cfg)]) == 2
 
 
+def test_curvature_rejects_the_unread_t_points_key(tmp_path, capsys):
+    # estimate_ckappa fixes its own time grid, so a t_points setting would
+    # be silently ignored; the gaussian task still reads its own
+    cfg = copy.deepcopy(SMALL_CONFIGS["curvature"])
+    cfg["params"]["t_points"] = 12
+    assert main(["run", write_config(tmp_path, cfg)]) == 2
+    assert "t_points" in capsys.readouterr().err
+
+
 def test_counterexample_needs_three_meshes(tmp_path):
     cfg = {"task": "counterexample", "params": {"h_list": [0.25, 0.125]}}
     assert main(["run", write_config(tmp_path, cfg)]) == 2

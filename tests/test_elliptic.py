@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import close, connected_graphs
 from mmslab import ConfigError, NumericalError
+from mmslab import elliptic as el_mod
 from mmslab import space as sp_mod
 from mmslab.elliptic import (Problem, check_caccioppoli, classify_harmonicity,
                              holder_fit, local_sup_bound, solve, solver_path,
@@ -388,3 +389,44 @@ def test_holder_small_ball_rejected():
     tiny = metric_ball(g, g.vertex_at((0.0, 0.0)), 0.05)
     with pytest.raises(ConfigError):
         holder_fit(g, np.zeros(g.n), tiny, np.zeros(g.n))
+
+
+@pytest.mark.parametrize("space,center,radius", [
+    (sp_mod.weighted_grid_2d(((-1, 1), (-1, 1)), 1 / 16, "sqrt_abs_x"), (0.0, 0.0), 0.2),
+    (sp_mod.weighted_grid_2d(((-1, 1), (-1, 1)), 1 / 32, "sqrt_abs_x"), (0.0, 0.0), 0.2),
+    (sp_mod.weighted_grid_2d(((-1, 1), (-1, 1)), 1 / 64, "sqrt_abs_x"), (0.25, -0.5), 0.2),
+    (sp_mod.uniform_torus(32, 32), (3.0, 30.0), 6.0),      # 4B wraps around
+], ids=["sqrt16", "sqrt32", "sqrt64", "torus32"])
+def test_factor_pair_distances_equal_the_hull_dijkstra(space, center, radius):
+    x = space.vertex_at(center)
+    members = metric_ball(space, x, 2 * radius).members
+    hull = metric_ball(space, x, 4 * radius).members
+    sources = np.random.default_rng(1).choice(members, 48, replace=False)
+    fast = el_mod._factor_pair_distances(space, sources, members)
+    slow = el_mod._pair_distances(space, hull, sources, members)
+    assert fast.shape == (48, members.size)
+    assert np.array_equal(fast, slow)
+
+
+def test_holder_on_a_tabulated_grid_takes_the_hull_path(monkeypatch):
+    # a constant tabulated weight builds the same graph as the product grid,
+    # without factors: holder_fit must run the hull Dijkstra there and give
+    # the product route's report to the bit
+    h = 1 / 32
+    prod = uniform_square(h)
+    tab = sp_mod.weighted_grid_2d(((-1.0, 1.0), (-1.0, 1.0)), h,
+                                  tabulated=np.ones(prod.n))
+    assert tab.factors is None and np.array_equal(tab.mu, prod.mu)
+    x = prod.positions[:, 0]
+    u = np.sign(x) * np.sqrt(np.abs(x)) + 0.1 * prod.positions[:, 1] ** 2
+    center = prod.vertex_at((0.0, 0.0))
+    want = holder_fit(prod, u, metric_ball(prod, center, 0.2), np.zeros(prod.n))
+
+    def no_factors(*args):
+        raise AssertionError("factor rows taken on a graph without factors")
+
+    monkeypatch.setattr(el_mod, "_factor_pair_distances", no_factors)
+    got = holder_fit(tab, u, metric_ball(tab, center, 0.2), np.zeros(tab.n))
+    assert (got.gamma, got.constant, got.pair_sample, got.scale) == \
+        (want.gamma, want.constant, want.pair_sample, want.scale)
+    assert 0.4 <= got.gamma <= 0.6 + 1e-12

@@ -1,11 +1,13 @@
 """Space construction, metric balls, doubling and Poincare estimation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
 from scipy.sparse.csgraph import dijkstra
 
-from mmslab import ConfigError, build_heat, carre_du_champ, metric_ball
+from mmslab import ConfigError, NumericalError, build_heat, carre_du_champ, metric_ball
 from mmslab import space as sp_mod
 from mmslab.space import (MetricMeasureSpace, build_space, estimate_doubling,
                           estimate_poincare, radius_grid, _sharp_poincare)
@@ -232,20 +234,86 @@ def poincare_reference(space, ball, outer):
     return np.sqrt(max(lam, 0.0))
 
 
+def random_text_graph(n=200, extra=300, seed=9):
+    """A seeded random connected graph (spanning tree plus extra edges with
+    random conductances and lengths), read back through `from_text`."""
+    rng = np.random.default_rng(seed)
+    edges = {(int(rng.integers(v)), v) for v in range(1, n)}
+    while len(edges) < n - 1 + extra:
+        i, j = sorted(int(v) for v in rng.choice(n, 2, replace=False))
+        edges.add((i, j))
+    lines = [f"{n} {len(edges)}"]
+    lines += [f"{i} {m:.17g}" for i, m in enumerate(rng.uniform(0.2, 3.0, n))]
+    lines += [f"{i} {j} {rng.uniform(0.1, 5.0):.17g} {rng.uniform(0.5, 2.0):.17g}"
+              for i, j in sorted(edges)]
+    return MetricMeasureSpace.from_text("\n".join(lines), name="random_text")
+
+
+def tabulated_grid(h=1 / 16, seed=4):
+    m = int(round(2 / h)) + 1
+    w = np.random.default_rng(seed).uniform(0.25, 4.0, m * m)
+    return sp_mod.weighted_grid_2d(((-1, 1), (-1, 1)), h, tabulated=w)
+
+
+# The sharp constant is solved through the Schur complement onto B; the
+# reference projects both forms on 2B onto the complement of the constants.
 @pytest.mark.parametrize("space,radii", [
     (sp_mod.uniform_torus(32, 32), (1.5, 2.9, 4.1, 6.0)),
     (sp_mod.weighted_grid_2d(((-1, 1), (-1, 1)), 1 / 16, "sqrt_abs_x"),
      (0.07, 0.13, 0.26)),
-], ids=["torus32", "sqrt16"])
+    (tabulated_grid(), (0.07, 0.13, 0.26)),
+    (random_text_graph(), (1.0, 1.8, 2.6)),
+    (sp_mod.uniform_torus(6, 6), (7.0,)),       # B = 2B = the whole torus
+], ids=["torus32", "sqrt16", "tabulated16", "random_text", "torus6_2B_is_B"])
 def test_poincare_lift_equals_the_null_space_projection(space, radii):
     rng = np.random.default_rng(5)
     for r in radii:
         for x in rng.integers(space.n, size=2):
             ball, outer = metric_ball(space, x, r), metric_ball(space, x, 2 * r)
+            assert ball.members.size >= 2
+            if space.name == "torus_6x6":
+                assert ball.members.size == outer.members.size == space.n
             c, how = _sharp_poincare(space, ball.members, outer.members, r)
             assert how == "eigen"
             assert c == pytest.approx(poincare_reference(space, ball, outer),
                                       rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("space,x,r", [
+    (sp_mod.uniform_torus(32, 32), 100, 4.1),
+    (tabulated_grid(), 300, 0.26),
+    (random_text_graph(), 17, 1.8),
+], ids=["torus32", "tabulated16", "random_text"])
+def test_poincare_top_eigenvector_certifies_the_constant(space, x, r):
+    # harmonically extend the top eigenvector of (Q_B, r^2 S) into the annulus
+    # and evaluate the Poincare quotient of that field through carre_du_champ
+    # on the subgraph induced on 2B: it must attain C^2
+    ball, outer = metric_ball(space, x, r), metric_ball(space, x, 2 * r)
+    c, how = _sharp_poincare(space, ball.members, outer.members, r)
+    assert how == "eigen"
+    S = outer.members
+    inner = np.isin(S, ball.members)
+    loc = -np.ones(space.n, dtype=np.intp)
+    loc[S] = np.arange(S.size)
+    li, lj = loc[space.edge_i], loc[space.edge_j]
+    keep = (li >= 0) & (lj >= 0)
+    sub = MetricMeasureSpace(space.mu[S], np.column_stack(
+        [li[keep], lj[keep], space.edge_c[keep], space.edge_l[keep]]))
+    L = sub.laplacian().toarray()
+    b, a = np.flatnonzero(inner), np.flatnonzero(~inner)
+    assert a.size > 0
+    harmonic = -np.linalg.solve(L[np.ix_(a, a)], L[np.ix_(a, b)])
+    schur = L[np.ix_(b, b)] + L[np.ix_(b, a)] @ harmonic
+    mu_b = sub.mu[b]
+    Q = np.diag(mu_b) - np.outer(mu_b, mu_b) / mu_b.sum()
+    Z = scipy.linalg.null_space(np.ones((1, b.size)))
+    _, vecs = scipy.linalg.eigh(Z.T @ Q @ Z, r ** 2 * (Z.T @ schur @ Z))
+    u = np.empty(S.size)
+    u[b] = Z @ vecs[:, -1]
+    u[a] = harmonic @ u[b]
+    osc = mu_b @ (u[b] - mu_b @ u[b] / mu_b.sum()) ** 2
+    energy = sub.mu @ carre_du_champ(sub, u)
+    assert osc / (r ** 2 * energy) == pytest.approx(c ** 2, rel=1e-10, abs=0.0)
 
 
 def test_poincare_disconnected_member_set_is_degenerate(cycle32):
@@ -253,6 +321,42 @@ def test_poincare_disconnected_member_set_is_degenerate(cycle32):
     for cap in (1500, 2):           # eigen and sampled paths
         c, reason = _sharp_poincare(cycle32, ball, outer, 2.0, dense_cap=cap)
         assert c is None and "disconnected" in reason
+
+
+def test_poincare_above_the_cap_keeps_the_laplacian_sparse():
+    # a doubled ball of 2089 vertices goes to the sampled path; densifying
+    # its Laplacian alone would take 2089^2 doubles (about 33 MB)
+    g = sp_mod.weighted_grid_2d(((-1, 1), (-1, 1)), 1 / 24, "constant")
+    x = g.vertex_at([0.0, 0.0])
+    ball, outer = metric_ball(g, x, 0.75), metric_ball(g, x, 1.5)
+    assert outer.members.size > sp_mod.POINCARE_DENSE_CAP
+    tracemalloc.start()
+    try:
+        c, how = _sharp_poincare(g, ball.members, outer.members, 0.75)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert how == "sampled" and c > 0
+    assert peak < 10 * 2 ** 20
+
+
+def test_poincare_numerical_failures_raise(torus16, monkeypatch):
+    ball, outer = metric_ball(torus16, 0, 2.5), metric_ball(torus16, 0, 5.0)
+
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    with monkeypatch.context() as m:
+        m.setattr(sp_mod, "splu", singular)
+        with pytest.raises(NumericalError, match="singular"):
+            _sharp_poincare(torus16, ball.members, outer.members, 2.5)
+
+    def indefinite(*args, **kwargs):
+        raise scipy.linalg.LinAlgError("not positive definite")
+
+    monkeypatch.setattr(sp_mod.scipy.linalg, "eigh", indefinite)
+    with pytest.raises(NumericalError, match="not definite"):
+        _sharp_poincare(torus16, ball.members, outer.members, 2.5)
 
 
 def test_poincare_constant_field_contributes_nothing(cycle32):
