@@ -57,7 +57,6 @@ class PoincareReport:
     R0: float
     C_P: float
     worst_ball: Any         # Ball achieving C_P
-    method: str             # "eigen" or "sampled"
     n_balls: int = 0
     n_skipped: int = 0
 
@@ -81,7 +80,9 @@ class CurvatureReport:
     per_t_profile: list     # [(t, required c at that t), ...]
     sample_note: str = ("lower estimate: the variance bound was sampled on a finite "
                         "field collection (coordinates, seeded random fields, and their "
-                        "heat-smoothed versions), not on the whole energy space")
+                        "heat-smoothed versions), not on the whole energy space, and on "
+                        "a finite time grid (by default from h^2 to T), not at every "
+                        "0 < t <= T; the sharp constant can peak below h^2")
 
 
 @dataclass

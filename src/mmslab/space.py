@@ -29,10 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components, dijkstra
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
 
 from .errors import ConfigError, NumericalError
 from .reports import DoublingReport, PoincareReport
@@ -41,7 +40,6 @@ _SQRT2 = np.sqrt(2.0)
 CACHE_BYTES = 64 * 2 ** 20         # budget of the Dijkstra row cache
 _ROW_BLOCK = 2 ** 18               # doubles per (rows x n) block in estimate_doubling
 DENSE_CAP_DEFAULT = 4000           # largest dense eigendecomposition, in vertices
-POINCARE_DENSE_CAP = 1500          # largest doubled ball B(x, 2r) solved exactly, in vertices
 # Product-structured solvers (the heat realization, the Dirichlet solve)
 # decompose each factor once (~nx^3 + ny^3 flops) and then push fields
 # through the factor bases (~nx ny (nx + ny) each); the ratio of the two is
@@ -611,82 +609,58 @@ def estimate_doubling(space: MetricMeasureSpace, R0: float) -> DoublingReport:
                           worst_pair=worst, n_samples=int(x.size))
 
 
-def _sharp_poincare(space, ball_members, outer_members, radius,
-                    dense_cap=POINCARE_DENSE_CAP, rng=None):
+def _sharp_poincare(space, ball_members, outer_members, radius):
     """Sharp constant of ||u - u_B||_{L2(B)} <= C r ||sqrt(Gamma u)||_{L2(2B)}.
 
     The oscillation Q(u) = sum_B mu (u - u_B)^2 sees only v = u|B, and for a
     fixed v the energy E(u) of the subgraph induced on 2B is smallest at the
-    harmonic extension of v into the annulus A = 2B \\ B, where it equals
+    harmonic extension of v into the annulus 2B \\ B, where it equals
     v^T S v with S the Schur complement of the induced Laplacian onto B.
-    Both forms ignore constants, so u is grounded at one annulus vertex
-    (at one ball vertex, whose row and column of Q are dropped, when A is
-    empty), which makes S definite.  C^2 is the largest eigenvalue of
-    (Q_B, r^2 S), a dense problem of size |B|.  Only the ball vertices with
-    an annulus neighbour couple to A, so one sparse LU of L_AA solves for
-    those columns and their correction lands on that rim block of L_BB.
-    Above `dense_cap` vertices in 2B, random fields are sampled on the
-    sparse Laplacian instead.  Returns (C, method) or (None, reason) when
-    the ball is degenerate.
+    C^2 r^2 is the largest eigenvalue of the pencil (Q_B, S).  With
+    D = diag(mu_B), s = D^{1/2} 1 / sqrt(mu(B)) and P = I - s s^T,
+    Q_B = (P D^{1/2})^T (P D^{1/2}), so that eigenvalue is the largest one of
+
+        K = P D^{1/2} G D^{1/2} P,    G w = [L_g^{-1} (w; 0)]_B,
+
+    where L_g is the Laplacian on 2B (ball first) grounded at its last vertex;
+    that vertex reads 0, also when 2B = B puts it in the ball.  Any grounding
+    works: D^{1/2} P y sums to zero, and P annihilates constants.  One sparse
+    LU of L_g and one Lanczos solve from a fixed start give C at every ball
+    size.
+    Returns None when the ball is degenerate (a single vertex, or a doubled
+    ball inducing a disconnected subgraph).
     """
     k = ball_members.size
     if k < 2:
-        return None, "single-vertex ball"
+        return None
     annulus = np.setdiff1d(outer_members, ball_members, assume_unique=True)
     order = np.concatenate([ball_members, annulus])     # 2B, ball first
     W = space.conductance_matrix[order][:, order]
     if connected_components(W, directed=False)[0] != 1:
-        return None, "doubled ball induces a disconnected subgraph"
-    W = W.tocoo()
-    i, j, c = W.row, W.col, W.data                      # both orientations
-    degree = np.bincount(i, weights=c, minlength=order.size)
-    mu_b = space.mu[ball_members]
-    mass_b = mu_b.sum()
+        return None
+    L_g = (sp.diags(np.asarray(W.sum(axis=1)).ravel()) - W)[:-1, :-1]
+    try:
+        lu = splu(L_g.tocsc())
+    except RuntimeError as e:
+        raise NumericalError(f"Poincare energy on 2B is singular: {e}") from None
+    root = np.sqrt(space.mu[ball_members])
+    s = root / np.sqrt(root @ root)
 
-    if order.size <= dense_cap:
-        Q = np.diag(mu_b) - np.outer(mu_b, mu_b) / mass_b
-        E = np.diag(degree[:k])
-        inner = (i < k) & (j < k)
-        E[i[inner], j[inner]] = -c[inner]
-        if annulus.size == 0:
-            Q, E = Q[1:, 1:], E[1:, 1:]
-        elif annulus.size > 1:              # annulus vertex k is grounded
-            f = order.size - k - 1          # free annulus vertices k+1, ...
-            cross = (i > k) & (j < k)       # annulus row, ball column
-            near = i[cross] - k - 1
-            rim, col = np.unique(j[cross], return_inverse=True)
-            coupling = np.zeros((f, rim.size))          # -L_AB on the rim
-            coupling[near, col] = c[cross]
-            both = (i > k) & (j > k)
-            L_AA = sp.csc_matrix(
-                (np.concatenate([degree[k + 1:], -c[both]]),
-                 (np.concatenate([np.arange(f), i[both] - k - 1]),
-                  np.concatenate([np.arange(f), j[both] - k - 1]))), shape=(f, f))
-            try:
-                X = splu(L_AA).solve(coupling)
-            except RuntimeError as e:
-                raise NumericalError(f"Poincare annulus energy is singular: {e}") from None
-            near = np.unique(near)          # annulus vertices next to B
-            E[np.ix_(rim, rim)] -= coupling[near].T @ X[near]
-        try:
-            lam = scipy.linalg.eigh(Q, radius ** 2 * E, eigvals_only=True,
-                                    subset_by_index=[Q.shape[0] - 1] * 2)
-        except scipy.linalg.LinAlgError as e:
-            raise NumericalError(f"Poincare energy matrix is not definite: {e}") from None
-        return np.sqrt(max(float(lam[0]), 0.0)), "eigen"
+    def apply_k(y):
+        y = np.ravel(y)
+        b = np.zeros(order.size)
+        b[:k] = root * (y - s * (s @ y))
+        u = np.append(lu.solve(b[:-1]), 0.0)            # grounded vertex reads 0
+        w = root * u[:k]
+        return w - s * (s @ w)
 
-    L = (sp.diags(degree) - W).tocsr()
-    rng = np.random.default_rng(0) if rng is None else rng
-    best = 0.0
-    for _ in range(256):
-        u = rng.standard_normal(order.size)
-        e = float(u @ (L @ u))
-        if e <= 1e-14 * float(u @ u):
-            continue
-        ub = u[:k]
-        osc = float(mu_b @ (ub - (mu_b @ ub) / mass_b) ** 2)
-        best = max(best, osc / (radius ** 2 * e))
-    return np.sqrt(best), "sampled"
+    try:
+        lam = eigsh(LinearOperator((k, k), matvec=apply_k, dtype=float), k=1,
+                    which="LA", v0=np.random.default_rng(0).standard_normal(k),
+                    return_eigenvectors=False)
+    except ArpackError as e:
+        raise NumericalError(f"Poincare Lanczos solve failed: {e}") from None
+    return np.sqrt(max(float(lam[0]), 0.0)) / radius
 
 
 def estimate_poincare(space: MetricMeasureSpace, R0: float, sample_count: int,
@@ -694,7 +668,8 @@ def estimate_poincare(space: MetricMeasureSpace, R0: float, sample_count: int,
     """Worst sharp constant of the L2-L2 Poincare surrogate over sampled balls.
 
     Balls B(x, r) are sampled with r < R0 from the geometric radius grid;
-    for each, the sharp constant is computed on the vertex set of B(x, 2r).
+    for each, the sharp constant on the vertex set of B(x, 2r) is one sparse
+    LU and one Lanczos solve (`_sharp_poincare`), whatever the ball size.
     Degenerate balls (single vertex, or disconnected doubled ball) are
     skipped and counted.
     """
@@ -710,7 +685,6 @@ def estimate_poincare(space: MetricMeasureSpace, R0: float, sample_count: int,
 
     worst = None
     c_p = 0.0
-    method = "eigen"
     skipped = 0
     used = 0
     for _ in range(sample_count):
@@ -718,17 +692,15 @@ def estimate_poincare(space: MetricMeasureSpace, R0: float, sample_count: int,
         r = float(rng.choice(radii))
         ball = metric_ball(space, x, r)
         outer = metric_ball(space, x, 2 * r)
-        c, how = _sharp_poincare(space, ball.members, outer.members, r, rng=rng)
+        c = _sharp_poincare(space, ball.members, outer.members, r)
         if c is None:
             skipped += 1
             continue
         used += 1
-        if how == "sampled":
-            method = "sampled"
         if c > c_p:
             c_p = c
             worst = ball
     if used == 0:
         raise NumericalError("every sampled ball was degenerate")
     return PoincareReport(R0=float(R0), C_P=float(c_p), worst_ball=worst,
-                          method=method, n_balls=used, n_skipped=skipped)
+                          n_balls=used, n_skipped=skipped)

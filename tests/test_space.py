@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 from scipy.sparse.csgraph import dijkstra
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from mmslab import ConfigError, NumericalError, build_heat, carre_du_champ, metric_ball
 from mmslab import space as sp_mod
@@ -203,8 +204,7 @@ def test_poincare_path_matches_neumann_eigenvalue():
     theta1 = build_heat(path).eigenvalues[1]
     assert theta1 == pytest.approx(np.pi ** 2, rel=1e-3)
     members = np.arange(path.n)
-    c, how = _sharp_poincare(path, members, members, 1.0)
-    assert how == "eigen"
+    c = _sharp_poincare(path, members, members, 1.0)
     assert c == pytest.approx(1.0 / np.sqrt(theta1), rel=1e-9)
     assert c == pytest.approx(1.0 / np.pi, rel=1e-3)
 
@@ -255,7 +255,7 @@ def tabulated_grid(h=1 / 16, seed=4):
     return sp_mod.weighted_grid_2d(((-1, 1), (-1, 1)), h, tabulated=w)
 
 
-# The sharp constant is solved through the Schur complement onto B; the
+# The sharp constant is solved by Lanczos on the grounded 2B Laplacian; the
 # reference projects both forms on 2B onto the complement of the constants.
 @pytest.mark.parametrize("space,radii", [
     (sp_mod.uniform_torus(32, 32), (1.5, 2.9, 4.1, 6.0)),
@@ -273,8 +273,7 @@ def test_poincare_lift_equals_the_null_space_projection(space, radii):
             assert ball.members.size >= 2
             if space.name == "torus_6x6":
                 assert ball.members.size == outer.members.size == space.n
-            c, how = _sharp_poincare(space, ball.members, outer.members, r)
-            assert how == "eigen"
+            c = _sharp_poincare(space, ball.members, outer.members, r)
             assert c == pytest.approx(poincare_reference(space, ball, outer),
                                       rel=1e-10, abs=0.0)
 
@@ -283,14 +282,17 @@ def test_poincare_lift_equals_the_null_space_projection(space, radii):
     (sp_mod.uniform_torus(32, 32), 100, 4.1),
     (tabulated_grid(), 300, 0.26),
     (random_text_graph(), 17, 1.8),
-], ids=["torus32", "tabulated16", "random_text"])
+    # a large ball on the degenerate weight (|B| = 649, |2B| = 2089)
+    (sp_mod.weighted_grid_2d(((-1, 1), (-1, 1)), 1 / 24, "sqrt_abs_x"), None, 0.75),
+], ids=["torus32", "tabulated16", "random_text", "sqrt24"])
 def test_poincare_top_eigenvector_certifies_the_constant(space, x, r):
     # harmonically extend the top eigenvector of (Q_B, r^2 S) into the annulus
     # and evaluate the Poincare quotient of that field through carre_du_champ
     # on the subgraph induced on 2B: it must attain C^2
+    if x is None:
+        x = space.vertex_at([0.0, 0.0])
     ball, outer = metric_ball(space, x, r), metric_ball(space, x, 2 * r)
-    c, how = _sharp_poincare(space, ball.members, outer.members, r)
-    assert how == "eigen"
+    c = _sharp_poincare(space, ball.members, outer.members, r)
     S = outer.members
     inner = np.isin(S, ball.members)
     loc = -np.ones(space.n, dtype=np.intp)
@@ -318,25 +320,24 @@ def test_poincare_top_eigenvector_certifies_the_constant(space, x, r):
 
 def test_poincare_disconnected_member_set_is_degenerate(cycle32):
     ball, outer = np.array([0, 1]), np.array([0, 1, 10, 11])
-    for cap in (1500, 2):           # eigen and sampled paths
-        c, reason = _sharp_poincare(cycle32, ball, outer, 2.0, dense_cap=cap)
-        assert c is None and "disconnected" in reason
+    assert _sharp_poincare(cycle32, ball, outer, 2.0) is None
 
 
-def test_poincare_above_the_cap_keeps_the_laplacian_sparse():
-    # a doubled ball of 2089 vertices goes to the sampled path; densifying
-    # its Laplacian alone would take 2089^2 doubles (about 33 MB)
+def test_poincare_large_ball_is_sharp_deterministic_and_sparse():
+    # |B| = 649, |2B| = 2089: densifying the 2B Laplacian alone would take
+    # 2089^2 doubles (about 33 MB); the sharp value is the dense pencil's
     g = sp_mod.weighted_grid_2d(((-1, 1), (-1, 1)), 1 / 24, "constant")
     x = g.vertex_at([0.0, 0.0])
     ball, outer = metric_ball(g, x, 0.75), metric_ball(g, x, 1.5)
-    assert outer.members.size > sp_mod.POINCARE_DENSE_CAP
+    assert (ball.members.size, outer.members.size) == (649, 2089)
     tracemalloc.start()
     try:
-        c, how = _sharp_poincare(g, ball.members, outer.members, 0.75)
+        c = _sharp_poincare(g, ball.members, outer.members, 0.75)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert how == "sampled" and c > 0
+    assert c == pytest.approx(0.369358445263, rel=0.0, abs=1e-10)
+    assert _sharp_poincare(g, ball.members, outer.members, 0.75) == c
     assert peak < 10 * 2 ** 20
 
 
@@ -351,11 +352,12 @@ def test_poincare_numerical_failures_raise(torus16, monkeypatch):
         with pytest.raises(NumericalError, match="singular"):
             _sharp_poincare(torus16, ball.members, outer.members, 2.5)
 
-    def indefinite(*args, **kwargs):
-        raise scipy.linalg.LinAlgError("not positive definite")
+    def unconverged(*args, **kwargs):
+        raise ArpackNoConvergence("ARPACK error -1: No convergence",
+                                  np.empty(0), np.empty((0, 0)))
 
-    monkeypatch.setattr(sp_mod.scipy.linalg, "eigh", indefinite)
-    with pytest.raises(NumericalError, match="not definite"):
+    monkeypatch.setattr(sp_mod, "eigsh", unconverged)
+    with pytest.raises(NumericalError, match="Lanczos"):
         _sharp_poincare(torus16, ball.members, outer.members, 2.5)
 
 
@@ -386,7 +388,7 @@ def test_poincare_recheck_random_fields(sqrt_square_16):
 
 def test_poincare_cycle_runs(cycle64):
     rep = estimate_poincare(cycle64, 16.0, 12, seed=0)
-    assert rep.C_P > 0 and rep.method == "eigen"
+    assert rep.C_P > 0
 
 
 # -- serialization ----------------------------------------------------------
