@@ -383,10 +383,10 @@ def _factor_pair_distances(space: MetricMeasureSpace, sources: np.ndarray,
     """Distances (len(sources), len(targets)) on a product X x Y:
     d_X(a, a') + d_Y(b, b') from the factors' cached rows, read at the
     targets only, so no product row of length n is formed."""
-    X, Y = space.factors
-    ta, tb = np.divmod(targets, Y.n)
-    return np.array([X.distances_from(a)[ta] + Y.distances_from(b)[tb]
-                     for a, b in zip(*np.divmod(sources, Y.n))])
+    ny = space.factors[1].n
+    dx, dy = space.factor_rows(*np.divmod(sources, ny))
+    ta, tb = np.divmod(targets, ny)
+    return dx[:, ta] + dy[:, tb]
 
 
 def holder_fit(space: MetricMeasureSpace, u, ball: Ball, g_field,

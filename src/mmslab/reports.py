@@ -50,6 +50,7 @@ class DoublingReport:
     C_Q: float
     worst_pair: tuple       # (vertex, radius) achieving C_d
     n_samples: int = 0
+    path: str = "rows"      # "factor_cdf" on product spaces, "rows" elsewhere
 
 
 @dataclass

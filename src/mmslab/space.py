@@ -9,7 +9,9 @@ catalog: constant, sqrt|x|, tabulated).  The torus and the separably
 weighted rectangle are Cartesian products of 1-d spaces (`product_space`)
 and keep their factors.  The path metric of a product graph is the sum of
 the factor metrics, d((i, a), (i', a')) = d_X(i, i') + d_Y(a, a'), so its
-distance rows are sums of factor rows; other graphs run Dijkstra.  The heat
+distance rows are sums of factor rows (`factor_rows`); other graphs run
+Dijkstra.  The doubling estimate on a product reads every ball mass off the
+factors' distance distributions without forming a product row.  The heat
 realization and the Dirichlet solve use the factors as well, when
 `product_pays` says the factor decompositions are worth forming.
 
@@ -38,7 +40,8 @@ from .reports import DoublingReport, PoincareReport
 
 _SQRT2 = np.sqrt(2.0)
 CACHE_BYTES = 64 * 2 ** 20         # budget of the Dijkstra row cache
-_ROW_BLOCK = 2 ** 18               # doubles per (rows x n) block in estimate_doubling
+_ROW_BLOCK = 2 ** 18               # doubles (2 MB) per block of rows in estimate_doubling
+_TIE_STEPS = 8                     # boundary runs a product ball count may cross
 DENSE_CAP_DEFAULT = 4000           # largest dense eigendecomposition, in vertices
 # Product-structured solvers (the heat realization, the Dirichlet solve)
 # decompose each factor once (~nx^3 + ny^3 flops) and then push fields
@@ -183,9 +186,8 @@ class MetricMeasureSpace:
         if not 0 <= v < self.n:
             raise ConfigError(f"vertex {v} out of range")
         if self.factors is not None:
-            X, Y = self.factors
-            i, j = divmod(v, Y.n)
-            return np.add.outer(X.distances_from(i), Y.distances_from(j)).ravel()
+            dx, dy = self.factor_rows(*divmod(v, self.factors[1].n))
+            return np.add.outer(dx[0], dy[0]).ravel()
         d = self._dist_cache.get(v)
         if d is None:
             d = dijkstra(self._len_graph, directed=False, indices=v)
@@ -201,10 +203,18 @@ class MetricMeasureSpace:
         sources = np.asarray(sources)
         if self.factors is None:
             return dijkstra(self._len_graph, directed=False, indices=sources)
-        X, Y = self.factors
-        dx = np.array([X.distances_from(i) for i in sources // Y.n])
-        dy = np.array([Y.distances_from(j) for j in sources % Y.n])
+        dx, dy = self.factor_rows(*np.divmod(sources, self.factors[1].n))
         return (dx[:, :, None] + dy[:, None, :]).reshape(sources.size, self.n)
+
+    def factor_rows(self, xs, ys) -> tuple[np.ndarray, np.ndarray]:
+        """Factor distance rows of a product X x Y: d_X(i, .) for each i in
+        xs as a (len(xs), nx) block and d_Y(a, .) for each a in ys as a
+        (len(ys), ny) block, both from the factors' cached rows.  Every
+        product distance is fl(d_X + d_Y) of one entry of each block."""
+        X, Y = self.factors
+        dx = [X.distances_from(i) for i in np.atleast_1d(xs)]
+        dy = [Y.distances_from(a) for a in np.atleast_1d(ys)]
+        return np.array(dx).reshape(-1, X.n), np.array(dy).reshape(-1, Y.n)
 
     def vertex_at(self, coords) -> int:
         """Vertex whose embedded position equals coords (within 1e-9)."""
@@ -557,6 +567,101 @@ def _ball_masses(d_rows: np.ndarray, mu: np.ndarray, radii: np.ndarray) -> np.nd
     return masses if d_rows.ndim == 2 else masses[0]
 
 
+def _run_bounds(srt):
+    """For each position c of each sorted row: the first index of the run of
+    equal values holding it, and the first index past that run."""
+    nb, n = srt.shape
+    idx = np.broadcast_to(np.arange(n), (nb, n))
+    new_run = np.ones((nb, n), dtype=bool)
+    new_run[:, 1:] = srt[:, 1:] != srt[:, :-1]
+    run_start = np.maximum.accumulate(np.where(new_run, idx, 0), axis=1)
+    run_end = np.minimum.accumulate(
+        np.where(np.roll(new_run, -1, axis=1), idx + 1, n)[:, ::-1], axis=1)[:, ::-1]
+    return run_start, run_end
+
+
+def _settle_counts(srt, counts, dq, rq):
+    """Exact open-ball member counts from first guesses.
+
+    Row b of `srt` is a sorted factor row s and `counts[b, t]` a guess for
+    #{c : fl(dq[t] + s[c]) < rq[t]}, the membership test of the summed
+    product row.  fl(d + .) is monotone, so the members are a prefix of s,
+    and a guess taken as #{s < fl(r - d)} is off only by the few runs of
+    equal distances whose sums round across r.  Each step moves every
+    unsettled count past one whole run; a count still unsettled after
+    `_TIE_STEPS` checks raises NumericalError.
+    """
+    n = srt.shape[1]
+    padded = np.pad(srt, ((0, 0), (1, 1)), constant_values=(-np.inf, np.inf))
+    runs = None
+    for _ in range(_TIE_STEPS):
+        up = dq + np.take_along_axis(padded, counts + 1, axis=1) < rq     # s[c] is in
+        down = dq + np.take_along_axis(padded, counts, axis=1) >= rq     # s[c-1] is out
+        if not (up.any() or down.any()):
+            return counts
+        if runs is None:
+            runs = _run_bounds(srt)
+        past = np.take_along_axis(runs[1], np.minimum(counts, n - 1), axis=1)
+        back = np.take_along_axis(runs[0], np.maximum(counts - 1, 0), axis=1)
+        counts = np.where(up, past, np.where(down, back, counts))
+    raise NumericalError("product ball counts did not settle at the boundary")
+
+
+def _factor_ball_masses(space: MetricMeasureSpace, queries: np.ndarray) -> np.ndarray:
+    """mu(B(v, r)) for every vertex v of a product X x Y and every r in
+    `queries` (open balls, vertex-major (n, len(queries))), from the factors.
+
+    With S the smaller factor and L the larger, a center (i, a), i in S,
+    a in L, has
+
+        mu(B((i, a), r)) = sum_u M[i, u] F_a(u, r),
+        M[i, u] = mu_S{j : d_S(i, j) = D_u},
+        F_a(u, r) = mu_L{b : fl(D_u + d_L(a, b)) < r},
+
+    over the distinct distances D_u of S.  Each row d_L(a, .) is sorted
+    once; F_a is its cumulative mass at counts from one `searchsorted` per
+    row, settled to the exact membership test of the product rows
+    (`_settle_counts`).  M is sparse with at most |S|^2 entries.  A block
+    of L rows keeps about eight arrays of its rows' and counts' size alive,
+    so blocks hold `_ROW_BLOCK` / 8 doubles of each.
+    """
+    X, Y = space.factors
+    s_first = X.n <= Y.n
+    S, L = (X, Y) if s_first else (Y, X)
+
+    def rows(s_vertices, l_vertices):
+        if s_first:
+            return space.factor_rows(s_vertices, l_vertices)
+        return space.factor_rows(l_vertices, s_vertices)[::-1]
+
+    d_s = rows(np.arange(S.n), [])[0]
+    D, inv = np.unique(d_s, return_inverse=True)
+    pairs = (np.repeat(np.arange(S.n), S.n), inv.ravel())
+    M = sp.csr_matrix((np.tile(S.mu, S.n), pairs), shape=(S.n, D.size))
+    nq = queries.size
+    dq = np.repeat(D, nq)
+    rq = np.tile(queries, D.size)
+    targets = rq - dq
+    masses = np.empty((X.n, Y.n, nq))
+    batch = max(1, _ROW_BLOCK // (8 * (L.n + dq.size)))
+    for start in range(0, L.n, batch):
+        block = np.arange(start, min(start + batch, L.n))
+        d_l = rows([], block)[1]
+        order = np.argsort(d_l, axis=1, kind="stable")
+        srt = np.take_along_axis(d_l, order, axis=1)
+        cum = np.zeros((block.size, L.n + 1))
+        np.cumsum(L.mu[order], axis=1, out=cum[:, 1:])
+        guess = np.array([np.searchsorted(row, targets, side="left") for row in srt])
+        F = np.take_along_axis(cum, _settle_counts(srt, guess, dq, rq), axis=1)
+        F = F.reshape(block.size, D.size, nq).transpose(1, 0, 2)
+        part = (M @ F.reshape(D.size, -1)).reshape(S.n, block.size, nq)
+        if s_first:
+            masses[:, block] = part
+        else:
+            masses[block] = part.transpose(1, 0, 2)
+    return masses.reshape(space.n, nq)
+
+
 def estimate_doubling(space: MetricMeasureSpace, R0: float) -> DoublingReport:
     """Measure the doubling constant and fit the Q-doubling power law.
 
@@ -564,8 +669,15 @@ def estimate_doubling(space: MetricMeasureSpace, R0: float) -> DoublingReport:
     and the geometric radius grid restricted to r < R0/2.  (Q_fit, C_Q) come
     from least squares on log mu(B(x,R)) - log mu(B(x,r)) against log(R/r)
     over all grid pairs r < R, with the intercept raised afterwards so the
-    power-law bound holds for every sample.  Distance rows are taken in
-    blocks of about `_ROW_BLOCK` doubles.
+    power-law bound holds for every sample.
+
+    The ball masses come from one of two paths, named in the report's
+    `path`.  On a product space ("factor_cdf") they are sums over the
+    smaller factor of the larger factor's sorted cumulative masses
+    (`_factor_ball_masses`), with the membership test of the summed rows,
+    fl(d_X + d_Y) < r, kept exactly; no product row is formed.  Other
+    graphs ("rows") take Dijkstra rows in blocks of about `_ROW_BLOCK`
+    doubles and sort each row once (`_ball_masses`).
     """
     if space.n < 2:
         raise ConfigError("doubling needs at least two vertices")
@@ -580,33 +692,35 @@ def estimate_doubling(space: MetricMeasureSpace, R0: float) -> DoublingReport:
         raise ConfigError("no radii below R0/2; increase R0")
     k = small.size
     queries = np.concatenate([small, 2 * small, radii])
+
+    if space.factors is not None:
+        path = "factor_cdf"
+        masses = _factor_ball_masses(space, queries)
+    else:
+        path = "rows"
+        masses = np.empty((space.n, queries.size))
+        batch = max(1, _ROW_BLOCK // space.n)
+        for start in range(0, space.n, batch):
+            block = np.arange(start, min(start + batch, space.n))
+            masses[block] = _ball_masses(space.distance_rows(block), space.mu, queries)
+
+    ratios = masses[:, k:2 * k] / masses[:, :k]
+    v, j = np.unravel_index(np.argmax(ratios), ratios.shape)
     ia, ib = np.triu_indices(radii.size, k=1)
-
-    best = -np.inf
-    worst = (0, 0.0)
-    ys = []
-    batch = max(1, _ROW_BLOCK // space.n)
-    for start in range(0, space.n, batch):
-        rows = space.distance_rows(np.arange(start, min(start + batch, space.n)))
-        masses = _ball_masses(rows, space.mu, queries)
-        ratios = masses[:, k:2 * k] / masses[:, :k]
-        v, j = np.unravel_index(np.argmax(ratios), ratios.shape)
-        if ratios[v, j] > best:
-            best = float(ratios[v, j])
-            worst = (start + int(v), float(small[j]))
-        m_all = masses[:, 2 * k:]
-        ys.append((np.log(m_all[:, ib]) - np.log(m_all[:, ia])).ravel())
-
+    m_all = masses[:, 2 * k:]
+    y = np.log(m_all[:, ib])
+    y -= np.log(m_all[:, ia])
+    y = y.ravel()
     x = np.tile(np.log(radii[ib] / radii[ia]), space.n)
-    y = np.concatenate(ys)
     A = np.column_stack([x, np.ones_like(x)])
     (q, b), *_ = np.linalg.lstsq(A, y, rcond=None)
     if q <= 0:
         raise NumericalError("Q-doubling fit produced a nonpositive exponent")
     b = max(b, float(np.max(y - q * x)))    # make the bound valid for every sample
     c_q = max(1.0, float(np.exp(b)))
-    return DoublingReport(R0=float(R0), C_d=best, Q_fit=float(q), C_Q=c_q,
-                          worst_pair=worst, n_samples=int(x.size))
+    return DoublingReport(R0=float(R0), C_d=float(ratios[v, j]), Q_fit=float(q),
+                          C_Q=c_q, worst_pair=(int(v), float(small[j])),
+                          n_samples=int(x.size), path=path)
 
 
 def _sharp_poincare(space, ball_members, outer_members, radius):

@@ -58,6 +58,14 @@ def assert_markov_semigroup(H, t, tol=1e-10):
         assert np.min(H.apply(delta + np.abs(F[:, 0]), t)) >= 0.0
 
 
+def tabulated_grid(h, seed=0):
+    """The square at mesh h with seeded log-normal cell weights: no product
+    structure, so the generic paths serve it."""
+    m = int(round(2.0 / h)) + 1
+    wtab = np.exp(0.5 * np.random.default_rng(seed).standard_normal((m, m)))
+    return sp_mod.weighted_grid_2d(((-1.0, 1.0), (-1.0, 1.0)), h, tabulated=wtab)
+
+
 @st.composite
 def connected_graphs(draw, max_n=6):
     """A random spanning tree plus extra edges, with random weights."""

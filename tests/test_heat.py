@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import assert_markov_semigroup, close, connected_graphs
+from conftest import assert_markov_semigroup, close, connected_graphs, tabulated_grid
 from mmslab import ConfigError, NumericalError
 from mmslab import heat
 from mmslab import space as sp_mod
@@ -18,14 +18,6 @@ from mmslab.heat import build_heat, check_gaussian, check_heat_caccioppoli
 from mmslab.space import MetricMeasureSpace, _ball_masses
 
 SQUARE = ((-1.0, 1.0), (-1.0, 1.0))
-
-
-def tabulated_grid(h, seed=0):
-    """The square at mesh h with seeded log-normal cell weights: no product
-    structure, so the generic realizations serve it."""
-    m = int(round(2.0 / h)) + 1
-    wtab = np.exp(0.5 * np.random.default_rng(seed).standard_normal((m, m)))
-    return sp_mod.weighted_grid_2d(SQUARE, h, tabulated=wtab)
 
 
 def test_two_point_eigenvalues(two_point):

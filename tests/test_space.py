@@ -5,15 +5,17 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
 from scipy.sparse.csgraph import dijkstra
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from mmslab import ConfigError, NumericalError, build_heat, carre_du_champ, metric_ball
 from mmslab import space as sp_mod
 from mmslab.space import (MetricMeasureSpace, build_space, estimate_doubling,
-                          estimate_poincare, radius_grid, _sharp_poincare)
+                          estimate_poincare, product_space, radius_grid,
+                          _sharp_poincare)
 
-from conftest import ball_mass_oracle, dijkstra_oracle
+from conftest import ball_mass_oracle, connected_graphs, dijkstra_oracle, tabulated_grid
 
 
 # -- construction -----------------------------------------------------------
@@ -157,11 +159,16 @@ def ball_masses_one_row(d_row, mu, radii):
     return cum[np.searchsorted(d_row[order], radii, side="left")]
 
 
-def doubling_reference(space, R0):
-    """Vertex by vertex: one Dijkstra row and three ball-mass sorts each."""
+def doubling_queries(space, R0):
+    """The radius grid of `estimate_doubling` and its small radii."""
     radii = radius_grid(space, R0)
     radii = radii[radii > space.min_edge_length * (1 + 1e-12)]
-    small = radii[radii < R0 / 2]
+    return radii, radii[radii < R0 / 2]
+
+
+def doubling_reference(space, R0):
+    """Vertex by vertex: one Dijkstra row and three ball-mass sorts each."""
+    radii, small = doubling_queries(space, R0)
     ia, ib = np.triu_indices(radii.size, k=1)
     best, worst, ys = -np.inf, None, []
     for v in range(space.n):
@@ -180,13 +187,101 @@ def doubling_reference(space, R0):
     return best, worst, float(q), max(1.0, float(np.exp(b)))
 
 
-@pytest.mark.parametrize("space,R0", [
-    (sp_mod.uniform_torus(32, 32), 8.0),
-    (sp_mod.weighted_grid_2d(((-1, 1), (-1, 1)), 1 / 16, "sqrt_abs_x"), 0.5),
-], ids=["torus32", "sqrt16"])
-def test_doubling_equals_the_per_vertex_reference(space, R0):
+def unit_masses(space):
+    """The same graph with every vertex mass 1, so ball masses are counts."""
+    return MetricMeasureSpace(np.ones(space.n), np.column_stack(
+        [space.edge_i, space.edge_j, space.edge_c, space.edge_l]))
+
+
+def assert_exact_factor_balls(space, queries):
+    """Factor ball masses against the summed product rows: the member counts
+    of every ball agree exactly, the masses to 1e-13 relative."""
+    rows = space.distance_rows(np.arange(space.n))
+    X, Y = space.factors
+    counts = sp_mod._factor_ball_masses(product_space(unit_masses(X), unit_masses(Y)),
+                                        queries)
+    assert np.array_equal(counts, (rows[:, :, None] < queries).sum(axis=1))
+    np.testing.assert_allclose(sp_mod._factor_ball_masses(space, queries),
+                               sp_mod._ball_masses(rows, space.mu, queries),
+                               rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("space,R0,exact", [
+    (sp_mod.uniform_torus(32, 32), 8.0, True),
+    (tabulated_grid(1 / 16), 0.5, True),
+    (sp_mod.weighted_grid_2d(((-1, 1), (-1, 1)), 1 / 16, "sqrt_abs_x"), 0.5, False),
+], ids=["torus32", "tabulated16", "sqrt16"])
+def test_doubling_equals_the_per_vertex_reference(space, R0, exact):
     rep = estimate_doubling(space, R0)
-    assert (rep.C_d, rep.worst_pair, rep.Q_fit, rep.C_Q) == doubling_reference(space, R0)
+    want = doubling_reference(space, R0)
+    if exact:       # integer masses on the torus, the same sorted rows on the grid
+        assert (rep.C_d, rep.worst_pair, rep.Q_fit, rep.C_Q) == want
+        return
+    # the factor path adds the same masses in another order, which moves the
+    # constants by an ulp here; the balls themselves are the same
+    radii, small = doubling_queries(space, R0)
+    assert_exact_factor_balls(space, np.concatenate([small, 2 * small, radii]))
+    np.testing.assert_allclose([rep.C_d, rep.Q_fit, rep.C_Q],
+                               [want[0], want[2], want[3]], rtol=1e-13, atol=0.0)
+    v, r = rep.worst_pair
+    row = dijkstra(space._len_graph, directed=False, indices=v)
+    attained = (ball_masses_one_row(row, space.mu, [2 * r])
+                / ball_masses_one_row(row, space.mu, [r]))
+    np.testing.assert_allclose(attained, [rep.C_d], rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("weight", ["constant", "sqrt_abs_x"])
+def test_factor_ball_masses_keep_the_summed_row_ties(weight):
+    # h = 0.1 is not dyadic: fl(d_X + d_Y) < r and d_Y < fl(r - d_X) disagree
+    # on some balls, at the grid radii and at radii equal to a distance sum
+    space = sp_mod.weighted_grid_2d(((-1, 1), (-1, 1)), 0.1, weight)
+    radii, small = doubling_queries(space, 1.0)
+    sums = np.unique(space.distance_rows(np.arange(space.n)))
+    assert_exact_factor_balls(space, np.concatenate(
+        [small, 2 * small, radii, sums[::max(1, sums.size // 40)]]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(connected_graphs(), connected_graphs())
+def test_factor_ball_masses_on_random_products(X, Y):
+    space = product_space(X, Y)
+    sums = np.unique(space.distance_rows(np.arange(space.n)))
+    assert_exact_factor_balls(space, np.concatenate([sums, (sums[1:] + sums[:-1]) / 2]))
+
+
+def test_doubling_on_elongated_products_sums_over_the_smaller_factor():
+    # tracing the estimate sees its (n, queries) masses, the fit's samples x
+    # and y with the (N, 2) design matrix and lstsq's copies of those, and
+    # the temporaries of the mass blocks, which stay near _ROW_BLOCK; summing
+    # over the 4000-vertex factor would hold a 4000 x 2001 matrix
+    R0 = 8.0
+    short, long = sp_mod.uniform_cycle(3), sp_mod.uniform_cycle(4000)
+    long._dist_cache_cap = long.n           # traced runs then run no Dijkstra
+    tall, wide = product_space(short, long), product_space(long, short)
+    estimate_doubling(tall, R0)
+    radii, small = doubling_queries(tall, R0)
+    reps = []
+    for space in (tall, wide):
+        tracemalloc.start()
+        try:
+            reps.append(estimate_doubling(space, R0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        masses = space.n * (2 * small.size + radii.size)
+        fit = 7 * space.n * radii.size * (radii.size - 1) // 2
+        assert peak <= 8 * (masses + fit + 2 * sp_mod._ROW_BLOCK)
+    a, b = reps
+    assert (a.C_d, a.Q_fit, a.C_Q) == (b.C_d, b.Q_fit, b.C_Q)
+
+
+def test_doubling_names_its_path():
+    torus = sp_mod.uniform_torus(8, 8)
+    fast = estimate_doubling(torus, 4.0)
+    rows = estimate_doubling(MetricMeasureSpace.from_text(torus.to_text()), 4.0)
+    assert (fast.path, rows.path) == ("factor_cdf", "rows")
+    assert (fast.C_d, fast.worst_pair, fast.Q_fit, fast.C_Q) == \
+        (rows.C_d, rows.worst_pair, rows.Q_fit, rows.C_Q)
 
 
 def test_doubling_single_vertex_rejected():
