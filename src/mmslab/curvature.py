@@ -66,6 +66,30 @@ def default_sample_fields(H: HeatOperator, seed: int = 0, n_random: int = 32,
     return F
 
 
+def _largest_required(out, t: float, scale2):
+    """(max, field, vertex) of required(g, t, x) from the swept stack
+    [g~^2 | g~ | Gamma(g)] at time t; its temporaries die with the call."""
+    k = scale2.size
+    var = out[:, :k] - out[:, k:2 * k] ** 2
+    tg = out[:, 2 * k:]
+    bad = var < VAR_FLOOR * scale2[None, :]
+    if np.any(bad):
+        raise NumericalError(f"variance below clamp floor at t={t}")
+    np.clip(var, 0.0, None, out=var)
+    wtol = 1e-13 * np.maximum(np.max(tg, axis=0), 1e-300)
+    degenerate = tg <= wtol[None, :]
+    if np.any(degenerate & (var > 1e-10 * scale2[None, :])):
+        raise NumericalError(
+            f"vanishing T_t Gamma with nonvanishing variance at t={t}")
+    req = np.zeros_like(var)
+    ok = ~degenerate
+    req[ok] = (var[ok] / tg[ok] - 2.0 * t) / (t * t)
+    np.clip(req, 0.0, None, out=req)
+    flat = int(np.argmax(req))
+    x, f = np.unravel_index(flat, req.shape)
+    return float(req.flat[flat]), int(f), int(x)
+
+
 def estimate_ckappa(H: HeatOperator, T: float, samples=None, t_grid=None,
                     seed: int = 0, n_random: int = 32) -> CurvatureReport:
     """Smallest sampled constant making the variance bound hold up to time T.
@@ -105,32 +129,20 @@ def estimate_ckappa(H: HeatOperator, T: float, samples=None, t_grid=None,
     gammas = np.column_stack([carre_du_champ(H.space, gs[:, i]) for i in range(k)])
     stack = np.column_stack([gs * gs, gs, gammas])
     scale2 = np.maximum(1.0, np.max(np.abs(gs), axis=0) ** 2)
+    sweep = H.apply_grid(stack, np.sort(t_grid))
+    # dead from here: the sweep keeps only a few outputs of the stack live
+    # (and the stack itself until its first group is done)
+    del samples, gs, gammas, stack
 
     c_kappa = 0.0
     argmax = (0, float(t_grid[0]), 0)
     profile = []
-    for t, out in H.apply_grid(stack, np.sort(t_grid)):
-        var = out[:, :k] - out[:, k:2 * k] ** 2
-        tg = out[:, 2 * k:]
-        bad = var < VAR_FLOOR * scale2[None, :]
-        if np.any(bad):
-            raise NumericalError(f"variance below clamp floor at t={t}")
-        np.clip(var, 0.0, None, out=var)
-        wtol = 1e-13 * np.maximum(np.max(tg, axis=0), 1e-300)
-        degenerate = tg <= wtol[None, :]
-        if np.any(degenerate & (var > 1e-10 * scale2[None, :])):
-            raise NumericalError(
-                f"vanishing T_t Gamma with nonvanishing variance at t={t}")
-        req = np.zeros_like(var)
-        ok = ~degenerate
-        req[ok] = (var[ok] / tg[ok] - 2.0 * t) / (t * t)
-        np.clip(req, 0.0, None, out=req)
-        m = float(req.max())
+    for t, out in sweep:
+        m, f, x = _largest_required(out, t, scale2)
         profile.append((float(t), m))
         if m > c_kappa:
             c_kappa = m
-            x, f = np.unravel_index(int(np.argmax(req)), req.shape)
-            argmax = (int(f), float(t), int(x))
+            argmax = (f, float(t), x)
     return CurvatureReport(T=float(T), c_kappa=float(c_kappa), n_fields=k,
                            argmax=argmax, per_t_profile=profile)
 

@@ -16,13 +16,18 @@ Three realizations, chosen from the structure of the space:
   about 1 MB of temporaries.
 * stepping: for other spaces past the dense cap, a Chebyshev expansion of
   e^{tA} in the shifted generator X = (2/lam)(-A) - I, whose spectrum lies
-  in [-1, 1] for the Gershgorin bound lam = max 2 degree/mu.  The Bessel
-  coefficients are cut where their tail drops below 2^-60 (never silently:
-  a tail that stays above raises), so an action costs O(sqrt(lam_max t))
-  sparse matvecs.  Time grids are swept incrementally, one expansion per
-  increment.  The recurrence is column-blocked (about 512 KB a block), and
-  the blocks are shared between the calling thread and up to one worker
-  thread per further CPU; a block does the same arithmetic on any thread.
+  in [-1, 1] for the edge-wise bound lam = max over edges {i, j} of
+  D_i + D_j, D = degree/mu (Anderson and Morley).  The Bessel coefficients
+  are cut where their tail drops below 2^-60 (never silently: a tail that
+  stays above raises), so an action costs O(sqrt(lam_max t)) sparse
+  matvecs.  One three-term recurrence serves several times: it runs to the
+  largest increment and adds each time's coefficients into that time's
+  accumulator (Tal-Ezer and Kosloff).  Time grids are swept in consecutive
+  groups whose outputs fit about 4 MB, one recurrence per group, each group
+  starting from the previous group's last output.  The recurrence is
+  column-blocked (about 512 KB a block), and the blocks are shared between
+  the calling thread and up to one worker thread per further CPU; a block
+  does the same arithmetic on any thread.
 
 Kernel conventions: T_t f(x) = sum_y p(t, x, y) f(y) mu_y, with
 p(t, x, y) = p(t, y, x) >= 0 and sum_y p(t, x, y) mu_y = 1 (the semigroup
@@ -53,6 +58,9 @@ from .space import (DENSE_CAP_DEFAULT, MetricMeasureSpace, _ball_masses,
 CHEB_TAIL = 2.0 ** -60
 # Columns per block of the Chebyshev recurrence: about 2**16 doubles (512 KB).
 _COLUMN_BLOCK = 2 ** 16
+# Outputs of one stepping recurrence over a time grid: about 2**19 doubles
+# (4 MB), or a single output when that alone is larger.
+_GRID_BLOCK = 2 ** 19
 # Temporaries of product kernel rows, in doubles per chunk (about 1 MB).
 _ROW_BLOCK = 2 ** 17
 
@@ -162,8 +170,12 @@ class HeatOperator:
         elif mode == "product":
             self._factors = [(f.mu,) + _spectrum(f) for f in space.factors]
         else:
-            # Gershgorin: the spectrum of -A = (D - W)/mu lies in [0, lam]
-            self._lam = float(np.max(2.0 * space.degree / space.mu))
+            # -A = M^-1 B^T C B (B the edge-vertex incidence, C the edge
+            # conductances) has the nonzero spectrum of the edge matrix
+            # B M^-1 B^T C, whose row {i, j} has absolute sum D_i + D_j with
+            # D = degree/mu; so the spectrum of -A lies in [0, lam]
+            D = space.degree / space.mu
+            self._lam = float(np.max(D[space.edge_i] + D[space.edge_j], initial=0.0))
 
     # -- eigen data ----------------------------------------------------------
 
@@ -204,16 +216,17 @@ class HeatOperator:
             return self._spectral_apply(self._coefficients(F), t, F.shape)
         if self.mode == "product":
             return self._product_apply(F, t)
-        return self._chebyshev_apply(F, t)
+        return self._chebyshev_sweep(F, [t])[0]
 
     def apply_grid(self, F, ts):
         """Yield (t, T_t F) for an ascending positive time grid.
 
         Dense mode reuses the spectral coefficients of F; product mode
-        forms the two factor kernels per time; stepping mode advances
-        incrementally through the grid (one Chebyshev expansion per
-        increment), each yielded array being the start of the next
-        increment, so callers must not modify it in place.
+        forms the two factor kernels per time; stepping mode splits the grid
+        into consecutive groups whose outputs fit `_GRID_BLOCK` doubles and
+        runs one Chebyshev recurrence per group, from the previous group's
+        last output.  That output is the start of the next group, so callers
+        must not modify a yielded array in place.
         """
         ts = _time_grid(ts)
         F = np.asarray(F, dtype=float)
@@ -225,15 +238,19 @@ class HeatOperator:
             for t in ts:
                 yield float(t), self._product_apply(F, t)
         else:
-            # the recurrence returns a new array, so nothing is copied
-            cur = F
-            t_prev = 0.0
-            for t in ts:
-                dt = t - t_prev
-                if dt > 0:
-                    cur = self._chebyshev_apply(cur, dt)
-                t_prev = t
-                yield float(t), cur
+            per_group = max(1, _GRID_BLOCK // max(F.size, 1))
+            # F is not held past its first group, so a caller that drops it
+            # frees it then
+            cur, F, t_start = F, None, 0.0
+            for i in range(0, ts.size, per_group):
+                group = ts[i:i + per_group]
+                outs = self._chebyshev_sweep(cur, group - t_start)
+                # hand the outputs out one at a time, keeping no other
+                # reference; the last one starts the next group
+                for t in group:
+                    cur = outs.pop(0)
+                    yield float(t), cur
+                t_start = group[-1]
 
     def _coefficients(self, F) -> np.ndarray:
         """Spectral coefficients basis^T M F of a field or stack, as (n, k)."""
@@ -272,38 +289,58 @@ class HeatOperator:
                                             thread_name_prefix="mmslab-chebyshev")
         return self._pool, count
 
-    def _chebyshev_apply(self, F, t: float) -> np.ndarray:
-        """e^{tA} F = sum_k c_k T_k(X) F, with T_{k+1} = 2X T_k - T_{k-1}.
+    def _chebyshev_sweep(self, F, dts) -> list:
+        """[e^{dt A} F for dt in dts], for ascending dts >= 0, from one
+        recurrence: e^{dt A} F = sum_k c_k(dt) T_k(X) F, with T_{k+1} =
+        2X T_k - T_{k-1}.
 
         The stored matrix is 2X, so T_1 = (2X) T_0 / 2 and T_{k+1} =
         (2X) T_k - T_{k-1}.  X 1 = -1 and 1^T M X = -1^T M, so mass is kept to
-        round-off.  The recurrence runs on column blocks of about
-        `_COLUMN_BLOCK` doubles, dealt round-robin to the calling thread and
-        `_block_workers` threads (sparse products and ufuncs release the
-        GIL); a block's arithmetic does not depend on the thread, so the
-        result is the same bits with or without workers.
+        round-off.  Each increment keeps its own coefficients, cut at its own
+        tail, so its output has the bits of a recurrence run for it alone;
+        at step k the increments whose series still runs form a suffix of
+        `dts`, updated in one call.  The recurrence runs on column blocks of
+        about `_COLUMN_BLOCK` doubles, dealt round-robin to the calling
+        thread and `_block_workers` threads (sparse products and ufuncs
+        release the GIL); a block's arithmetic does not depend on the
+        thread, so the result is the same bits with or without workers.
         """
         X2 = self._shifted_generator()
-        c = _chebyshev_coefficients(0.5 * self._lam * t)
+        cs = [_chebyshev_coefficients(0.5 * self._lam * dt) for dt in dts]
+        lengths = np.array([c.size for c in cs])
+        C = np.zeros((len(cs), int(lengths.max())))
+        for i, c in enumerate(cs):
+            C[i, :c.size] = c
+        # first[k]: the first increment whose series has a term k
+        first = np.searchsorted(np.maximum.accumulate(lengths),
+                                np.arange(C.shape[1]), side="right")
         n = self.space.n
         F2 = F.reshape(n, -1)
-        out = np.empty(F2.shape)
+        outs = [np.empty(F2.shape) for _ in cs]
         width = max(1, _COLUMN_BLOCK // n)
         starts = range(0, F2.shape[1], width)
 
+        def block(j):
+            # its temporaries die on return, before the next block starts
+            prev = np.ascontiguousarray(F2[:, j:j + width])
+            # one contiguous accumulator per increment
+            acc = C[:, 0, None, None] * prev
+            if C.shape[1] > 1:
+                cur = 0.5 * (X2 @ prev)
+                s = first[1]
+                acc[s:] += C[s:, 1, None, None] * cur
+                for k in range(2, C.shape[1]):
+                    nxt = X2 @ cur
+                    nxt -= prev
+                    s = first[k]
+                    acc[s:] += C[s:, k, None, None] * nxt
+                    prev, cur = cur, nxt
+            for out, a in zip(outs, acc):
+                out[:, j:j + width] = a
+
         def run(share):
             for j in share:
-                prev = np.ascontiguousarray(F2[:, j:j + width])
-                acc = c[0] * prev
-                if c.size > 1:
-                    cur = 0.5 * (X2 @ prev)
-                    acc += c[1] * cur
-                    for ck in c[2:]:
-                        nxt = X2 @ cur
-                        nxt -= prev
-                        acc += ck * nxt
-                        prev, cur = cur, nxt
-                out[:, j:j + width] = acc
+                block(j)
 
         pool, count = self._block_workers(len(starts))
         futures = [pool.submit(run, starts[p::count + 1])
@@ -313,7 +350,7 @@ class HeatOperator:
         finally:
             for fut in futures:
                 fut.result()
-        return out.reshape(F.shape)
+        return [out.reshape(F.shape) for out in outs]
 
     def _factor_kernels(self, t: float):
         """Clamped kernel matrices p_x(t), p_y(t) of the two factors, for
@@ -361,7 +398,7 @@ class HeatOperator:
         if self.mode == "dense":
             cols = self.basis @ (np.exp(-self.theta * t) * self.basis[xs]).T
         else:
-            cols = self._chebyshev_apply(self._delta(xs), t)
+            cols = self._chebyshev_sweep(self._delta(xs), [t])[0]
         self._clamp(cols)
         return cols
 
@@ -378,7 +415,7 @@ class HeatOperator:
                 yield float(t), self.kernel(t, x0)
         else:
             for t, col in self.apply_grid(self._delta(x0), ts):
-                # clamp a copy: `col` starts the next increment
+                # clamp a copy: `col` may start the next group
                 col = col.copy()
                 self._clamp(col)
                 yield t, col

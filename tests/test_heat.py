@@ -1,7 +1,10 @@
 """Heat semigroup axioms, closed-form oracles, and kernel bound checks."""
 
+import os
+import subprocess
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -186,18 +189,36 @@ def test_stepping_leaves_the_global_generator_alone(tab16):
 
 
 def test_unconverged_chebyshev_series_raises(tab16, monkeypatch):
-    space, _, _, S = tab16
+    from scipy.special import ive
+
+    space, times, _, S = tab16
     monkeypatch.setattr("scipy.special.ive", lambda k, z: np.full(np.shape(k), 0.25))
     with pytest.raises(NumericalError):
         S.apply_batch(np.ones(space.n), 0.1)
     with pytest.raises(NumericalError):
         S.kernel(0.1, 0)
+    # in a sweep, the series of an increment that is not the group's largest
+    # fails while the largest one converges: the sweep still raises
+    z_small = 0.5 * S._lam * times[0]
+    monkeypatch.setattr("scipy.special.ive",
+                        lambda k, z: np.full(np.shape(k), 0.25) if z <= z_small
+                        else ive(k, z))
+    grid = times[:3]
+    S.apply_batch(np.ones(space.n), grid[-1])          # converges alone
+    F = np.ones((space.n, 2))
+    assert heat._GRID_BLOCK >= len(grid) * F.size       # one group
+    with pytest.raises(NumericalError):
+        list(S.apply_grid(F, grid))
+    with pytest.raises(NumericalError):
+        list(S.kernel_grid(0, grid))
 
 
 def test_stepping_blocks_give_the_same_bits_on_any_thread(tab16, monkeypatch):
     space, times, _, S = tab16
     width = heat._COLUMN_BLOCK // space.n
     F = np.random.default_rng(12).standard_normal((space.n, 3 * width + 7))
+    # the grid runs in two groups, of two times and of one
+    monkeypatch.setattr(heat, "_GRID_BLOCK", 2 * F.size)
 
     def actions():
         return [S.apply_batch(F, 0.01), S.kernel(0.01, np.arange(0, space.n, 4))]\
@@ -223,15 +244,125 @@ def test_stepping_blocks_give_the_same_bits_on_any_thread(tab16, monkeypatch):
 
 def test_stepping_kernel_grid_clamps_copies_not_the_sweep(tab16, monkeypatch):
     space, times, _, S = tab16
+    # groups of two: times[1] and times[3] end a group and start the next
+    monkeypatch.setattr(heat, "_GRID_BLOCK", 2 * space.n)
     delta = np.zeros(space.n)
     delta[40] = 1.0 / space.mu[40]
     sweep = [v.copy() for _, v in S.apply_grid(delta, times)]
     # a clamp that visibly writes in place: if it reached the start of the
-    # next increment, later columns would grow by more than the factor 2
+    # next group, later columns would grow by more than the factor 2
     monkeypatch.setattr(heat.HeatOperator, "_clamp",
                         staticmethod(lambda arr, rel=1e-10: np.multiply(arr, 2.0, out=arr)))
     for v, (_, col) in zip(sweep, S.kernel_grid(40, times)):
         assert np.array_equal(col, 2.0 * v)
+
+
+@pytest.mark.parametrize("per_group", [1, 2, 3, 5])
+def test_stepping_grid_groups_agree_with_dense_and_apply_batch(tab16, monkeypatch,
+                                                               per_group):
+    space, times, D, S = tab16
+    F = np.random.default_rng(13).standard_normal((space.n, 4))
+    monkeypatch.setattr(heat, "_GRID_BLOCK", per_group * F.size)
+    sizes = []
+    sweep = S._chebyshev_sweep
+
+    def counted(G, dts):
+        sizes.append(len(dts))
+        return sweep(G, dts)
+
+    monkeypatch.setattr(S, "_chebyshev_sweep", counted)
+    got = list(S.apply_grid(F, times))
+    full, rest = divmod(len(times), per_group)
+    assert sizes == [per_group] * full + [rest] * (rest > 0)
+    for (t, v), (t_dense, v_dense), t_want in zip(got, D.apply_grid(F, times), times):
+        assert t == t_dense == t_want
+        assert close(v, v_dense, 1e-10), (per_group, t)
+        once = S.apply_batch(F, t)
+        assert close(v, once, 1e-10), (per_group, t)
+        if per_group == len(times):
+            # one group from F: each time has the bits of its own recurrence
+            assert np.array_equal(v, once)
+
+
+def test_stepping_sweep_holds_one_group_of_outputs(tab16, monkeypatch):
+    space, _, _, S = tab16
+    k, per_group = 480, 2
+    ts = np.geomspace(space.min_edge_length ** 2 / 4, 1 / 64, 8)
+    monkeypatch.setattr(heat, "_GRID_BLOCK", per_group * space.n * k)
+    S.apply_batch(np.ones(space.n), 0.01)       # builds 2X, which stays
+    width = heat._COLUMN_BLOCK // space.n
+    threads = 1 + S._block_workers(-(-k // width))[1]
+    tracemalloc.start()
+    try:
+        F = np.random.default_rng(14).standard_normal((space.n, k))
+        for _ in S.apply_grid(F, ts):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # F, one group of outputs and the previous output, which starts the
+    # group; per thread, three recurrence terms, and an accumulator and an
+    # update per output of a column block
+    bound = (per_group + 2) * F.nbytes \
+        + threads * (3 + 2 * per_group) * 8 * width * space.n + 2 ** 20
+    assert peak <= bound
+    # F and the grid's eight outputs alone would not fit
+    assert (len(ts) + 1) * F.nbytes > bound
+
+
+def test_product_and_dense_heat_leave_scipy_special_unimported():
+    # scipy.special adds about 4 MB of resident memory; only stepping needs it
+    code = """if True:
+        import sys
+        import numpy as np
+        import mmslab.cli
+        from mmslab import space
+        from mmslab.heat import build_heat
+        modes = []
+        for s in (space.uniform_torus(16, 16), space.uniform_cycle(32)):
+            H = build_heat(s)
+            modes.append(H.mode)
+            F = np.ones((s.n, 2))
+            H.apply(F[:, 0], 0.3), H.apply_batch(F, 0.3), H.kernel(0.3, [0, 1])
+            list(H.apply_grid(F, [0.1, 0.2])), list(H.kernel_grid(0, [0.1, 0.2]))
+        before = "scipy.special" in sys.modules
+        build_heat(space.uniform_cycle(32), mode="stepping").apply(np.ones(32), 0.3)
+        print(*modes, before, "scipy.special" in sys.modules)
+    """
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(root, "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.split() == ["product", "dense", "False", "True"]
+
+
+def test_edge_bound_on_the_tabulated_grid_and_the_uniform_torus(tab16, torus16):
+    assert_edge_bound(tab16[0])
+    # on the uniform torus every vertex has the same degree/mu, so the bound
+    # is Gershgorin's and the heat oracles' stepping operator keeps its
+    # interval
+    assert build_heat(torus16, mode="stepping")._lam \
+        == float(np.max(2.0 * torus16.degree / torus16.mu))
+
+
+@settings(max_examples=60, deadline=None)
+@given(connected_graphs(max_n=12))
+def test_edge_bound_lies_between_the_spectrum_and_gershgorin(graph):
+    assert_edge_bound(graph)
+
+
+def assert_edge_bound(space):
+    """lam of the stepping realization bounds the spectrum of -A and is at
+    most Gershgorin's 2 max degree/mu."""
+    lam = build_heat(space, mode="stepping")._lam
+    inv_sqrt_mu = 1.0 / np.sqrt(space.mu)
+    S = (space.laplacian().toarray() * inv_sqrt_mu[:, None]) * inv_sqrt_mu[None, :]
+    top = float(np.linalg.eigvalsh(0.5 * (S + S.T))[-1])
+    assert lam >= top * (1 - 1e-12)
+    assert lam <= float(np.max(2.0 * space.degree / space.mu))
 
 
 def test_block_workers_never_outnumber_the_blocks(tab16, monkeypatch):
