@@ -44,7 +44,8 @@ from .form import carre_du_champ, check_leibniz, energy, generator_apply
 from .gradest import check_prop31, run_counterexample, verify_gradient_estimate
 from .heat import build_heat, check_gaussian, check_heat_caccioppoli
 from .reports import to_jsonable
-from .space import build_space, estimate_doubling, estimate_poincare, metric_ball
+from .space import (build_space, estimate_doubling, estimate_poincare, metric_ball,
+                    vertex_complement)
 
 CONFIG_KEYS = ("space", "task", "params", "seed", "out")
 
@@ -132,7 +133,7 @@ def _domain_vertices(space, spec):
     if kind == "all_interior":
         if space.rim.size == 0:
             raise ConfigError("all_interior needs a space with a geometric rim")
-        return np.setdiff1d(np.arange(space.n), space.rim)
+        return vertex_complement(space.n, space.rim)
     if kind == "ball":
         c = _resolve_vertex(space, _required(spec, "center"))
         return metric_ball(space, c, float(_required(spec, "radius"))).members
@@ -255,7 +256,7 @@ def _task_solve(space, params, seed):
     recs = [_record("weak_residual", res, max(scale, 1e-300), 1e-9,
                     solver=solver_path(prob))]
     if np.max(np.abs(prob.lam)) == 0 and np.max(np.abs(prob.source)) == 0:
-        comp = np.setdiff1d(np.arange(space.n), prob.domain)
+        comp = vertex_complement(space.n, prob.domain)
         in_min, in_max = float(np.min(u[prob.domain])), float(np.max(u[prob.domain]))
         out_min, out_max = float(np.min(u[comp])), float(np.max(u[comp]))
         # worst excursion of the interior values beyond the boundary range

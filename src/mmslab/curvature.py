@@ -70,10 +70,10 @@ def _largest_required(out, t: float, scale2):
     """(max, field, vertex) of required(g, t, x) from the swept stack
     [g~^2 | g~ | Gamma(g)] at time t; its temporaries die with the call."""
     k = scale2.size
-    var = out[:, :k] - out[:, k:2 * k] ** 2
+    var = np.square(out[:, k:2 * k])
+    np.subtract(out[:, :k], var, out=var)
     tg = out[:, 2 * k:]
-    bad = var < VAR_FLOOR * scale2[None, :]
-    if np.any(bad):
+    if np.any(var < VAR_FLOOR * scale2[None, :]):
         raise NumericalError(f"variance below clamp floor at t={t}")
     np.clip(var, 0.0, None, out=var)
     wtol = 1e-13 * np.maximum(np.max(tg, axis=0), 1e-300)
@@ -81,9 +81,13 @@ def _largest_required(out, t: float, scale2):
     if np.any(degenerate & (var > 1e-10 * scale2[None, :])):
         raise NumericalError(
             f"vanishing T_t Gamma with nonvanishing variance at t={t}")
-    req = np.zeros_like(var)
-    ok = ~degenerate
-    req[ok] = (var[ok] / tg[ok] - 2.0 * t) / (t * t)
+    # required is computed in place of var: zero where T_t Gamma vanishes
+    # (there -2t / t^2 < 0 is clipped to zero below), divided only elsewhere
+    req = var
+    np.copyto(req, 0.0, where=degenerate)
+    np.divide(req, tg, out=req, where=~degenerate)
+    req -= 2.0 * t
+    req /= t * t
     np.clip(req, 0.0, None, out=req)
     flat = int(np.argmax(req))
     x, f = np.unravel_index(flat, req.shape)

@@ -27,7 +27,8 @@ from .heat import HeatOperator, build_heat
 from .quad import cumulative_log_quadrature, log_time_quadrature, require_converged
 from .reports import (CurvatureReport, Measurement, RatioReport,
                       ScalingReport)
-from .space import Ball, MetricMeasureSpace, metric_ball, weighted_grid_2d
+from .space import (Ball, MetricMeasureSpace, metric_ball, vertex_complement,
+                    weighted_grid_2d)
 
 PROFILE_POINTS = 12     # times of an averaged-energy profile on [h^2, R^2]
 PROP31_PROBES = 4       # vertices of B(y0, R) probed by `check_prop31`
@@ -368,7 +369,7 @@ def run_counterexample(h_list, T: float = 1.0 / 64.0, inner_radius: float = 0.2,
         space = weighted_grid_2d(((-1.0, 1.0), (-1.0, 1.0)), h, "sqrt_abs_x")
         x = space.positions[:, 0]
         bc = np.sign(x) * np.sqrt(np.abs(x))
-        interior = np.setdiff1d(np.arange(space.n), space.rim)
+        interior = vertex_complement(space.n, space.rim)
         problem = Problem(space, interior, bc)
         u = solve(problem)
         center = space.vertex_at((0.0, 0.0))

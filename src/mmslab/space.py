@@ -269,6 +269,14 @@ def product_pays(factors, dense_cap: int = DENSE_CAP_DEFAULT) -> bool:
     return large <= dense_cap and large <= PRODUCT_MAX_ASPECT * small
 
 
+def vertex_complement(n: int, vertices) -> np.ndarray:
+    """The sorted vertices of range(n) outside `vertices`: the same array as
+    np.setdiff1d(np.arange(n), vertices), from a mask instead of a sort."""
+    keep = np.ones(n, dtype=bool)
+    keep[vertices] = False
+    return np.flatnonzero(keep)
+
+
 @dataclass
 class Ball:
     """Open metric ball: members = { y : d(center, y) < radius }."""

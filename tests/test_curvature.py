@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from mmslab import ConfigError
+from mmslab import ConfigError, NumericalError
 from mmslab import space as sp_mod
-from mmslab.curvature import (check_commutation, default_sample_fields,
-                              estimate_ckappa, variance)
+from mmslab.curvature import (_largest_required, check_commutation,
+                              default_sample_fields, estimate_ckappa, variance)
 from mmslab.form import carre_du_champ
 from mmslab.heat import build_heat
 
@@ -162,3 +162,62 @@ def test_report_profile_and_argmax_fields(torus16):
     f, t, x = rep.argmax
     assert 0 <= x < torus16.n and t > 0
     assert "lower estimate" in rep.sample_note
+
+
+def crafted_stack(seed, n=9, k=4):
+    """A swept stack [g~^2 | g~ | Gamma] from coarse dyadic values, so its
+    variances are exact and its required constants tie often; column 0
+    has a vanishing T_t Gamma where its variance vanishes too."""
+    rng = np.random.default_rng(seed)
+    m = 0.5 * rng.integers(-2, 3, (n, k))
+    v = 0.25 * rng.integers(0, 4, (n, k))
+    tg = 0.5 * rng.integers(1, 4, (n, k))
+    # duplicated fields and vertices tie everywhere, the top value included
+    m[:, 3], v[:, 3], tg[:, 3] = m[:, 1], v[:, 1], tg[:, 1]
+    m[5], v[5], tg[5] = m[2], v[2], tg[2]
+    v[2, 1] = v[5, 1] = v[2, 3] = v[5, 3] = 4.0
+    tg[0, 0], v[0, 0] = 0.0, 0.0
+    scale2 = np.maximum(1.0, np.max(np.abs(m), axis=0) ** 2)
+    return np.column_stack([m * m + v, m, tg]), scale2
+
+
+def reference_required(out, t, scale2):
+    """(max, field, vertex) of required(g, t, x) entry by entry, the first
+    vertex and then the first field winning a tie."""
+    n, k = out.shape[0], scale2.size
+    best, arg = -np.inf, None
+    for x in range(n):
+        for f in range(k):
+            var = max(out[x, f] - out[x, k + f] ** 2, 0.0)
+            tg = out[x, 2 * k + f]
+            wtol = 1e-13 * max(float(np.max(out[:, 2 * k + f])), 1e-300)
+            req = max((var / tg - 2.0 * t) / (t * t), 0.0) if tg > wtol else 0.0
+            if req > best:
+                best, arg = req, (f, x)
+    return (best,) + arg
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("t", [0.05, 0.3, 10.0])
+def test_largest_required_matches_the_per_entry_reference(seed, t):
+    out, scale2 = crafted_stack(seed)
+    want = reference_required(out, t, scale2)
+    assert _largest_required(out, t, scale2) == want
+    if t == 0.05:
+        # the planted top value ties across fields 1, 3 and vertices 2, 5
+        assert want[1:] == (1, 2)
+    if t == 10.0:
+        # every required constant clips to zero: the tie goes to (0, 0)
+        assert want == (0.0, 0, 0)
+
+
+def test_largest_required_raises_on_a_broken_stack():
+    out, scale2 = crafted_stack(0)
+    low = out.copy()
+    low[4, 2] = low[4, 6] ** 2 - 1e-6
+    with pytest.raises(NumericalError, match="below clamp floor"):
+        _largest_required(low, 0.05, scale2)
+    vanishing = out.copy()
+    vanishing[0, 0] += 1.0      # variance 1 where T_t Gamma is zero
+    with pytest.raises(NumericalError, match="vanishing T_t Gamma"):
+        _largest_required(vanishing, 0.05, scale2)

@@ -123,6 +123,34 @@ def test_fast_path_never_calls_cg(monkeypatch):
     solve(Problem(g, interior_of(g), g.positions[:, 0] ** 2))
 
 
+def test_failed_factor_eigendecomposition_raises_numerical_error(monkeypatch):
+    def fail(S):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    g = uniform_square(1 / 8)
+    prob = Problem(g, interior_of(g), g.positions[:, 0] ** 2)
+    assert solver_path(prob) == "fast_diagonalization"
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(NumericalError, match="eigendecomposition failed"):
+        solve(prob)
+
+
+@pytest.mark.parametrize("weight", ["constant", "sqrt_abs_x"])
+def test_interior_factor_spectra_are_mu_orthonormal_at_h64(weight):
+    # V^T M^I V = I and L^I V = M^I V diag(w) to a few ulp; scipy's default
+    # MRRR on the same scaled matrix read 2.3e-13 on the sqrt|x| factor
+    g = sp_mod.weighted_grid_2d(((-1.0, 1.0), (-1.0, 1.0)), 1 / 64, weight)
+    for factor in g.factors:
+        idx = interior_of(factor)
+        m = factor.mu[idx]
+        w, V = el_mod._interior_spectrum(factor, idx)
+        assert np.all(np.diff(w) >= 0)
+        assert np.max(np.abs(V.T @ (m[:, None] * V) - np.eye(idx.size))) <= 1e-13
+        L = factor.laplacian().tocsr()[idx][:, idx]
+        assert np.max(np.abs(L @ V - (m[:, None] * V) * w[None, :])) \
+            <= 1e-12 * float(np.max(np.abs(w)))
+
+
 def test_other_problems_stay_on_cg():
     torus = sp_mod.uniform_torus(16, 16)
     ball = metric_ball(torus, torus.vertex_at((8, 8)), 5.0).members
@@ -172,6 +200,22 @@ def test_full_space_domain_rejected():
     g = uniform_square(1 / 4)
     with pytest.raises(ConfigError):
         Problem(g, np.arange(g.n), np.ones(g.n))
+
+
+def test_unsorted_domain_with_duplicates_is_sorted_and_deduplicated():
+    g = uniform_square(1 / 8)
+    interior = interior_of(g)
+    rng = np.random.default_rng(0)
+    messy = rng.permutation(np.concatenate([interior, interior[::3]]))
+    prob = Problem(g, messy, g.positions[:, 0])
+    assert np.array_equal(prob.domain, interior)
+    assert solver_path(prob) == "fast_diagonalization"
+    assert np.array_equal(Problem(g, list(messy), np.zeros(g.n)).domain, interior)
+    # a domain that is already sorted is copied, not shared with the caller
+    dom = interior.copy()
+    prob = Problem(g, dom, np.zeros(g.n))
+    dom[0] = 0
+    assert np.array_equal(prob.domain, interior)
 
 
 def test_detached_center_is_pinned_by_its_removed_ring():

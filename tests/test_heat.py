@@ -339,6 +339,29 @@ def test_product_and_dense_heat_leave_scipy_special_unimported():
     assert proc.stdout.split() == ["product", "dense", "False", "True"]
 
 
+def test_failed_eigendecomposition_raises_numerical_error(cycle32, torus16,
+                                                          monkeypatch):
+    def fail(S):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    # "auto" builds the uniform torus as a product of two cycles
+    for space, mode in ((cycle32, "dense"), (torus16, "auto")):
+        with pytest.raises(NumericalError, match="eigendecomposition failed"):
+            build_heat(space, mode=mode)
+
+
+def test_product_factor_bases_are_mu_orthonormal_at_h64():
+    # divide and conquer keeps the factor bases orthonormal to a few ulp;
+    # scipy's default MRRR read 2.7e-13 here
+    space = sp_mod.weighted_grid_2d(SQUARE, 1 / 64, "sqrt_abs_x")
+    H = build_heat(space)
+    assert H.mode == "product"
+    for mu, theta, basis in H._factors:
+        gram = basis.T @ (mu[:, None] * basis)
+        assert np.max(np.abs(gram - np.eye(mu.size))) <= 1e-13
+
+
 def test_edge_bound_on_the_tabulated_grid_and_the_uniform_torus(tab16, torus16):
     assert_edge_bound(tab16[0])
     # on the uniform torus every vertex has the same degree/mu, so the bound

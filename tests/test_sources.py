@@ -37,3 +37,23 @@ def test_every_imported_name_is_used(path):
     unused = {name for name in imported - used
               if (path.name, name) not in UNUSED_IMPORTS}
     assert not unused, f"{path.name} imports {sorted(unused)} without using them"
+
+
+
+def imported_modules(tree):
+    """Dotted names of every module, and every `from` name, a module imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.module
+            yield from (f"{node.module}.{alias.name}" for alias in node.names)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_module_imports_scipy_linalg(path):
+    # dense eigendecompositions go through numpy.linalg, so numpy's OpenBLAS
+    # is the only BLAS runtime that runs threaded in the hot paths
+    found = {name for name in imported_modules(ast.parse(path.read_text()))
+             if name == "scipy.linalg" or name.startswith("scipy.linalg.")}
+    assert not found, f"{path.name} imports {sorted(found)}"

@@ -13,7 +13,7 @@ from mmslab import ConfigError, NumericalError, build_heat, carre_du_champ, metr
 from mmslab import space as sp_mod
 from mmslab.space import (MetricMeasureSpace, build_space, estimate_doubling,
                           estimate_poincare, product_space, radius_grid,
-                          _sharp_poincare)
+                          vertex_complement, _sharp_poincare)
 
 from conftest import ball_mass_oracle, connected_graphs, dijkstra_oracle, tabulated_grid
 
@@ -497,3 +497,13 @@ def test_text_roundtrip(sqrt_square_16):
     assert np.array_equal(back.edge_i, sqrt_square_16.edge_i)
     assert np.allclose(back.edge_c, sqrt_square_16.edge_c)
     assert np.allclose(back.edge_l, sqrt_square_16.edge_l)
+
+
+def test_vertex_complement_is_the_set_difference():
+    rng = np.random.default_rng(0)
+    for n in (1, 2, 17, 300):
+        for size in (0, 1, n // 2, 2 * n):
+            vertices = rng.integers(0, n, size)
+            want = np.setdiff1d(np.arange(n), vertices)
+            got = vertex_complement(n, vertices)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
