@@ -14,7 +14,7 @@ structure of the problem (`solver_path`):
   interior operator is L_x^I (x) M_y^I + M_x^I (x) L_y^I + lambda M_x^I (x)
   M_y^I.  One dense eigendecomposition of the pencil (L^I, M^I) per factor,
   L^I V = M^I V diag(w), solved as the standard problem scaled by
-  (M^I)^-1/2, gives the exact inverse
+  (M^I)^-1/2 (`space.laplacian_spectrum`), gives the exact inverse
   v = V_x [(V_x^T B V_y) / (w_x,i + w_y,j + lambda)] V_y^T, with B the right
   side as an |I_x| x |I_y| array; nothing n x n and no sparse interior
   matrix is formed (Lynch, Rice and Thomas, Numer. Math. 6, 1964).  The
@@ -42,7 +42,8 @@ from scipy.sparse.linalg import ArpackNoConvergence, cg, eigsh
 from .errors import ConfigError, NumericalError
 from .form import carre_du_champ
 from .reports import HoelderReport, Measurement
-from .space import Ball, MetricMeasureSpace, metric_ball, product_pays
+from .space import (Ball, MetricMeasureSpace, laplacian_spectrum, metric_ball,
+                    product_pays)
 
 # CG stops at this relative residual, or raises after 40 (sqrt(m) + 100)
 # iterations on m unknowns.
@@ -116,33 +117,6 @@ def solver_path(problem: Problem) -> str:
     return "cg"
 
 
-def _interior_spectrum(factor: MetricMeasureSpace, idx: np.ndarray):
-    """(w, V) with L^I V = M^I V diag(w) and V^T M^I V = I, for one factor on
-    the index set idx; w ascends.
-
-    Solved as the standard problem scaled by r = mu^-1/2 (the scaling of
-    `heat._spectrum`), diagonalized by divide and conquer in numpy's LAPACK;
-    with a diagonal M^I this is what LAPACK's generalized `sygvd` does.
-    Weak residuals of the all-interior solve with boundary data
-    sgn(x) sqrt|x| at h = 1/64, on the sqrt|x| and the constant-weight grid:
-
-    ===================================  ==========  ==============
-    eigensolver                          sqrt|x|     constant weight
-    ===================================  ==========  ==============
-    `sygvd` on (L^I, M^I)                1.19e-14    1.03e-14
-    this (`syevd` on the scaled matrix)  9.99e-15    1.03e-14
-    scipy's default MRRR, same matrix    2.71e-13    2.80e-13
-    ===================================  ==========  ==============
-    """
-    L = factor.laplacian().tocsr()[idx][:, idx].toarray()
-    r = 1.0 / np.sqrt(factor.mu[idx])
-    try:
-        w, V = np.linalg.eigh((L * r[:, None]) * r[None, :])
-    except np.linalg.LinAlgError as e:
-        raise NumericalError(f"eigendecomposition failed: {e}") from e
-    return w, V * r[:, None]
-
-
 def _fast_diagonalization_solve(problem: Problem, b: np.ndarray) -> np.ndarray:
     """Interior solution on a product domain I_x x I_y with constant lambda."""
     X, Y = problem.space.factors
@@ -150,8 +124,8 @@ def _fast_diagonalization_solve(problem: Problem, b: np.ndarray) -> np.ndarray:
     ix, iy = np.divmod(dom, Y.n)
     # dom is I_x x I_y in row-major order: its first |I_y| entries share i
     m_y = int(np.count_nonzero(ix == ix[0]))
-    wx, Vx = _interior_spectrum(X, ix[::m_y])
-    wy, Vy = _interior_spectrum(Y, iy[:m_y])
+    wx, Vx = laplacian_spectrum(X, ix[::m_y])
+    wy, Vy = laplacian_spectrum(Y, iy[:m_y])
     lam = float(problem.lam[dom[0]])
     denom = wx[:, None] + wy[None, :] + lam
     lam_min = float(wx[0] + wy[0] + lam)

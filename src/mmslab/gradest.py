@@ -72,7 +72,7 @@ def _converged_quadrature(eval_batch, a, b, **kwargs):
 
 
 def averaged_energy(H: HeatOperator, space: MetricMeasureSpace, u, cutoff: Cutoff,
-                    x0: int, t: float, rtol: float = 1e-6) -> float:
+                    x0: int, t: float) -> float:
     """J(x0, t): nonnegative; tends to Gamma(u psi)(x0) as t drops to mesh scale."""
     _require_probe(space, cutoff, x0)
     if not (0 < t <= cutoff.R ** 2 * (1 + 1e-12)):
@@ -83,8 +83,7 @@ def averaged_energy(H: HeatOperator, space: MetricMeasureSpace, u, cutoff: Cutof
     def eval_batch(ts):
         return [col[x0] for _, col in H.apply_grid(F, ts)]
 
-    val, _ = _converged_quadrature(eval_batch, 0.0, t, rtol=rtol,
-                                   zero_limit=float(F[x0]))
+    val, _ = _converged_quadrature(eval_batch, 0.0, t, zero_limit=float(F[x0]))
     return val / t
 
 
@@ -105,8 +104,7 @@ def averaged_energy_profile(H: HeatOperator, space: MetricMeasureSpace, u,
 
 
 def check_variance_identity(H: HeatOperator, space: MetricMeasureSpace, f,
-                            x0: int, eps: float, t: float,
-                            rtol: float = 1e-6) -> float:
+                            x0: int, eps: float, t: float) -> float:
     """Absolute residual of the exact variance accumulation identity
 
         \\int_eps^t { T_s(A(f^2))(x0) - 2 T_s(Af)(x0) T_s(f)(x0) } ds
@@ -129,7 +127,7 @@ def check_variance_identity(H: HeatOperator, space: MetricMeasureSpace, f,
             out.append(cols[x0, 0] - 2.0 * cols[x0, 1] * cols[x0, 2])
         return out
 
-    lhs, _ = _converged_quadrature(eval_batch, eps, t, rtol=rtol)
+    lhs, _ = _converged_quadrature(eval_batch, eps, t)
     rhs = float(variance(H, f, t)[x0] - variance(H, f, eps)[x0])
     return abs(lhs - rhs)
 
@@ -178,8 +176,8 @@ def check_semigroup_holder(H: HeatOperator, space: MetricMeasureSpace, u,
 
 
 def variance_log_integral(H: HeatOperator, space: MetricMeasureSpace, u,
-                          cutoff: Cutoff, x0: int, g_field, gamma: float = None,
-                          rtol: float = 1e-6) -> Measurement:
+                          cutoff: Cutoff, x0: int, g_field,
+                          gamma: float = None) -> Measurement:
     """Logarithmic time integral of the cutoff variance:
 
         \\int_0^{R^2} Var_t(u psi)(x0) dt/t
@@ -207,8 +205,7 @@ def variance_log_integral(H: HeatOperator, space: MetricMeasureSpace, u,
             out.append(max(cols[x0, 0] - cols[x0, 1] ** 2, 0.0))
         return np.asarray(out)
 
-    integral, info = _converged_quadrature(lambda ts: var_at(ts) / ts, h2,
-                                           R ** 2, rtol=rtol)
+    integral, info = _converged_quadrature(lambda ts: var_at(ts) / ts, h2, R ** 2)
     scale = _scale_norm(space, u, g_field, cutoff.support, R)
     var_h2 = float(var_at(np.array([h2]))[0])
     remainder = var_h2 / gamma if gamma else None

@@ -1,19 +1,26 @@
 """Heat semigroup T_t = e^{tA} on a weighted graph, and its kernel checks.
 
-Three realizations, chosen from the structure of the space:
+Three realizations, chosen from the structure of the space, on two code
+paths:
 
-* dense-spectral: full eigendecomposition of the generator, symmetrized in
-  the mu-weighted inner product.  Exact up to round-off for any t; a field
-  stack is pushed through its spectral coefficients and a kernel column is
-  basis e^{-theta t} basis[x0], so nothing of size n x n is formed per time.
-* product: for a Cartesian product X x Y (`space.factors`), the generator
-  is the Kronecker sum A_x (+) A_y, so T_t = T_t^x (x) T_t^y.  Each factor
-  keeps its own dense spectral decomposition; a field stack is pushed
-  through the clamped factor kernels one axis at a time, so nothing of
-  size n x n is formed and positivity is exact at every size.  A kernel
-  column p(t, (a, b), .) is the outer product of two factor rows, and only
-  the rows the sources need are formed, for a whole time grid in chunks of
-  about 1 MB of temporaries.
+* spectral, for the dense and the product realization.  A Cartesian
+  product X x Y (`space.factors`) with the product measure has the
+  generator A_x (+) A_y, so T_t = T_t^x (x) T_t^y and its eigenfields are
+  the products of the factors' (Bakry, Gentil and Ledoux, Analysis and
+  Geometry of Markov Diffusion Operators, 2014, 1.15); a dense space is
+  the product with one factor.  Each factor keeps its eigendecomposition
+  (`space.laplacian_spectrum`).  A field stack is weighted by mu (which is
+  mu_x (x) mu_y on a product), taken to spectral coefficients by basis^T
+  along each factor's axis, and brought back by basis e^{-theta t} along
+  each axis (fast diagonalization: Lynch, Rice and Thomas, Numer. Math. 6,
+  1964), so on a product nothing of size n x n is formed.  Kernel columns
+  keep two routes, by factor count.  On a product a column p(t, (a, b), .)
+  is the outer product of two factor rows, each summed in one fixed order
+  so that kernels are exactly symmetric; only the rows the sources need
+  are formed, for a whole time grid in chunks of about 1 MB of
+  temporaries.  On a dense space a column is the BLAS product
+  basis (e^{-theta t} basis[x0])^T: fixed-order rows of a single factor
+  took 45 times as long for 25 columns at 8 times on a 2401-vertex grid.
 * stepping: for other spaces past the dense cap, a Chebyshev expansion of
   e^{tA} in the shifted generator X = (2/lam)(-A) - I, whose spectrum lies
   in [-1, 1] for the edge-wise bound lam = max over edges {i, j} of
@@ -29,10 +36,14 @@ Three realizations, chosen from the structure of the space:
   the calling thread and up to one worker thread per further CPU; a block
   does the same arithmetic on any thread.
 
-The dense and product spectra come from numpy's LAPACK (`numpy.linalg.eigh`,
-divide and conquer), the library whose BLAS then applies them.  numpy and
-scipy each ship their own OpenBLAS with its own busy-waiting thread pool, so
-an eigendecomposition through scipy between numpy products leaves one pool
+Every action is one time of `apply_grid` and every kernel column one time
+of `kernel_grid`; these two are the only methods that branch on the
+realization.
+
+The spectra come from numpy's LAPACK (`numpy.linalg.eigh`, divide and
+conquer), the library whose BLAS then applies them.  numpy and scipy each
+ship their own OpenBLAS with its own busy-waiting thread pool, so an
+eigendecomposition through scipy between numpy products leaves one pool
 spinning on the cores the other needs; divide and conquer also gives
 eigenvectors that are orthonormal to a few ulp, where scipy's default MRRR
 left errors of 2.7e-13 on the sqrt|x| factors at h = 1/64 (Demmel, Marques,
@@ -43,10 +54,12 @@ p(t, x, y) = p(t, y, x) >= 0 and sum_y p(t, x, y) mu_y = 1 (the semigroup
 is stochastically complete: T_t 1 = 1).  In every realization kernel
 columns, and `apply` of a nonnegative field, are clamped at zero, so
 positivity is exact; a negative value past the round-off floor raises.
+`apply_batch` and `apply_grid` return their stacks unclamped.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 
 import numpy as np
@@ -59,7 +72,7 @@ from .form import carre_du_champ  # noqa: F401
 from .quad import log_time_quadrature, require_converged
 from .reports import GaussianFit, Measurement
 from .space import (DENSE_CAP_DEFAULT, MetricMeasureSpace, _ball_masses,
-                    metric_ball, product_pays)
+                    laplacian_spectrum, metric_ball, product_pays)
 
 # The Chebyshev series stops where the tail sum of |c_k| (the whole sum is 1)
 # drops below this.
@@ -71,18 +84,6 @@ _COLUMN_BLOCK = 2 ** 16
 _GRID_BLOCK = 2 ** 19
 # Temporaries of product kernel rows, in doubles per chunk (about 1 MB).
 _ROW_BLOCK = 2 ** 17
-
-
-def _spectrum(space: MetricMeasureSpace):
-    """(theta, basis): eigenvalues of -A clipped at 0, mu-orthonormal eigenfields."""
-    inv_sqrt_mu = 1.0 / np.sqrt(space.mu)
-    S = (space.laplacian().toarray() * inv_sqrt_mu[:, None]) * inv_sqrt_mu[None, :]
-    S = 0.5 * (S + S.T)
-    try:
-        w, V = np.linalg.eigh(S)
-    except np.linalg.LinAlgError as e:
-        raise NumericalError(f"eigendecomposition failed: {e}") from e
-    return np.clip(w, 0.0, None), V * inv_sqrt_mu[:, None]
 
 
 def _chebyshev_coefficients(z: float) -> np.ndarray:
@@ -106,6 +107,28 @@ def _chebyshev_coefficients(z: float) -> np.ndarray:
             f"Chebyshev series of exp at z={z:.3e} did not converge: tail "
             f"{tail[-1]:.3e} after {c.size} terms")
     return c[:int(np.argmax(tail < CHEB_TAIL))]
+
+
+def _along(M, C, axis: int, scale=None) -> np.ndarray:
+    """sum_j M[i, j] scale[j] C[..., j, ...] over `axis` of C, which keeps
+    its place among C's axes.
+
+    The diagonal `scale` goes on the smaller operand: on M for a product's
+    factor (against the whole stack), on the rows of C for a dense space's
+    stack of no more columns than vertices.  For a 16-time grid of 60
+    columns, scaling the other operand took 1.4 times as long on the sqrt|x|
+    product at h = 1/64 and 2.2 times as long on a 2401-vertex dense grid.
+    """
+    if scale is not None:
+        if M.size < C.size:
+            M = M * scale
+        else:
+            C = C * scale.reshape((-1,) + (1,) * (C.ndim - axis - 1))
+    if axis == 0:
+        return (M @ C.reshape(C.shape[0], -1)).reshape((M.shape[0],) + C.shape[1:])
+    # one (n_f, n_f) x (n_f, rest) product; a batched matmul over the
+    # leading axes is many times slower
+    return np.moveaxis(np.tensordot(M, C, axes=(1, axis)), 0, axis)
 
 
 def _factor_rows(theta, basis, ts, rows) -> np.ndarray:
@@ -148,42 +171,41 @@ class HeatOperator:
         "auto" picks product on a Cartesian-product space whose factors fit
         the dense cap and are no more than `space.PRODUCT_MAX_ASPECT` times
         apart in size (`space.product_pays`), else dense-spectral up to
-        `dense_cap` vertices, else stepping.  The product realization is
-        reached only through "auto".
-    dense_cap : int
-        Largest vertex count for a dense eigendecomposition (of the space in
-        dense mode, of each factor in product mode).
+        `space.DENSE_CAP_DEFAULT` vertices, else stepping.  The product
+        realization is reached only through "auto".
     """
 
-    def __init__(self, space: MetricMeasureSpace, mode="auto",
-                 dense_cap=DENSE_CAP_DEFAULT):
+    def __init__(self, space: MetricMeasureSpace, mode="auto"):
         self.space = space
         n = space.n
         if mode == "auto":
-            if product_pays(space.factors, dense_cap):
+            if product_pays(space.factors):
                 mode = "product"
             else:
-                mode = "dense" if n <= dense_cap else "stepping"
+                mode = "dense" if n <= DENSE_CAP_DEFAULT else "stepping"
         elif mode not in ("dense", "stepping"):
             raise ConfigError(f"unknown heat mode {mode!r}")
-        if mode == "dense" and n > dense_cap:
-            raise ConfigError(f"dense mode capped at {dense_cap} vertices (space has {n})")
+        if mode == "dense" and n > DENSE_CAP_DEFAULT:
+            raise ConfigError(
+                f"dense mode capped at {DENSE_CAP_DEFAULT} vertices (space has {n})")
         self.mode = mode
-        self._factor_pair: dict = {}
-        self.theta = self.basis = self._factors = self._X2 = self._lam = None
+        # [(theta, basis)] per factor, theta the eigenvalues of -A clipped at
+        # 0 and basis the mu-orthonormal eigenfields; a dense space is one
+        # factor
+        self._factors = self._X2 = self._lam = None
         self._pool = None
 
-        if mode == "dense":
-            self.theta, self.basis = _spectrum(space)
-        elif mode == "product":
-            self._factors = [(f.mu,) + _spectrum(f) for f in space.factors]
-        else:
+        if mode == "stepping":
             # -A = M^-1 B^T C B (B the edge-vertex incidence, C the edge
             # conductances) has the nonzero spectrum of the edge matrix
             # B M^-1 B^T C, whose row {i, j} has absolute sum D_i + D_j with
             # D = degree/mu; so the spectrum of -A lies in [0, lam]
             D = space.degree / space.mu
             self._lam = float(np.max(D[space.edge_i] + D[space.edge_j], initial=0.0))
+        else:
+            spaces = space.factors if mode == "product" else [space]
+            self._factors = [(np.clip(w, 0.0, None), V)
+                             for w, V in map(laplacian_spectrum, spaces)]
 
     # -- eigen data ----------------------------------------------------------
 
@@ -191,12 +213,10 @@ class HeatOperator:
     def eigenvalues(self) -> np.ndarray:
         """Eigenvalues 0 = theta_0 < theta_1 <= ... of -A (dense and product
         modes; a product's are the pairwise sums of its factors')."""
-        if self.mode == "product":
-            (_, tx, _), (_, ty, _) = self._factors
-            return np.sort((tx[:, None] + ty[None, :]).ravel())
-        if self.theta is None:
+        if self._factors is None:
             raise ConfigError("eigenvalues need the dense-spectral or product mode")
-        return self.theta
+        return np.sort(functools.reduce(
+            np.add.outer, [theta for theta, _ in self._factors]).ravel())
 
     # -- semigroup application ----------------------------------------------
 
@@ -214,41 +234,31 @@ class HeatOperator:
         return out
 
     def apply_batch(self, F, t: float) -> np.ndarray:
-        """T_t applied to one field or a (n, k) stack of fields (unclamped)."""
+        """T_t applied to one field or a (n, k) stack of fields (unclamped):
+        one time of `apply_grid`."""
         F = np.asarray(F, dtype=float)
         if t < 0:
             raise ConfigError("negative time")
         if t == 0:
             return F.copy()
-        if self.mode == "dense":
-            return self._spectral_apply(self._coefficients(F), t, F.shape)
-        if self.mode == "product":
-            return self._product_apply(F, t)
-        return self._chebyshev_sweep(F, [t])[0]
+        return next(self.apply_grid(F, [t]))[1]
 
     def apply_grid(self, F, ts):
-        """Yield (t, T_t F) for an ascending positive time grid.
+        """Yield (t, T_t F) for an ascending nonnegative time grid.
 
-        Dense mode reuses the spectral coefficients of F; product mode
-        forms the two factor kernels per time; stepping mode splits the grid
-        into consecutive groups whose outputs fit `_GRID_BLOCK` doubles and
-        runs one Chebyshev recurrence per group, from the previous group's
-        last output.  That output is the start of the next group, so callers
-        must not modify a yielded array in place.
+        The spectral modes take the coefficients of F once and synthesize
+        each time from them.  Stepping mode splits the grid into consecutive
+        groups whose outputs fit `_GRID_BLOCK` doubles and runs one
+        Chebyshev recurrence per group, from the previous group's last
+        output.  That output is the start of the next group, so callers
+        must not modify a yielded array in place.  Neither path holds F
+        past its coefficients or its first group, so a caller that drops F
+        frees it then.
         """
         ts = _time_grid(ts)
         F = np.asarray(F, dtype=float)
-        if self.mode == "dense":
-            coeff = self._coefficients(F)
-            for t in ts:
-                yield float(t), self._spectral_apply(coeff, t, F.shape)
-        elif self.mode == "product":
-            for t in ts:
-                yield float(t), self._product_apply(F, t)
-        else:
+        if self.mode == "stepping":
             per_group = max(1, _GRID_BLOCK // max(F.size, 1))
-            # F is not held past its first group, so a caller that drops it
-            # frees it then
             cur, F, t_start = F, None, 0.0
             for i in range(0, ts.size, per_group):
                 group = ts[i:i + per_group]
@@ -259,14 +269,31 @@ class HeatOperator:
                     cur = outs.pop(0)
                     yield float(t), cur
                 t_start = group[-1]
+        else:
+            shape = F.shape
+            coeff, F = self._coefficients(F), None
+            for t in ts:
+                yield float(t), self._synthesize(coeff, t).reshape(shape)
 
     def _coefficients(self, F) -> np.ndarray:
-        """Spectral coefficients basis^T M F of a field or stack, as (n, k)."""
-        return self.basis.T @ (self.space.mu[:, None] * F.reshape(self.space.n, -1))
+        """Spectral coefficients basis^T M F of a field or stack, one axis
+        per factor and the columns last."""
+        C = self.space.mu[:, None] * F.reshape(self.space.n, -1)
+        C = C.reshape(tuple(basis.shape[0] for _, basis in self._factors) + (-1,))
+        for axis, (_, basis) in enumerate(self._factors):
+            C = _along(basis.T, C, axis)
+        return C
 
-    def _spectral_apply(self, coeff, t: float, shape) -> np.ndarray:
-        """T_t of the fields with spectral coefficients `coeff`, in `shape`."""
-        return (self.basis @ (np.exp(-self.theta * t)[:, None] * coeff)).reshape(shape)
+    def _synthesize(self, C, t: float) -> np.ndarray:
+        """The (n, k) fields basis e^{-theta t} C, along each factor's axis.
+
+        The last axis goes first: the coefficients leave it as a transposed
+        view, which its product reads without a copy.
+        """
+        for axis in reversed(range(len(self._factors))):
+            theta, basis = self._factors[axis]
+            C = _along(basis, C, axis, np.exp(-theta * t))
+        return C.reshape(self.space.n, -1)
 
     def _shifted_generator(self):
         """2X = 2((2/lam)(-A) - I) in CSR, built on first use."""
@@ -360,73 +387,43 @@ class HeatOperator:
                 fut.result()
         return [out.reshape(F.shape) for out in outs]
 
-    def _factor_kernels(self, t: float):
-        """Clamped kernel matrices p_x(t), p_y(t) of the two factors, for
-        `_product_apply`.
-
-        The pair for the last time asked is kept: callers that push many
-        stacks sweep t in the outer loop.
-        """
-        pair = self._factor_pair.get(t)
-        if pair is None:
-            pair = [self._spectral_kernel(theta, basis, t)
-                    for _, theta, basis in self._factors]
-            self._factor_pair = {t: pair}
-        return pair
-
-    def _product_apply(self, F, t: float) -> np.ndarray:
-        """(T_t^x (x) T_t^y) F with F viewed as (nx, ny, k): x first, then y."""
-        (mx, _, _), (my, _, _) = self._factors
-        px, py = self._factor_kernels(t)
-        G = ((px * mx) @ F.reshape(mx.size, -1)).reshape(mx.size, my.size, -1)
-        # one (ny, ny) x (ny, nx k) product; a batched matmul over x rows is
-        # many times slower
-        G = np.tensordot(py * my, G, axes=(1, 1))
-        return G.transpose(1, 0, 2).reshape(F.shape)
-
     # -- kernel ---------------------------------------------------------------
 
     def kernel_matrix(self, t: float) -> np.ndarray:
-        """Full kernel matrix p(t, ., .) (dense mode, clamped at 0)."""
+        """Full kernel matrix, column x = p(t, x, .) (dense mode, clamped at 0)."""
         if self.mode != "dense":
             raise ConfigError("kernel matrices require dense-spectral mode")
-        if t <= 0:
-            raise ConfigError("kernel needs t > 0")
-        return self._spectral_kernel(self.theta, self.basis, t)
+        return self.kernel(t, np.arange(self.space.n))
 
     def kernel(self, t: float, x0) -> np.ndarray:
         """Kernel column p(t, x0, .) as a field, or the (n, k) columns of a
-        1-d array of k sources."""
-        if t <= 0:
-            raise ConfigError("kernel needs t > 0")
-        xs = np.asarray(x0, dtype=np.intp)
-        if self.mode == "product":
-            _, cols = next(self._product_kernels(np.array([float(t)]), xs.ravel()))
-            return cols.reshape(self.space.n, *xs.shape)
-        if self.mode == "dense":
-            cols = self.basis @ (np.exp(-self.theta * t) * self.basis[xs]).T
-        else:
-            cols = self._chebyshev_sweep(self._delta(xs), [t])[0]
-        self._clamp(cols)
-        return cols
+        1-d array of k sources: one time of `kernel_grid`."""
+        return next(self.kernel_grid(x0, [t]))[1]
 
-    def kernel_grid(self, x0: int, ts):
-        """Yield (t, p(t, x0, .)) along an ascending positive time grid."""
+    def kernel_grid(self, x0, ts):
+        """Yield (t, p(t, x0, .)) along an ascending positive time grid, for
+        one source or the (n, k) columns of a 1-d array of k sources."""
         ts = _time_grid(ts)
         if ts.size and ts[0] <= 0:
             raise ConfigError("kernel needs t > 0")
-        if self.mode == "product":
-            for t, cols in self._product_kernels(ts, np.array([x0], dtype=np.intp)):
-                yield t, cols[:, 0]
-        elif self.mode == "dense":
-            for t in ts:
-                yield float(t), self.kernel(t, x0)
+        xs = np.asarray(x0, dtype=np.intp)
+        if self.mode == "stepping":
+            for i, (t, cols) in enumerate(self.apply_grid(self._delta(xs), ts)):
+                if i < ts.size - 1:
+                    # clamp a copy: `cols` may start the next group
+                    cols = cols.copy()
+                self._clamp(cols)
+                yield t, cols
+        elif len(self._factors) > 1:
+            for t, cols in self._product_kernels(ts, xs.ravel()):
+                yield t, cols.reshape((self.space.n,) + xs.shape)
         else:
-            for t, col in self.apply_grid(self._delta(x0), ts):
-                # clamp a copy: `col` may start the next group
-                col = col.copy()
-                self._clamp(col)
-                yield t, col
+            ((theta, basis),) = self._factors
+            rows = basis[xs]
+            for t in ts:
+                cols = basis @ (np.exp(-theta * t) * rows).T
+                self._clamp(cols)
+                yield float(t), cols
 
     def _product_kernels(self, ts, xs):
         """Yield (t, (n, k) kernel columns p(t, xs[k], .)) for each t of `ts`.
@@ -436,7 +433,7 @@ class HeatOperator:
         distinct factor sources are formed (`_factor_rows`), a chunk of
         times at a time; no factor kernel matrix is formed.
         """
-        (_, tx, bx), (_, ty, by) = self._factors
+        (tx, bx), (ty, by) = self._factors
         a, b = np.divmod(xs, by.shape[0])
         ua, ia = np.unique(a, return_inverse=True)
         ub, ib = np.unique(b, return_inverse=True)
@@ -457,14 +454,6 @@ class HeatOperator:
         e[xs.ravel(), np.arange(xs.size)] = 1.0 / self.space.mu[xs.ravel()]
         return e.reshape((self.space.n,) + xs.shape)
 
-    @classmethod
-    def _spectral_kernel(cls, theta, basis, t: float) -> np.ndarray:
-        """Symmetrized kernel matrix basis e^{-theta t} basis^T, clamped at 0."""
-        K = basis @ (np.exp(-theta * t)[:, None] * basis.T)
-        K = 0.5 * (K + K.T)
-        cls._clamp(K)
-        return K
-
     @staticmethod
     def _clamp(arr, rel=1e-10):
         floor = -rel * max(float(np.max(arr)), 1e-300)
@@ -475,9 +464,9 @@ class HeatOperator:
         np.clip(arr, 0.0, None, out=arr)
 
 
-def build_heat(space: MetricMeasureSpace, mode="auto", **kwargs) -> HeatOperator:
+def build_heat(space: MetricMeasureSpace, mode="auto") -> HeatOperator:
     """Construct the heat semigroup realization for a space."""
-    return HeatOperator(space, mode=mode, **kwargs)
+    return HeatOperator(space, mode=mode)
 
 
 # ---------------------------------------------------------------------------
@@ -530,18 +519,20 @@ def check_gaussian(H: HeatOperator, t_grid, pair_count: int, R: float,
     # ball masses mu(B(x, sqrt t)) for every time: one sort per source
     sqrt_t = np.sqrt(t_grid)
     ball = [_ball_masses(space.distances_from(x), space.mu, sqrt_t) for x in xs]
-    logs, zs = [], []
-    for i, t in enumerate(t_grid):
-        cols = H.kernel(t, xs)                  # column k: p(t, xs[k], .)
-        for x, y, d in pairs:
+    # one kernel grid over the sorted times, each sample stored in its row
+    # of the given grid
+    order = np.argsort(t_grid, kind="stable")
+    yv = np.empty((t_grid.size, len(pairs)))
+    z = np.empty_like(yv)
+    for i, (t, cols) in zip(order, H.kernel_grid(xs, t_grid[order])):
+        for j, (x, y, d) in enumerate(pairs):   # column k: p(t, xs[k], .)
             p = float(cols[y, xpos[x]])
             if p <= 0:
                 raise NumericalError(f"nonpositive kernel value at t={t}, pair=({x},{y})")
-            mb = ball[xpos[x]][i]
-            logs.append(np.log(p) + np.log(mb))
-            zs.append(d * d / t)
-    yv = np.asarray(logs)
-    z = np.asarray(zs)
+            yv[i, j] = np.log(p) + np.log(ball[xpos[x]][i])
+            z[i, j] = d * d / t
+    yv = yv.ravel()
+    z = z.ravel()
 
     varz = float(np.var(z))
     if varz <= 0:

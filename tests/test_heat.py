@@ -18,7 +18,7 @@ from mmslab import space as sp_mod
 from mmslab.cli import main
 from mmslab.form import carre_du_champ
 from mmslab.heat import build_heat, check_gaussian, check_heat_caccioppoli
-from mmslab.space import MetricMeasureSpace, _ball_masses
+from mmslab.space import DENSE_CAP_DEFAULT, MetricMeasureSpace, _ball_masses
 
 SQUARE = ((-1.0, 1.0), (-1.0, 1.0))
 
@@ -116,9 +116,13 @@ def test_stepping_agrees_with_dense(cycle64):
     assert Hs.kernel(0.9, 3)[11] == pytest.approx(Hs.kernel(0.9, 11)[3], abs=1e-9)
 
 
-def test_dense_cap_enforced(cycle64):
+def test_dense_cap_enforced(monkeypatch):
+    def eigh(S):
+        raise AssertionError("eigendecomposition started past the dense cap")
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
     with pytest.raises(ConfigError):
-        build_heat(cycle64, mode="dense", dense_cap=10)
+        build_heat(sp_mod.uniform_cycle(DENSE_CAP_DEFAULT + 1), mode="dense")
 
 
 def test_heat_grid_monotone_interface(torus16):
@@ -128,6 +132,69 @@ def test_heat_grid_monotone_interface(torus16):
     got = [v.copy() for _, v in H.apply_grid(F, ts)]
     for t, v in zip(ts, got):
         assert np.max(np.abs(v - H.apply_batch(F, t))) <= 1e-10
+
+
+# -- one generator per operation ---------------------------------------------------
+
+@pytest.fixture(scope="module")
+def three_modes():
+    space = sp_mod.weighted_grid_2d(SQUARE, 1 / 8, "sqrt_abs_x")
+    H = [build_heat(space), build_heat(space, mode="dense"),
+         build_heat(space, mode="stepping")]
+    assert [op.mode for op in H] == ["product", "dense", "stepping"]
+    return space, H
+
+
+def test_single_times_are_one_time_of_the_grids(three_modes):
+    space, H = three_modes
+    F = np.random.default_rng(11).standard_normal((space.n, 3))
+    xs = np.array([0, 40, space.n - 1])
+    ts = np.array([1e-3, 0.02, 0.3])
+    for op in H:
+        for G in (F, F[:, 0]):
+            for t, out in op.apply_grid(G, ts):
+                assert np.array_equal(op.apply_batch(G, t), out), (op.mode, t)
+        for x in (xs, 40):
+            for t, cols in op.kernel_grid(x, ts):
+                assert np.array_equal(op.kernel(t, x), cols), (op.mode, t)
+
+
+def test_kernel_grid_over_many_sources_matches_each_source(three_modes):
+    space, H = three_modes
+    xs = np.array([3, 40, 144, space.n - 1])
+    ts = np.array([1e-3, 0.02, 0.3])
+    for op in H:
+        grid = list(op.kernel_grid(xs, ts))
+        assert [t for t, _ in grid] == list(ts)
+        for k, x in enumerate(xs):
+            for (_, cols), (_, col) in zip(grid, op.kernel_grid(int(x), ts)):
+                assert cols.shape == (space.n, xs.size)
+                if op.mode == "dense":
+                    # a BLAS product: its bits depend on the column count
+                    assert close(cols[:, k], col, 1e-14), x
+                else:
+                    assert np.array_equal(cols[:, k], col), (op.mode, x)
+
+
+def test_dense_mode_keeps_the_spectral_formulas():
+    # coefficients basis^T M F, synthesis basis (e^{-theta t} coefficients),
+    # kernel columns basis (e^{-theta t} basis[xs])^T, bit for bit
+    space = tabulated_grid(1 / 8)
+    D = build_heat(space, mode="dense")
+    ((theta, basis),) = D._factors
+    F = np.random.default_rng(12).standard_normal((space.n, 5))
+    coeff = basis.T @ (space.mu[:, None] * F)
+    xs = np.array([0, 17, space.n - 1])
+    ts = np.array([1e-3, 0.05, 2.0])
+    grid = list(D.apply_grid(F, ts))
+    for k, t in enumerate(ts):
+        want = basis @ (np.exp(-theta * t)[:, None] * coeff)
+        assert np.array_equal(D.apply_batch(F, t), want)
+        assert np.array_equal(grid[k][1], want)
+        cols = basis @ (np.exp(-theta * t) * basis[xs]).T
+        assert np.min(cols) >= -1e-10 * np.max(cols)
+        assert np.array_equal(D.kernel(t, xs), np.clip(cols, 0.0, None))
+    assert np.array_equal(D.eigenvalues, theta)
 
 
 # -- Chebyshev stepping realization ---------------------------------------------
@@ -357,9 +424,9 @@ def test_product_factor_bases_are_mu_orthonormal_at_h64():
     space = sp_mod.weighted_grid_2d(SQUARE, 1 / 64, "sqrt_abs_x")
     H = build_heat(space)
     assert H.mode == "product"
-    for mu, theta, basis in H._factors:
-        gram = basis.T @ (mu[:, None] * basis)
-        assert np.max(np.abs(gram - np.eye(mu.size))) <= 1e-13
+    for factor, (theta, basis) in zip(space.factors, H._factors):
+        gram = basis.T @ (factor.mu[:, None] * basis)
+        assert np.max(np.abs(gram - np.eye(factor.n))) <= 1e-13
 
 
 def test_edge_bound_on_the_tabulated_grid_and_the_uniform_torus(tab16, torus16):
@@ -482,6 +549,10 @@ def test_gaussian_ball_masses_match_the_per_pair_reference():
     t_grid = np.geomspace(1.0, 36.0, 5)
     fit = check_gaussian(H, t_grid, 40, R=6.0, seed=3)
     assert (fit.C, fit.C1, fit.C2) == gaussian_reference(H, t_grid, 40, 6.0, seed=3)
+    # one kernel grid over the sorted times; the samples keep the given order
+    shuffled = t_grid[[3, 0, 4, 1, 2]]
+    fit = check_gaussian(H, shuffled, 40, R=6.0, seed=3)
+    assert (fit.C, fit.C1, fit.C2) == gaussian_reference(H, shuffled, 40, 6.0, seed=3)
 
 
 def test_gaussian_rejects_subscale_times(torus16):

@@ -7,6 +7,8 @@ assembled graph, and cross-check the product realization against the dense
 and stepping ones.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -18,7 +20,8 @@ from mmslab import ConfigError
 from mmslab import heat as heat_mod
 from mmslab import space as sp_mod
 from mmslab.heat import build_heat
-from mmslab.space import MetricMeasureSpace, product_space
+from mmslab.space import (DENSE_CAP_DEFAULT, MetricMeasureSpace, product_pays,
+                          product_space)
 
 SQUARE = ((-1.0, 1.0), (-1.0, 1.0))
 
@@ -206,7 +209,10 @@ def test_auto_mode_follows_space_structure(realizations):
     imported = MetricMeasureSpace.from_text(space.to_text())
     assert imported.factors is None
     assert build_heat(imported).mode == "dense"
-    assert build_heat(imported, dense_cap=100).mode == "stepping"
+    # an imported graph above the dense cap steps
+    big = MetricMeasureSpace.from_text(sp_mod.uniform_torus(64, 64).to_text())
+    assert big.factors is None and big.n > DENSE_CAP_DEFAULT
+    assert build_heat(big).mode == "stepping"
     wtab = np.ones((17, 17))
     assert build_heat(sp_mod.weighted_grid_2d(SQUARE, 0.125, tabulated=wtab)).mode == "dense"
 
@@ -252,8 +258,14 @@ def test_product_kernel_exact_positivity_symmetry_and_mass(realizations):
 
 def test_auto_mode_leaves_costly_products_to_the_generic_path(cycle32):
     assert build_heat(cycle32).mode == "dense"
-    # a factor above the dense cap: the parent choice by vertex count
-    assert build_heat(sp_mod.uniform_torus(40, 5), dense_cap=30).mode == "stepping"
+    # a factor above the dense cap, on stand-in factor sizes: the choice
+    # falls back to the vertex count
+    def sizes(*ns):
+        return [SimpleNamespace(n=n) for n in ns]
+
+    assert product_pays(sizes(DENSE_CAP_DEFAULT, DENSE_CAP_DEFAULT // 16))
+    assert not product_pays(sizes(DENSE_CAP_DEFAULT + 1, DENSE_CAP_DEFAULT // 2))
+    assert not product_pays(sizes(DENSE_CAP_DEFAULT // 2, DENSE_CAP_DEFAULT + 1))
     # elongated products: forming the long factor's kernel per time would
     # dominate, so they keep the dense (n <= cap) or stepping choice
     assert build_heat(sp_mod.uniform_torus(3, 4000)).mode == "stepping"
@@ -264,23 +276,17 @@ def test_auto_mode_leaves_costly_products_to_the_generic_path(cycle32):
         build_heat(sp_mod.uniform_torus(8, 8), mode="product")
 
 
-def test_product_kernels_form_no_factor_matrix(realizations, monkeypatch):
+def test_product_kernel_columns_agree_with_the_grid_and_the_action(realizations):
     space, times, H = realizations
     P = H["product"]
-    calls = []
-    build = P._spectral_kernel
-    monkeypatch.setattr(P, "_spectral_kernel",
-                        lambda *a: calls.append(a[-1]) or build(*a))
-    t = times[1] * 1.5        # a time no other test has cached
+    t = times[1] * 1.5
     cols = [P.kernel(t, x) for x in range(0, space.n, 7)]
     grid = list(P.kernel_grid(7, [t / 2, t, 2 * t]))
-    assert calls == [] and len(cols) > 2
     assert np.array_equal(grid[1][1], cols[1])
     delta = np.zeros(space.n)
     delta[7] = 1.0 / space.mu[7]
     assert close(P.apply_batch(delta, t), cols[1])
     assert close(P.apply_batch(2 * delta, t), 2 * cols[1])
-    assert calls == [t, t]
 
 
 def test_product_kernel_grid_matches_dense_across_chunks():

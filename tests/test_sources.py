@@ -57,3 +57,19 @@ def test_no_module_imports_scipy_linalg(path):
     found = {name for name in imported_modules(ast.parse(path.read_text()))
              if name == "scipy.linalg" or name.startswith("scipy.linalg.")}
     assert not found, f"{path.name} imports {sorted(found)}"
+
+
+def test_only_the_generators_branch_on_the_heat_mode():
+    # every action is one time of apply_grid and every kernel column one
+    # time of kernel_grid, so the realization is chosen in those two (and
+    # set in __init__; kernel_matrix is dense-only)
+    tree = ast.parse(next(p for p in SOURCES if p.name == "heat.py").read_text())
+    cls = next(node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == "HeatOperator")
+    readers = {fn.name for fn in cls.body if isinstance(fn, ast.FunctionDef)
+               for node in ast.walk(fn)
+               if isinstance(node, ast.Attribute) and node.attr == "mode"
+               and isinstance(node.value, ast.Name) and node.value.id == "self"
+               and isinstance(node.ctx, ast.Load)}
+    assert {"apply_grid", "kernel_grid"} <= readers
+    assert readers <= {"__init__", "apply_grid", "kernel_grid", "kernel_matrix"}
