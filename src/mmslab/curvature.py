@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .form import carre_du_champ
+from . import heat
 from .heat import HeatOperator
 from .reports import CurvatureReport
 
@@ -107,6 +108,14 @@ def estimate_ckappa(H: HeatOperator, T: float, samples=None, t_grid=None,
     corruption).  The result is floored at zero and is a lower estimate of
     the true minimal constant.  `samples` is an (n, k) stack, one field per
     column; the default `t_grid` is 24 geometric times in [h^2, T].
+
+    The fields are swept in blocks: each block's column-major stack
+    [g~^2 | g~ | Gamma(g)] of recentred fields g~ fits the heat module's
+    `_GRID_BLOCK` doubles (or holds one field), goes through one
+    `apply_grid` sweep, and each output is released before the next is
+    made, so memory stays near a few blocks beside `samples` at any mesh.
+    The per-time maxima fold across blocks; ties go to the smaller vertex,
+    then the smaller field, as a flat argmax over the whole stack would.
     """
     if not (T > 0):
         raise ConfigError("horizon T must be positive")
@@ -127,22 +136,39 @@ def estimate_ckappa(H: HeatOperator, T: float, samples=None, t_grid=None,
     if k == 0:
         raise ConfigError("empty sample collection")
 
-    # recentre per field; stack [g~^2 | g~ | Gamma(g)] and sweep the grid once
-    mid = 0.5 * (samples.max(axis=0) + samples.min(axis=0))
-    gs = samples - mid[None, :]
-    gammas = np.column_stack([carre_du_champ(H.space, gs[:, i]) for i in range(k)])
-    stack = np.column_stack([gs * gs, gs, gammas])
-    scale2 = np.maximum(1.0, np.max(np.abs(gs), axis=0) ** 2)
-    sweep = H.apply_grid(stack, np.sort(t_grid))
-    # dead from here: the sweep keeps only a few outputs of the stack live
-    # (and the stack itself until its first group is done)
-    del samples, gs, gammas, stack
+    # c_kappa is a max over fields, so each block's per-time maxima fold
+    # into `best`, the (value, vertex, field) per time
+    n = H.space.n
+    width = max(1, heat._GRID_BLOCK // (3 * n))
+    ts = np.sort(t_grid)
+    best = [(-1.0, 0, 0)] * ts.size
+    for f0 in range(0, k, width):
+        block = samples[:, f0:f0 + width]
+        kb = block.shape[1]
+        stack = np.empty((3 * kb, n)).T        # column-major, read in place
+        gs = stack[:, kb:2 * kb]
+        # recentre per field
+        np.subtract(block, 0.5 * (block.max(axis=0) + block.min(axis=0)), out=gs)
+        np.square(gs, out=stack[:, :kb])
+        for i in range(kb):
+            stack[:, 2 * kb + i] = carre_du_champ(H.space, gs[:, i])
+        scale2 = np.maximum(1.0, np.max(np.abs(gs), axis=0) ** 2)
+        sweep = H.apply_grid(stack, ts)
+        # the sweep holds the stack only until its first output
+        del stack, gs
+        for i, (t, out) in enumerate(sweep):
+            m, f, x = _largest_required(out, t, scale2)
+            # released before the next output is made
+            del out
+            # a later block's fields are larger, so a tie moves only to a
+            # smaller vertex
+            if m > best[i][0] or (m == best[i][0] and x < best[i][1]):
+                best[i] = (m, x, f0 + f)
 
     c_kappa = 0.0
     argmax = (0, float(t_grid[0]), 0)
     profile = []
-    for t, out in sweep:
-        m, f, x = _largest_required(out, t, scale2)
+    for t, (m, x, f) in zip(ts, best):
         profile.append((float(t), m))
         if m > c_kappa:
             c_kappa = m

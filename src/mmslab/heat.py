@@ -9,16 +9,22 @@ paths:
   the products of the factors' (Bakry, Gentil and Ledoux, Analysis and
   Geometry of Markov Diffusion Operators, 2014, 1.15); a dense space is
   the product with one factor.  Each factor keeps its eigendecomposition
-  (`space.laplacian_spectrum`).  A field stack is weighted by mu (which is
-  mu_x (x) mu_y on a product), taken to spectral coefficients by basis^T
-  along each factor's axis, and brought back by basis e^{-theta t} along
-  each axis (fast diagonalization: Lynch, Rice and Thomas, Numer. Math. 6,
-  1964), so on a product nothing of size n x n is formed.  Kernel columns
-  keep two routes, by factor count.  On a product a column p(t, (a, b), .)
-  is the outer product of two factor rows, each summed in one fixed order
-  so that kernels are exactly symmetric; only the rows the sources need
-  are formed, for a whole time grid in chunks of about 1 MB of
-  temporaries.  On a dense space a column is the BLAS product
+  (`space.laplacian_spectrum`).  A dense space's stack is weighted by mu,
+  taken to coefficients by basis^T and brought back by basis e^{-theta t},
+  one BLAS product each.  A product works column by column (fast
+  diagonalization: Lynch, Rice and Thomas, Numer. Math. 6, 1964): column c
+  of the stack is an (nx, ny) matrix F_c, its coefficients are
+  (bx mu_x)^T F_c (by mu_y), stored column first as one (k, nx, ny) array,
+  and each time is one batched product along x over the k columns and one
+  plain (k nx, ny) product along y, keeping only the modes with
+  theta t <= `MODE_CUT` on each axis.  Nothing of size n x n and no
+  transposed copy is formed; a column-major stack is read in place, and
+  each (n, k) output is a column-major (Fortran-ordered) view.  Kernel
+  columns keep two routes, by factor count.  On a product a column
+  p(t, (a, b), .) is the outer product of two factor rows, each summed in
+  one fixed order so that kernels are exactly symmetric; only the rows the
+  sources need are formed, for a whole time grid in chunks of about 1 MB
+  of temporaries.  On a dense space a column is the BLAS product
   basis (e^{-theta t} basis[x0])^T: fixed-order rows of a single factor
   took 45 times as long for 25 columns at 8 times on a 2401-vertex grid.
 * stepping: for other spaces past the dense cap, a Chebyshev expansion of
@@ -38,7 +44,8 @@ paths:
 
 Every action is one time of `apply_grid` and every kernel column one time
 of `kernel_grid`; these two are the only methods that branch on the
-realization.
+realization.  The layout of an action's output is the realization's: a
+product's is column-major, the others' row-major.
 
 The spectra come from numpy's LAPACK (`numpy.linalg.eigh`, divide and
 conquer), the library whose BLAS then applies them.  numpy and scipy each
@@ -84,6 +91,11 @@ _COLUMN_BLOCK = 2 ** 16
 _GRID_BLOCK = 2 ** 19
 # Temporaries of product kernel rows, in doubles per chunk (about 1 MB).
 _ROW_BLOCK = 2 ** 17
+# Product synthesis keeps the modes with theta t <= MODE_CUT on each axis: the
+# rest add less than e^-45 < 2^-64 times |F|_{L2(mu)} mu_x^{-1/2} at x, the
+# scale on which the full sum's round-off is a few 2^-53
+# (`HeatOperator._product_synthesize`).
+MODE_CUT = 45.0
 
 
 def _chebyshev_coefficients(z: float) -> np.ndarray:
@@ -107,28 +119,6 @@ def _chebyshev_coefficients(z: float) -> np.ndarray:
             f"Chebyshev series of exp at z={z:.3e} did not converge: tail "
             f"{tail[-1]:.3e} after {c.size} terms")
     return c[:int(np.argmax(tail < CHEB_TAIL))]
-
-
-def _along(M, C, axis: int, scale=None) -> np.ndarray:
-    """sum_j M[i, j] scale[j] C[..., j, ...] over `axis` of C, which keeps
-    its place among C's axes.
-
-    The diagonal `scale` goes on the smaller operand: on M for a product's
-    factor (against the whole stack), on the rows of C for a dense space's
-    stack of no more columns than vertices.  For a 16-time grid of 60
-    columns, scaling the other operand took 1.4 times as long on the sqrt|x|
-    product at h = 1/64 and 2.2 times as long on a 2401-vertex dense grid.
-    """
-    if scale is not None:
-        if M.size < C.size:
-            M = M * scale
-        else:
-            C = C * scale.reshape((-1,) + (1,) * (C.ndim - axis - 1))
-    if axis == 0:
-        return (M @ C.reshape(C.shape[0], -1)).reshape((M.shape[0],) + C.shape[1:])
-    # one (n_f, n_f) x (n_f, rest) product; a batched matmul over the
-    # leading axes is many times slower
-    return np.moveaxis(np.tensordot(M, C, axes=(1, axis)), 0, axis)
 
 
 def _factor_rows(theta, basis, ts, rows) -> np.ndarray:
@@ -192,7 +182,7 @@ class HeatOperator:
         # [(theta, basis)] per factor, theta the eigenvalues of -A clipped at
         # 0 and basis the mu-orthonormal eigenfields; a dense space is one
         # factor
-        self._factors = self._X2 = self._lam = None
+        self._factors = self._weighted = self._X2 = self._lam = None
         self._pool = None
 
         if mode == "stepping":
@@ -206,6 +196,10 @@ class HeatOperator:
             spaces = space.factors if mode == "product" else [space]
             self._factors = [(np.clip(w, 0.0, None), V)
                              for w, V in map(laplacian_spectrum, spaces)]
+            if mode == "product":
+                # basis^T M on a product is (bx mu_x)^T (x) (by mu_y)^T
+                self._weighted = [V * X.mu[:, None]
+                                  for (_, V), X in zip(self._factors, spaces)]
 
     # -- eigen data ----------------------------------------------------------
 
@@ -247,7 +241,9 @@ class HeatOperator:
         """Yield (t, T_t F) for an ascending nonnegative time grid.
 
         The spectral modes take the coefficients of F once and synthesize
-        each time from them.  Stepping mode splits the grid into consecutive
+        each time from them; a product yields each (n, k) output as a
+        column-major (Fortran-ordered) view and reads a column-major F
+        without copying it.  Stepping mode splits the grid into consecutive
         groups whose outputs fit `_GRID_BLOCK` doubles and runs one
         Chebyshev recurrence per group, from the previous group's last
         output.  That output is the start of the next group, so callers
@@ -269,31 +265,65 @@ class HeatOperator:
                     cur = outs.pop(0)
                     yield float(t), cur
                 t_start = group[-1]
-        else:
+        elif self.mode == "product":
             shape = F.shape
-            coeff, F = self._coefficients(F), None
+            coeff, F = self._product_coefficients(F), None
             for t in ts:
-                yield float(t), self._synthesize(coeff, t).reshape(shape)
+                yield float(t), self._product_synthesize(coeff, t).reshape(shape)
+        else:
+            ((theta, basis),) = self._factors
+            shape = F.shape
+            coeff, F = basis.T @ (self.space.mu[:, None] * F.reshape(self.space.n, -1)), None
+            for t in ts:
+                # the diagonal goes on the smaller operand: scaling the other
+                # took 2.2 times as long for a 16-time grid of 60 columns on a
+                # 2401-vertex grid
+                scale = np.exp(-theta * t)
+                if basis.size < coeff.size:
+                    out = (basis * scale) @ coeff
+                else:
+                    out = basis @ (scale[:, None] * coeff)
+                yield float(t), out.reshape(shape)
 
-    def _coefficients(self, F) -> np.ndarray:
-        """Spectral coefficients basis^T M F of a field or stack, one axis
-        per factor and the columns last."""
-        C = self.space.mu[:, None] * F.reshape(self.space.n, -1)
-        C = C.reshape(tuple(basis.shape[0] for _, basis in self._factors) + (-1,))
-        for axis, (_, basis) in enumerate(self._factors):
-            C = _along(basis.T, C, axis)
-        return C
+    def _product_coefficients(self, F) -> np.ndarray:
+        """Spectral coefficients of a field or (n, k) stack on X x Y, column
+        first: C[c] = (bx mu_x)^T F_c (by mu_y), with F_c the (nx, ny) matrix
+        of column c, as one (k, nx, ny) array.
 
-    def _synthesize(self, C, t: float) -> np.ndarray:
-        """The (n, k) fields basis e^{-theta t} C, along each factor's axis.
-
-        The last axis goes first: the coefficients leave it as a transposed
-        view, which its product reads without a copy.
+        A column-major stack is read in place; any other is copied once into
+        that layout.
         """
-        for axis in reversed(range(len(self._factors))):
-            theta, basis = self._factors[axis]
-            C = _along(basis, C, axis, np.exp(-theta * t))
-        return C.reshape(self.space.n, -1)
+        wx, wy = self._weighted
+        nx, ny = wx.shape[0], wy.shape[0]
+        cols = np.ascontiguousarray(F.reshape(nx * ny, -1).T)
+        along_y = cols.reshape(-1, ny) @ wy
+        del cols
+        return np.matmul(wx.T, along_y.reshape(-1, nx, ny))
+
+    def _product_synthesize(self, C, t: float) -> np.ndarray:
+        """The (n, k) fields bx e^{-theta_x t} C[c] (by e^{-theta_y t})^T of
+        column-first coefficients, as a column-major view.
+
+        One batched product of the x factor over the k columns, then one
+        plain (k nx, ky) x (ky, ny) product along y; nothing of size n x n
+        and no transposed copy is formed.
+
+        Only the modes with theta t <= `MODE_CUT` on each axis are kept.  The
+        bases are mu-orthonormal, so sum_k phi_k(x)^2 = 1/mu_x and the
+        coefficients of F have l2 norm |F|_{L2(mu)}; a product mode dropped
+        on either axis has e^{-(theta_a + theta_b) t} <= e^{-MODE_CUT}, so by
+        Cauchy-Schwarz the dropped modes add at most
+        e^{-MODE_CUT} |F|_{L2(mu)} mu_x^{-1/2} at x.  The round-off of the full
+        sum is a modest multiple of 2^-53 on the same scale, and e^-45 is
+        below 2^-64: the cut changes nothing the arithmetic could resolve.
+        theta is ascending, so the kept modes are a leading slice.
+        """
+        (tx, bx), (ty, by) = self._factors
+        kx = int(np.searchsorted(tx * t, MODE_CUT, side="right"))
+        ky = int(np.searchsorted(ty * t, MODE_CUT, side="right"))
+        along_x = np.matmul(bx[:, :kx] * np.exp(-tx[:kx] * t), C[:, :kx, :ky])
+        out = along_x.reshape(-1, ky) @ (by[:, :ky] * np.exp(-ty[:ky] * t)).T
+        return out.reshape(C.shape[0], -1).T
 
     def _shifted_generator(self):
         """2X = 2((2/lam)(-A) - I) in CSR, built on first use."""
@@ -414,7 +444,7 @@ class HeatOperator:
                     cols = cols.copy()
                 self._clamp(cols)
                 yield t, cols
-        elif len(self._factors) > 1:
+        elif self.mode == "product":
             for t, cols in self._product_kernels(ts, xs.ravel()):
                 yield t, cols.reshape((self.space.n,) + xs.shape)
         else:

@@ -136,6 +136,12 @@ class MetricMeasureSpace:
             raise ConfigError("single vertex cannot carry edges")
 
         self.degree = np.asarray(self._W.sum(axis=1)).ravel()
+        # on a path (edges k -- k+1) the lengths of its edges in order
+        order = np.argsort(self.edge_i, kind="stable")
+        path = (self.n_edges == n - 1
+                and np.array_equal(self.edge_i[order], np.arange(n - 1))
+                and np.array_equal(self.edge_j[order], np.arange(1, n)))
+        self._path_lengths = self.edge_l[order] if path else None
         self._dist_cache: dict[int, np.ndarray] = {}
         self._dist_cache_cap = CACHE_BYTES // (8 * n)
 
@@ -179,8 +185,12 @@ class MetricMeasureSpace:
         """Shortest-path distances from vertex v.
 
         On a product X x Y this is d_X(i, .) + d_Y(j, .) for v = (i, j),
-        built from the factors' cached rows and not cached itself.  Other
-        graphs run Dijkstra and cache rows per source up to a byte budget.
+        built from the factors' rows and not cached itself.  On a path
+        (edges k -- k+1, every 1-d grid) it is the running sum of the edge
+        lengths outward from v, in each direction: the one path Dijkstra
+        would relax, added in its order, so the same bits, and not cached
+        either.  Other graphs run Dijkstra and cache rows per source up to a
+        byte budget.
         """
         v = int(v)
         if not 0 <= v < self.n:
@@ -188,6 +198,10 @@ class MetricMeasureSpace:
         if self.factors is not None:
             dx, dy = self.factor_rows(*divmod(v, self.factors[1].n))
             return np.add.outer(dx[0], dy[0]).ravel()
+        if self._path_lengths is not None:
+            lengths = self._path_lengths
+            return np.concatenate([np.cumsum(lengths[:v][::-1])[::-1], [0.0],
+                                   np.cumsum(lengths[v:])])
         d = self._dist_cache.get(v)
         if d is None:
             d = dijkstra(self._len_graph, directed=False, indices=v)
@@ -198,18 +212,21 @@ class MetricMeasureSpace:
     def distance_rows(self, sources) -> np.ndarray:
         """Distance rows (len(sources), n) for a 1-d array of sources.
 
-        Generic graphs run one batched Dijkstra that bypasses the cache.
+        Paths stack their running sums; other generic graphs run one batched
+        Dijkstra that bypasses the cache.
         """
         sources = np.asarray(sources)
-        if self.factors is None:
-            return dijkstra(self._len_graph, directed=False, indices=sources)
-        dx, dy = self.factor_rows(*np.divmod(sources, self.factors[1].n))
-        return (dx[:, :, None] + dy[:, None, :]).reshape(sources.size, self.n)
+        if self.factors is not None:
+            dx, dy = self.factor_rows(*np.divmod(sources, self.factors[1].n))
+            return (dx[:, :, None] + dy[:, None, :]).reshape(sources.size, self.n)
+        if self._path_lengths is not None:
+            return np.array([self.distances_from(v) for v in sources]).reshape(-1, self.n)
+        return dijkstra(self._len_graph, directed=False, indices=sources)
 
     def factor_rows(self, xs, ys) -> tuple[np.ndarray, np.ndarray]:
         """Factor distance rows of a product X x Y: d_X(i, .) for each i in
         xs as a (len(xs), nx) block and d_Y(a, .) for each a in ys as a
-        (len(ys), ny) block, both from the factors' cached rows.  Every
+        (len(ys), ny) block, both from the factors' rows.  Every
         product distance is fl(d_X + d_Y) of one entry of each block."""
         X, Y = self.factors
         dx = [X.distances_from(i) for i in np.atleast_1d(xs)]

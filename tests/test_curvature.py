@@ -1,9 +1,12 @@
 """Variance bound, curvature constant estimation, commutation oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from mmslab import ConfigError, NumericalError
+from conftest import tabulated_grid
+from mmslab import ConfigError, NumericalError, curvature, heat
 from mmslab import space as sp_mod
 from mmslab.curvature import (_largest_required, check_commutation,
                               default_sample_fields, estimate_ckappa, variance)
@@ -221,3 +224,84 @@ def test_largest_required_raises_on_a_broken_stack():
     vanishing[0, 0] += 1.0      # variance 1 where T_t Gamma is zero
     with pytest.raises(NumericalError, match="vanishing T_t Gamma"):
         _largest_required(vanishing, 0.05, scale2)
+
+
+# -- field blocks ---------------------------------------------------------------
+
+@pytest.fixture(scope="module", params=["product", "stepping", "dense"])
+def block_case(request):
+    if request.param == "product":
+        H = build_heat(sp_mod.weighted_grid_2d(((-1.0, 1.0), (-1.0, 1.0)), 1 / 16,
+                                               "sqrt_abs_x"))
+    else:
+        H = build_heat(tabulated_grid(1 / 16), mode=request.param)
+    assert H.mode == request.param
+    return H, default_sample_fields(H, seed=2, n_random=6)
+
+
+def estimate_in_blocks(H, samples, width, monkeypatch):
+    """estimate_ckappa to T = 1/64 with field blocks of `width` fields."""
+    monkeypatch.setattr(heat, "_GRID_BLOCK", 3 * H.space.n * width)
+    return estimate_ckappa(H, 1 / 64, samples=samples)
+
+
+def test_ckappa_does_not_depend_on_the_block_width(block_case, monkeypatch):
+    H, samples = block_case
+    k = samples.shape[1]
+    whole = estimate_in_blocks(H, samples, k, monkeypatch)
+    assert whole.c_kappa > 0
+    for width in (1, 3, 5):
+        rep = estimate_in_blocks(H, samples, width, monkeypatch)
+        assert rep.c_kappa == whole.c_kappa
+        assert rep.argmax == whole.argmax
+        assert rep.per_t_profile == whole.per_t_profile
+
+
+def test_a_tie_across_blocks_goes_to_the_first_field(block_case, monkeypatch):
+    # g and -g have the same required constant at every vertex and time, to
+    # the bit; with one field a block they sit in different blocks
+    H, samples = block_case
+    g = samples[:, int(estimate_ckappa(H, 1 / 64, samples=samples).argmax[0])]
+    tied = np.column_stack([samples[:, 0], g, -g, g])
+    reps = [estimate_in_blocks(H, tied, w, monkeypatch) for w in (1, 2, 4)]
+    assert reps[0].argmax[0] == 1
+    assert all(rep.argmax == reps[0].argmax for rep in reps)
+    assert all(rep.per_t_profile == reps[0].per_t_profile for rep in reps)
+
+
+def test_block_maxima_fold_to_the_flat_argmax_rule(torus16, monkeypatch):
+    # planted per-block maxima (value, local field, vertex) for two times:
+    # at the first time block 1 ties block 0 at a smaller vertex and wins;
+    # at the second it ties at the same vertex and the smaller field stays
+    H = build_heat(torus16)
+    samples = np.random.default_rng(0).standard_normal((torus16.n, 4))
+    planted = iter([(5.0, 1, 7), (2.0, 1, 3),       # block 0: fields 0, 1
+                    (5.0, 0, 3), (2.0, 0, 3)])      # block 1: fields 2, 3
+    monkeypatch.setattr(curvature, "_largest_required",
+                        lambda out, t, scale2: next(planted))
+    monkeypatch.setattr(heat, "_GRID_BLOCK", 3 * torus16.n * 2)
+    rep = estimate_ckappa(H, 1.0, samples=samples, t_grid=[0.5, 1.0])
+    assert rep.c_kappa == 5.0
+    assert rep.argmax == (2, 0.5, 3)
+    assert rep.per_t_profile == [(0.5, 5.0), (1.0, 2.0)]
+
+
+def test_ckappa_memory_stays_near_one_block_beside_the_samples():
+    # h = 1/128: a block holds two fields, so the twelve fields go through
+    # the sweep in six blocks; the whole 36-column stack with the copies of
+    # a tensordot route peaks near 91 MB
+    space = sp_mod.weighted_grid_2d(((-1.0, 1.0), (-1.0, 1.0)), 1 / 128, "sqrt_abs_x")
+    H = build_heat(space)
+    samples = default_sample_fields(H, seed=0, n_random=4)
+    width = max(1, heat._GRID_BLOCK // (3 * space.n))
+    block = 8 * 3 * width * space.n
+    assert samples.shape[1] > 4 * width
+    tracemalloc.start()
+    try:
+        rep = estimate_ckappa(H, 1 / 64, samples=samples,
+                              t_grid=np.geomspace(1 / 128 ** 2, 1 / 64, 4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.c_kappa > 0
+    assert peak <= samples.nbytes + 5 * block + 2 ** 20

@@ -429,6 +429,49 @@ def test_product_factor_bases_are_mu_orthonormal_at_h64():
         assert np.max(np.abs(gram - np.eye(factor.n))) <= 1e-13
 
 
+def top_mode_fields(space):
+    """A delta 1_x/mu_x at the origin and the checkerboard (-1)^(i+j), whose
+    weight sits in the top modes."""
+    i, j = np.divmod(np.arange(space.n), space.factors[1].n)
+    delta = np.zeros(space.n)
+    x0 = space.vertex_at((0.0, 0.0))
+    delta[x0] = 1.0 / space.mu[x0]
+    return np.column_stack([delta, (-1.0) ** (i + j)])
+
+
+@pytest.mark.parametrize("cut", [1.0, 4.0, 10.0, heat.MODE_CUT])
+def test_product_mode_cut_stays_within_its_bound(cut, monkeypatch):
+    # the modes dropped at theta t > L add at most
+    # e^-L |F|_{L2(mu)} mu_x^{-1/2} at x; smaller cuts make that visible
+    space = sp_mod.weighted_grid_2d(SQUARE, 1 / 16, "sqrt_abs_x")
+    H = build_heat(space)
+    F = top_mode_fields(space)
+    ts = (1 / 256, 1 / 64, 0.25)
+    monkeypatch.setattr(heat, "MODE_CUT", np.inf)
+    full = [v.copy() for _, v in H.apply_grid(F, ts)]
+    monkeypatch.setattr(heat, "MODE_CUT", cut)
+    scale = np.sqrt(space.mu @ F ** 2)[None, :] / np.sqrt(space.mu)[:, None]
+    worst = 0.0
+    for (t, got), want in zip(H.apply_grid(F, ts), full):
+        err = np.abs(got - want) / scale
+        assert np.max(err) <= np.exp(-cut) + 1e-13, t
+        worst = max(worst, float(np.max(err)))
+    if cut < heat.MODE_CUT:
+        assert worst >= 1e-3 * np.exp(-cut)
+    # at the module's cut the last time keeps 9 of 33 modes on each axis
+    (tx, _), (ty, _) = H._factors
+    assert np.sum(tx * ts[-1] <= heat.MODE_CUT) < tx.size
+
+
+def test_product_actions_are_column_major_views(three_modes):
+    space, (P, D, _) = three_modes
+    F = np.asfortranarray(np.random.default_rng(3).standard_normal((space.n, 5)))
+    for t, out in P.apply_grid(F, [0.001, 0.1]):
+        assert out.flags.f_contiguous and not out.flags.owndata
+        assert close(out, D.apply_batch(F, t))
+    assert P.apply(F[:, 0], 0.1).shape == (space.n,)
+
+
 def test_edge_bound_on_the_tabulated_grid_and_the_uniform_torus(tab16, torus16):
     assert_edge_bound(tab16[0])
     # on the uniform torus every vertex has the same degree/mu, so the bound

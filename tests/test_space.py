@@ -100,6 +100,42 @@ def test_distances_match_oracle(sqrt_square_16):
     assert np.allclose(d, dijkstra_oracle(sqrt_square_16, 7))
 
 
+@pytest.mark.parametrize("h", [0.1, 1 / 64, 1 / 128])
+@pytest.mark.parametrize("weight", ["sqrt_abs_x", "constant"])
+def test_path_distances_are_dijkstra_bit_for_bit_without_dijkstra(weight, h,
+                                                                  monkeypatch):
+    # the factors of every 2-d grid: a running sum of the edge lengths
+    # outward from the source, in Dijkstra's order of addition
+    path = sp_mod.weighted_grid_1d((-1.0, 1.0), h, weight)
+    want = dijkstra(path._len_graph, directed=False, indices=np.arange(path.n))
+
+    def no_dijkstra(*args, **kwargs):
+        raise AssertionError("a path ran Dijkstra")
+
+    monkeypatch.setattr(sp_mod, "dijkstra", no_dijkstra)
+    for v in range(path.n):
+        assert np.array_equal(path.distances_from(v), want[v])
+    assert np.array_equal(path.distance_rows(np.arange(path.n)), want)
+    assert path._dist_cache == {}
+
+
+def test_cycles_stay_on_dijkstra(monkeypatch):
+    # a cycle has two paths to each vertex, so running sums do not apply
+    cycle = sp_mod.uniform_cycle(12)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("indices"))
+        return dijkstra(*args, **kwargs)
+
+    monkeypatch.setattr(sp_mod, "dijkstra", counted)
+    for v in (0, 5, 11):
+        assert np.array_equal(cycle.distances_from(v), dijkstra_oracle(cycle, v))
+    assert np.array_equal(cycle.distance_rows(np.arange(3)),
+                          [dijkstra_oracle(cycle, v) for v in range(3)])
+    assert len(calls) == 4
+
+
 # -- doubling ---------------------------------------------------------------
 
 def test_doubling_cycle_against_enumeration(cycle64):
