@@ -51,20 +51,29 @@ def variance(H: HeatOperator, g, t: float) -> np.ndarray:
 def default_sample_fields(H: HeatOperator, seed: int = 0, n_random: int = 32,
                           smoothed: bool = True) -> np.ndarray:
     """Default (n, k) sample stack: coordinates, seeded Gaussians, and their
-    heat-smoothed versions T_{h^2} g."""
+    heat-smoothed versions T_{h^2} g, as one column-major array.
+
+    The fields are drawn into a column-major (n, k) block and smoothed in
+    one action; the stack is allocated after that action, so it is not
+    alive beside the action's temporaries (coefficients, the partial
+    synthesis and the output, each the size of the block).
+    """
     space = H.space
-    cols = []
-    if space.positions is not None:
-        for d in range(space.positions.shape[1]):
-            cols.append(space.positions[:, d].astype(float))
+    dims = 0 if space.positions is None else space.positions.shape[1]
+    k = dims + n_random
+    F = np.empty((k, space.n)).T
+    if dims:
+        F[:, :dims] = space.positions
     rng = np.random.default_rng(seed)
-    for _ in range(n_random):
-        cols.append(rng.standard_normal(space.n))
-    F = np.column_stack(cols)
-    if smoothed:
-        h2 = space.min_edge_length ** 2
-        F = np.column_stack([F, H.apply_batch(F, h2)])
-    return F
+    for c in range(dims, k):
+        rng.standard_normal(out=F[:, c])
+    if not smoothed:
+        return F
+    smooth = H.apply_batch(F, space.min_edge_length ** 2)
+    out = np.empty((2 * k, space.n)).T
+    out[:, :k] = F
+    out[:, k:] = smooth
+    return out
 
 
 def _largest_required(out, t: float, scale2):

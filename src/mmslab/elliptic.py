@@ -53,6 +53,7 @@ CG_RTOL = 1e-13
 PD_FLOOR = 1e-12
 GAMMA_STEP = 0.05           # grid of the fitted Hoelder exponents
 HOELDER_SOURCES = 48        # most seeded pair sources in the doubled ball
+PAIR_BLOCK = 2 ** 15        # Hoelder pairs per block of the envelope and the constant
 
 
 @dataclass
@@ -88,13 +89,19 @@ class Problem:
                        else self.space.check_field(self.source))
 
 
+def _laplacian_apply(space: MetricMeasureSpace, u) -> np.ndarray:
+    """L u = deg * u - W u, the graph Laplacian applied without forming
+    the matrix D - W."""
+    return space.degree * u - space.conductance_matrix @ u
+
+
 def _right_side(problem: Problem):
     """(b, u_b): interior right side and the Dirichlet data zeroed on the domain."""
     space = problem.space
     dom = problem.domain
     u_b = problem.boundary_values.copy()
     u_b[dom] = 0.0
-    b = (space.mu * problem.source)[dom] - (space.laplacian() @ u_b)[dom]
+    b = (space.mu * problem.source)[dom] - _laplacian_apply(space, u_b)[dom]
     return b, u_b
 
 
@@ -203,8 +210,7 @@ def weak_residual(problem: Problem, u) -> float:
     """Max interior-hat residual of the weak form, evaluated from scratch."""
     space = problem.space
     u = space.check_field(u)
-    L = space.laplacian()
-    r = ((space.mu * problem.source) - (L @ u)
+    r = ((space.mu * problem.source) - _laplacian_apply(space, u)
          - problem.lam * space.mu * u)[problem.domain]
     return float(np.max(np.abs(r))) if r.size else 0.0
 
@@ -245,7 +251,7 @@ def classify_harmonicity(space: MetricMeasureSpace, u, domain):
     """
     u = space.check_field(u)
     domain = np.asarray(domain, dtype=np.intp)
-    s = -(space.laplacian() @ u)[domain]
+    s = -_laplacian_apply(space, u)[domain]
     scale = (space.degree * np.abs(u) + space.conductance_matrix @ np.abs(u))
     tol = 1e-8 * max(float(np.max(scale[domain])), 1e-300)
     lo, hi = float(np.min(s)), float(np.max(s))
@@ -377,7 +383,10 @@ def _factor_pair_distances(space: MetricMeasureSpace, sources: np.ndarray,
     ny = space.factors[1].n
     dx, dy = space.factor_rows(*np.divmod(sources, ny))
     ta, tb = np.divmod(targets, ny)
-    return dx[:, ta] + dy[:, tb]
+    D = dx[:, ta]
+    for row, dy_row in zip(D, dy):      # one row of y terms at a time
+        row += dy_row[tb]
+    return D
 
 
 def holder_fit(space: MetricMeasureSpace, u, ball: Ball, g_field,
@@ -417,12 +426,20 @@ def holder_fit(space: MetricMeasureSpace, u, ball: Ball, g_field,
         D = _factor_pair_distances(space, sources, members)
     else:
         D = _pair_distances(space, four_b.members, sources, members)
-    ud = np.abs(u[sources][:, None] - u[members][None, :])
     # single-edge increments are one-sided at mesh scale and bias the
     # envelope upward; fit over separations of at least two mesh lengths
     pos = (D >= 2 * space.min_edge_length * (1 - 1e-9)) & np.isfinite(D)
     d_all = D[pos]
-    ud_all = ud[pos]
+    del D
+    # |u(x) - u(y)| of the admissible pairs only, one source at a time, in
+    # the row-major order of d_all
+    ud_all = np.empty_like(d_all)
+    at = 0
+    for u_x, row in zip(u[sources], pos):
+        part = np.subtract(u_x, u[members[row]])
+        ud_all[at:at + part.size] = np.abs(part, out=part)
+        at += part.size
+    del pos
     n_pairs = int(d_all.size)
     if n_pairs == 0:
         raise ConfigError("ball too small for a Hoelder fit (no admissible pairs)")
@@ -431,18 +448,20 @@ def holder_fit(space: MetricMeasureSpace, u, ball: Ball, g_field,
         return HoelderReport(gamma=1.0, constant=0.0, ball=ball,
                              pair_sample=n_pairs, scale=scale)
 
-    # envelope: max |du| per log-spaced distance bin, regressed in log-log
+    # envelope: the largest |du| per log-spaced distance bin (its first pair
+    # in pair order), regressed in log-log; the pairs go a block at a time
     edges = np.geomspace(float(d_all.min()), float(d_all.max()) * (1 + 1e-12), 11)
-    which = np.clip(np.digitize(d_all, edges) - 1, 0, 9)
-    pts = []
-    for b in range(10):
-        m = which == b
-        if not np.any(m):
-            continue
-        k = np.argmax(ud_all[m])
-        dv, uv = d_all[m][k], ud_all[m][k]
-        if uv > 1e-14 * scale:
-            pts.append((np.log(dv), np.log(uv)))
+    blocks = [slice(a, a + PAIR_BLOCK) for a in range(0, n_pairs, PAIR_BLOCK)]
+    top, top_d = np.full(10, -1.0), np.zeros(10)
+    for blk in blocks:
+        d, du = d_all[blk], ud_all[blk]
+        which = np.clip(np.digitize(d, edges) - 1, 0, 9)
+        for b in np.flatnonzero(np.bincount(which, minlength=10)):
+            k = int(np.argmax(np.where(which == b, du, -1.0)))
+            if du[k] > top[b]:
+                top[b], top_d[b] = du[k], d[k]
+    pts = [(np.log(top_d[b]), np.log(top[b])) for b in range(10)
+           if top[b] > 1e-14 * scale]
     if len(pts) >= 4:
         lx, ly = np.array(pts[1:]).T        # drop the mesh-scale bin
         slope = float(np.polyfit(lx, ly, 1)[0])
@@ -454,8 +473,20 @@ def holder_fit(space: MetricMeasureSpace, u, ball: Ball, g_field,
     gamma = float(np.clip(np.round(slope / GAMMA_STEP) * GAMMA_STEP,
                           GAMMA_STEP, 1.0))
 
+    buf = np.empty(min(n_pairs, PAIR_BLOCK))
+
     def constant_at(gam):
-        return float(np.max(ud_all / (scale * (d_all / R) ** gam)))
+        # max of ud_all / (scale * (d_all / R) ** gam), a block at a time in
+        # one buffer, with the operator's power (it takes sqrt at gam = 0.5)
+        const = -np.inf
+        for blk in blocks:
+            d = d_all[blk]
+            out = np.divide(d, R, out=buf[:d.size])
+            out **= gam
+            np.multiply(scale, out, out=out)
+            np.divide(ud_all[blk], out, out=out)
+            const = max(const, float(np.max(out)))
+        return const
 
     const = constant_at(gamma)
     while const > cap and gamma > GAMMA_STEP * 1.5:

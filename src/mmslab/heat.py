@@ -144,6 +144,12 @@ def _factor_rows(theta, basis, ts, rows) -> np.ndarray:
     return out
 
 
+def _group_length(size: int) -> int:
+    """Times per stepping group: that many outputs of `size` doubles fit
+    `_GRID_BLOCK` (at least one)."""
+    return max(1, _GRID_BLOCK // max(size, 1))
+
+
 def _time_grid(ts) -> np.ndarray:
     ts = np.asarray(ts, dtype=float)
     if ts.size and (np.any(np.diff(ts) < 0) or ts[0] < 0):
@@ -254,7 +260,7 @@ class HeatOperator:
         ts = _time_grid(ts)
         F = np.asarray(F, dtype=float)
         if self.mode == "stepping":
-            per_group = max(1, _GRID_BLOCK // max(F.size, 1))
+            per_group = _group_length(F.size)
             cur, F, t_start = F, None, 0.0
             for i in range(0, ts.size, per_group):
                 group = ts[i:i + per_group]
@@ -438,9 +444,10 @@ class HeatOperator:
             raise ConfigError("kernel needs t > 0")
         xs = np.asarray(x0, dtype=np.intp)
         if self.mode == "stepping":
+            per_group = _group_length(self.space.n * xs.size)
             for i, (t, cols) in enumerate(self.apply_grid(self._delta(xs), ts)):
-                if i < ts.size - 1:
-                    # clamp a copy: `cols` may start the next group
+                if i % per_group == per_group - 1 and i < ts.size - 1:
+                    # clamp a copy: a group's last output starts the next group
                     cols = cols.copy()
                 self._clamp(cols)
                 yield t, cols

@@ -9,11 +9,20 @@ catalog: constant, sqrt|x|, tabulated).  The torus and the separably
 weighted rectangle are Cartesian products of 1-d spaces (`product_space`)
 and keep their factors.  The path metric of a product graph is the sum of
 the factor metrics, d((i, a), (i', a')) = d_X(i, i') + d_Y(a, a'), so its
-distance rows are sums of factor rows (`factor_rows`); other graphs run
-Dijkstra.  The doubling estimate on a product reads every ball mass off the
-factors' distance distributions without forming a product row.  The heat
-realization and the Dirichlet solve use the factors as well, when
-`product_pays` says the factor decompositions are worth forming.
+distance rows are sums of factor rows (`factor_rows`); paths and cycles
+(every factor of the built-in families) take running sums of their edge
+lengths, and other graphs run Dijkstra.  The doubling estimate on a product
+reads every ball mass off the factors' distance distributions without
+forming a product row.  The heat realization and the Dirichlet solve use the
+factors as well, when `product_pays` says the factor decompositions are
+worth forming.
+
+A space holds its edges as four columns (i, j as intp, c, l as float).  The
+families pass those columns to `MetricMeasureSpace` directly; rows given by
+a caller are converted to columns first, and both go through the same
+checks.  The space keeps the columns, the conductance matrix W and the
+degrees; the length graph that Dijkstra reads is built the first time
+Dijkstra runs, so a product, a path or a cycle never holds one.
 
 Measured constants:
 
@@ -28,6 +37,7 @@ L1-L2 inequality as well.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,9 +68,14 @@ class MetricMeasureSpace:
     ----------
     mu : array_like
         Strictly positive vertex masses.
-    edges : (m, 4) array or iterable of (i, j, c, l)
+    edges : tuple (i, j, c, l) of 1-d arrays, (m, 4) array or iterable of rows
         Undirected edges with conductance c > 0 and length l > 0.  Each
-        edge is listed once; symmetry is implicit.
+        edge is listed once; symmetry is implicit.  A tuple of four 1-d
+        numpy arrays is read as edge columns (the vertex indices i, j and
+        the floats c, l), and columns already of dtype intp and float are
+        kept without a copy when every edge has i < j; any other input is
+        read as (i, j, c, l) rows and converted to columns first.  Both
+        forms then go through the same checks.
     positions : array_like, optional
         Vertex coordinates (n, dim), used for coordinate fields and export.
     name : str
@@ -73,6 +88,12 @@ class MetricMeasureSpace:
     factors : (MetricMeasureSpace, MetricMeasureSpace) or None
         The factors X, Y of a Cartesian product built by `product_space`;
         None for every other space.
+
+    The space keeps its edge columns, the conductance matrix W, the degrees
+    and, on a path or a cycle, the edge lengths around it.  The length graph
+    that Dijkstra reads (`_len_graph`, a second sparse matrix with 2m
+    entries) is built the first time Dijkstra runs; products, paths and
+    cycles never build it.
     """
 
     def __init__(self, mu, edges, positions=None, name="", rim=None):
@@ -86,14 +107,7 @@ class MetricMeasureSpace:
         self.factors = None
 
         n = mu.size
-        E = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges),
-                       dtype=float)
-        if E.size == 0:
-            E = E.reshape(0, 4)
-        if E.ndim != 2 or E.shape[1] != 4:
-            raise ConfigError("edges must be (i, j, c, l) rows")
-        i, j = E[:, 0].astype(np.intp), E[:, 1].astype(np.intp)
-        c, l = E[:, 2], E[:, 3]
+        i, j, c, l = _edge_columns(edges)
 
         def first(bad, msg):
             if np.any(bad):
@@ -102,18 +116,23 @@ class MetricMeasureSpace:
 
         first(i == j, "self loop at vertex {i}")
         first((i < 0) | (i >= n) | (j < 0) | (j >= n), "edge ({i},{j}) out of range")
-        i, j = np.minimum(i, j), np.maximum(i, j)
-        key = i * n + j
-        order = np.argsort(key, kind="stable")
-        dup = np.zeros(key.size, dtype=bool)
-        dup[order[1:]] = key[order[1:]] == key[order[:-1]]
-        first(dup, "duplicate edge ({i},{j})")
+        if np.any(i > j):
+            i, j = np.minimum(i, j), np.maximum(i, j)
+        # W from one set of triplets; the COO -> CSR conversion sums repeated
+        # (i, j) pairs, so fewer than 2m entries means a duplicate edge
+        self._W = _symmetric_csr(n, i, j, c)
+        if self._W.nnz < 2 * i.size:
+            key = i * n + j
+            order = np.argsort(key, kind="stable")
+            dup = np.zeros(key.size, dtype=bool)
+            dup[order[1:]] = key[order[1:]] == key[order[:-1]]
+            first(dup, "duplicate edge ({i},{j})")
         first(~((c > 0) & (l > 0) & np.isfinite(c) & np.isfinite(l)),
               "edge ({i},{j}) needs c > 0 and l > 0, got c={c}, l={l}")
         self.edge_i = i
         self.edge_j = j
-        self.edge_c = np.ascontiguousarray(c)
-        self.edge_l = np.ascontiguousarray(l)
+        self.edge_c = c
+        self.edge_l = l
 
         if positions is not None:
             positions = np.atleast_2d(np.asarray(positions, dtype=float))
@@ -122,26 +141,17 @@ class MetricMeasureSpace:
         self.positions = positions
         self.rim = np.asarray([] if rim is None else rim, dtype=np.intp)
 
-        rows = np.concatenate([self.edge_i, self.edge_j])
-        cols = np.concatenate([self.edge_j, self.edge_i])
-        self._W = sp.csr_matrix(
-            (np.concatenate([self.edge_c, self.edge_c]), (rows, cols)), shape=(n, n))
-        self._len_graph = sp.csr_matrix(
-            (np.concatenate([self.edge_l, self.edge_l]), (rows, cols)), shape=(n, n))
         if n > 1:
-            ncomp, _ = connected_components(self._W, directed=False)
+            # W is symmetric, so its strong components are its components;
+            # the strong search reads W alone, the undirected one a transpose
+            ncomp, _ = connected_components(self._W, directed=True, connection="strong")
             if ncomp != 1:
                 raise ConfigError(f"graph is disconnected ({ncomp} components)")
         elif self.edge_i.size:
             raise ConfigError("single vertex cannot carry edges")
 
         self.degree = np.asarray(self._W.sum(axis=1)).ravel()
-        # on a path (edges k -- k+1) the lengths of its edges in order
-        order = np.argsort(self.edge_i, kind="stable")
-        path = (self.n_edges == n - 1
-                and np.array_equal(self.edge_i[order], np.arange(n - 1))
-                and np.array_equal(self.edge_j[order], np.arange(1, n)))
-        self._path_lengths = self.edge_l[order] if path else None
+        self._ring = _ring_lengths(n, i, j, l)
         self._dist_cache: dict[int, np.ndarray] = {}
         self._dist_cache_cap = CACHE_BYTES // (8 * n)
 
@@ -181,14 +191,19 @@ class MetricMeasureSpace:
 
     # -- metric ------------------------------------------------------------
 
+    @functools.cached_property
+    def _len_graph(self) -> sp.csr_matrix:
+        """Symmetric sparse matrix of the edge lengths, built on first use."""
+        return _symmetric_csr(self.n, self.edge_i, self.edge_j, self.edge_l)
+
     def distances_from(self, v: int) -> np.ndarray:
         """Shortest-path distances from vertex v.
 
         On a product X x Y this is d_X(i, .) + d_Y(j, .) for v = (i, j),
         built from the factors' rows and not cached itself.  On a path
-        (edges k -- k+1, every 1-d grid) it is the running sum of the edge
-        lengths outward from v, in each direction: the one path Dijkstra
-        would relax, added in its order, so the same bits, and not cached
+        (edges k -- k+1, every 1-d grid) or a cycle (those and 0 -- n-1) it
+        is the smaller of the two running sums of edge lengths outward from
+        v (`_ring_row`), Dijkstra's bits without Dijkstra, and not cached
         either.  Other graphs run Dijkstra and cache rows per source up to a
         byte budget.
         """
@@ -198,10 +213,8 @@ class MetricMeasureSpace:
         if self.factors is not None:
             dx, dy = self.factor_rows(*divmod(v, self.factors[1].n))
             return np.add.outer(dx[0], dy[0]).ravel()
-        if self._path_lengths is not None:
-            lengths = self._path_lengths
-            return np.concatenate([np.cumsum(lengths[:v][::-1])[::-1], [0.0],
-                                   np.cumsum(lengths[v:])])
+        if self._ring is not None:
+            return self._ring_row(v)
         d = self._dist_cache.get(v)
         if d is None:
             d = dijkstra(self._len_graph, directed=False, indices=v)
@@ -212,16 +225,34 @@ class MetricMeasureSpace:
     def distance_rows(self, sources) -> np.ndarray:
         """Distance rows (len(sources), n) for a 1-d array of sources.
 
-        Paths stack their running sums; other generic graphs run one batched
-        Dijkstra that bypasses the cache.
+        Paths and cycles stack their running sums; other generic graphs run
+        one batched Dijkstra that bypasses the cache.
         """
         sources = np.asarray(sources)
         if self.factors is not None:
             dx, dy = self.factor_rows(*np.divmod(sources, self.factors[1].n))
             return (dx[:, :, None] + dy[:, None, :]).reshape(sources.size, self.n)
-        if self._path_lengths is not None:
-            return np.array([self.distances_from(v) for v in sources]).reshape(-1, self.n)
+        if self._ring is not None:
+            return np.array([self._ring_row(int(v)) for v in sources]).reshape(-1, self.n)
         return dijkstra(self._len_graph, directed=False, indices=sources)
+
+    def _ring_row(self, v: int) -> np.ndarray:
+        """Distances from v on a path or a cycle.
+
+        Going forward from v the edges k -- k+1 (mod n) are met in the order
+        v, v+1, ...; going backward in the order v-1, v-2, ...  Each running
+        sum adds the lengths one at a time along its direction, as Dijkstra
+        relaxes them, and the distance is the smaller sum.  An open ring
+        (a path) has an infinite length where the cycle would close, so its
+        sums past an end are infinite and the other direction wins.
+        """
+        n, ring = self.n, self._ring
+        back = ring[::-1]                   # back[n - v + s] = ring[v - 1 - s]
+        forward = np.cumsum(np.concatenate([ring[v:], ring[:v]])[:n - 1])         # to v+1, ...
+        backward = np.cumsum(np.concatenate([back[n - v:], back[:n - v]])[:n - 1])  # to v-1, ...
+        # position s of `rel` holds vertex v + s (mod n)
+        rel = np.concatenate([[0.0], np.minimum(forward, backward[::-1])])
+        return np.concatenate([rel[n - v:], rel[:n - v]])
 
     def factor_rows(self, xs, ys) -> tuple[np.ndarray, np.ndarray]:
         """Factor distance rows of a product X x Y: d_X(i, .) for each i in
@@ -274,6 +305,59 @@ class MetricMeasureSpace:
             mu[i] = float(row[-1])
         edges = [(int(r[0]), int(r[1]), float(r[2]), float(r[3])) for r in rows[1 + n:]]
         return cls(mu, edges, positions=pos, name=name)
+
+
+def _edge_columns(edges):
+    """(i, j, c, l): the edge columns as contiguous intp and float arrays,
+    from a tuple of four 1-d arrays (read in place where the dtypes match)
+    or from (i, j, c, l) rows."""
+    if isinstance(edges, tuple) and len(edges) == 4 and all(
+            isinstance(a, np.ndarray) and a.ndim == 1 for a in edges):
+        if len({a.size for a in edges}) != 1:
+            raise ConfigError("edge columns must have one length")
+        return (np.ascontiguousarray(edges[0], dtype=np.intp),
+                np.ascontiguousarray(edges[1], dtype=np.intp),
+                np.ascontiguousarray(edges[2], dtype=float),
+                np.ascontiguousarray(edges[3], dtype=float))
+    E = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=float)
+    if E.size == 0:
+        E = E.reshape(0, 4)
+    if E.ndim != 2 or E.shape[1] != 4:
+        raise ConfigError("edges must be (i, j, c, l) rows")
+    return (E[:, 0].astype(np.intp), E[:, 1].astype(np.intp),
+            np.ascontiguousarray(E[:, 2]), np.ascontiguousarray(E[:, 3]))
+
+
+def _symmetric_csr(n: int, i, j, values) -> sp.csr_matrix:
+    """The n x n CSR matrix with `values` at (i, j) and (j, i), from one set
+    of COO triplets whose indices are already of the CSR's index dtype, so
+    scipy converts none of them."""
+    m = i.size
+    idx = np.int32 if max(n, 2 * m) < 2 ** 31 else np.intp
+    rows = np.concatenate([i, j], dtype=idx, casting="same_kind")
+    cols = np.concatenate([j, i], dtype=idx, casting="same_kind")
+    return sp.csr_matrix((np.concatenate([values, values]), (rows, cols)), shape=(n, n))
+
+
+def _ring_lengths(n: int, i, j, l):
+    """On a path (edges k -- k+1) or a cycle (those and 0 -- n-1), with
+    i < j: the length of edge k -- k+1 (mod n) at k, inf where the ring is
+    open.  None on every other graph."""
+    m = i.size
+    if m not in (n - 1, n):
+        return None
+    step = j - i == 1
+    # n - 1 distinct steps are every edge k -- k+1; a cycle adds 0 -- n-1
+    if np.count_nonzero(step) != n - 1:
+        return None
+    ring = np.full(n, np.inf)
+    ring[i[step]] = l[step]
+    if m == n:
+        k = int(np.argmin(step))
+        if (i[k], j[k]) != (0, n - 1):
+            return None
+        ring[n - 1] = l[k]
+    return ring
 
 
 def product_pays(factors) -> bool:
@@ -378,26 +462,34 @@ def product_space(X: MetricMeasureSpace, Y: MetricMeasureSpace, positions=None,
     embeddings (when both have one); the rim is (rim_X x Y) u (X x rim_Y).
     """
     nx, ny = X.n, Y.n
-    rows = np.arange(nx)[:, None] * ny
-    cols = np.arange(ny)
-    x_edges = np.column_stack([
-        (X.edge_i[:, None] * ny + cols).ravel(),
-        (X.edge_j[:, None] * ny + cols).ravel(),
-        np.outer(X.edge_c, Y.mu).ravel(),
-        np.repeat(X.edge_l, ny)])
-    y_edges = np.column_stack([
-        (rows + Y.edge_i).ravel(),
-        (rows + Y.edge_j).ravel(),
-        np.outer(X.mu, Y.edge_c).ravel(),
-        np.tile(Y.edge_l, nx)])
+    # the edge columns, written in place: the x-edges, then the y-edges
+    mx = X.n_edges * ny
+    i, j = np.empty((2, mx + nx * Y.n_edges), dtype=np.intp)
+    c, l = np.empty((2, mx + nx * Y.n_edges))
+    # x-edge (i, a) -- (i', a) of factor edge k at row k, column a
+    xi, xj, xc, xl = (col[:mx].reshape(X.n_edges, ny) for col in (i, j, c, l))
+    np.add(X.edge_i[:, None] * ny, np.arange(ny), out=xi)
+    np.add(X.edge_j[:, None] * ny, np.arange(ny), out=xj)
+    np.multiply(X.edge_c[:, None], Y.mu, out=xc)
+    xl[:] = X.edge_l[:, None]
+    # y-edge (i, a) -- (i, a') of factor edge k at row i, column k
+    yi, yj, yc, yl = (col[mx:].reshape(nx, Y.n_edges) for col in (i, j, c, l))
+    np.add(np.arange(nx)[:, None] * ny, Y.edge_i, out=yi)
+    np.add(np.arange(nx)[:, None] * ny, Y.edge_j, out=yj)
+    np.multiply(X.mu[:, None], Y.edge_c, out=yc)
+    yl[:] = Y.edge_l
     if positions is None and X.positions is not None and Y.positions is not None:
-        positions = np.hstack([np.repeat(X.positions, ny, axis=0),
-                               np.tile(Y.positions, (nx, 1))])
-    i, j = np.divmod(np.arange(nx * ny), ny)
-    rim = np.flatnonzero(np.isin(i, X.rim) | np.isin(j, Y.rim))
-    space = MetricMeasureSpace(np.outer(X.mu, Y.mu).ravel(),
-                               np.vstack([x_edges, y_edges]),
-                               positions=positions, name=name, rim=rim)
+        dx = X.positions.shape[1]
+        positions = np.empty((nx, ny, dx + Y.positions.shape[1]))
+        positions[:, :, :dx] = X.positions[:, None, :]
+        positions[:, :, dx:] = Y.positions[None, :, :]
+        positions = positions.reshape(nx * ny, -1)
+    on_rim = np.zeros((nx, ny), dtype=bool)
+    on_rim[X.rim, :] = True
+    on_rim[:, Y.rim] = True
+    space = MetricMeasureSpace(np.outer(X.mu, Y.mu).ravel(), (i, j, c, l),
+                               positions=positions, name=name,
+                               rim=np.flatnonzero(on_rim))
     space.factors = (X, Y)
     return space
 
@@ -511,11 +603,10 @@ def weighted_grid_2d(bounds=((-1.0, 1.0), (-1.0, 1.0)), h=0.25,
     # face at the x (y) midpoint between two cells, spanning the other cell width
     cx = 0.5 * (wtab[:-1, :] + wtab[1:, :]) * dy[None, :] / h
     cy = 0.5 * (wtab[:, :-1] + wtab[:, 1:]) * dx[:, None] / h
-    edges = np.column_stack([
-        np.concatenate([idx[:-1, :].ravel(), idx[:, :-1].ravel()]),
-        np.concatenate([idx[1:, :].ravel(), idx[:, 1:].ravel()]),
-        np.concatenate([cx.ravel(), cy.ravel()]),
-        np.full(cx.size + cy.size, h)])
+    c = np.concatenate([cx.ravel(), cy.ravel()])
+    edges = (np.concatenate([idx[:-1, :].ravel(), idx[:, :-1].ravel()]),
+             np.concatenate([idx[1:, :].ravel(), idx[:, 1:].ravel()]),
+             c, np.full(c.size, h))
     i, j = np.divmod(idx.ravel(), ny)
     rim = np.flatnonzero((i == 0) | (i == nx - 1) | (j == 0) | (j == ny - 1))
     pos = np.column_stack([xs[i], ys[j]])

@@ -305,3 +305,50 @@ def test_ckappa_memory_stays_near_one_block_beside_the_samples():
         tracemalloc.stop()
     assert rep.c_kappa > 0
     assert peak <= samples.nbytes + 5 * block + 2 ** 20
+
+
+# -- the default sample stack ---------------------------------------------------
+
+def sample_fields_by_columns(H, seed, n_random):
+    """The sample stack built column by column: coordinates and seeded
+    Gaussians stacked C-ordered, smoothed, and stacked again."""
+    space = H.space
+    cols = [space.positions[:, d] for d in range(space.positions.shape[1])]
+    rng = np.random.default_rng(seed)
+    cols += [rng.standard_normal(space.n) for _ in range(n_random)]
+    F = np.column_stack(cols)
+    return np.column_stack([F, H.apply_batch(F, space.min_edge_length ** 2)])
+
+
+def test_sample_stack_is_the_column_by_column_stack(block_case):
+    H, _ = block_case
+    for seed, n_random in ((2, 6), (5, 3)):
+        got = default_sample_fields(H, seed=seed, n_random=n_random)
+        want = sample_fields_by_columns(H, seed, n_random)
+        assert got.shape == want.shape and got.flags.f_contiguous
+        assert got.tobytes(order="F") == want.tobytes(order="F")
+        bare = default_sample_fields(H, seed=seed, n_random=n_random, smoothed=False)
+        assert bare.tobytes(order="F") == want[:, :bare.shape[1]].tobytes(order="F")
+        rep = estimate_ckappa(H, 1 / 64, seed=seed, n_random=n_random)
+        ref = estimate_ckappa(H, 1 / 64, samples=want)
+        assert (rep.c_kappa, rep.argmax, rep.per_t_profile) == \
+            (ref.c_kappa, ref.argmax, ref.per_t_profile)
+
+
+def test_sample_stack_is_allocated_after_the_smoothing():
+    # h = 1/128, ten fields: the smoothing holds the fields, their
+    # coefficients, a partial synthesis and its output (four halves of the
+    # stack), and the stack is made only when the first three are gone.
+    # Holding the column list and the stack through the action took the
+    # column-by-column build to 25.7 MB, 2.5 stacks
+    space = sp_mod.weighted_grid_2d(((-1.0, 1.0), (-1.0, 1.0)), 1 / 128, "sqrt_abs_x")
+    H = build_heat(space)
+    default_sample_fields(H, seed=0, n_random=8)
+    tracemalloc.start()
+    try:
+        samples = default_sample_fields(H, seed=0, n_random=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert samples.shape == (space.n, 20)
+    assert peak <= 2 * samples.nbytes + 2 ** 20

@@ -1,11 +1,14 @@
 """Weak solver and the Caccioppoli / sup-bound / Harnack / Hoelder checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from conftest import close, connected_graphs
-from mmslab import ConfigError, NumericalError
+from mmslab import ConfigError, NumericalError, cli
 from mmslab import elliptic as el_mod
 from mmslab import space as sp_mod
 from mmslab.elliptic import (Problem, check_caccioppoli, classify_harmonicity,
@@ -474,3 +477,149 @@ def test_holder_on_a_tabulated_grid_takes_the_hull_path(monkeypatch):
     assert (got.gamma, got.constant, got.pair_sample, got.scale) == \
         (want.gamma, want.constant, want.pair_sample, want.scale)
     assert 0.4 <= got.gamma <= 0.6 + 1e-12
+
+
+# -- the lean checks: L u without L, pair arrays formed once --------------------
+
+def holder_reference(space, u, ball, g_field, cap=1e3, seed=0):
+    """The fit of `holder_fit` with whole pair arrays: distances from the
+    distance rows, every difference |u(x) - u(y)| formed, binned by
+    `np.digitize`, and the constant from one expression over all pairs.
+    Returns (gamma, constant, pair_sample, scale)."""
+    R = ball.radius
+    two_b = metric_ball(space, ball.center, 2 * R)
+    four_b = metric_ball(space, ball.center, 4 * R)
+    scale = (float(np.max(np.abs(u[four_b.members])))
+             + R ** 2 * float(np.max(np.abs(g_field[four_b.members]))))
+    members = two_b.members
+    if members.size <= el_mod.HOELDER_SOURCES:
+        sources = members
+    else:
+        extra = np.random.default_rng(seed).choice(
+            members, el_mod.HOELDER_SOURCES - 1, replace=False)
+        sources = np.unique(np.concatenate([[ball.center], extra]))
+    D = space.distance_rows(sources)[:, members]
+    ud = np.abs(u[sources][:, None] - u[members][None, :])
+    pos = (D >= 2 * space.min_edge_length * (1 - 1e-9)) & np.isfinite(D)
+    d_all, ud_all = D[pos], ud[pos]
+    edges = np.geomspace(float(d_all.min()), float(d_all.max()) * (1 + 1e-12), 11)
+    which = np.clip(np.digitize(d_all, edges) - 1, 0, 9)
+    pts = []
+    for b in range(10):
+        m = which == b
+        if np.any(m):
+            k = np.argmax(ud_all[m])
+            if ud_all[m][k] > 1e-14 * scale:
+                pts.append((np.log(d_all[m][k]), np.log(ud_all[m][k])))
+    lx, ly = np.array(pts[1:] if len(pts) >= 4 else pts).T
+    slope = float(np.polyfit(lx, ly, 1)[0]) if len(pts) >= 3 else 1.0
+    step = el_mod.GAMMA_STEP
+    gamma = float(np.clip(np.round(slope / step) * step, step, 1.0))
+
+    def constant_at(gam):
+        return float(np.max(ud_all / (scale * (d_all / R) ** gam)))
+
+    const = constant_at(gamma)
+    while const > cap and gamma > step * 1.5:
+        gamma = round(gamma - step, 10)
+        const = constant_at(gamma)
+    return gamma, const, int(d_all.size), scale
+
+
+def sqrt_solution_128():
+    g = sp_mod.weighted_grid_2d(((-1.0, 1.0), (-1.0, 1.0)), 1 / 128, "sqrt_abs_x")
+    x = g.positions[:, 0]
+    return g, solve(Problem(g, interior_of(g), np.sign(x) * np.sqrt(np.abs(x))))
+
+
+@pytest.mark.parametrize("h,center,radius,cap,seed", [
+    (1 / 32, (0.0, 0.0), 0.2, 1e3, 0),
+    (1 / 32, (0.25, -0.5), 0.3, 1e3, 4),
+    (1 / 32, (0.0, 0.0), 0.25, 0.05, 2),        # the cap lowers gamma step by step
+    (1 / 64, (0.0, 0.0), 0.1, 1e3, 1),
+], ids=["center", "off-center", "capped", "h64"])
+def test_holder_fit_keeps_the_whole_array_report(h, center, radius, cap, seed):
+    g, u, _ = sqrt_square_solution(h)
+    ball = metric_ball(g, g.vertex_at(center), radius)
+    rep = holder_fit(g, u, ball, -0.5 * u, cap=cap, seed=seed)
+    want = holder_reference(g, u, ball, -0.5 * u, cap=cap, seed=seed)
+    assert (rep.gamma, rep.constant, rep.pair_sample, rep.scale) == want
+    if cap < 1:
+        assert rep.gamma < 0.5
+
+
+def test_holder_fit_on_a_generic_graph_keeps_the_whole_array_report():
+    tab = sp_mod.weighted_grid_2d(((-1.0, 1.0), (-1.0, 1.0)), 1 / 16,
+                                  tabulated=np.random.default_rng(2).uniform(0.5, 2.0, 33 * 33))
+    x = tab.positions[:, 0]
+    u = solve(Problem(tab, interior_of(tab), np.sign(x) * np.sqrt(np.abs(x))))
+    ball = metric_ball(tab, tab.vertex_at((0.0, 0.0)), 0.3)
+    rep = holder_fit(tab, u, ball, np.zeros(tab.n), seed=5)
+    assert (rep.gamma, rep.constant, rep.pair_sample, rep.scale) == \
+        holder_reference(tab, u, ball, np.zeros(tab.n), seed=5)
+
+
+def test_holder_fit_forms_each_pair_array_once():
+    # the hoelder task of the benchmark at h = 1/128: 254404 admissible
+    # pairs.  Whole-array temporaries (D, |u(x) - u(y)|, the bin indices and
+    # the quotient of the constant) peak at 14.3 MB; the fit holds D and its
+    # pairs d_all, then d_all and |du| of the pairs, and blocks of those
+    # (2.7 pair arrays here with the balls)
+    g, u = sqrt_solution_128()
+    ball = metric_ball(g, g.vertex_at((0.0, 0.0)), 0.2)
+    want = holder_reference(g, u, ball, np.zeros(g.n), seed=3)
+    tracemalloc.start()
+    try:
+        rep = holder_fit(g, u, ball, np.zeros(g.n), seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rep.gamma, rep.constant, rep.pair_sample, rep.scale) == want
+    assert rep.pair_sample == 254404
+    assert peak <= 3 * 8 * rep.pair_sample
+
+
+def test_hoelder_task_on_a_built_grid_stays_within_10_mb():
+    # solve, the ball and the fit on a prebuilt h = 1/128 grid; forming
+    # D - W twice and the whole pair arrays took 17.3 MB
+    g = sp_mod.weighted_grid_2d(((-1.0, 1.0), (-1.0, 1.0)), 1 / 128, "sqrt_abs_x")
+    params = {"problem": {"domain": {"type": "all_interior"},
+                          "boundary": {"type": "sgn_sqrt_x"}},
+              "ball": {"center": [0.0, 0.0], "radius": 0.2}}
+    cli._task_hoelder(g, params, 3)
+    tracemalloc.start()
+    try:
+        recs, _ = cli._task_hoelder(g, params, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert recs[0]["report"]["gamma"] == 0.55
+    assert peak <= 10 * 2 ** 20
+
+
+@pytest.mark.parametrize("make", [
+    lambda: sp_mod.weighted_grid_2d(((-1.0, 1.0), (-1.0, 1.0)), 1 / 32, "sqrt_abs_x"),
+    lambda: sp_mod.weighted_grid_2d(((-1.0, 1.0), (-1.0, 1.0)), 1 / 16,
+                                    tabulated=np.random.default_rng(7).uniform(0.5, 2.0, 33 * 33)),
+    lambda: sp_mod.uniform_torus(20, 24),
+], ids=["sqrt32", "tabulated16", "torus"])
+def test_weak_checks_agree_with_the_assembled_laplacian(make):
+    space = make()
+    rng = np.random.default_rng(0)
+    dom = np.flatnonzero(rng.uniform(size=space.n) < 0.7)
+    prob = Problem(space, dom, rng.standard_normal(space.n),
+                   lam=rng.uniform(0.0, 1.0, space.n), source=rng.standard_normal(space.n))
+    L = sp.diags(space.degree) - space.conductance_matrix
+    # the right side reads L on Dirichlet data that vanish on the domain:
+    # no diagonal term, so the same bits as the assembled D - W
+    b, u_b = el_mod._right_side(prob)
+    assert b.tobytes() == ((space.mu * prob.source)[dom] - (L @ u_b)[dom]).tobytes()
+    u = solve(prob)
+    want = float(np.max(np.abs(((space.mu * prob.source) - L @ u
+                                - prob.lam * space.mu * u)[dom])))
+    scale = float(np.max(np.abs(u)) + np.max(np.abs(prob.source))) * float(np.max(space.degree))
+    assert abs(weak_residual(prob, u) - want) <= 1e-14 * scale
+    s = -(L @ u)[dom]
+    label, margin = classify_harmonicity(space, u, dom)
+    assert label == "neither"
+    assert abs(margin - max(-float(s.min()), float(s.max()))) <= 1e-14 * scale

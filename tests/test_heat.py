@@ -325,6 +325,26 @@ def test_stepping_kernel_grid_clamps_copies_not_the_sweep(tab16, monkeypatch):
 
 
 @pytest.mark.parametrize("per_group", [1, 2, 3, 5])
+def test_stepping_kernel_grid_copies_only_the_outputs_that_start_a_group(
+        tab16, monkeypatch, per_group):
+    space, times, _, S = tab16
+    monkeypatch.setattr(heat, "_GRID_BLOCK", per_group * space.n)
+    swept = []
+    apply_grid = heat.HeatOperator.apply_grid
+
+    def recorded(self, F, ts):
+        for t, out in apply_grid(self, F, ts):
+            swept.append(out)
+            yield t, out
+
+    monkeypatch.setattr(heat.HeatOperator, "apply_grid", recorded)
+    cols = [col for _, col in S.kernel_grid(40, times)]
+    starts = [i % per_group == per_group - 1 and i < len(times) - 1
+              for i in range(len(times))]
+    assert [col is out for col, out in zip(cols, swept)] == [not s for s in starts]
+
+
+@pytest.mark.parametrize("per_group", [1, 2, 3, 5])
 def test_stepping_grid_groups_agree_with_dense_and_apply_batch(tab16, monkeypatch,
                                                                per_group):
     space, times, D, S = tab16

@@ -1,5 +1,6 @@
 """Space construction, metric balls, doubling and Poincare estimation."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,8 @@ from hypothesis import given, settings
 from scipy.sparse.csgraph import dijkstra
 from scipy.sparse.linalg import ArpackNoConvergence
 
-from mmslab import ConfigError, NumericalError, build_heat, carre_du_champ, metric_ball
+from mmslab import (ConfigError, NumericalError, build_heat, carre_du_champ, holder_fit,
+                    metric_ball)
 from mmslab import space as sp_mod
 from mmslab.space import (MetricMeasureSpace, build_space, estimate_doubling,
                           estimate_poincare, product_space, radius_grid,
@@ -119,9 +121,31 @@ def test_path_distances_are_dijkstra_bit_for_bit_without_dijkstra(weight, h,
     assert path._dist_cache == {}
 
 
-def test_cycles_stay_on_dijkstra(monkeypatch):
-    # a cycle has two paths to each vertex, so running sums do not apply
-    cycle = sp_mod.uniform_cycle(12)
+def ring(lengths):
+    """A cycle with edge k -- k+1 (mod n) of the given lengths, unit
+    conductances and masses, its edges listed in a shuffled order."""
+    n = len(lengths)
+    perm = np.random.default_rng(n).permutation(n)
+    edges = [(k, (k + 1) % n, 1.0, float(lengths[k])) for k in perm]
+    return MetricMeasureSpace(np.ones(n), edges, name=f"ring_{n}")
+
+
+def cycles():
+    rng = np.random.default_rng(41)
+    yield sp_mod.uniform_cycle(48)
+    yield sp_mod.uniform_cycle(3)
+    for n in (3, 4, 17, 64):
+        yield ring(rng.uniform(0.1, 3.0, n))
+    # dyadic lengths: equal sums both ways round, so ties at the far side
+    for n in (6, 9, 40):
+        yield ring(rng.choice([0.25, 0.5, 1.0], n))
+
+
+@pytest.mark.parametrize("cycle", list(cycles()), ids=lambda c: f"{c.name}")
+def test_cycle_distances_are_dijkstra_bit_for_bit_without_dijkstra(cycle, monkeypatch):
+    # a path is a cycle without its closing edge: the smaller of the running
+    # sums in each direction, Dijkstra's bits without Dijkstra
+    want = dijkstra(cycle._len_graph, directed=False, indices=np.arange(cycle.n))
     calls = []
 
     def counted(*args, **kwargs):
@@ -129,11 +153,143 @@ def test_cycles_stay_on_dijkstra(monkeypatch):
         return dijkstra(*args, **kwargs)
 
     monkeypatch.setattr(sp_mod, "dijkstra", counted)
-    for v in (0, 5, 11):
-        assert np.array_equal(cycle.distances_from(v), dijkstra_oracle(cycle, v))
+    for v in range(cycle.n):
+        row = cycle.distances_from(v)
+        assert np.array_equal(row, want[v])
+        assert np.array_equal(row, dijkstra_oracle(cycle, v))
+    assert np.array_equal(cycle.distance_rows(np.arange(cycle.n)), want)
     assert np.array_equal(cycle.distance_rows(np.arange(3)),
                           [dijkstra_oracle(cycle, v) for v in range(3)])
-    assert len(calls) == 4
+    assert calls == [] and cycle._dist_cache == {}
+
+
+def test_only_paths_and_cycles_take_running_sums():
+    # a chord, a missing edge or a closing edge elsewhere: Dijkstra serves
+    chord = MetricMeasureSpace(np.ones(5), [(k, k + 1, 1.0, 1.0) for k in range(4)]
+                               + [(1, 3, 1.0, 1.5)])
+    lasso = MetricMeasureSpace(np.ones(4), [(0, 1, 1.0, 1.0), (1, 2, 1.0, 1.0),
+                                            (2, 3, 1.0, 1.0), (1, 3, 1.0, 1.0)])
+    for space in (chord, lasso):
+        assert space._ring is None
+        for v in range(space.n):
+            assert np.array_equal(space.distances_from(v), dijkstra_oracle(space, v))
+    assert sp_mod.weighted_grid_1d((-1.0, 1.0), 0.25)._ring is not None
+    assert sp_mod.uniform_cycle(5)._ring is not None
+    assert sp_mod.uniform_torus(4, 5)._ring is None
+
+
+# -- edge columns and the lean build ------------------------------------------
+
+def row_form(space):
+    """The same space built from (i, j, c, l) rows, with the roles of i and
+    j swapped on every other edge."""
+    i, j = space.edge_i.copy(), space.edge_j.copy()
+    i[::2], j[::2] = space.edge_j[::2], space.edge_i[::2]
+    return MetricMeasureSpace(space.mu, np.column_stack([i, j, space.edge_c, space.edge_l]),
+                              positions=space.positions, rim=space.rim)
+
+
+def assert_same_bits(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: sp_mod.weighted_grid_2d(((-1, 1), (-1, 1)), 1 / 32, "sqrt_abs_x"),
+    lambda: sp_mod.uniform_torus(9, 6),
+    lambda: tabulated_grid(1 / 16),
+], ids=["sqrt32", "torus9x6", "tabulated16"])
+def test_columns_and_rows_build_the_same_space(make):
+    space = make()
+    rows = row_form(space)
+    assert space.edge_i.dtype == np.intp and space.edge_c.dtype == float
+    for attr in ("edge_i", "edge_j", "edge_c", "edge_l", "mu", "degree", "positions", "rim"):
+        assert_same_bits(getattr(space, attr), getattr(rows, attr))
+    for attr in ("data", "indices", "indptr"):
+        assert_same_bits(getattr(space.conductance_matrix, attr),
+                         getattr(rows.conductance_matrix, attr))
+    src = np.unique(np.random.default_rng(0).integers(space.n, size=6))
+    assert_same_bits(space.distance_rows(src), rows.distance_rows(src))
+    if space.factors is not None:           # product rows come from the factors
+        assert "_len_graph" not in space.__dict__
+
+
+def test_ordered_edge_columns_are_kept_without_a_copy():
+    i = np.array([0, 1, 0])
+    j = np.array([1, 2, 2])
+    c, l = np.array([1.0, 2.0, 3.0]), np.array([0.5, 0.5, 2.0])
+    space = MetricMeasureSpace(np.ones(3), (i, j, c, l))
+    assert all(a is b for a, b in zip((i, j, c, l), (space.edge_i, space.edge_j,
+                                                     space.edge_c, space.edge_l)))
+    flipped = MetricMeasureSpace(np.ones(3), (j, i, c, l))
+    assert np.array_equal(flipped.edge_i, i) and np.array_equal(flipped.edge_j, j)
+    with pytest.raises(ConfigError, match="one length"):
+        MetricMeasureSpace(np.ones(3), (i, j[:2], c, l))
+
+
+@pytest.mark.parametrize("edges,message", [
+    ([(0, 0, 1.0, 1.0), (0, 1, 1.0, 1.0)], "self loop"),
+    ([(0, 1, 1.0, 1.0), (1, 3, 1.0, 1.0)], "out of range"),
+    ([(0, 1, 1.0, 1.0), (1, 2, 1.0, 1.0), (2, 1, 1.0, 1.0)], "duplicate edge (1,2)"),
+    ([(0, 1, 1.0, 1.0), (1, 2, 0.0, 1.0)], "needs c > 0"),
+    ([(0, 1, 1.0, np.inf), (1, 2, 1.0, 1.0)], "needs c > 0"),
+    ([(0, 1, 1.0, 1.0)], "disconnected"),
+], ids=["loop", "range", "duplicate", "conductance", "length", "disconnected"])
+def test_rows_and_columns_run_the_same_checks(edges, message):
+    E = np.array(edges, dtype=float)
+    columns = (E[:, 0].astype(np.intp), E[:, 1].astype(np.intp), E[:, 2], E[:, 3])
+    for form in (edges, E, columns):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            MetricMeasureSpace(np.ones(3), form)
+
+
+def traced(build):
+    tracemalloc.start()
+    try:
+        space = build()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return space, peak / 2 ** 20, kept / 2 ** 20
+
+
+def test_product_grid_build_holds_only_what_the_space_keeps():
+    # h = 1/128: n = 66049, m = 131584.  The space keeps its edge columns
+    # (4 m doubles), W (2m doubles and 2m + n int32), the degrees, masses
+    # and positions: 9.4 MB.  A float (m, 4) stack, its column copies and a
+    # second CSR of lengths took the build to a 31.4 MB peak, 12.7 MB kept
+    h = 1 / 128
+    build = lambda: sp_mod.weighted_grid_2d(((-1, 1), (-1, 1)), h, "sqrt_abs_x")
+    build()
+    space, peak, kept = traced(build)
+    assert space.n == 66049 and space.n_edges == 131584
+    assert "_len_graph" not in space.__dict__
+    assert kept <= 10.0
+    assert peak <= 18.0
+
+
+@pytest.mark.parametrize("make,R0", [
+    (lambda: sp_mod.weighted_grid_2d(((-1, 1), (-1, 1)), 1 / 32, "sqrt_abs_x"), 0.5),
+    (lambda: sp_mod.weighted_grid_1d((-1.0, 1.0), 1 / 64, "sqrt_abs_x"), 0.5),
+    (lambda: sp_mod.uniform_torus(24, 20), 6.0),
+], ids=["product", "path", "torus"])
+def test_no_length_graph_unless_dijkstra_runs(make, R0, monkeypatch):
+    space = make()
+
+    def no_dijkstra(*args, **kwargs):
+        raise AssertionError("Dijkstra ran on the length graph")
+
+    monkeypatch.setattr(sp_mod, "dijkstra", no_dijkstra)
+    src = np.arange(0, space.n, max(1, space.n // 7))
+    rows = space.distance_rows(src)
+    for v, row in zip(src, rows):
+        assert np.array_equal(space.distances_from(v), row)
+    estimate_doubling(space, R0)
+    x = space.positions[:, 0]
+    u = np.sin(3.0 * (x - x.min()) / np.ptp(x))
+    holder_fit(space, u, metric_ball(space, space.n // 2, R0 / 2), np.zeros(space.n))
+    for s in (space, *(space.factors or ())):
+        assert "_len_graph" not in s.__dict__, s.name
+        assert s._dist_cache == {}
 
 
 # -- doubling ---------------------------------------------------------------
