@@ -34,7 +34,7 @@ import sys
 
 import numpy as np
 
-from . import __version__
+from . import __version__, blas
 from .curvature import (check_commutation, default_sample_fields,
                         estimate_ckappa, variance)
 from .elliptic import (Problem, check_caccioppoli, holder_fit, local_sup_bound,
@@ -483,14 +483,13 @@ def run_config(config: dict, out_dir=None, seed=None):
     if not isinstance(params, dict):
         raise ConfigError("params must be a mapping")
     seed = int(config.get("seed", 0) if seed is None else seed)
-    if task == "counterexample":
-        space = None
-    else:
-        if "space" not in config:
-            raise ConfigError(f"task {task!r} needs a space")
-        space = build_space(config["space"])
+    if task != "counterexample" and "space" not in config:
+        raise ConfigError(f"task {task!r} needs a space")
 
-    records, csv_rows = _TASKS[task][0](space, params, seed)
+    # one BLAS thread, except in the heat layer's spectral work (`blas`)
+    with blas.task() as threads:
+        space = None if task == "counterexample" else build_space(config["space"])
+        records, csv_rows = _TASKS[task][0](space, params, seed)
     passed = all(r["pass"] for r in records)
     report = {
         "task": task,
@@ -502,6 +501,8 @@ def run_config(config: dict, out_dir=None, seed=None):
                  {"name": space.name, "vertices": space.n, "edges": space.n_edges},
         "records": records,
         "pass": passed,
+        # not a record: verify-report and the config hash never read it
+        "blas": threads,
     }
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)

@@ -54,7 +54,11 @@ eigendecomposition through scipy between numpy products leaves one pool
 spinning on the cores the other needs; divide and conquer also gives
 eigenvectors that are orthonormal to a few ulp, where scipy's default MRRR
 left errors of 2.7e-13 on the sqrt|x| factors at h = 1/64 (Demmel, Marques,
-Parlett and Voemel, SIAM J. Sci. Comput. 30, 2008).
+Parlett and Voemel, SIAM J. Sci. Comput. 30, 2008).  An `mmslab run` task
+runs on one BLAS thread; the eigendecompositions and the BLAS sweeps of
+`apply_grid` and of dense `kernel_grid` step back out to the count the task
+found (`blas.spectral`) for the life of a sweep, not around each product.
+A product's kernel rows take no BLAS call and stay on one thread.
 
 Kernel conventions: T_t f(x) = sum_y p(t, x, y) f(y) mu_y, with
 p(t, x, y) = p(t, y, x) >= 0 and sum_y p(t, x, y) mu_y = 1 (the semigroup
@@ -72,6 +76,7 @@ import os
 import numpy as np
 import scipy.sparse as sp
 
+from . import blas
 from .errors import ConfigError, NumericalError
 # not called here any more; perfbench/tests checks that its tracer rebinds
 # and restores this name in the heat namespace
@@ -200,8 +205,9 @@ class HeatOperator:
             self._lam = float(np.max(D[space.edge_i] + D[space.edge_j], initial=0.0))
         else:
             spaces = space.factors if mode == "product" else [space]
-            self._factors = [(np.clip(w, 0.0, None), V)
-                             for w, V in map(laplacian_spectrum, spaces)]
+            with blas.spectral():
+                self._factors = [(np.clip(w, 0.0, None), V)
+                                 for w, V in map(laplacian_spectrum, spaces)]
             if mode == "product":
                 # basis^T M on a product is (bx mu_x)^T (x) (by mu_y)^T
                 self._weighted = [V * X.mu[:, None]
@@ -273,23 +279,25 @@ class HeatOperator:
                 t_start = group[-1]
         elif self.mode == "product":
             shape = F.shape
-            coeff, F = self._product_coefficients(F), None
-            for t in ts:
-                yield float(t), self._product_synthesize(coeff, t).reshape(shape)
+            with blas.spectral():
+                coeff, F = self._product_coefficients(F), None
+                for t in ts:
+                    yield float(t), self._product_synthesize(coeff, t).reshape(shape)
         else:
             ((theta, basis),) = self._factors
             shape = F.shape
-            coeff, F = basis.T @ (self.space.mu[:, None] * F.reshape(self.space.n, -1)), None
-            for t in ts:
-                # the diagonal goes on the smaller operand: scaling the other
-                # took 2.2 times as long for a 16-time grid of 60 columns on a
-                # 2401-vertex grid
-                scale = np.exp(-theta * t)
-                if basis.size < coeff.size:
-                    out = (basis * scale) @ coeff
-                else:
-                    out = basis @ (scale[:, None] * coeff)
-                yield float(t), out.reshape(shape)
+            with blas.spectral():
+                coeff, F = basis.T @ (self.space.mu[:, None] * F.reshape(self.space.n, -1)), None
+                for t in ts:
+                    # the diagonal goes on the smaller operand: scaling the
+                    # other took 2.2 times as long for a 16-time grid of 60
+                    # columns on a 2401-vertex grid
+                    scale = np.exp(-theta * t)
+                    if basis.size < coeff.size:
+                        out = (basis * scale) @ coeff
+                    else:
+                        out = basis @ (scale[:, None] * coeff)
+                    yield float(t), out.reshape(shape)
 
     def _product_coefficients(self, F) -> np.ndarray:
         """Spectral coefficients of a field or (n, k) stack on X x Y, column
@@ -457,10 +465,11 @@ class HeatOperator:
         else:
             ((theta, basis),) = self._factors
             rows = basis[xs]
-            for t in ts:
-                cols = basis @ (np.exp(-theta * t) * rows).T
-                self._clamp(cols)
-                yield float(t), cols
+            with blas.spectral():
+                for t in ts:
+                    cols = basis @ (np.exp(-theta * t) * rows).T
+                    self._clamp(cols)
+                    yield float(t), cols
 
     def _product_kernels(self, ts, xs):
         """Yield (t, (n, k) kernel columns p(t, xs[k], .)) for each t of `ts`.
@@ -502,7 +511,12 @@ class HeatOperator:
 
 
 def build_heat(space: MetricMeasureSpace, mode="auto") -> HeatOperator:
-    """Construct the heat semigroup realization for a space."""
+    """Construct the heat semigroup realization for a space.
+
+    Kept as a public name because the benchmark's heat oracle
+    (`perfbench/gate.py`) imports it, so deleting it needs a benchmark
+    change.
+    """
     return HeatOperator(space, mode=mode)
 
 

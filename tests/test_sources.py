@@ -3,6 +3,7 @@ uses every name it imports."""
 
 import ast
 import pathlib
+import re
 import warnings
 
 import pytest
@@ -73,3 +74,35 @@ def test_only_the_generators_branch_on_the_heat_mode():
                and isinstance(node.ctx, ast.Load)}
     assert {"apply_grid", "kernel_grid"} <= readers
     assert readers <= {"__init__", "apply_grid", "kernel_grid", "kernel_matrix"}
+
+
+def names_and_strings(tree):
+    """Every identifier, attribute name and string constant of a module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "blas.py"],
+                         ids=lambda p: p.name)
+def test_only_the_blas_module_touches_openblas(path):
+    # the BLAS thread policy lives in one module (`mmslab.blas`)
+    tree = ast.parse(path.read_text())
+    imports = {name for name in imported_modules(tree)
+               if name == "ctypes" or name.startswith("ctypes.")}
+    assert not imports, f"{path.name} imports {sorted(imports)}"
+    symbols = {word for text in names_and_strings(tree)
+               for word in re.findall(r"\w*openblas\w*", text)}
+    assert not symbols, f"{path.name} names {sorted(symbols)}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_module_reads_or_writes_thread_variables(path):
+    # thread counts are set through the runtimes, never the environment
+    text = path.read_text()
+    found = [var for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS") if var in text]
+    assert not found, f"{path.name} names {found}"
