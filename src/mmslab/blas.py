@@ -11,8 +11,40 @@ busy-waits for about 0.13 s before it sleeps (a 0.3 s sleep after one
 counts on exit.  `task` is the scope `cli.run_config` runs a task in: one
 thread, and the counts it found kept, so that `spectral`, the scope of the
 heat layer's eigendecompositions and BLAS sweeps, steps back out to them.
-Outside a task `spectral` changes nothing.  Nothing here runs at import,
-and no environment variable is read or written.
+It does so only when the scope's largest call is `PARALLEL_WORK` = 2^25
+multiply-adds or more; a smaller scope, and any scope outside a task,
+changes nothing.  Nothing here runs at import, and no environment variable
+is read or written.
+
+The rule by size.  The second thread saves wall time only on large calls,
+and each scope that wakes it costs the spin.  Median call times on one and
+two threads (2-core Xeon shared with other jobs, numpy's OpenBLAS; three
+alternating rounds of 11 calls, 5 for eigh).  A product row gives a product
+action's coefficients / one time's synthesis of (nx^2, k) fields, whose
+largest call is the (k nx, nx) x (nx, nx) product along y:
+
+    call                 work    1 thread          2 threads
+    product 33^2 x 16    2^19.1  0.06 / 0.10 ms    0.06 / 8.00 ms
+    product 48^2 x 108   2^23.5  1.41 / 1.17 ms    1.03 / 0.96 ms
+    product 65^2 x 60    2^24.0  4.07 / 4.29 ms    3.59 / 3.65 ms
+    product 129^2 x 8    2^24.0  2.12 / 2.13 ms    1.44 / 1.46 ms
+    product 65^2 x 120   2^25.0  4.31 / 4.06 ms    2.93 / 2.62 ms
+    product 129^2 x 16   2^25.0  3.97 / 4.21 ms    3.17 / 2.80 ms
+    product 129^2 x 31   2^26.0  13.81 / 13.09 ms  10.84 / 10.10 ms
+    product 129^2 x 62   2^27.0  17.01 / 18.60 ms  12.43 / 11.77 ms
+    eigh 129             2^21.0  2.02 ms           1.98 ms
+    eigh 257             2^24.0  7.49 ms           7.40 ms
+    eigh 513             2^27.0  41.33 ms          32.19 ms
+    GEMM 1089^2 x 8      2^23.2  1.38 ms           0.87 ms
+    GEMM 2401^2 x 6      2^25.0  8.19 ms           4.69 ms
+    GEMM 2401^2 x 60     2^28.4  24.79 ms          12.52 ms
+
+Below 2^25 a call saves at most 0.7 ms on two threads, and some are slower
+there; the spin after the scope costs about 0.13 s of CPU.  From 2^25 up
+every product and GEMM measured saves 0.8 ms or more (20-50 %), and a sweep
+repeats its largest call once per time.  The dense eigendecompositions
+gain only from a few hundred vertices (n = 2401: 2.86 s on one thread
+against 1.77 s on two).
 """
 
 from __future__ import annotations
@@ -83,12 +115,17 @@ def threads(count: int):
 class _Task:
     def __init__(self, found):
         self.found = found          # [(runtime, count found)]
-        self.depth = 0              # spectral scopes open
+        self.depth = 0              # raised spectral scopes open
+        self.raised = 0             # spectral scopes raised so far
         self.lock = threading.Lock()
 
 
 # the task scope open in this process: OpenBLAS counts are process-wide
 _current = None
+
+PARALLEL_WORK = 2 ** 25
+"""Multiply-adds in a `spectral` scope's largest call from which the scope
+runs at the task's starting count (the table in the module docstring)."""
 
 
 @contextlib.contextmanager
@@ -96,26 +133,32 @@ def task():
     """One task: every runtime on one thread, back to its count on exit.
 
     Yields the report entry: per runtime, its library file, the count it
-    started at, the count the task runs at and the count of `spectral`.
+    started at, the count the task runs at, the count of `spectral` and,
+    filled in on exit, how many of the task's `spectral` scopes ran at it.
     """
     global _current
     outer = _current
     with threads(1) as found:
-        _current = _Task(found)
+        scope = _current = _Task(found)
+        entry = [{"library": rt.library, "start": n, "task": 1, "spectral": n,
+                  "raised": 0} for rt, n in found]
         try:
-            yield [{"library": rt.library, "start": n, "task": 1, "spectral": n}
-                   for rt, n in found]
+            yield entry
         finally:
             _current = outer
+            for runtime in entry:
+                runtime["raised"] = scope.raised
 
 
 @contextlib.contextmanager
-def spectral():
-    """Inside a task, every runtime back at the count the task found; the
-    first scope open raises the counts and the last one to close lowers them
-    again, so scopes may close in any order.  Outside a task, nothing."""
+def spectral(work: int):
+    """Inside a task, every runtime back at the count the task found, when
+    `work`, the multiply-adds of the scope's largest BLAS or LAPACK call,
+    reaches `PARALLEL_WORK`; the first such scope open raises the counts and
+    the last one to close lowers them again, so scopes may close in any
+    order.  A smaller scope, or any scope outside a task, changes nothing."""
     scope = _current
-    if scope is None:
+    if scope is None or work < PARALLEL_WORK:
         yield
         return
     with scope.lock:
@@ -123,6 +166,7 @@ def spectral():
             for rt, n in scope.found:
                 rt.set(n)
         scope.depth += 1
+        scope.raised += 1
     try:
         yield
     finally:

@@ -55,10 +55,18 @@ spinning on the cores the other needs; divide and conquer also gives
 eigenvectors that are orthonormal to a few ulp, where scipy's default MRRR
 left errors of 2.7e-13 on the sqrt|x| factors at h = 1/64 (Demmel, Marques,
 Parlett and Voemel, SIAM J. Sci. Comput. 30, 2008).  An `mmslab run` task
-runs on one BLAS thread; the eigendecompositions and the BLAS sweeps of
+runs on one BLAS thread.  The eigendecompositions and the BLAS sweeps of
 `apply_grid` and of dense `kernel_grid` step back out to the count the task
-found (`blas.spectral`) for the life of a sweep, not around each product.
-A product's kernel rows take no BLAS call and stay on one thread.
+found (`blas.spectral`) for the life of a sweep, not around each product,
+when the scope's largest call reaches `blas.PARALLEL_WORK` = 2^25
+multiply-adds: n^3 for the largest factor's eigendecomposition, n k n_y
+for a product sweep of k fields (its product along y), and n^2 k for a
+dense sweep of k fields or k dense kernel columns.  A 48 x 48 torus's sweeps
+(at most 2^23.5) stay on one thread, where the second thread saved at most
+0.4 ms per call and its spin cost about 0.13 s of CPU per sweep; the
+sqrt|x| sweep's blocks of 30 fields at h = 1/64 (2^25.9) and a dense build
+of 2401 vertices take two.  A product's kernel rows take no BLAS call and
+stay on one thread.
 
 Kernel conventions: T_t f(x) = sum_y p(t, x, y) f(y) mu_y, with
 p(t, x, y) = p(t, y, x) >= 0 and sum_y p(t, x, y) mu_y = 1 (the semigroup
@@ -205,7 +213,8 @@ class HeatOperator:
             self._lam = float(np.max(D[space.edge_i] + D[space.edge_j], initial=0.0))
         else:
             spaces = space.factors if mode == "product" else [space]
-            with blas.spectral():
+            # the work of the largest eigendecomposition, n^3
+            with blas.spectral(max(X.n for X in spaces) ** 3):
                 self._factors = [(np.clip(w, 0.0, None), V)
                                  for w, V in map(laplacian_spectrum, spaces)]
             if mode == "product":
@@ -279,14 +288,15 @@ class HeatOperator:
                 t_start = group[-1]
         elif self.mode == "product":
             shape = F.shape
-            with blas.spectral():
+            # the largest call is the (k nx, ny) x (ny, ny) product along y
+            with blas.spectral(F.size * self._weighted[1].shape[0]):
                 coeff, F = self._product_coefficients(F), None
                 for t in ts:
                     yield float(t), self._product_synthesize(coeff, t).reshape(shape)
         else:
             ((theta, basis),) = self._factors
             shape = F.shape
-            with blas.spectral():
+            with blas.spectral(F.size * self.space.n):
                 coeff, F = basis.T @ (self.space.mu[:, None] * F.reshape(self.space.n, -1)), None
                 for t in ts:
                     # the diagonal goes on the smaller operand: scaling the
@@ -358,7 +368,9 @@ class HeatOperator:
         finds none idle, so no more threads run than blocks; its threads
         exit when the operator is collected.
         """
-        cpus = len(os.sched_getaffinity(0))
+        # the CPUs this process may run on, where the platform says
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
         count = min(cpus - 1, blocks - 1)
         if count <= 0:
             return None, 0
@@ -465,7 +477,7 @@ class HeatOperator:
         else:
             ((theta, basis),) = self._factors
             rows = basis[xs]
-            with blas.spectral():
+            with blas.spectral(xs.size * basis.size):
                 for t in ts:
                     cols = basis @ (np.exp(-theta * t) * rows).T
                     self._clamp(cols)

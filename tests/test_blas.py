@@ -1,5 +1,6 @@
 """BLAS thread counts: the scopes of `mmslab.blas`, a task on one thread, and
-the heat layer's spectral work back at the count the task found."""
+the heat layer's spectral work back at the count the task found when its
+largest call reaches `blas.PARALLEL_WORK`."""
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from mmslab import blas, cli, elliptic, heat, space
 from mmslab.cli import reverify_report, run_config
 from mmslab.errors import ConfigError
 from mmslab.heat import HeatOperator
-from mmslab.space import uniform_cycle, uniform_torus
+from mmslab.space import uniform_cycle, uniform_torus, weighted_grid_2d
 
 TORUS8 = {"family": "torus", "n1": 8, "n2": 8}
 GRID8 = {"family": "grid", "dim": 2, "h": 0.125}
@@ -96,7 +97,7 @@ def test_nothing_found_changes_nothing(monkeypatch):
         assert found == []
     with blas.task() as entry:
         assert entry == []
-        with blas.spectral():
+        with blas.spectral(blas.PARALLEL_WORK):
             pass
     assert blas._current is before
     passed, report, _ = run_config(CURVATURE)
@@ -106,10 +107,12 @@ def test_nothing_found_changes_nothing(monkeypatch):
 def test_spectral_scopes_may_close_in_any_order(fakes):
     a, b = fakes
     with blas.task() as entry:
-        assert entry == [{"library": a.library, "start": 2, "task": 1, "spectral": 2},
-                         {"library": b.library, "start": 3, "task": 1, "spectral": 3}]
+        assert entry == [{"library": a.library, "start": 2, "task": 1, "spectral": 2,
+                          "raised": 0},
+                         {"library": b.library, "start": 3, "task": 1, "spectral": 3,
+                          "raised": 0}]
         assert (a.n, b.n) == (1, 1)
-        first, second = blas.spectral(), blas.spectral()
+        first, second = blas.spectral(blas.PARALLEL_WORK), blas.spectral(blas.PARALLEL_WORK)
         first.__enter__()
         assert (a.n, b.n) == (2, 3)
         second.__enter__()
@@ -118,12 +121,36 @@ def test_spectral_scopes_may_close_in_any_order(fakes):
         second.__exit__(None, None, None)
         assert (a.n, b.n) == (1, 1)
     assert (a.n, b.n) == (2, 3)
+    assert [e["raised"] for e in entry] == [2, 2]
+
+
+def test_a_scope_below_the_rule_leaves_one_thread(fakes):
+    a, b = fakes
+    below, at = blas.PARALLEL_WORK - 1, blas.PARALLEL_WORK
+    with blas.task() as entry:
+        with blas.spectral(below):
+            assert (a.n, b.n) == (1, 1)
+        # inside a raised scope: it neither raises nor lowers
+        with blas.spectral(at):
+            assert (a.n, b.n) == (2, 3)
+            with blas.spectral(below):
+                assert (a.n, b.n) == (2, 3)
+            assert (a.n, b.n) == (2, 3)
+        assert (a.n, b.n) == (1, 1)
+        # around a raised scope: the raised one still lowers on closing
+        with blas.spectral(below):
+            with blas.spectral(at):
+                assert (a.n, b.n) == (2, 3)
+            assert (a.n, b.n) == (1, 1)
+        assert (a.n, b.n) == (1, 1)
+    assert [e["raised"] for e in entry] == [2, 2]
+    assert (a.n, b.n) == (2, 3)
 
 
 def test_a_scope_left_open_past_its_task_changes_nothing_later(fakes):
     a, _ = fakes
     with blas.task():
-        left = blas.spectral()
+        left = blas.spectral(blas.PARALLEL_WORK)
         left.__enter__()
     assert a.n == 2
     with blas.threads(5):
@@ -155,6 +182,8 @@ def test_the_blas_entry_is_no_record(tmp_path):
 
 
 def test_heat_spectral_work_runs_at_the_starting_count(monkeypatch):
+    # every heat scope at or above the rule
+    monkeypatch.setattr(blas, "PARALLEL_WORK", 0)
     init, sweep, solve_spec, poincare = [], [], [], []
     spy(monkeypatch, heat, "laplacian_spectrum", init)
     spy(monkeypatch, HeatOperator, "_product_synthesize", sweep)
@@ -173,7 +202,8 @@ def test_heat_spectral_work_runs_at_the_starting_count(monkeypatch):
 
 @pytest.mark.parametrize("make", [lambda: uniform_torus(8, 8), lambda: uniform_cycle(32)],
                          ids=["product", "dense"])
-def test_an_unfinished_sweep_steps_back_to_one_thread(make):
+def test_an_unfinished_sweep_steps_back_to_one_thread(make, monkeypatch):
+    monkeypatch.setattr(blas, "PARALLEL_WORK", 0)
     X = make()
     F = np.random.default_rng(0).standard_normal((X.n, 3))
     with blas.threads(2):
@@ -203,3 +233,44 @@ def test_outside_a_task_a_heat_sweep_keeps_the_callers_count(monkeypatch):
             assert counts() == one
         assert counts() == one
     assert set(seen) == {one}
+
+
+def test_a_48_torus_runs_its_heat_work_on_one_thread(monkeypatch):
+    # every scope of curvature-t48 is below the rule (at most 2^23.5)
+    init, sweep = [], []
+    spy(monkeypatch, heat, "laplacian_spectrum", init)
+    spy(monkeypatch, HeatOperator, "_product_synthesize", sweep)
+    config = {"space": {"family": "torus", "n1": 48, "n2": 48}, "task": "curvature",
+              "seed": 3, "params": {"T": 36.0, "n_random": 16}}
+    with blas.threads(2):
+        start = counts()
+        passed, report, _ = run_config(config)
+        assert passed and counts() == start
+    assert init and sweep
+    assert set(init) == set(sweep) == {(1,) * len(start)}
+    assert [e["raised"] for e in report["blas"]] == [0] * len(start)
+
+
+def test_a_wide_product_sweep_runs_at_the_starting_count_to_round_off(monkeypatch):
+    # 31 fields on the sqrt|x| grid at h = 1/64: 129^2 * 31 * 129 = 2^26.0
+    X = weighted_grid_2d(((-1.0, 1.0), (-1.0, 1.0)), 1 / 64, "sqrt_abs_x")
+    H = HeatOperator(X)
+    assert H.mode == "product" and X.n * 31 * 129 >= blas.PARALLEL_WORK
+    F = np.asfortranarray(np.random.default_rng(2).standard_normal((X.n, 31)))
+    ts = [1 / 64 ** 2 / 4, 1 / 64 ** 2, 4 / 64 ** 2]
+    with blas.threads(1):
+        one = counts()
+        alone = [v.copy() for _, v in H.apply_grid(F, ts)]
+    seen = []
+    spy(monkeypatch, HeatOperator, "_product_synthesize", seen)
+    with blas.threads(2):
+        start = counts()
+        with blas.task() as entry:
+            shared = [v.copy() for _, v in H.apply_grid(F, ts)]
+            assert counts() == one
+    assert set(seen) == {start} and start != one
+    assert [e["raised"] for e in entry] == [1] * len(start)
+    # two threads round the GEMMs differently (measured: up to 2.0e-16 of the
+    # scale), so the outputs agree to round-off, not bit for bit
+    for a, b in zip(alone, shared):
+        assert np.max(np.abs(a - b)) <= 1e-15 * np.max(np.abs(a))

@@ -533,6 +533,21 @@ def test_block_workers_never_outnumber_the_blocks(tab16, monkeypatch):
         S._pool.shutdown()
 
 
+def test_stepping_runs_where_the_platform_has_no_cpu_affinity(tab16, monkeypatch):
+    # macOS and Windows have no os.sched_getaffinity
+    space = tab16[0]
+    F = np.random.default_rng(5).standard_normal((space.n, heat._COLUMN_BLOCK // space.n * 3))
+    expected = build_heat(space, mode="stepping").apply_batch(F, 0.01)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    S = build_heat(space, mode="stepping")
+    assert S._block_workers(40)[1] == 3
+    try:
+        assert np.array_equal(S.apply_batch(F, 0.01), expected)
+    finally:
+        S._pool.shutdown()
+
+
 @settings(max_examples=40, deadline=None)
 @given(connected_graphs(max_n=12), st.floats(0.01, 5.0))
 def test_random_imported_graphs_step_like_dense(graph, t):
