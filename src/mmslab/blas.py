@@ -13,8 +13,10 @@ thread, and the counts it found kept, so that `spectral`, the scope of the
 heat layer's eigendecompositions and BLAS sweeps, steps back out to them.
 It does so only when the scope's largest call is `PARALLEL_WORK` = 2^25
 multiply-adds or more; a smaller scope, and any scope outside a task,
-changes nothing.  Nothing here runs at import, and no environment variable
-is read or written.
+changes nothing.  scipy's runtime is mapped only when the package first
+imports scipy's sparse solvers, at call time and perhaps inside a task;
+`adopt`, called where ARPACK and SuperLU run, brings it into the open task.
+Nothing here runs at import, and no environment variable is read or written.
 
 The rule by size.  The second thread saves wall time only on large calls,
 and each scope that wakes it costs the spin.  Median call times on one and
@@ -53,6 +55,7 @@ import contextlib
 import ctypes
 import functools
 import os
+import sys
 import threading
 from typing import Callable, NamedTuple
 
@@ -70,38 +73,49 @@ class Runtime(NamedTuple):
 
 
 @functools.cache
+def _runtime(path: str):
+    """The Runtime of the mapped library at `path`; None when it exports no
+    thread-count pair."""
+    lib = ctypes.CDLL(path)             # already mapped: only a new handle
+    for get, set_ in _SYMBOLS:
+        if hasattr(lib, get) and hasattr(lib, set_):
+            getter, setter = getattr(lib, get), getattr(lib, set_)
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            return Runtime(os.path.basename(path), getter, setter)
+    return None
+
+
+_mapped = (-1, ())      # (len(sys.modules) at the last read, its runtimes)
+
+
 def runtimes() -> tuple:
     """The OpenBLAS runtimes mapped into this process, one per library file.
 
-    Read from /proc/self/maps (none where that file does not exist) once, at
-    the first call, since the read takes about 0.5 ms: importing the package
-    maps numpy's and scipy's runtimes, so one mapped later is none it calls.
+    Read from /proc/self/maps (none where that file does not exist).  The
+    read takes about 0.5 ms, so it is repeated only after a module has been
+    imported since the last one: a library is mapped by an import.
     """
-    try:
-        with open("/proc/self/maps") as fh:
-            maps = fh.read()
-    except OSError:
-        return ()
-    # a line is: address, perms, offset, device, inode, path
-    paths = sorted({line.split(None, 5)[5] for line in maps.splitlines()
-                    if "openblas" in os.path.basename(line)})
-    found = []
-    for path in paths:
-        lib = ctypes.CDLL(path)         # already mapped: only a new handle
-        for get, set_ in _SYMBOLS:
-            if hasattr(lib, get) and hasattr(lib, set_):
-                getter, setter = getattr(lib, get), getattr(lib, set_)
-                getter.argtypes, getter.restype = [], ctypes.c_int
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                found.append(Runtime(os.path.basename(path), getter, setter))
-                break
-    return tuple(found)
+    global _mapped
+    if _mapped[0] != len(sys.modules):
+        try:
+            with open("/proc/self/maps") as fh:
+                maps = fh.read()
+        except OSError:
+            maps = ""
+        # a line is: address, perms, offset, device, inode, path
+        paths = sorted({line.split(None, 5)[5] for line in maps.splitlines()
+                        if "openblas" in os.path.basename(line)})
+        found = (_runtime(path) for path in paths)
+        _mapped = (len(sys.modules), tuple(rt for rt in found if rt is not None))
+    return _mapped[1]
 
 
 @contextlib.contextmanager
 def threads(count: int):
     """Every runtime found at `count` threads; the previous counts come back
-    on exit.  Yields [(runtime, previous count)], empty when none is found."""
+    on exit.  Yields [(runtime, previous count)], empty when none is found;
+    every pair in it on exit is restored, those `adopt` appends included."""
     found = [(rt, rt.get()) for rt in runtimes()]
     for rt, _ in found:
         rt.set(count)
@@ -114,10 +128,15 @@ def threads(count: int):
 
 class _Task:
     def __init__(self, found):
-        self.found = found          # [(runtime, count found)]
+        self.found = found          # [(runtime, count found)], restored by `threads`
+        self.entry = [_entry(rt, n) for rt, n in found]
         self.depth = 0              # raised spectral scopes open
         self.raised = 0             # spectral scopes raised so far
         self.lock = threading.Lock()
+
+
+def _entry(rt: Runtime, n: int) -> dict:
+    return {"library": rt.library, "start": n, "task": 1, "spectral": n, "raised": 0}
 
 
 # the task scope open in this process: OpenBLAS counts are process-wide
@@ -140,14 +159,31 @@ def task():
     outer = _current
     with threads(1) as found:
         scope = _current = _Task(found)
-        entry = [{"library": rt.library, "start": n, "task": 1, "spectral": n,
-                  "raised": 0} for rt, n in found]
         try:
-            yield entry
+            yield scope.entry
         finally:
             _current = outer
-            for runtime in entry:
+            for runtime in scope.entry:
                 runtime["raised"] = scope.raised
+
+
+def adopt():
+    """Runtimes mapped since the open task began join it: on one thread (or
+    at the count they were found at, inside a raised `spectral` scope), back
+    to that count when the task ends, and in its report entry.  Outside a
+    task, nothing."""
+    scope = _current
+    if scope is None:
+        return
+    with scope.lock:
+        known = {rt.library for rt, _ in scope.found}
+        for rt in runtimes():
+            if rt.library not in known:
+                n = rt.get()
+                scope.found.append((rt, n))
+                scope.entry.append(_entry(rt, n))
+                if scope.depth == 0:
+                    rt.set(1)
 
 
 @contextlib.contextmanager

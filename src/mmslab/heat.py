@@ -87,7 +87,8 @@ import scipy.sparse as sp
 from . import blas
 from .errors import ConfigError, NumericalError
 # not called here any more; perfbench/tests checks that its tracer rebinds
-# and restores this name in the heat namespace
+# and restores this name in the heat namespace, until the benchmark change
+# of ROADMAP item 2
 from .form import carre_du_champ  # noqa: F401
 from .quad import log_time_quadrature, require_converged
 from .reports import GaussianFit, Measurement

@@ -42,9 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components, dijkstra
-from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
 
+from . import blas
 from .errors import ConfigError, NumericalError
 from .reports import DoublingReport, PoincareReport
 
@@ -86,17 +85,21 @@ class MetricMeasureSpace:
     Attributes
     ----------
     factors : (MetricMeasureSpace, MetricMeasureSpace) or None
-        The factors X, Y of a Cartesian product built by `product_space`;
-        None for every other space.
+        The factors X, Y of a Cartesian product built by `product_space`
+        (which passes them through the private keyword `_factors`); None
+        for every other space.
 
     The space keeps its edge columns, the conductance matrix W, the degrees
     and, on a path or a cycle, the edge lengths around it.  The length graph
     that Dijkstra reads (`_len_graph`, a second sparse matrix with 2m
     entries) is built the first time Dijkstra runs; products, paths and
-    cycles never build it.
+    cycles never build it.  They skip the connectivity search as well, since
+    their structure proves them connected, so none of them imports
+    ``scipy.sparse.csgraph``: every function that calls into it or into
+    ``scipy.sparse.linalg`` imports them at call time.
     """
 
-    def __init__(self, mu, edges, positions=None, name="", rim=None):
+    def __init__(self, mu, edges, positions=None, name="", rim=None, *, _factors=None):
         mu = np.asarray(mu, dtype=float)
         if mu.ndim != 1 or mu.size == 0:
             raise ConfigError("mu must be a nonempty 1-d array")
@@ -104,7 +107,7 @@ class MetricMeasureSpace:
             raise ConfigError("every vertex mass must be finite and strictly positive")
         self.mu = mu
         self.name = name
-        self.factors = None
+        self.factors = _factors
 
         n = mu.size
         i, j, c, l = _edge_columns(edges)
@@ -141,17 +144,21 @@ class MetricMeasureSpace:
         self.positions = positions
         self.rim = np.asarray([] if rim is None else rim, dtype=np.intp)
 
-        if n > 1:
+        self._ring = _ring_lengths(n, i, j, l)
+        if n == 1 and self.edge_i.size:
+            raise ConfigError("single vertex cannot carry edges")
+        # a path or a cycle holds every edge k -- k+1, and `product_space`
+        # passes two factors that were checked when they were built: both
+        # are connected by construction, every other graph is searched
+        if n > 1 and self._ring is None and self.factors is None:
+            from scipy.sparse.csgraph import connected_components
             # W is symmetric, so its strong components are its components;
             # the strong search reads W alone, the undirected one a transpose
             ncomp, _ = connected_components(self._W, directed=True, connection="strong")
             if ncomp != 1:
                 raise ConfigError(f"graph is disconnected ({ncomp} components)")
-        elif self.edge_i.size:
-            raise ConfigError("single vertex cannot carry edges")
 
         self.degree = np.asarray(self._W.sum(axis=1)).ravel()
-        self._ring = _ring_lengths(n, i, j, l)
         self._dist_cache: dict[int, np.ndarray] = {}
         self._dist_cache_cap = CACHE_BYTES // (8 * n)
 
@@ -217,6 +224,7 @@ class MetricMeasureSpace:
             return self._ring_row(v)
         d = self._dist_cache.get(v)
         if d is None:
+            from scipy.sparse.csgraph import dijkstra
             d = dijkstra(self._len_graph, directed=False, indices=v)
             if len(self._dist_cache) < self._dist_cache_cap:
                 self._dist_cache[v] = d
@@ -234,6 +242,7 @@ class MetricMeasureSpace:
             return (dx[:, :, None] + dy[:, None, :]).reshape(sources.size, self.n)
         if self._ring is not None:
             return np.array([self._ring_row(int(v)) for v in sources]).reshape(-1, self.n)
+        from scipy.sparse.csgraph import dijkstra
         return dijkstra(self._len_graph, directed=False, indices=sources)
 
     def _ring_row(self, v: int) -> np.ndarray:
@@ -487,11 +496,9 @@ def product_space(X: MetricMeasureSpace, Y: MetricMeasureSpace, positions=None,
     on_rim = np.zeros((nx, ny), dtype=bool)
     on_rim[X.rim, :] = True
     on_rim[:, Y.rim] = True
-    space = MetricMeasureSpace(np.outer(X.mu, Y.mu).ravel(), (i, j, c, l),
-                               positions=positions, name=name,
-                               rim=np.flatnonzero(on_rim))
-    space.factors = (X, Y)
-    return space
+    return MetricMeasureSpace(np.outer(X.mu, Y.mu).ravel(), (i, j, c, l),
+                              positions=positions, name=name,
+                              rim=np.flatnonzero(on_rim), _factors=(X, Y))
 
 
 def uniform_torus(n1: int, n2: int) -> MetricMeasureSpace:
@@ -896,6 +903,10 @@ def _sharp_poincare(space, ball_members, outer_members, radius):
     Returns None when the ball is degenerate (a single vertex, or a doubled
     ball inducing a disconnected subgraph).
     """
+    from scipy.sparse.csgraph import connected_components
+    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
+    blas.adopt()                # SuperLU and ARPACK call scipy's OpenBLAS
+
     k = ball_members.size
     if k < 2:
         return None

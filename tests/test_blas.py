@@ -4,8 +4,9 @@ largest call reaches `blas.PARALLEL_WORK`."""
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
-from mmslab import blas, cli, elliptic, heat, space
+from mmslab import blas, cli, elliptic, heat
 from mmslab.cli import reverify_report, run_config
 from mmslab.errors import ConfigError
 from mmslab.heat import HeatOperator
@@ -159,6 +160,33 @@ def test_a_scope_left_open_past_its_task_changes_nothing_later(fakes):
     assert a.n == 2
 
 
+def test_a_runtime_mapped_inside_a_task_joins_it(monkeypatch):
+    # scipy maps its runtime when its sparse solvers are first imported,
+    # which may be inside a task
+    a = FakeRuntime("libopenblas-a.so", 2)
+    late, later = FakeRuntime("libopenblas-late.so", 4), FakeRuntime("libopenblas-later.so", 5)
+    mapped = [a]
+    monkeypatch.setattr(blas, "runtimes", lambda: tuple(mapped))
+    mapped.append(late)
+    blas.adopt()                    # outside a task: nothing
+    assert late.n == 4
+    mapped.remove(late)
+    with blas.task() as entry:
+        mapped.append(late)
+        blas.adopt()
+        blas.adopt()                # joins once
+        assert (a.n, late.n) == (1, 1)
+        with blas.spectral(blas.PARALLEL_WORK):
+            assert (a.n, late.n) == (2, 4)
+            mapped.append(later)
+            blas.adopt()            # inside a raised scope: at its own count
+            assert later.n == 5
+        assert (a.n, late.n, later.n) == (1, 1, 1)
+    assert (a.n, late.n, later.n) == (2, 4, 5)
+    assert entry == [{"library": rt.library, "start": n, "task": 1, "spectral": n,
+                      "raised": 1} for rt, n in ((a, 2), (late, 4), (later, 5))]
+
+
 def test_run_config_restores_the_counts_it_found():
     before = counts()
     passed, report, _ = run_config(CURVATURE)
@@ -188,7 +216,7 @@ def test_heat_spectral_work_runs_at_the_starting_count(monkeypatch):
     spy(monkeypatch, heat, "laplacian_spectrum", init)
     spy(monkeypatch, HeatOperator, "_product_synthesize", sweep)
     spy(monkeypatch, elliptic, "laplacian_spectrum", solve_spec)
-    spy(monkeypatch, space, "eigsh", poincare)
+    spy(monkeypatch, scipy.sparse.linalg, "eigsh", poincare)
     with blas.threads(2):
         start = counts()
         for config in (CURVATURE, SOLVE, POINCARE):

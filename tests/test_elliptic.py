@@ -455,6 +455,42 @@ def test_factor_pair_distances_equal_the_hull_dijkstra(space, center, radius):
     assert np.array_equal(fast, slow)
 
 
+RING_SPACES = [
+    (lambda: sp_mod.weighted_grid_1d((-1.0, 1.0), 1 / 64, "sqrt_abs_x"), [0.1, 0.2, 0.3, 0.4, 0.5]),
+    (lambda: sp_mod.weighted_grid_1d((-1.0, 1.0), 1 / 24, "sqrt_abs_x"), [0.1, 0.2, 0.3, 0.4, 0.5]),
+    (lambda: sp_mod.weighted_grid_1d((-1.0, 1.0), 0.1, "constant"), [0.25, 0.35, 0.5, 0.7, 1.0]),
+    (lambda: sp_mod.uniform_cycle(48), [2.5, 4.0, 6.0, 9.0, 13.0]),     # 4B wraps from 6.0
+    (lambda: sp_mod.uniform_cycle(7), [2.5, 3.0, 3.5, 4.0, 5.0]),
+]
+
+
+@pytest.mark.parametrize("make,radii", RING_SPACES,
+                         ids=["sqrt64", "sqrt24", "const10", "cycle48", "cycle7"])
+def test_holder_reads_ring_rows_on_paths_and_cycles(make, radii, monkeypatch):
+    # the running sums of `distance_rows` are the hull Dijkstra's bits; with
+    # them holder_fit runs no Dijkstra and builds no length graph
+    space = make()
+    center = space.n // 2
+    rng = np.random.default_rng(5)
+    for radius in radii:
+        members = metric_ball(space, center, 2 * radius).members
+        hull = metric_ball(space, center, 4 * radius).members
+        sources = members if members.size <= 48 else rng.choice(members, 48, replace=False)
+        want = el_mod._pair_distances(space, hull, sources, members)
+        assert np.array_equal(space.distance_rows(sources)[:, members], want)
+
+    def no_dijkstra(*args, **kwargs):
+        raise AssertionError("holder_fit ran Dijkstra on a path or a cycle")
+
+    monkeypatch.setattr("scipy.sparse.csgraph.dijkstra", no_dijkstra)
+    u = np.cos(0.7 * np.arange(space.n)) + np.sqrt(np.arange(space.n))
+    for radius in radii:
+        ball = metric_ball(space, center, radius)
+        rep = holder_fit(space, u, ball, np.zeros(space.n))
+        assert rep.pair_sample > 0 and np.isfinite(rep.constant)
+    assert "_len_graph" not in space.__dict__
+
+
 def test_holder_on_a_tabulated_grid_takes_the_hull_path(monkeypatch):
     # a constant tabulated weight builds the same graph as the product grid,
     # without factors: holder_fit must run the hull Dijkstra there and give

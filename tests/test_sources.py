@@ -15,7 +15,7 @@ SOURCES = sorted((pathlib.Path(__file__).resolve().parents[1]
 UNUSED_IMPORTS = {
     ("heat.py", "carre_du_champ"):
         "perfbench/tests reads mmslab.heat.carre_du_champ until the benchmark "
-        "change of ROADMAP item 5",
+        "change of ROADMAP item 2",
 }
 
 
@@ -41,9 +41,10 @@ def test_every_imported_name_is_used(path):
 
 
 
-def imported_modules(tree):
-    """Dotted names of every module, and every `from` name, a module imports."""
-    for node in ast.walk(tree):
+def imported_modules(nodes):
+    """Dotted names of every module, and every `from` name, the import
+    statements among `nodes` import."""
+    for node in nodes:
         if isinstance(node, ast.Import):
             yield from (alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.module:
@@ -55,9 +56,31 @@ def imported_modules(tree):
 def test_no_module_imports_scipy_linalg(path):
     # dense eigendecompositions go through numpy.linalg, so numpy's OpenBLAS
     # is the only BLAS runtime that runs threaded in the hot paths
-    found = {name for name in imported_modules(ast.parse(path.read_text()))
+    found = {name for name in imported_modules(ast.walk(ast.parse(path.read_text())))
              if name == "scipy.linalg" or name.startswith("scipy.linalg.")}
     assert not found, f"{path.name} imports {sorted(found)}"
+
+
+def import_time_nodes(tree):
+    """The nodes of a module outside its function bodies: what importing it
+    runs (decorators and defaults aside)."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_module_imports_the_sparse_solvers_at_import_time(path):
+    # scipy's graph and sparse-solver code, and the scipy.linalg they pull
+    # in, load only in the functions that call them: a run on products,
+    # paths and cycles never imports them
+    found = {name for name in imported_modules(import_time_nodes(ast.parse(path.read_text())))
+             if any(name == mod or name.startswith(mod + ".")
+                    for mod in ("scipy.sparse.csgraph", "scipy.sparse.linalg"))}
+    assert not found, f"{path.name} imports {sorted(found)} at import time"
 
 
 def test_only_the_generators_branch_on_the_heat_mode():
@@ -92,7 +115,7 @@ def names_and_strings(tree):
 def test_only_the_blas_module_touches_openblas(path):
     # the BLAS thread policy lives in one module (`mmslab.blas`)
     tree = ast.parse(path.read_text())
-    imports = {name for name in imported_modules(tree)
+    imports = {name for name in imported_modules(ast.walk(tree))
                if name == "ctypes" or name.startswith("ctypes.")}
     assert not imports, f"{path.name} imports {sorted(imports)}"
     symbols = {word for text in names_and_strings(tree)

@@ -114,7 +114,7 @@ def test_path_distances_are_dijkstra_bit_for_bit_without_dijkstra(weight, h,
     def no_dijkstra(*args, **kwargs):
         raise AssertionError("a path ran Dijkstra")
 
-    monkeypatch.setattr(sp_mod, "dijkstra", no_dijkstra)
+    monkeypatch.setattr("scipy.sparse.csgraph.dijkstra", no_dijkstra)
     for v in range(path.n):
         assert np.array_equal(path.distances_from(v), want[v])
     assert np.array_equal(path.distance_rows(np.arange(path.n)), want)
@@ -152,7 +152,7 @@ def test_cycle_distances_are_dijkstra_bit_for_bit_without_dijkstra(cycle, monkey
         calls.append(kwargs.get("indices"))
         return dijkstra(*args, **kwargs)
 
-    monkeypatch.setattr(sp_mod, "dijkstra", counted)
+    monkeypatch.setattr("scipy.sparse.csgraph.dijkstra", counted)
     for v in range(cycle.n):
         row = cycle.distances_from(v)
         assert np.array_equal(row, want[v])
@@ -211,6 +211,52 @@ def test_columns_and_rows_build_the_same_space(make):
     assert_same_bits(space.distance_rows(src), rows.distance_rows(src))
     if space.factors is not None:           # product rows come from the factors
         assert "_len_graph" not in space.__dict__
+
+
+@pytest.mark.parametrize("build", [
+    lambda: sp_mod.weighted_grid_1d((-1.0, 1.0), 1 / 64, "sqrt_abs_x"),
+    lambda: sp_mod.uniform_cycle(48),
+    lambda: sp_mod.uniform_torus(12, 9),
+    lambda: sp_mod.weighted_grid_2d(((-1, 1), (-1, 1)), 1 / 32, "sqrt_abs_x"),
+], ids=["path", "cycle", "torus", "sqrt-square"])
+def test_structure_proves_connectivity_without_a_search(build, monkeypatch):
+    # paths and cycles hold every edge k -- k+1; products are built from
+    # factors checked when they were built
+    def no_search(*args, **kwargs):
+        raise AssertionError("a connectivity search ran")
+
+    monkeypatch.setattr("scipy.sparse.csgraph.connected_components", no_search)
+    space = build()
+    assert space._ring is not None or space.factors is not None
+
+
+@pytest.mark.parametrize("n,edges", [
+    (6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]),    # two triangles
+    (5, [(0, 1), (1, 2), (2, 3), (0, 3)]),                    # a cycle and a loose vertex
+    (6, [(0, 1), (1, 2), (2, 3), (4, 5)]),                    # a path and a detached edge
+    (6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5)]),            # n - 1 edges, four steps
+], ids=["triangles", "cycle+vertex", "path+edge", "triangle+path"])
+def test_disconnected_edge_lists_are_still_searched(n, edges):
+    rows = [(i, j, 1.0, 1.0) for i, j in edges]
+    with pytest.raises(ConfigError, match="disconnected"):
+        MetricMeasureSpace(np.ones(n), rows)
+    text = "\n".join([f"{n} {len(rows)}"] + [f"{k} 1.0" for k in range(n)]
+                     + [f"{i} {j} 1.0 1.0" for i, j, _, _ in rows])
+    with pytest.raises(ConfigError, match="disconnected"):
+        MetricMeasureSpace.from_text(text)
+
+
+def test_the_factors_keyword_is_private():
+    # only `product_space` passes factors; neither a config nor a graph file
+    # reaches the keyword that skips the search
+    text = sp_mod.uniform_cycle(5).to_text()
+    with pytest.raises(TypeError):
+        MetricMeasureSpace.from_text(text, _factors=None)
+    for key in ("_factors", "factors"):
+        with pytest.raises(ConfigError, match="unknown space keys"):
+            build_space({"family": "cycle", "n": 5, key: None})
+        with pytest.raises(ConfigError, match="unknown space keys"):
+            build_space({"family": "grid", "dim": 2, "h": 0.5, key: None})
 
 
 def test_ordered_edge_columns_are_kept_without_a_copy():
@@ -278,7 +324,7 @@ def test_no_length_graph_unless_dijkstra_runs(make, R0, monkeypatch):
     def no_dijkstra(*args, **kwargs):
         raise AssertionError("Dijkstra ran on the length graph")
 
-    monkeypatch.setattr(sp_mod, "dijkstra", no_dijkstra)
+    monkeypatch.setattr("scipy.sparse.csgraph.dijkstra", no_dijkstra)
     src = np.arange(0, space.n, max(1, space.n // 7))
     rows = space.distance_rows(src)
     for v, row in zip(src, rows):
@@ -655,7 +701,7 @@ def test_poincare_numerical_failures_raise(torus16, monkeypatch):
         raise RuntimeError("Factor is exactly singular")
 
     with monkeypatch.context() as m:
-        m.setattr(sp_mod, "splu", singular)
+        m.setattr("scipy.sparse.linalg.splu", singular)
         with pytest.raises(NumericalError, match="singular"):
             _sharp_poincare(torus16, ball.members, outer.members, 2.5)
 
@@ -663,7 +709,7 @@ def test_poincare_numerical_failures_raise(torus16, monkeypatch):
         raise ArpackNoConvergence("ARPACK error -1: No convergence",
                                   np.empty(0), np.empty((0, 0)))
 
-    monkeypatch.setattr(sp_mod, "eigsh", unconverged)
+    monkeypatch.setattr("scipy.sparse.linalg.eigsh", unconverged)
     with pytest.raises(NumericalError, match="Lanczos"):
         _sharp_poincare(torus16, ball.members, outer.members, 2.5)
 
