@@ -35,7 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import blas
 from .errors import ConfigError, NumericalError
@@ -89,9 +88,9 @@ class Problem:
 
 
 def _laplacian_apply(space: MetricMeasureSpace, u) -> np.ndarray:
-    """L u = deg * u - W u, the graph Laplacian applied without forming
-    the matrix D - W."""
-    return space.degree * u - space.conductance_matrix @ u
+    """L u = deg * u - W u, the graph Laplacian applied from W's arrays
+    (`conductance_apply`) without forming the matrix D - W."""
+    return space.degree * u - space.conductance_apply(u)
 
 
 def _right_side(problem: Problem):
@@ -144,7 +143,7 @@ def _fast_diagonalization_solve(problem: Problem, b: np.ndarray) -> np.ndarray:
     return (Vx @ ((Vx.T @ B @ Vy) / denom) @ Vy.T).ravel()
 
 
-def _certify_positive_definite(problem: Problem, A: sp.csr_matrix):
+def _certify_positive_definite(problem: Problem, A):
     """Positive-definiteness certificate for the sparse interior operator.
 
     With lambda >= 0 the operator is SPD as soon as every component of the
@@ -203,6 +202,7 @@ def cg(A, b, **kwargs):
 
 def _cg_solve(problem: Problem, b: np.ndarray) -> np.ndarray:
     """Interior solution by Jacobi-preconditioned CG on the sparse system."""
+    import scipy.sparse as sp
     space = problem.space
     dom = problem.domain
     A = (space.laplacian().tocsr()[dom][:, dom]
@@ -263,7 +263,7 @@ def classify_harmonicity(space: MetricMeasureSpace, u, domain):
     u = space.check_field(u)
     domain = np.asarray(domain, dtype=np.intp)
     s = -_laplacian_apply(space, u)[domain]
-    scale = (space.degree * np.abs(u) + space.conductance_matrix @ np.abs(u))
+    scale = (space.degree * np.abs(u) + space.conductance_apply(np.abs(u)))
     tol = 1e-8 * max(float(np.max(scale[domain])), 1e-300)
     lo, hi = float(np.min(s)), float(np.max(s))
     if lo >= -tol and hi <= tol:
@@ -382,8 +382,9 @@ def _pair_distances(space: MetricMeasureSpace, hull: np.ndarray,
     rows = np.concatenate([li[keep], lj[keep]])
     cols = np.concatenate([lj[keep], li[keep]])
     data = np.concatenate([space.edge_l[keep], space.edge_l[keep]])
-    g = sp.csr_matrix((data, (rows, cols)), shape=(hull.size, hull.size))
+    import scipy.sparse as sp
     from scipy.sparse.csgraph import dijkstra
+    g = sp.csr_matrix((data, (rows, cols)), shape=(hull.size, hull.size))
     return dijkstra(g, directed=False, indices=loc[sources])[:, loc[targets]]
 
 

@@ -50,7 +50,7 @@ def energy(space: MetricMeasureSpace, f, g=None) -> float:
 def generator_apply(space: MetricMeasureSpace, f) -> np.ndarray:
     """Generator field A f = (W f - deg * f) / mu."""
     f = space.check_field(f)
-    return (space.conductance_matrix @ f - space.degree * f) / space.mu
+    return (space.conductance_apply(f) - space.degree * f) / space.mu
 
 
 def check_leibniz(space: MetricMeasureSpace, u, v, phi) -> float:

@@ -82,7 +82,6 @@ import functools
 import os
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import blas
 from .errors import ConfigError, NumericalError
@@ -353,6 +352,7 @@ class HeatOperator:
     def _shifted_generator(self):
         """2X = 2((2/lam)(-A) - I) in CSR, built on first use."""
         if self._X2 is None:
+            import scipy.sparse as sp
             space = self.space
             minus_A = sp.diags(1.0 / space.mu) @ (sp.diags(space.degree)
                                                    - space.conductance_matrix)

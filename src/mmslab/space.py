@@ -20,9 +20,13 @@ worth forming.
 A space holds its edges as four columns (i, j as intp, c, l as float).  The
 families pass those columns to `MetricMeasureSpace` directly; rows given by
 a caller are converted to columns first, and both go through the same
-checks.  The space keeps the columns, the conductance matrix W and the
-degrees; the length graph that Dijkstra reads is built the first time
-Dijkstra runs, so a product, a path or a cycle never holds one.
+checks.  The space keeps the columns, the conductances W as three numpy CSR
+arrays and the degrees.  The package reads W through those arrays (the
+degrees, W u, the dense Laplacian of `laplacian_spectrum`), with scipy's
+bits; `conductance_matrix` and `laplacian()` wrap them as scipy matrices for
+the callers that hand W to scipy.  The length graph that Dijkstra reads is
+built the first time Dijkstra runs, so a product, a path or a cycle never
+holds one.  No module imports scipy at import time.
 
 Measured constants:
 
@@ -41,7 +45,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import blas
 from .errors import ConfigError, NumericalError
@@ -51,6 +54,7 @@ _SQRT2 = np.sqrt(2.0)
 CACHE_BYTES = 64 * 2 ** 20         # budget of the Dijkstra row cache
 _ROW_BLOCK = 2 ** 18               # doubles (2 MB) per block of rows in estimate_doubling
 _TIE_STEPS = 8                     # boundary runs a product ball count may cross
+_ROW_CHUNK = 2 ** 13               # rows per step of `conductance_apply`
 DENSE_CAP_DEFAULT = 4000           # largest dense eigendecomposition, in vertices
 # Product-structured solvers (the heat realization, the Dirichlet solve)
 # decompose each factor once (~nx^3 + ny^3 flops) and then push fields
@@ -89,14 +93,23 @@ class MetricMeasureSpace:
         (which passes them through the private keyword `_factors`); None
         for every other space.
 
-    The space keeps its edge columns, the conductance matrix W, the degrees
-    and, on a path or a cycle, the edge lengths around it.  The length graph
-    that Dijkstra reads (`_len_graph`, a second sparse matrix with 2m
-    entries) is built the first time Dijkstra runs; products, paths and
-    cycles never build it.  They skip the connectivity search as well, since
-    their structure proves them connected, so none of them imports
-    ``scipy.sparse.csgraph``: every function that calls into it or into
-    ``scipy.sparse.linalg`` imports them at call time.
+    w_indptr, w_indices, w_data : ndarray
+        The conductances W in CSR form: row r holds its neighbours'
+        columns w_indices[w_indptr[r]:w_indptr[r + 1]] in ascending order
+        and their conductances in w_data, with int32 indices below 2^31
+        entries.  These are the arrays scipy's COO -> CSR conversion gives
+        for the edge list, to the bit.
+    degree : ndarray
+        The row sums of W, summed as scipy sums them.
+
+    The space keeps its edge columns, W's arrays, the degrees and, on a path
+    or a cycle, the edge lengths around it.  `conductance_apply` computes
+    W u from the arrays; `conductance_matrix` (a scipy matrix over the same
+    arrays) and the length graph that Dijkstra reads (`_len_graph`, a
+    second sparse matrix with 2m entries) are built on first use.
+    Products, paths and cycles skip the connectivity search, since their
+    structure proves them connected, so building one imports no scipy
+    module: every function that calls into scipy imports it at call time.
     """
 
     def __init__(self, mu, edges, positions=None, name="", rim=None, *, _factors=None):
@@ -121,15 +134,14 @@ class MetricMeasureSpace:
         first((i < 0) | (i >= n) | (j < 0) | (j >= n), "edge ({i},{j}) out of range")
         if np.any(i > j):
             i, j = np.minimum(i, j), np.maximum(i, j)
-        # W from one set of triplets; the COO -> CSR conversion sums repeated
-        # (i, j) pairs, so fewer than 2m entries means a duplicate edge
-        self._W = _symmetric_csr(n, i, j, c)
-        if self._W.nnz < 2 * i.size:
+        W = _symmetric_csr(n, i, j, c)
+        if W is None:
             key = i * n + j
             order = np.argsort(key, kind="stable")
             dup = np.zeros(key.size, dtype=bool)
             dup[order[1:]] = key[order[1:]] == key[order[:-1]]
             first(dup, "duplicate edge ({i},{j})")
+        self.w_indptr, self.w_indices, self.w_data = W
         first(~((c > 0) & (l > 0) & np.isfinite(c) & np.isfinite(l)),
               "edge ({i},{j}) needs c > 0 and l > 0, got c={c}, l={l}")
         self.edge_i = i
@@ -154,11 +166,15 @@ class MetricMeasureSpace:
             from scipy.sparse.csgraph import connected_components
             # W is symmetric, so its strong components are its components;
             # the strong search reads W alone, the undirected one a transpose
-            ncomp, _ = connected_components(self._W, directed=True, connection="strong")
+            ncomp, _ = connected_components(self.conductance_matrix, directed=True,
+                                            connection="strong")
             if ncomp != 1:
                 raise ConfigError(f"graph is disconnected ({ncomp} components)")
 
-        self.degree = np.asarray(self._W.sum(axis=1)).ravel()
+        # scipy's row sums: one reduceat over the nonempty rows
+        rows = np.flatnonzero(np.diff(self.w_indptr))
+        self.degree = np.zeros(n)
+        self.degree[rows] = np.add.reduceat(self.w_data, self.w_indptr[rows])
         self._dist_cache: dict[int, np.ndarray] = {}
         self._dist_cache_cap = CACHE_BYTES // (8 * n)
 
@@ -180,13 +196,45 @@ class MetricMeasureSpace:
     def min_edge_length(self) -> float:
         return float(self.edge_l.min()) if self.n_edges else 0.0
 
-    @property
-    def conductance_matrix(self) -> sp.csr_matrix:
-        return self._W
+    @functools.cached_property
+    def conductance_matrix(self):
+        """W as a scipy CSR matrix over the space's arrays (no copy), built
+        on first use."""
+        return _scipy_csr(self.n, self.w_indptr, self.w_indices, self.w_data)
 
-    def laplacian(self) -> sp.csr_matrix:
-        """Weighted graph Laplacian L = D - W (positive semidefinite)."""
-        return sp.diags(self.degree) - self._W
+    def laplacian(self):
+        """Weighted graph Laplacian L = D - W (positive semidefinite), as a
+        scipy CSR matrix."""
+        import scipy.sparse as sp
+        return sp.diags(self.degree) - self.conductance_matrix
+
+    def conductance_apply(self, u) -> np.ndarray:
+        """W u for a field (n,) or a stack (n, k), bit for bit scipy's CSR
+        product: every row's sum starts at 0.0 and adds its entries'
+        products in column order.
+
+        A weighted `np.bincount` adds its weights into zeros one at a time
+        in the order given, and a row's entries are consecutive in CSR
+        order, so one bincount per column of u sums every row in scipy's
+        order.  The rows go `_ROW_CHUNK` at a time, which bounds the
+        temporaries (a row index, a column index and a product per entry)
+        and keeps nothing between calls.
+        """
+        u = np.asarray(u, dtype=float)
+        ptr = self.w_indptr
+        out = np.empty((self.n,) + u.shape[1:])
+        for r0 in range(0, self.n, _ROW_CHUNK):
+            r1 = min(r0 + _ROW_CHUNK, self.n)
+            rows = np.repeat(np.arange(r1 - r0), np.diff(ptr[r0:r1 + 1]))
+            at = slice(ptr[r0], ptr[r1])
+            terms = np.take(u, self.w_indices[at].astype(np.intp), axis=0)
+            terms *= self.w_data[at].reshape((-1,) + (1,) * (u.ndim - 1))
+            if u.ndim == 1:
+                out[r0:r1] = np.bincount(rows, terms, minlength=r1 - r0)
+            else:
+                for k in range(u.shape[1]):
+                    out[r0:r1, k] = np.bincount(rows, terms[:, k], minlength=r1 - r0)
+        return out
 
     def check_field(self, f) -> np.ndarray:
         f = np.asarray(f, dtype=float)
@@ -199,9 +247,10 @@ class MetricMeasureSpace:
     # -- metric ------------------------------------------------------------
 
     @functools.cached_property
-    def _len_graph(self) -> sp.csr_matrix:
-        """Symmetric sparse matrix of the edge lengths, built on first use."""
-        return _symmetric_csr(self.n, self.edge_i, self.edge_j, self.edge_l)
+    def _len_graph(self):
+        """Symmetric scipy matrix of the edge lengths, built on first use."""
+        return _scipy_csr(self.n, *_symmetric_csr(self.n, self.edge_i, self.edge_j,
+                                                  self.edge_l))
 
     def distances_from(self, v: int) -> np.ndarray:
         """Shortest-path distances from vertex v.
@@ -337,15 +386,45 @@ def _edge_columns(edges):
             np.ascontiguousarray(E[:, 2]), np.ascontiguousarray(E[:, 3]))
 
 
-def _symmetric_csr(n: int, i, j, values) -> sp.csr_matrix:
-    """The n x n CSR matrix with `values` at (i, j) and (j, i), from one set
-    of COO triplets whose indices are already of the CSR's index dtype, so
-    scipy converts none of them."""
+def _symmetric_csr(n: int, i, j, values):
+    """(indptr, indices, data) of the n x n matrix with `values` at (i, j)
+    and (j, i), for i < j, in the order scipy's COO -> CSR conversion gives:
+    rows ascending, columns ascending inside a row.  None when an (i, j)
+    pair repeats.
+
+    Row r holds the entries (r, i) of the edges with j = r, all left of the
+    diagonal, then the entries (r, j) of the edges with i = r.  Each half is
+    sorted by (row, column) on its own, and entry p of a sorted half lands p
+    places past the other half's entries of the rows before it (and, for the
+    right half, of its own row).  The sorts run over m keys, not 2m.
+    """
     m = i.size
     idx = np.int32 if max(n, 2 * m) < 2 ** 31 else np.intp
-    rows = np.concatenate([i, j], dtype=idx, casting="same_kind")
-    cols = np.concatenate([j, i], dtype=idx, casting="same_kind")
-    return sp.csr_matrix((np.concatenate([values, values]), (rows, cols)), shape=(n, n))
+    left = np.bincount(j, minlength=n)
+    right = np.bincount(i, minlength=n)
+    indptr = np.zeros(n + 1, dtype=idx)
+    np.cumsum(left + right, out=indptr[1:])
+    indices = np.empty(2 * m, dtype=idx)
+    data = np.empty(2 * m)
+    for rows, cols, count, shift in ((i, j, right, np.cumsum(left)),
+                                     (j, i, left, np.cumsum(right) - right)):
+        order = np.argsort(rows * n + cols, kind="stable")
+        dest = np.repeat(shift, count)
+        dest += np.arange(m)
+        indices[dest] = cols[order]
+        data[dest] = values[order]
+    # a repeated pair puts one column twice in a row, next to itself; the
+    # pairs that straddle a row start are not compared
+    same = indices[1:] == indices[:-1]
+    starts = indptr[1:-1]
+    same[starts[(starts > 0) & (starts < 2 * m)] - 1] = False
+    return None if same.any() else (indptr, indices, data)
+
+
+def _scipy_csr(n: int, indptr, indices, data):
+    """The n x n scipy CSR matrix over these arrays, without a copy."""
+    import scipy.sparse as sp
+    return sp.csr_matrix((data, indices, indptr), shape=(n, n), copy=False)
 
 
 def _ring_lengths(n: int, i, j, l):
@@ -379,6 +458,24 @@ def product_pays(factors) -> bool:
     return large <= DENSE_CAP_DEFAULT and large <= PRODUCT_MAX_ASPECT * small
 
 
+def dense_laplacian(space: MetricMeasureSpace, idx=None) -> np.ndarray:
+    """The dense block of L = D - W on the distinct vertices idx (all of
+    them by default), scattered from W's arrays: -W off the diagonal and
+    the degrees on it.  It is the array (D - W)[idx][:, idx].toarray() that
+    scipy gives, to the bit."""
+    n = space.n
+    idx = np.arange(n) if idx is None else np.asarray(idx, dtype=np.intp)
+    at = np.full(n, -1)                 # the place of each vertex in idx
+    at[idx] = np.arange(idx.size)
+    rows = at[np.repeat(np.arange(n), np.diff(space.w_indptr))]
+    cols = at[space.w_indices]
+    keep = (rows >= 0) & (cols >= 0)
+    L = np.zeros((idx.size, idx.size))
+    L[rows[keep], cols[keep]] = -space.w_data[keep]
+    np.fill_diagonal(L, space.degree[idx])
+    return L
+
+
 def laplacian_spectrum(space: MetricMeasureSpace, idx=None):
     """(w, V) with L V = M V diag(w) and V^T M V = I, w ascending: the
     eigenpairs of -A, or of its Dirichlet restriction to the index set idx.
@@ -397,12 +494,11 @@ def laplacian_spectrum(space: MetricMeasureSpace, idx=None):
     scipy's default MRRR, same matrix    2.71e-13    2.80e-13
     ===================================  ==========  ==============
     """
-    L = space.laplacian()
     r = 1.0 / np.sqrt(space.mu)
     if idx is not None:
-        L, r = L.tocsr()[idx][:, idx], r[idx]
+        r = r[idx]
     try:
-        w, V = np.linalg.eigh((L.toarray() * r[:, None]) * r[None, :])
+        w, V = np.linalg.eigh((dense_laplacian(space, idx) * r[:, None]) * r[None, :])
     except np.linalg.LinAlgError as e:
         raise NumericalError(f"eigendecomposition failed: {e}") from e
     return w, V * r[:, None]
@@ -786,6 +882,7 @@ def _factor_ball_masses(space: MetricMeasureSpace, queries: np.ndarray) -> np.nd
             return space.factor_rows(s_vertices, l_vertices)
         return space.factor_rows(l_vertices, s_vertices)[::-1]
 
+    import scipy.sparse as sp
     d_s = rows(np.arange(S.n), [])[0]
     D, inv = np.unique(d_s, return_inverse=True)
     pairs = (np.repeat(np.arange(S.n), S.n), inv.ravel())
@@ -903,6 +1000,7 @@ def _sharp_poincare(space, ball_members, outer_members, radius):
     Returns None when the ball is degenerate (a single vertex, or a doubled
     ball inducing a disconnected subgraph).
     """
+    import scipy.sparse as sp
     from scipy.sparse.csgraph import connected_components
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
     blas.adopt()                # SuperLU and ARPACK call scipy's OpenBLAS

@@ -74,12 +74,11 @@ def import_time_nodes(tree):
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_module_imports_the_sparse_solvers_at_import_time(path):
-    # scipy's graph and sparse-solver code, and the scipy.linalg they pull
-    # in, load only in the functions that call them: a run on products,
-    # paths and cycles never imports them
+    # no scipy module loads with the package: scipy.sparse, its graph and
+    # sparse-solver code and the scipy.linalg they pull in load only in the
+    # functions that call them, so the sqrt|x| sweep never imports scipy
     found = {name for name in imported_modules(import_time_nodes(ast.parse(path.read_text())))
-             if any(name == mod or name.startswith(mod + ".")
-                    for mod in ("scipy.sparse.csgraph", "scipy.sparse.linalg"))}
+             if name == "scipy" or name.startswith("scipy.")}
     assert not found, f"{path.name} imports {sorted(found)} at import time"
 
 

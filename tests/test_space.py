@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 from hypothesis import given, settings
 from scipy.sparse.csgraph import dijkstra
 from scipy.sparse.linalg import ArpackNoConvergence
@@ -311,6 +312,97 @@ def test_product_grid_build_holds_only_what_the_space_keeps():
     assert "_len_graph" not in space.__dict__
     assert kept <= 10.0
     assert peak <= 18.0
+
+
+# -- W's arrays against scipy ---------------------------------------------------
+
+def scipy_conductances(space):
+    """W built the way scipy builds it from COO triplets: the independent
+    oracle for the space's own CSR arrays."""
+    i, j, c = space.edge_i, space.edge_j, space.edge_c
+    rows = np.concatenate([i, j]).astype(np.int32)
+    cols = np.concatenate([j, i]).astype(np.int32)
+    return scipy.sparse.csr_matrix((np.concatenate([c, c]), (rows, cols)),
+                                   shape=(space.n, space.n))
+
+
+def hub_graph():
+    """A random connected graph with seeded log-normal conductances whose
+    busiest row holds 36 entries: past 8 terms numpy's reduce sums pairwise,
+    so this row checks that the degrees are summed as scipy sums them."""
+    rng = np.random.default_rng(5)
+    n = 500
+    edges = {(min(v, u), max(v, u)) for v in range(1, n) for u in [rng.integers(v)]}
+    edges |= {(0, int(v)) for v in rng.choice(np.arange(1, n), 23, replace=False)}
+    while len(edges) < 1200:
+        u, v = sorted(rng.choice(n, 2, replace=False))
+        edges.add((int(u), int(v)))
+    edges = sorted(edges)
+    rng.shuffle(edges)
+    c = np.exp(2.0 * rng.standard_normal(len(edges)))
+    return MetricMeasureSpace(rng.uniform(0.5, 2.0, n),
+                              [(u, v, w, 1.0) for (u, v), w in zip(edges, c)])
+
+
+TEXT_GRAPH = """6 8
+0 1.0
+1 0.5
+2 2.0
+3 1.5
+4 0.25
+5 1.0
+4 5 0.3 1.0
+0 1 1.7 1.0
+3 1 0.1 2.0
+2 0 2.5 0.5
+5 3 1e-3 1.0
+1 2 0.7 1.0
+0 4 3.3 1.5
+2 5 0.9 1.0
+"""
+
+
+@pytest.mark.parametrize("make", [
+    lambda: sp_mod.weighted_grid_2d(((-1, 1), (-1, 1)), 1 / 16, "sqrt_abs_x"),
+    lambda: tabulated_grid(1 / 16),
+    lambda: sp_mod.uniform_torus(9, 6),
+    lambda: MetricMeasureSpace.from_text(TEXT_GRAPH),
+    hub_graph,
+], ids=["sqrt16", "tabulated16", "torus9x6", "text", "hub"])
+def test_w_arrays_are_scipys_to_the_bit(make):
+    space = make()
+    W = scipy_conductances(space)
+    n = space.n
+    for attr in ("indptr", "indices", "data"):
+        assert_same_bits(getattr(space, "w_" + attr), getattr(W, attr))
+    assert_same_bits(space.degree, np.asarray(W.sum(axis=1)).ravel())
+    if make is hub_graph:
+        # past 8 entries a row is summed pairwise, so the degrees are not
+        # W 1, the sum in column order
+        assert int(np.max(np.diff(space.w_indptr))) > 8
+        assert not np.array_equal(space.degree, space.conductance_apply(np.ones(n)))
+
+    rng = np.random.default_rng(1)
+    u = rng.standard_normal(n)
+    # the neighbours of vertex 1 read -0.0, so every product of its row is
+    # -0.0 and the sum, started at 0.0 as scipy starts it, is +0.0
+    u[space.w_indices[space.w_indptr[1]:space.w_indptr[2]]] = -0.0
+    Wu = space.conductance_apply(u)
+    assert_same_bits(Wu, W @ u)
+    assert Wu[1] == 0.0 and not np.signbit(Wu[1])
+    U = rng.standard_normal((n, 5))
+    assert_same_bits(space.conductance_apply(U), W @ U)
+    assert_same_bits(space.conductance_apply(np.asfortranarray(U)), W @ U)
+
+    L = scipy.sparse.diags(np.asarray(W.sum(axis=1)).ravel()) - W
+    assert_same_bits(sp_mod.dense_laplacian(space), L.toarray())
+    idx = np.unique(rng.choice(n, n // 2, replace=False))
+    assert_same_bits(sp_mod.dense_laplacian(space, idx), L.tocsr()[idx][:, idx].toarray())
+    # the scipy matrix wraps the same arrays, and D - W keeps scipy's bits
+    M = space.conductance_matrix
+    for attr in ("indptr", "indices", "data"):
+        assert np.shares_memory(getattr(M, attr), getattr(space, "w_" + attr))
+        assert_same_bits(getattr(space.laplacian(), attr), getattr(L, attr))
 
 
 @pytest.mark.parametrize("make,R0", [
