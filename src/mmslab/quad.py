@@ -3,7 +3,9 @@
 All the time integrals in this package run against kernels that vary
 fastest near t = 0, so the composite rule lives on a geometric (log-uniform)
 grid.  The node count is doubled until two successive composite values agree
-to a relative tolerance (Richardson-style stopping).
+to a relative tolerance (Richardson-style stopping); a rule that does not
+agree within `MAX_LEVELS` levels raises `NumericalError`, so no caller can
+use an unconverged value.
 """
 
 from __future__ import annotations
@@ -54,8 +56,15 @@ def log_time_quadrature(eval_batch, a, b, rtol=1e-6, zero_limit=None):
     Returns
     -------
     value : float
-    info : dict with keys 'converged', 'levels', 'nodes' (size of the final
-        grid, which is also the number of evaluations), 'last_change'.
+    info : dict with keys 'converged' (always True), 'levels', 'nodes' (size
+        of the final grid, which is also the number of evaluations),
+        'last_change'.
+
+    Raises
+    ------
+    NumericalError
+        When `MAX_LEVELS` levels pass without two successive values agreeing
+        to `rtol`: an unconverged value is never returned.
     """
     if not (b > a >= 0):
         raise NumericalError(f"bad quadrature interval [{a}, {b}]")
@@ -94,17 +103,9 @@ def log_time_quadrature(eval_batch, a, b, rtol=1e-6, zero_limit=None):
                 return total, {"converged": True, "levels": level + 1,
                                "nodes": ts.size, "last_change": change}
         prev = total
-    return prev, {"converged": False, "levels": MAX_LEVELS,
-                  "nodes": ts.size, "last_change": change}
-
-
-def require_converged(info, a, b):
-    """Raise NumericalError when a `log_time_quadrature` result on [a, b]
-    did not converge."""
-    if not info["converged"]:
-        raise NumericalError(
-            f"time quadrature on [{a:g}, {b:g}] did not converge in "
-            f"{info['levels']} levels (last change {info['last_change']:.3e})")
+    raise NumericalError(
+        f"time quadrature on [{a:g}, {b:g}] did not converge in {MAX_LEVELS} "
+        f"levels (last change {change:.3e})")
 
 
 def cumulative_log_quadrature(eval_batch, ts, zero_limit=None):

@@ -23,8 +23,8 @@ a caller are converted to columns first, and both go through the same
 checks.  The space keeps the columns, the conductances W as three numpy CSR
 arrays and the degrees.  The package reads W through those arrays (the
 degrees, W u, the dense Laplacian of `laplacian_spectrum`), with scipy's
-bits; `conductance_matrix` and `laplacian()` wrap them as scipy matrices for
-the callers that hand W to scipy.  The length graph that Dijkstra reads is
+bits; `conductance_matrix` wraps them as a scipy matrix for the callers that
+hand W to scipy.  The length graph that Dijkstra reads is
 built the first time Dijkstra runs, so a product, a path or a cycle never
 holds one.  No module imports scipy at import time.
 
@@ -201,12 +201,6 @@ class MetricMeasureSpace:
         """W as a scipy CSR matrix over the space's arrays (no copy), built
         on first use."""
         return _scipy_csr(self.n, self.w_indptr, self.w_indices, self.w_data)
-
-    def laplacian(self):
-        """Weighted graph Laplacian L = D - W (positive semidefinite), as a
-        scipy CSR matrix."""
-        import scipy.sparse as sp
-        return sp.diags(self.degree) - self.conductance_matrix
 
     def conductance_apply(self, u) -> np.ndarray:
         """W u for a field (n,) or a stack (n, k), bit for bit scipy's CSR

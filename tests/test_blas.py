@@ -214,7 +214,7 @@ def test_heat_spectral_work_runs_at_the_starting_count(monkeypatch):
     monkeypatch.setattr(blas, "PARALLEL_WORK", 0)
     init, sweep, solve_spec, poincare = [], [], [], []
     spy(monkeypatch, heat, "laplacian_spectrum", init)
-    spy(monkeypatch, HeatOperator, "_product_synthesize", sweep)
+    spy(monkeypatch, HeatOperator, "_synthesize", sweep)
     spy(monkeypatch, elliptic, "laplacian_spectrum", solve_spec)
     spy(monkeypatch, scipy.sparse.linalg, "eigsh", poincare)
     with blas.threads(2):
@@ -252,7 +252,7 @@ def test_an_unfinished_sweep_steps_back_to_one_thread(make, monkeypatch):
 
 def test_outside_a_task_a_heat_sweep_keeps_the_callers_count(monkeypatch):
     seen = []
-    spy(monkeypatch, HeatOperator, "_product_synthesize", seen)
+    spy(monkeypatch, HeatOperator, "_synthesize", seen)
     with blas.threads(1):
         one = counts()
         H = HeatOperator(uniform_torus(8, 8))
@@ -267,7 +267,7 @@ def test_a_48_torus_runs_its_heat_work_on_one_thread(monkeypatch):
     # every scope of curvature-t48 is below the rule (at most 2^23.5)
     init, sweep = [], []
     spy(monkeypatch, heat, "laplacian_spectrum", init)
-    spy(monkeypatch, HeatOperator, "_product_synthesize", sweep)
+    spy(monkeypatch, HeatOperator, "_synthesize", sweep)
     config = {"space": {"family": "torus", "n1": 48, "n2": 48}, "task": "curvature",
               "seed": 3, "params": {"T": 36.0, "n_random": 16}}
     with blas.threads(2):
@@ -290,7 +290,7 @@ def test_a_wide_product_sweep_runs_at_the_starting_count_to_round_off(monkeypatc
         one = counts()
         alone = [v.copy() for _, v in H.apply_grid(F, ts)]
     seen = []
-    spy(monkeypatch, HeatOperator, "_product_synthesize", seen)
+    spy(monkeypatch, HeatOperator, "_synthesize", seen)
     with blas.threads(2):
         start = counts()
         with blas.task() as entry:

@@ -129,7 +129,7 @@ def test_generator_kernel_is_constants(builder):
     theta = H.eigenvalues
     assert theta[0] <= 1e-10
     assert theta[1] > 1e-8
-    ((_, basis),) = H._factors
+    _, (_, basis) = H._factors
     phi0 = basis[:, 0]
     assert np.max(np.abs(phi0 - phi0[0])) <= 1e-8 * max(abs(phi0[0]), 1e-30)
     if space.factors is not None:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mmslab import ConfigError, NumericalError
-from mmslab import gradest
+from mmslab import quad
 from mmslab import space as sp_mod
 from mmslab.curvature import estimate_ckappa, variance
 from mmslab.elliptic import Problem, holder_fit, solve
@@ -108,11 +108,9 @@ def test_averaged_energy_probe_must_sit_in_ball(heat32, torus32):
 
 
 def test_unconverged_quadrature_raises(heat32, torus32, monkeypatch):
-    def unconverged(eval_batch, a, b, **kwargs):
-        return 1.0, {"converged": False, "levels": 7, "nodes": 1025,
-                     "last_change": 0.5}
-
-    monkeypatch.setattr(gradest, "log_time_quadrature", unconverged)
+    # one level leaves no two values to compare: every quadrature fails to
+    # converge
+    monkeypatch.setattr(quad, "MAX_LEVELS", 1)
     y0 = torus32.vertex_at((16, 16))
     cut = build_cutoff(torus32, y0, 2.0)
     u = torus32.positions[:, 0].copy()

@@ -9,11 +9,12 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings, strategies as st
 
 from conftest import assert_markov_semigroup, close, connected_graphs, tabulated_grid
 from mmslab import ConfigError, NumericalError
-from mmslab import heat
+from mmslab import heat, quad
 from mmslab import space as sp_mod
 from mmslab.cli import main
 from mmslab.form import carre_du_champ
@@ -177,23 +178,32 @@ def test_kernel_grid_over_many_sources_matches_each_source(three_modes):
 
 
 def test_dense_mode_keeps_the_spectral_formulas():
-    # coefficients basis^T M F, synthesis basis (e^{-theta t} coefficients),
-    # kernel columns basis (e^{-theta t} basis[xs])^T, bit for bit
+    # a dense space is the product of one vertex (theta = [0], basis [[1]])
+    # and itself: coefficients F^T (basis mu), synthesis ((coefficients
+    # e^{-theta t}) basis^T)^T over the modes within the cut, kernel columns
+    # the clamped action on 1_x/mu_x, bit for bit
     space = tabulated_grid(1 / 8)
     D = build_heat(space, mode="dense")
-    ((theta, basis),) = D._factors
+    (t1, b1), (theta, basis) = D._factors
+    assert np.array_equal(t1, [0.0]) and np.array_equal(b1, [[1.0]])
     F = np.random.default_rng(12).standard_normal((space.n, 5))
-    coeff = basis.T @ (space.mu[:, None] * F)
+    coeff = D._coefficients(F)
+    assert np.array_equal(coeff[:, 0],
+                          np.ascontiguousarray(F.T) @ (basis * space.mu[:, None]))
     xs = np.array([0, 17, space.n - 1])
     ts = np.array([1e-3, 0.05, 2.0])
     grid = list(D.apply_grid(F, ts))
     for k, t in enumerate(ts):
-        want = basis @ (np.exp(-theta * t)[:, None] * coeff)
+        m = int(np.searchsorted(theta * t, heat.MODE_CUT, side="right"))
+        want = ((coeff[:, 0, :m] * np.exp(-theta[:m] * t)) @ basis[:, :m].T).T
+        assert np.array_equal(D._synthesize(coeff, t), want)
         assert np.array_equal(D.apply_batch(F, t), want)
         assert np.array_equal(grid[k][1], want)
-        cols = basis @ (np.exp(-theta * t) * basis[xs]).T
+        cols = D.apply_batch(D._delta(xs), t)
         assert np.min(cols) >= -1e-10 * np.max(cols)
         assert np.array_equal(D.kernel(t, xs), np.clip(cols, 0.0, None))
+    # the last time cuts modes
+    assert m < space.n
     assert np.array_equal(D.eigenvalues, theta)
 
 
@@ -229,7 +239,8 @@ def test_stepping_matches_expm_multiply_at_h32():
     h = 1 / 32
     space = tabulated_grid(h, seed=1)
     S = build_heat(space, mode="stepping")
-    A = -(space.laplacian().tocsr().multiply(1.0 / space.mu[:, None])).tocsr()
+    L = scipy.sparse.diags(space.degree) - space.conductance_matrix
+    A = -(L.multiply(1.0 / space.mu[:, None])).tocsr()
     F = np.random.default_rng(10).standard_normal((space.n, 3))
     for t in (h * h / 4, 1 / 64):
         assert close(S.apply_batch(F, t), expm_multiply(A * t, F)), t
@@ -459,28 +470,38 @@ def top_mode_fields(space):
     return np.column_stack([delta, (-1.0) ** (i + j)])
 
 
-@pytest.mark.parametrize("cut", [1.0, 4.0, 10.0, heat.MODE_CUT])
-def test_product_mode_cut_stays_within_its_bound(cut, monkeypatch):
-    # the modes dropped at theta t > L add at most
-    # e^-L |F|_{L2(mu)} mu_x^{-1/2} at x; smaller cuts make that visible
+@pytest.fixture(scope="module")
+def sqrt16_spectral():
     space = sp_mod.weighted_grid_2d(SQUARE, 1 / 16, "sqrt_abs_x")
-    H = build_heat(space)
+    H = [build_heat(space), build_heat(space, mode="dense")]
+    assert [op.mode for op in H] == ["product", "dense"]
+    return space, H
+
+
+@pytest.mark.parametrize("cut", [1.0, 4.0, 10.0, heat.MODE_CUT])
+def test_product_mode_cut_stays_within_its_bound(cut, sqrt16_spectral, monkeypatch):
+    # the modes dropped at theta t > L add at most
+    # e^-L |F|_{L2(mu)} mu_x^{-1/2} at x; smaller cuts make that visible.  A
+    # dense space is the product of one vertex and itself, so it cuts too
+    space, spectral = sqrt16_spectral
     F = top_mode_fields(space)
     ts = (1 / 256, 1 / 64, 0.25)
-    monkeypatch.setattr(heat, "MODE_CUT", np.inf)
-    full = [v.copy() for _, v in H.apply_grid(F, ts)]
-    monkeypatch.setattr(heat, "MODE_CUT", cut)
     scale = np.sqrt(space.mu @ F ** 2)[None, :] / np.sqrt(space.mu)[:, None]
-    worst = 0.0
-    for (t, got), want in zip(H.apply_grid(F, ts), full):
-        err = np.abs(got - want) / scale
-        assert np.max(err) <= np.exp(-cut) + 1e-13, t
-        worst = max(worst, float(np.max(err)))
-    if cut < heat.MODE_CUT:
-        assert worst >= 1e-3 * np.exp(-cut)
-    # at the module's cut the last time keeps 9 of 33 modes on each axis
-    (tx, _), (ty, _) = H._factors
-    assert np.sum(tx * ts[-1] <= heat.MODE_CUT) < tx.size
+    for H in spectral:
+        monkeypatch.setattr(heat, "MODE_CUT", np.inf)
+        full = [v.copy() for _, v in H.apply_grid(F, ts)]
+        monkeypatch.setattr(heat, "MODE_CUT", cut)
+        worst = 0.0
+        for (t, got), want in zip(H.apply_grid(F, ts), full):
+            err = np.abs(got - want) / scale
+            assert np.max(err) <= np.exp(-cut) + 1e-13, (H.mode, t)
+            worst = max(worst, float(np.max(err)))
+        if cut < heat.MODE_CUT:
+            assert worst >= 1e-3 * np.exp(-cut), H.mode
+        # at the module's cut the last time keeps 9 of 33 modes on each axis
+        # of the product, and part of the dense spectrum
+        _, (ty, _) = H._factors
+        assert np.sum(ty * ts[-1] <= heat.MODE_CUT) < ty.size, H.mode
 
 
 def test_product_actions_are_column_major_views(three_modes):
@@ -512,7 +533,8 @@ def assert_edge_bound(space):
     most Gershgorin's 2 max degree/mu."""
     lam = build_heat(space, mode="stepping")._lam
     inv_sqrt_mu = 1.0 / np.sqrt(space.mu)
-    S = (space.laplacian().toarray() * inv_sqrt_mu[:, None]) * inv_sqrt_mu[None, :]
+    L = (scipy.sparse.diags(space.degree) - space.conductance_matrix).toarray()
+    S = (L * inv_sqrt_mu[:, None]) * inv_sqrt_mu[None, :]
     top = float(np.linalg.eigvalsh(0.5 * (S + S.T))[-1])
     assert lam >= top * (1 - 1e-12)
     assert lam <= float(np.max(2.0 * space.degree / space.mu))
@@ -725,12 +747,10 @@ def test_heat_caccioppoli_empty_annulus(torus16):
 
 def test_heat_caccioppoli_unconverged_quadrature_raises(torus16, monkeypatch,
                                                         tmp_path):
-    def unconverged(eval_batch, a, b, **kwargs):
-        return 1.0, {"converged": False, "levels": 7, "nodes": 1025,
-                     "last_change": 0.5}
-
-    monkeypatch.setattr(heat, "log_time_quadrature", unconverged)
-    with pytest.raises(NumericalError):
+    # one level leaves no two values to compare: the quadrature cannot
+    # converge, and says so
+    monkeypatch.setattr(quad, "MAX_LEVELS", 1)
+    with pytest.raises(NumericalError, match="did not converge"):
         check_heat_caccioppoli(build_heat(torus16), torus16.vertex_at((8, 8)),
                                2.0, 1.0)
     cfg = tmp_path / "cfg.json"

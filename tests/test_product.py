@@ -121,7 +121,7 @@ def test_tabulated_grid_matches_double_loop():
 # -- the Kronecker-sum generator ---------------------------------------------------
 
 def generator(space):
-    return sp.diags(1.0 / space.mu) @ -space.laplacian()
+    return sp.diags(1.0 / space.mu) @ (space.conductance_matrix - sp.diags(space.degree))
 
 
 @pytest.mark.parametrize("space", [

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mmslab.errors import NumericalError
-from mmslab.quad import cumulative_log_quadrature, log_time_quadrature
+from mmslab.quad import MAX_LEVELS, cumulative_log_quadrature, log_time_quadrature
 
 
 def test_exponential_integral():
@@ -35,6 +35,21 @@ def test_power_law_near_zero():
 def test_bad_interval_rejected():
     with pytest.raises(NumericalError):
         log_time_quadrature(lambda t: t, 2.0, 1.0)
+
+
+def test_unconverged_quadrature_raises():
+    # thousands of oscillations on [1, 5]: no level of at most
+    # 16 * 2^(MAX_LEVELS - 1) panels resolves them
+    calls = []
+
+    def eval_batch(ts):
+        calls.append(ts.size)
+        return np.sin(1e4 * ts)
+
+    with pytest.raises(NumericalError, match="did not converge in 7 levels"):
+        log_time_quadrature(eval_batch, 1e-4, 5.0)
+    assert len(calls) == MAX_LEVELS
+    assert sum(calls) == 16 * 2 ** (MAX_LEVELS - 1) + 1
 
 
 def test_cumulative_is_monotone_for_nonnegative_integrand():

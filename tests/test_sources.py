@@ -85,17 +85,43 @@ def test_no_module_imports_the_sparse_solvers_at_import_time(path):
 def test_only_the_generators_branch_on_the_heat_mode():
     # every action is one time of apply_grid and every kernel column one
     # time of kernel_grid, so the realization is chosen in those two (and
-    # set in __init__; kernel_matrix is dense-only)
+    # set in __init__; kernel_matrix is dense-only).  A dense space is the
+    # product of one vertex and itself, so apply_grid tells stepping from the
+    # one spectral path, and kernel_grid adds only the product's factor rows
+    # and stepping's copy of a group's last output
     tree = ast.parse(next(p for p in SOURCES if p.name == "heat.py").read_text())
     cls = next(node for node in tree.body
                if isinstance(node, ast.ClassDef) and node.name == "HeatOperator")
-    readers = {fn.name for fn in cls.body if isinstance(fn, ast.FunctionDef)
-               for node in ast.walk(fn)
-               if isinstance(node, ast.Attribute) and node.attr == "mode"
-               and isinstance(node.value, ast.Name) and node.value.id == "self"
-               and isinstance(node.ctx, ast.Load)}
+
+    def is_mode(node):
+        return (isinstance(node, ast.Attribute) and node.attr == "mode"
+                and isinstance(node.value, ast.Name) and node.value.id == "self"
+                and isinstance(node.ctx, ast.Load))
+
+    readers, compared = set(), {}
+    for fn in cls.body:
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        reads = [node for node in ast.walk(fn) if is_mode(node)]
+        if reads:
+            readers.add(fn.name)
+        # each read of self.mode, with what it is compared against (None
+        # where it is not compared with a string with == or !=)
+        parents = {id(child): node for node in ast.walk(fn)
+                   for child in ast.iter_child_nodes(node)}
+        for node in reads:
+            parent = parents[id(node)]
+            others = ([parent.left, *parent.comparators]
+                      if isinstance(parent, ast.Compare)
+                      and all(isinstance(op, (ast.Eq, ast.NotEq)) for op in parent.ops)
+                      else [None])
+            compared.setdefault(fn.name, set()).update(
+                o.value if isinstance(o, ast.Constant) and isinstance(o.value, str)
+                else None for o in others if o is not node)
     assert {"apply_grid", "kernel_grid"} <= readers
     assert readers <= {"__init__", "apply_grid", "kernel_grid", "kernel_matrix"}
+    assert compared["apply_grid"] == {"stepping"}
+    assert compared["kernel_grid"] == {"product", "stepping"}
 
 
 def names_and_strings(tree):
