@@ -366,43 +366,6 @@ def weak_harnack(space: MetricMeasureSpace, u, ball: Ball, q: float,
                 "harmonicity_margin": float(margin)})
 
 
-def _pair_distances(space: MetricMeasureSpace, hull: np.ndarray,
-                    sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Distances (len(sources), len(targets)) inside the subgraph induced on
-    `hull`, one Dijkstra per source over the hull.
-
-    A vertex on a geodesic between two points of B(x, 2R) lies within half
-    their distance, less than 2R, of one of them, so with the 4B hull the
-    induced distance between 2B vertices is the global one.  This is the
-    path for graphs that are neither products nor paths or cycles.
-    """
-    loc = -np.ones(space.n, dtype=np.intp)
-    loc[hull] = np.arange(hull.size)
-    li, lj = loc[space.edge_i], loc[space.edge_j]
-    keep = (li >= 0) & (lj >= 0)
-    rows = np.concatenate([li[keep], lj[keep]])
-    cols = np.concatenate([lj[keep], li[keep]])
-    data = np.concatenate([space.edge_l[keep], space.edge_l[keep]])
-    import scipy.sparse as sp
-    from scipy.sparse.csgraph import dijkstra
-    g = sp.csr_matrix((data, (rows, cols)), shape=(hull.size, hull.size))
-    return dijkstra(g, directed=False, indices=loc[sources])[:, loc[targets]]
-
-
-def _factor_pair_distances(space: MetricMeasureSpace, sources: np.ndarray,
-                           targets: np.ndarray) -> np.ndarray:
-    """Distances (len(sources), len(targets)) on a product X x Y:
-    d_X(a, a') + d_Y(b, b') from the factors' cached rows, read at the
-    targets only, so no product row of length n is formed."""
-    ny = space.factors[1].n
-    dx, dy = space.factor_rows(*np.divmod(sources, ny))
-    ta, tb = np.divmod(targets, ny)
-    D = dx[:, ta]
-    for row, dy_row in zip(D, dy):      # one row of y terms at a time
-        row += dy_row[tb]
-    return D
-
-
 def holder_fit(space: MetricMeasureSpace, u, ball: Ball, g_field,
                cap: float = 1e3, seed: int = 0) -> HoelderReport:
     """Hoelder exponent and constant of u over pairs in the doubled ball:
@@ -415,34 +378,27 @@ def holder_fit(space: MetricMeasureSpace, u, ball: Ball, g_field,
     largest-exponent-under-a-cap rule saturates at mesh scale; the cap is
     kept as a validity guard and gamma is lowered if the constant exceeds
     it.  Pair distances run from a bounded set of seeded source vertices
-    to every vertex of 2B: sums of factor rows on a product space, running
-    sums of the edge lengths on a path or a cycle (`distance_rows`), and
-    Dijkstra inside the 4B hull on other graphs (all three agree, see
-    `_pair_distances`).
+    to every vertex of 2B (`distance_rows` at those targets).  Two points
+    of B(x, 2R) are less than 4R apart, so Dijkstra may stop at 4R.
     """
     u = space.check_field(u)
     g_field = space.check_field(g_field)
     R = ball.radius
     if ball.members.size < 4:
         raise ConfigError("ball too small for a Hoelder fit (< 4 vertices)")
-    two_b = metric_ball(space, ball.center, 2 * R)
-    four_b = metric_ball(space, ball.center, 4 * R)
-    scale = (float(np.max(np.abs(u[four_b.members])))
-             + R ** 2 * float(np.max(np.abs(g_field[four_b.members]))))
+    d = space.distances_from(ball.center)     # 2B and 4B from one row
+    four_b = d < 4 * R
+    scale = (float(np.max(np.abs(u[four_b])))
+             + R ** 2 * float(np.max(np.abs(g_field[four_b]))))
 
-    members = two_b.members
+    members = np.flatnonzero(d < 2 * R)
     rng = np.random.default_rng(seed)
     if members.size <= HOELDER_SOURCES:
         sources = members
     else:
         extra = rng.choice(members, HOELDER_SOURCES - 1, replace=False)
         sources = np.unique(np.concatenate([[ball.center], extra]))
-    if space.factors is not None:               # sources x 2B-members
-        D = _factor_pair_distances(space, sources, members)
-    elif space._ring is not None:
-        D = space.distance_rows(sources)[:, members]
-    else:
-        D = _pair_distances(space, four_b.members, sources, members)
+    D = space.distance_rows(sources, members, limit=4 * R)     # sources x 2B-members
     # single-edge increments are one-sided at mesh scale and bias the
     # envelope upward; fit over separations of at least two mesh lengths
     pos = (D >= 2 * space.min_edge_length * (1 - 1e-9)) & np.isfinite(D)

@@ -556,7 +556,9 @@ def check_gaussian(H: HeatOperator, t_grid, pair_count: int, R: float,
         raise ConfigError(f"t grid must lie in [h^2, R^2] = [{h**2}, {R**2}]")
 
     rng = np.random.default_rng(seed)
+    sqrt_t = np.sqrt(t_grid)
     pairs = []
+    ball = {}               # x -> mu(B(x, sqrt t)) for every time, off the row just read
     guard = 0
     while len(pairs) < pair_count and guard < 50 * pair_count:
         guard += 1
@@ -567,14 +569,13 @@ def check_gaussian(H: HeatOperator, t_grid, pair_count: int, R: float,
             continue
         y = int(rng.choice(ok))
         pairs.append((x, y, float(d[y])))
+        if x not in ball:
+            ball[x] = _ball_masses(d, space.mu, sqrt_t)
     if not pairs:
         raise ConfigError(f"no vertex pairs with d in [h, {R})")
 
-    xs = sorted({x for x, _, _ in pairs})
+    xs = sorted(ball)
     xpos = {x: k for k, x in enumerate(xs)}
-    # ball masses mu(B(x, sqrt t)) for every time: one sort per source
-    sqrt_t = np.sqrt(t_grid)
-    ball = [_ball_masses(space.distances_from(x), space.mu, sqrt_t) for x in xs]
     # one kernel grid over the sorted times, each sample stored in its row
     # of the given grid
     order = np.argsort(t_grid, kind="stable")
@@ -585,7 +586,7 @@ def check_gaussian(H: HeatOperator, t_grid, pair_count: int, R: float,
             p = float(cols[y, xpos[x]])
             if p <= 0:
                 raise NumericalError(f"nonpositive kernel value at t={t}, pair=({x},{y})")
-            yv[i, j] = np.log(p) + np.log(ball[xpos[x]][i])
+            yv[i, j] = np.log(p) + np.log(ball[x][i])
             z[i, j] = d * d / t
     yv = yv.ravel()
     z = z.ravel()

@@ -7,15 +7,16 @@ families: two-point space, uniform cycle, uniform torus, and vertex-centered
 finite-volume discretizations of weighted intervals/rectangles (weight
 catalog: constant, sqrt|x|, tabulated).  The torus and the separably
 weighted rectangle are Cartesian products of 1-d spaces (`product_space`)
-and keep their factors.  The path metric of a product graph is the sum of
-the factor metrics, d((i, a), (i', a')) = d_X(i, i') + d_Y(a, a'), so its
-distance rows are sums of factor rows (`factor_rows`); paths and cycles
-(every factor of the built-in families) take running sums of their edge
-lengths, and other graphs run Dijkstra.  The doubling estimate on a product
-reads every ball mass off the factors' distance distributions without
-forming a product row.  The heat realization and the Dirichlet solve use the
-factors as well, when `product_pays` says the factor decompositions are
-worth forming.
+and keep their factors.  Every distance comes from one routine,
+`MetricMeasureSpace.distance_rows`, by one of three routes.  The path metric
+of a product graph is the sum of the factor metrics, d((i, a), (i', a')) =
+d_X(i, i') + d_Y(a, a'), so its rows are sums of the factors' rows, taken by
+the same routine; paths and cycles (every factor of the built-in families)
+take running sums of their edge lengths, and other graphs run Dijkstra.
+The doubling estimate on a product reads every ball mass off the factors'
+distance distributions without forming a product row.  The heat
+realization and the Dirichlet solve use the factors as well, when
+`product_pays` says the factor decompositions are worth forming.
 
 A space holds its edges as four columns (i, j as intp, c, l as float).  The
 families pass those columns to `MetricMeasureSpace` directly; rows given by
@@ -51,7 +52,6 @@ from .errors import ConfigError, NumericalError
 from .reports import DoublingReport, PoincareReport
 
 _SQRT2 = np.sqrt(2.0)
-CACHE_BYTES = 64 * 2 ** 20         # budget of the Dijkstra row cache
 _ROW_BLOCK = 2 ** 18               # doubles (2 MB) per block of rows in estimate_doubling
 _TIE_STEPS = 8                     # boundary runs a product ball count may cross
 _ROW_CHUNK = 2 ** 13               # rows per step of `conductance_apply`
@@ -175,8 +175,6 @@ class MetricMeasureSpace:
         rows = np.flatnonzero(np.diff(self.w_indptr))
         self.degree = np.zeros(n)
         self.degree[rows] = np.add.reduceat(self.w_data, self.w_indptr[rows])
-        self._dist_cache: dict[int, np.ndarray] = {}
-        self._dist_cache_cap = CACHE_BYTES // (8 * n)
 
     # -- basic structure ---------------------------------------------------
 
@@ -203,31 +201,26 @@ class MetricMeasureSpace:
         return _scipy_csr(self.n, self.w_indptr, self.w_indices, self.w_data)
 
     def conductance_apply(self, u) -> np.ndarray:
-        """W u for a field (n,) or a stack (n, k), bit for bit scipy's CSR
-        product: every row's sum starts at 0.0 and adds its entries'
-        products in column order.
+        """W u for a field (n,), bit for bit scipy's CSR product: every
+        row's sum starts at 0.0 and adds its entries' products in column
+        order.
 
         A weighted `np.bincount` adds its weights into zeros one at a time
         in the order given, and a row's entries are consecutive in CSR
-        order, so one bincount per column of u sums every row in scipy's
-        order.  The rows go `_ROW_CHUNK` at a time, which bounds the
-        temporaries (a row index, a column index and a product per entry)
-        and keeps nothing between calls.
+        order, so one bincount sums every row in scipy's order.  The rows
+        go `_ROW_CHUNK` at a time, which bounds the temporaries (a row
+        index, a column index and a product per entry) and keeps nothing
+        between calls.
         """
         u = np.asarray(u, dtype=float)
         ptr = self.w_indptr
-        out = np.empty((self.n,) + u.shape[1:])
+        out = np.empty(self.n)
         for r0 in range(0, self.n, _ROW_CHUNK):
             r1 = min(r0 + _ROW_CHUNK, self.n)
             rows = np.repeat(np.arange(r1 - r0), np.diff(ptr[r0:r1 + 1]))
             at = slice(ptr[r0], ptr[r1])
-            terms = np.take(u, self.w_indices[at].astype(np.intp), axis=0)
-            terms *= self.w_data[at].reshape((-1,) + (1,) * (u.ndim - 1))
-            if u.ndim == 1:
-                out[r0:r1] = np.bincount(rows, terms, minlength=r1 - r0)
-            else:
-                for k in range(u.shape[1]):
-                    out[r0:r1, k] = np.bincount(rows, terms[:, k], minlength=r1 - r0)
+            out[r0:r1] = np.bincount(rows, u[self.w_indices[at]] * self.w_data[at],
+                                     minlength=r1 - r0)
         return out
 
     def check_field(self, f) -> np.ndarray:
@@ -247,46 +240,46 @@ class MetricMeasureSpace:
                                                   self.edge_l))
 
     def distances_from(self, v: int) -> np.ndarray:
-        """Shortest-path distances from vertex v.
-
-        On a product X x Y this is d_X(i, .) + d_Y(j, .) for v = (i, j),
-        built from the factors' rows and not cached itself.  On a path
-        (edges k -- k+1, every 1-d grid) or a cycle (those and 0 -- n-1) it
-        is the smaller of the two running sums of edge lengths outward from
-        v (`_ring_row`), Dijkstra's bits without Dijkstra, and not cached
-        either.  Other graphs run Dijkstra and cache rows per source up to a
-        byte budget.
-        """
+        """Shortest-path distances (n,) from vertex v: the one row of
+        `distance_rows([v])`."""
         v = int(v)
         if not 0 <= v < self.n:
             raise ConfigError(f"vertex {v} out of range")
-        if self.factors is not None:
-            dx, dy = self.factor_rows(*divmod(v, self.factors[1].n))
-            return np.add.outer(dx[0], dy[0]).ravel()
-        if self._ring is not None:
-            return self._ring_row(v)
-        d = self._dist_cache.get(v)
-        if d is None:
-            from scipy.sparse.csgraph import dijkstra
-            d = dijkstra(self._len_graph, directed=False, indices=v)
-            if len(self._dist_cache) < self._dist_cache_cap:
-                self._dist_cache[v] = d
-        return d
+        return self._rows(np.array([v]), None, np.inf)[0]
 
-    def distance_rows(self, sources) -> np.ndarray:
-        """Distance rows (len(sources), n) for a 1-d array of sources.
+    def distance_rows(self, sources, targets=None, limit=np.inf) -> np.ndarray:
+        """Distances (len(sources), len(targets)) from each source to each
+        target, for 1-d arrays of vertices; every vertex is a target by
+        default.  Distances above `limit` may read inf.
 
-        Paths and cycles stack their running sums; other generic graphs run
-        one batched Dijkstra that bypasses the cache.
+        On a product X x Y each entry is fl(d_X + d_Y) of the factors' rows,
+        taken by this routine and read at the targets, so asking for targets
+        forms no product row.  On a path (edges k -- k+1, every 1-d grid) or
+        a cycle (those and 0 -- n-1) the rows are the running sums of the
+        edge lengths (`_ring_row`), Dijkstra's bits without Dijkstra.  Other
+        graphs run one batched Dijkstra, stopped at `limit`.
         """
-        sources = np.asarray(sources)
+        return self._rows(np.atleast_1d(sources), targets, limit)
+
+    def _rows(self, sources, targets, limit) -> np.ndarray:
         if self.factors is not None:
-            dx, dy = self.factor_rows(*np.divmod(sources, self.factors[1].n))
-            return (dx[:, :, None] + dy[:, None, :]).reshape(sources.size, self.n)
+            X, Y = self.factors
+            xs, ys = np.divmod(sources, Y.n)
+            if targets is None:
+                dx, dy = X._rows(xs, None, limit), Y._rows(ys, None, limit)
+                return (dx[:, :, None] + dy[:, None, :]).reshape(sources.size, self.n)
+            tx, ty = np.divmod(targets, Y.n)
+            d = X._rows(xs, tx, limit)
+            # a y row at a time, so no second (sources, targets) array is formed
+            for row, y_row in zip(d, Y._rows(ys, None, limit)):
+                row += y_row[ty]
+            return d
         if self._ring is not None:
-            return np.array([self._ring_row(int(v)) for v in sources]).reshape(-1, self.n)
-        from scipy.sparse.csgraph import dijkstra
-        return dijkstra(self._len_graph, directed=False, indices=sources)
+            d = np.array([self._ring_row(int(v)) for v in sources]).reshape(-1, self.n)
+        else:
+            from scipy.sparse.csgraph import dijkstra
+            d = dijkstra(self._len_graph, directed=False, indices=sources, limit=limit)
+        return d if targets is None else d[:, targets]
 
     def _ring_row(self, v: int) -> np.ndarray:
         """Distances from v on a path or a cycle.
@@ -305,16 +298,6 @@ class MetricMeasureSpace:
         # position s of `rel` holds vertex v + s (mod n)
         rel = np.concatenate([[0.0], np.minimum(forward, backward[::-1])])
         return np.concatenate([rel[n - v:], rel[:n - v]])
-
-    def factor_rows(self, xs, ys) -> tuple[np.ndarray, np.ndarray]:
-        """Factor distance rows of a product X x Y: d_X(i, .) for each i in
-        xs as a (len(xs), nx) block and d_Y(a, .) for each a in ys as a
-        (len(ys), ny) block, both from the factors' rows.  Every
-        product distance is fl(d_X + d_Y) of one entry of each block."""
-        X, Y = self.factors
-        dx = [X.distances_from(i) for i in np.atleast_1d(xs)]
-        dy = [Y.distances_from(a) for a in np.atleast_1d(ys)]
-        return np.array(dx).reshape(-1, X.n), np.array(dy).reshape(-1, Y.n)
 
     def vertex_at(self, coords) -> int:
         """Vertex whose embedded position equals coords (within 1e-9)."""
@@ -556,7 +539,7 @@ def product_space(X: MetricMeasureSpace, Y: MetricMeasureSpace, positions=None,
     mu^x_i c^y_aa', both with the factor edge's length, so the generator is
     the Kronecker sum A = A_x (+) A_y and T_t = T_t^x (x) T_t^y.  A shortest
     path splits into its x-steps and y-steps, so the path metric is
-    d((i, a), (i', a')) = d_X(i, i') + d_Y(a, a'), which `distances_from`
+    d((i, a), (i', a')) = d_X(i, i') + d_Y(a, a'), which `distance_rows`
     uses.  Positions default to the Cartesian product of the factor
     embeddings (when both have one); the rim is (rim_X x Y) u (X x rim_Y).
     """
@@ -870,14 +853,8 @@ def _factor_ball_masses(space: MetricMeasureSpace, queries: np.ndarray) -> np.nd
     X, Y = space.factors
     s_first = X.n <= Y.n
     S, L = (X, Y) if s_first else (Y, X)
-
-    def rows(s_vertices, l_vertices):
-        if s_first:
-            return space.factor_rows(s_vertices, l_vertices)
-        return space.factor_rows(l_vertices, s_vertices)[::-1]
-
     import scipy.sparse as sp
-    d_s = rows(np.arange(S.n), [])[0]
+    d_s = S.distance_rows(np.arange(S.n))
     D, inv = np.unique(d_s, return_inverse=True)
     pairs = (np.repeat(np.arange(S.n), S.n), inv.ravel())
     M = sp.csr_matrix((np.tile(S.mu, S.n), pairs), shape=(S.n, D.size))
@@ -889,7 +866,7 @@ def _factor_ball_masses(space: MetricMeasureSpace, queries: np.ndarray) -> np.nd
     batch = max(1, _ROW_BLOCK // (8 * (L.n + dq.size)))
     for start in range(0, L.n, batch):
         block = np.arange(start, min(start + batch, L.n))
-        d_l = rows([], block)[1]
+        d_l = L.distance_rows(block)
         order = np.argsort(d_l, axis=1, kind="stable")
         srt = np.take_along_axis(d_l, order, axis=1)
         cum = np.zeros((block.size, L.n + 1))

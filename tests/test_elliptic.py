@@ -5,9 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.csgraph import dijkstra
 from hypothesis import given, settings, strategies as st
 
-from conftest import close, connected_graphs
+from conftest import close, connected_graphs, tabulated_grid
 from mmslab import ConfigError, NumericalError, cli
 from mmslab import elliptic as el_mod
 from mmslab import space as sp_mod
@@ -438,21 +439,43 @@ def test_holder_small_ball_rejected():
         holder_fit(g, np.zeros(g.n), tiny, np.zeros(g.n))
 
 
+def hull_distances(space, hull, sources, targets):
+    """Distances (len(sources), len(targets)) inside the subgraph induced on
+    `hull`, one Dijkstra per source over the hull: the reference for the
+    Hoelder pairs.  A vertex on a geodesic between two points of B(x, 2R)
+    lies within half their distance, less than 2R, of one of them, so with
+    the 4B hull the induced distance between 2B vertices is the global one."""
+    loc = -np.ones(space.n, dtype=np.intp)
+    loc[hull] = np.arange(hull.size)
+    li, lj = loc[space.edge_i], loc[space.edge_j]
+    keep = (li >= 0) & (lj >= 0)
+    rows = np.concatenate([li[keep], lj[keep]])
+    cols = np.concatenate([lj[keep], li[keep]])
+    data = np.concatenate([space.edge_l[keep], space.edge_l[keep]])
+    g = sp.csr_matrix((data, (rows, cols)), shape=(hull.size, hull.size))
+    return dijkstra(g, directed=False, indices=loc[sources])[:, loc[targets]]
+
+
 @pytest.mark.parametrize("space,center,radius", [
     (sp_mod.weighted_grid_2d(((-1, 1), (-1, 1)), 1 / 16, "sqrt_abs_x"), (0.0, 0.0), 0.2),
     (sp_mod.weighted_grid_2d(((-1, 1), (-1, 1)), 1 / 32, "sqrt_abs_x"), (0.0, 0.0), 0.2),
     (sp_mod.weighted_grid_2d(((-1, 1), (-1, 1)), 1 / 64, "sqrt_abs_x"), (0.25, -0.5), 0.2),
     (sp_mod.uniform_torus(32, 32), (3.0, 30.0), 6.0),      # 4B wraps around
-], ids=["sqrt16", "sqrt32", "sqrt64", "torus32"])
-def test_factor_pair_distances_equal_the_hull_dijkstra(space, center, radius):
+    (tabulated_grid(1 / 32), (0.0, 0.0), 0.2),
+    (tabulated_grid(1 / 24), (0.5, -0.75), 0.25),         # 4B meets the rim
+    (tabulated_grid(0.1), (-0.3, 0.6), 0.3),
+], ids=["sqrt16", "sqrt32", "sqrt64", "torus32", "tab32", "tab24", "tab10"])
+def test_distance_rows_to_targets_equal_the_hull_dijkstra(space, center, radius):
+    # factor sums on the products, Dijkstra on the tabulated grids, with
+    # and without the stop at 4R that holder_fit asks for
     x = space.vertex_at(center)
     members = metric_ball(space, x, 2 * radius).members
     hull = metric_ball(space, x, 4 * radius).members
     sources = np.random.default_rng(1).choice(members, 48, replace=False)
-    fast = el_mod._factor_pair_distances(space, sources, members)
-    slow = el_mod._pair_distances(space, hull, sources, members)
-    assert fast.shape == (48, members.size)
-    assert np.array_equal(fast, slow)
+    want = hull_distances(space, hull, sources, members)
+    assert want.shape == (48, members.size)
+    assert np.array_equal(space.distance_rows(sources, members), want)
+    assert np.array_equal(space.distance_rows(sources, members, limit=4 * radius), want)
 
 
 RING_SPACES = [
@@ -476,8 +499,8 @@ def test_holder_reads_ring_rows_on_paths_and_cycles(make, radii, monkeypatch):
         members = metric_ball(space, center, 2 * radius).members
         hull = metric_ball(space, center, 4 * radius).members
         sources = members if members.size <= 48 else rng.choice(members, 48, replace=False)
-        want = el_mod._pair_distances(space, hull, sources, members)
-        assert np.array_equal(space.distance_rows(sources)[:, members], want)
+        want = hull_distances(space, hull, sources, members)
+        assert np.array_equal(space.distance_rows(sources, members, limit=4 * radius), want)
 
     def no_dijkstra(*args, **kwargs):
         raise AssertionError("holder_fit ran Dijkstra on a path or a cycle")
@@ -493,8 +516,8 @@ def test_holder_reads_ring_rows_on_paths_and_cycles(make, radii, monkeypatch):
 
 def test_holder_on_a_tabulated_grid_takes_the_hull_path(monkeypatch):
     # a constant tabulated weight builds the same graph as the product grid,
-    # without factors: holder_fit must run the hull Dijkstra there and give
-    # the product route's report to the bit
+    # without factors: holder_fit must run one Dijkstra stopped at 4R for
+    # its pairs there and give the product route's report to the bit
     h = 1 / 32
     prod = uniform_square(h)
     tab = sp_mod.weighted_grid_2d(((-1.0, 1.0), (-1.0, 1.0)), h,
@@ -504,12 +527,16 @@ def test_holder_on_a_tabulated_grid_takes_the_hull_path(monkeypatch):
     u = np.sign(x) * np.sqrt(np.abs(x)) + 0.1 * prod.positions[:, 1] ** 2
     center = prod.vertex_at((0.0, 0.0))
     want = holder_fit(prod, u, metric_ball(prod, center, 0.2), np.zeros(prod.n))
+    ball = metric_ball(tab, center, 0.2)
+    limits = []
 
-    def no_factors(*args):
-        raise AssertionError("factor rows taken on a graph without factors")
+    def recorded(*args, **kwargs):
+        limits.append(kwargs["limit"])
+        return dijkstra(*args, **kwargs)
 
-    monkeypatch.setattr(el_mod, "_factor_pair_distances", no_factors)
-    got = holder_fit(tab, u, metric_ball(tab, center, 0.2), np.zeros(tab.n))
+    monkeypatch.setattr("scipy.sparse.csgraph.dijkstra", recorded)
+    got = holder_fit(tab, u, ball, np.zeros(tab.n))
+    assert limits == [np.inf, 4 * 0.2]      # the center's row, then the pairs
     assert (got.gamma, got.constant, got.pair_sample, got.scale) == \
         (want.gamma, want.constant, want.pair_sample, want.scale)
     assert 0.4 <= got.gamma <= 0.6 + 1e-12

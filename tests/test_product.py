@@ -168,7 +168,6 @@ def test_product_distances_equal_dijkstra_bit_for_bit(make):
     assert np.array_equal(space.distance_rows(src), want)
     for v, row in zip(src, want):
         assert np.array_equal(space.distances_from(v), row)
-    assert space._dist_cache == {}          # product rows are never cached
 
 
 def test_product_distances_on_a_non_dyadic_mesh():
@@ -178,13 +177,16 @@ def test_product_distances_on_a_non_dyadic_mesh():
                                rtol=1e-14, atol=0.0)
 
 
-def test_generic_graphs_cache_dijkstra_rows_within_a_byte_budget():
+def test_generic_graph_distances_equal_dijkstra():
+    # the torus read back from text has no factors, so every call runs Dijkstra
     space = MetricMeasureSpace.from_text(sp_mod.uniform_torus(8, 8).to_text())
-    assert space.factors is None
-    assert space._dist_cache_cap * 8 * space.n <= 64 * 2 ** 20
-    row = space.distances_from(9)
-    assert space.distances_from(9) is row
-    assert np.array_equal(row, dijkstra_rows(space, 9))
+    assert space.factors is None and space._ring is None
+    src, targets = np.array([9, 0, 63, 9]), np.array([5, 9, 40, 0, 5])
+    want = dijkstra_rows(space, src)
+    assert np.array_equal(space.distances_from(9), want[0])
+    assert np.array_equal(space.distance_rows(src), want)
+    assert np.array_equal(space.distance_rows(src, targets), want[:, targets])
+    assert np.array_equal(space.distance_rows(src, targets, limit=8.0), want[:, targets])
 
 
 # -- product realization against dense and stepping ------------------------------

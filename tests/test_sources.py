@@ -154,3 +154,15 @@ def test_no_module_reads_or_writes_thread_variables(path):
     text = path.read_text()
     found = [var for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS") if var in text]
     assert not found, f"{path.name} names {found}"
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "space.py"],
+                         ids=lambda p: p.name)
+def test_only_the_space_module_computes_distances(path):
+    # every distance is read through `distance_rows` or `distances_from`: no
+    # other module runs Dijkstra or reads the ring lengths or the length graph
+    tree = ast.parse(path.read_text())
+    words = {word for text in [*names_and_strings(tree), *imported_modules(ast.walk(tree))]
+             for word in re.split(r"\W+", text)}
+    found = words & {"dijkstra", "_ring", "_len_graph"}
+    assert not found, f"{path.name} names {sorted(found)}"
