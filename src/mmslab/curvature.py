@@ -40,18 +40,28 @@ def variance(H: HeatOperator, g, t: float) -> np.ndarray:
         return np.zeros(H.space.n)
     gs = g - 0.5 * (g.max() + g.min())
     out = H.apply_batch(np.column_stack([gs * gs, gs]), t)
-    var = out[:, 0] - out[:, 1] ** 2
-    floor = VAR_FLOOR * max(1.0, float(np.max(np.abs(gs))) ** 2)
+    return _clip_variance(out[:, 0] - out[:, 1] ** 2, gs)
+
+
+def _clip_variance(var, centred) -> np.ndarray:
+    """Heat variances `var` of the recentred field `centred`, clipped at zero.
+
+    An entry below the round-off floor VAR_FLOOR * max(1, |centred|_inf^2)
+    raises `NumericalError`: it signals a broken semigroup, not round-off.
+    """
+    var = np.asarray(var, dtype=float)
+    floor = VAR_FLOOR * max(1.0, float(np.max(np.abs(centred))) ** 2)
     if float(var.min()) < floor:
         raise NumericalError(
             f"variance {float(var.min()):.3e} below clamp floor {floor:.3e}")
     return np.clip(var, 0.0, None)
 
 
-def default_sample_fields(H: HeatOperator, seed: int = 0, n_random: int = 32,
-                          smoothed: bool = True) -> np.ndarray:
-    """Default (n, k) sample stack: coordinates, seeded Gaussians, and their
-    heat-smoothed versions T_{h^2} g, as one column-major array.
+def default_sample_fields(H: HeatOperator, seed: int = 0,
+                          n_random: int = 32) -> np.ndarray:
+    """Default (n, 2k) sample stack: k fields (coordinates, seeded
+    Gaussians), then their heat-smoothed versions T_{h^2} g, as one
+    column-major array.
 
     The fields are drawn into a column-major (n, k) block and smoothed in
     one action; the stack is allocated after that action, so it is not
@@ -67,8 +77,6 @@ def default_sample_fields(H: HeatOperator, seed: int = 0, n_random: int = 32,
     rng = np.random.default_rng(seed)
     for c in range(dims, k):
         rng.standard_normal(out=F[:, c])
-    if not smoothed:
-        return F
     smooth = H.apply_batch(F, space.min_edge_length ** 2)
     out = np.empty((2 * k, space.n)).T
     out[:, :k] = F

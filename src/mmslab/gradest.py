@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import estimate_ckappa, variance
+from .curvature import _clip_variance, estimate_ckappa, variance
 from .elliptic import Problem, holder_fit, solve, solver_path
 from .errors import ConfigError
 from .form import carre_du_champ, generator_apply, lip_field
@@ -66,24 +66,18 @@ def _require_probe(space, cutoff, x0):
 
 def averaged_energy(H: HeatOperator, space: MetricMeasureSpace, u, cutoff: Cutoff,
                     x0: int, t: float) -> float:
-    """J(x0, t): nonnegative; tends to Gamma(u psi)(x0) as t drops to mesh scale."""
-    _require_probe(space, cutoff, x0)
+    """J(x0, t): nonnegative; tends to Gamma(u psi)(x0) as t drops to mesh
+    scale.  The one-time `averaged_energy_profile`."""
     if not (0 < t <= cutoff.R ** 2 * (1 + 1e-12)):
         raise ConfigError("need 0 < t <= R^2")
-    F = carre_du_champ(space, space.check_field(u) * cutoff.values)
-    x0 = int(x0)
-
-    def eval_batch(ts):
-        return [col[x0] for _, col in H.apply_grid(F, ts)]
-
-    val, _ = log_time_quadrature(eval_batch, 0.0, t, zero_limit=float(F[x0]))
-    return val / t
+    return averaged_energy_profile(H, space, u, cutoff, x0, [t])[0][1]
 
 
 def averaged_energy_profile(H: HeatOperator, space: MetricMeasureSpace, u,
                             cutoff: Cutoff, x0: int, ts) -> list:
-    """[(t, J(x0, t))] on an ascending grid, with t * J nondecreasing by
-    construction (cumulative quadrature of a nonnegative integrand)."""
+    """[(t, J(x0, t))] on an ascending grid.  t * J is summed from converged
+    `log_time_quadrature` pieces of a nonnegative integrand, so it is
+    nondecreasing and every value carries the rule's tolerance."""
     _require_probe(space, cutoff, x0)
     F = carre_du_champ(space, space.check_field(u) * cutoff.values)
     x0 = int(x0)
@@ -193,10 +187,8 @@ def variance_log_integral(H: HeatOperator, space: MetricMeasureSpace, u,
     x0 = int(x0)
 
     def var_at(ts):
-        out = []
-        for _, cols in H.apply_grid(stack, ts):
-            out.append(max(cols[x0, 0] - cols[x0, 1] ** 2, 0.0))
-        return np.asarray(out)
+        return _clip_variance([cols[x0, 0] - cols[x0, 1] ** 2
+                               for _, cols in H.apply_grid(stack, ts)], ws)
 
     integral, info = log_time_quadrature(lambda ts: var_at(ts) / ts, h2, R ** 2)
     scale = _scale_norm(space, u, g_field, cutoff.support, R)
@@ -210,11 +202,18 @@ def variance_log_integral(H: HeatOperator, space: MetricMeasureSpace, u,
                 "quadrature": info})
 
 
-def _ball_inside(space, y0, radius):
-    members = metric_ball(space, y0, radius).members
+def _ball_inside(space, members):
     if space.rim.size:
         return not np.any(np.isin(members, space.rim))
     return members.size < space.n
+
+
+def _profile_times(space, R):
+    """`PROFILE_POINTS` geometric times on [h^2, R^2]; R^2 alone when h >= R."""
+    h2 = space.min_edge_length ** 2
+    if h2 >= R ** 2:
+        return np.array([R ** 2])
+    return np.geomspace(h2, R ** 2, PROFILE_POINTS)
 
 
 def check_prop31(H: HeatOperator, space: MetricMeasureSpace, u, g_field,
@@ -228,11 +227,11 @@ def check_prop31(H: HeatOperator, space: MetricMeasureSpace, u, g_field,
     as well.  Also reports the variance-side intermediate bound
     Var_{R^2}(u psi)(x0) / (2 R^2).
     """
-    if not _ball_inside(space, y0, 8 * R):
+    eight_b = metric_ball(space, y0, 8 * R)
+    if not _ball_inside(space, eight_b.members):
         raise ConfigError("8B escapes the space")
     u = space.check_field(u)
     g_field = space.check_field(g_field)
-    eight_b = metric_ball(space, y0, 8 * R)
     rhs = (float(np.max(np.abs(u[eight_b.members]))) ** 2 / R ** 2
            + R ** 2 * float(np.max(np.abs(g_field[eight_b.members]))) ** 2)
     cutoff = build_cutoff(space, y0, R)
@@ -244,8 +243,7 @@ def check_prop31(H: HeatOperator, space: MetricMeasureSpace, u, g_field,
                            min(PROP31_PROBES - 1, ball.members.size - 1),
                            replace=False)
         probes += [int(v) for v in extra if v != y0]
-    h2 = space.min_edge_length ** 2
-    ts = np.unique(np.geomspace(min(h2, R ** 2), R ** 2, PROFILE_POINTS))
+    ts = _profile_times(space, R)
 
     j_end = 0.0
     realized = 0.0
@@ -287,6 +285,7 @@ def verify_gradient_estimate(H: HeatOperator, space: MetricMeasureSpace,
     dom_mask = np.zeros(space.n, dtype=bool)
     dom_mask[problem.domain] = True
     two_b = metric_ball(space, y0, 2 * R)
+    eight_b = metric_ball(space, y0, 8 * R)
     grad = np.sqrt(np.clip(carre_du_champ(space, u), 0.0, None))
     ck = float(curvature_report.c_kappa)
     g_field = -problem.lam * u + problem.source
@@ -298,7 +297,6 @@ def verify_gradient_estimate(H: HeatOperator, space: MetricMeasureSpace,
               "lip_sup": float(np.max(lip_field(space, u)[ball.members]))}
 
     if mode == "thm31":
-        eight_b = metric_ball(space, y0, 8 * R)
         if not np.all(dom_mask[eight_b.members]):
             raise ConfigError("thm31 needs the problem solved on the 8-fold ball")
         norm = _scale_norm(space, u, g_field, eight_b.members, R)
@@ -326,13 +324,9 @@ def verify_gradient_estimate(H: HeatOperator, space: MetricMeasureSpace,
             inputs["avg_abs_u"] = avg
 
     profile = []
-    if _ball_inside(space, y0, 8 * R):
-        eight_b = metric_ball(space, y0, 8 * R)
-        if np.all(dom_mask[eight_b.members]):
-            cutoff = build_cutoff(space, y0, R)
-            h2 = space.min_edge_length ** 2
-            ts = np.unique(np.geomspace(min(h2, R ** 2), R ** 2, PROFILE_POINTS))
-            profile = averaged_energy_profile(H, space, u, cutoff, y0, ts)
+    if _ball_inside(space, eight_b.members) and np.all(dom_mask[eight_b.members]):
+        profile = averaged_energy_profile(H, space, u, build_cutoff(space, y0, R),
+                                          y0, _profile_times(space, R))
 
     constant = left / right if right > 0 else 0.0
     return RatioReport(theorem=mode, left=left, right=float(right),

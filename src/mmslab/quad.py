@@ -5,7 +5,8 @@ fastest near t = 0, so the composite rule lives on a geometric (log-uniform)
 grid.  The node count is doubled until two successive composite values agree
 to a relative tolerance (Richardson-style stopping); a rule that does not
 agree within `MAX_LEVELS` levels raises `NumericalError`, so no caller can
-use an unconverged value.
+use an unconverged value.  `cumulative_log_quadrature` sums that one rule
+over the pieces of a time grid.
 """
 
 from __future__ import annotations
@@ -108,21 +109,15 @@ def log_time_quadrature(eval_batch, a, b, rtol=1e-6, zero_limit=None):
         f"levels (last change {change:.3e})")
 
 
-def cumulative_log_quadrature(eval_batch, ts, zero_limit=None):
-    """Cumulative integrals \\int_0^{ts[k]} f via trapezoid on the given grid.
+def cumulative_log_quadrature(eval_batch, ts, zero_limit):
+    """(cumulative, infos): \\int_0^{ts[k]} f on an ascending positive grid.
 
-    `ts` must be ascending and positive.  The head [0, ts[0]] uses
-    `zero_limit` (trapezoid) when given, else treats f as constant f(ts[0]).
-    Used for monotone profiles where consistency across the grid matters
-    more than high node counts; the integrand is evaluated once per node.
+    [0, ts[0]] (f tends to `zero_limit` at 0) and each [ts[k-1], ts[k]] go
+    through `log_time_quadrature`, one info each, and the pieces are summed
+    in order: every value carries the rule's tolerance, a piece that does
+    not converge raises, and a nonnegative f gives nondecreasing values.
     """
-    ts = np.asarray(ts, dtype=float)
-    vals = np.asarray(eval_batch(ts), dtype=float)
-    out = np.empty(ts.size)
-    f0 = vals[0] if zero_limit is None else zero_limit
-    acc = 0.5 * (f0 + vals[0]) * ts[0]
-    out[0] = acc
-    for k in range(1, ts.size):
-        acc += 0.5 * (vals[k - 1] + vals[k]) * (ts[k] - ts[k - 1])
-        out[k] = acc
-    return out, vals
+    edges = np.concatenate([[0.0], np.asarray(ts, dtype=float)])
+    pieces = [log_time_quadrature(eval_batch, a, b, zero_limit=zero_limit)
+              for a, b in zip(edges[:-1], edges[1:])]
+    return np.cumsum([v for v, _ in pieces]), [info for _, info in pieces]

@@ -52,7 +52,7 @@ from .errors import ConfigError, NumericalError
 from .reports import DoublingReport, PoincareReport
 
 _SQRT2 = np.sqrt(2.0)
-_ROW_BLOCK = 2 ** 18               # doubles (2 MB) per block of rows in estimate_doubling
+_ROW_BLOCK = 2 ** 18               # doubles (2 MB) per block of distance rows
 _TIE_STEPS = 8                     # boundary runs a product ball count may cross
 _ROW_CHUNK = 2 ** 13               # rows per step of `conductance_apply`
 DENSE_CAP_DEFAULT = 4000           # largest dense eigendecomposition, in vertices
@@ -257,7 +257,8 @@ class MetricMeasureSpace:
         forms no product row.  On a path (edges k -- k+1, every 1-d grid) or
         a cycle (those and 0 -- n-1) the rows are the running sums of the
         edge lengths (`_ring_row`), Dijkstra's bits without Dijkstra.  Other
-        graphs run one batched Dijkstra, stopped at `limit`.
+        graphs run batched Dijkstra, stopped at `limit`; with targets, in
+        blocks of sources whose whole rows fill about `_ROW_BLOCK` doubles.
         """
         return self._rows(np.atleast_1d(sources), targets, limit)
 
@@ -276,10 +277,17 @@ class MetricMeasureSpace:
             return d
         if self._ring is not None:
             d = np.array([self._ring_row(int(v)) for v in sources]).reshape(-1, self.n)
-        else:
-            from scipy.sparse.csgraph import dijkstra
-            d = dijkstra(self._len_graph, directed=False, indices=sources, limit=limit)
-        return d if targets is None else d[:, targets]
+            return d if targets is None else d[:, targets]
+        from scipy.sparse.csgraph import dijkstra
+        if targets is None:
+            return dijkstra(self._len_graph, directed=False, indices=sources, limit=limit)
+        # whole rows live a block of sources at a time; only the targets stay
+        d = np.empty((sources.size, np.size(targets)))
+        step = max(1, _ROW_BLOCK // self.n)
+        for i in range(0, sources.size, step):
+            d[i:i + step] = dijkstra(self._len_graph, directed=False,
+                                     indices=sources[i:i + step], limit=limit)[:, targets]
+        return d
 
     def _ring_row(self, v: int) -> np.ndarray:
         """Distances from v on a path or a cycle.

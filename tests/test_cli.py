@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from mmslab.cli import TASKS, main, reverify_report, run_config
+from mmslab.curvature import check_commutation, estimate_ckappa
 from mmslab.errors import ConfigError
-from mmslab.space import MetricMeasureSpace
+from mmslab.heat import build_heat
+from mmslab.space import MetricMeasureSpace, build_space
 
 GRID8 = {"family": "grid", "dim": 2, "h": 0.125}
 TORUS16 = {"family": "torus", "n1": 16, "n2": 16}
@@ -205,6 +207,17 @@ def test_run_config_all_on_two_point(tmp_path):
     assert reverify_report(str(tmp_path / "r" / "report_all.json"))
 
 
+def test_all_task_scales_the_identity_residual_on_a_fine_grid():
+    # at h = 1/128 the identities' terms reach 9e5 and their round-off
+    # 2.3e-10, past an absolute 1e-10; against the largest term it is 2.6e-16
+    cfg = {"space": {"family": "grid", "dim": 2, "h": 1 / 128}, "task": "all",
+           "seed": 1, "params": {"n_fields": 1}}
+    passed, report, _ = run_config(cfg)
+    rec = report["records"][0]
+    assert rec["name"] == "exact_identities" and rec["pass"] and passed
+    assert rec["rhs"] > 1e5 and rec["constant"] == 1e-12
+
+
 def test_gradest_task_via_cli(tmp_path):
     passed, report, _ = run_config(small_config("gradest"), out_dir=str(tmp_path / "r"))
     assert passed
@@ -234,11 +247,21 @@ def test_heat_caccioppoli_task(tmp_path):
 
 
 def test_curvature_task(tmp_path):
-    passed, report, _ = run_config(small_config("curvature"))
+    cfg = small_config("curvature")
+    passed, report, _ = run_config(cfg)
     assert passed
     rec = report["records"][0]
     assert rec["constant"] <= 1e-6
     assert rec["commutation_margin"] >= -1e-10
+    # one draw of the fields serves both checks: c_kappa over the fields and
+    # their smoothings, the commutation margin over the drawn fields alone
+    space = build_space(cfg["space"])
+    H = build_heat(space)
+    assert rec["constant"] == estimate_ckappa(H, 1.0, seed=4, n_random=8).c_kappa
+    rng = np.random.default_rng(4)
+    drawn = np.column_stack([space.positions]
+                            + [rng.standard_normal(space.n) for _ in range(8)])
+    assert rec["commutation_margin"] == check_commutation(H, drawn, 1.0)
 
 
 def test_counterexample_csv(tmp_path):

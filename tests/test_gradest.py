@@ -251,6 +251,24 @@ def test_variance_log_integral_probe_stability(heat32, torus32):
     assert max(consts) / min(consts) <= 2.0
 
 
+def test_variance_log_integral_raises_on_a_negative_variance(heat32, torus32):
+    # a heat action whose T_t(g~^2) falls 1e-6 short of (T_t g~)^2 is broken,
+    # not round-off: the integral raises below the clamp floor, as
+    # `variance` does, instead of clipping the variance to zero
+    class Broken:
+        def apply_grid(self, F, ts):
+            for t, cols in heat32.apply_grid(F, ts):
+                cols = cols.copy()
+                cols[:, 0] = cols[:, 1] ** 2 - 1e-6
+                yield t, cols
+
+    y0 = torus32.vertex_at((16, 16))
+    cut = build_cutoff(torus32, y0, 3.0)
+    u = torus_chart(torus32, 32, y0)[0]
+    with pytest.raises(NumericalError, match="below clamp floor"):
+        variance_log_integral(Broken(), torus32, u, cut, y0, np.zeros(torus32.n))
+
+
 # -- a-priori averaged-energy bound ----------------------------------------------
 
 def test_prop31_zero_solution(heat32, torus32):
@@ -284,6 +302,37 @@ def test_prop31_eigen_equation(torus32, heat32):
     u = solve(Problem(torus32, domain, bc, lam=lam))
     rep = check_prop31(heat32, torus32, u, -lam * u, y0, 1.5)
     assert np.isfinite(rep.constant) and rep.constant >= 0
+
+
+def test_prop31_profile_is_the_averaged_energy_at_every_time(sqrt32, torus32,
+                                                             heat32):
+    # every profile value is summed from converged pieces, so it agrees
+    # with the one-interval rule at its time; a 12-node trapezoid was off
+    # by 21% at t = h^2 on the sqrt|x| grid and by 0.28% on the torus
+    sp, u = sqrt32
+    y0 = torus32.vertex_at((16, 16))
+    cases = [(build_heat(sp), sp, u, sp.vertex_at((0.0, 0.0)), 0.1),
+             (heat32, torus32, torus_chart(torus32, 32, y0)[0], y0, 1.5)]
+    for H, space, field, center, R in cases:
+        rep = check_prop31(H, space, field, np.zeros(space.n), center, R)
+        prof = rep.extras["profile"]
+        ts = [t for t, _ in prof]
+        assert ts == list(np.geomspace(space.min_edge_length ** 2, R ** 2, 12))
+        cut = build_cutoff(space, center, R)
+        for t, j in prof:
+            want = averaged_energy(H, space, field, cut, center, t)
+            assert abs(j - want) <= 2e-6 * want
+
+
+def test_prop31_profile_below_mesh_scale_is_one_time(heat32, torus32):
+    # h = 1 > R: the profile is J at R^2 alone, the one-time averaged energy
+    y0 = torus32.vertex_at((16, 16))
+    R = 0.75
+    u = torus_chart(torus32, 32, y0)[0]
+    rep = check_prop31(heat32, torus32, u, np.zeros(torus32.n), y0, R)
+    cut = build_cutoff(torus32, y0, R)
+    assert rep.extras["profile"] == \
+        [(R ** 2, averaged_energy(heat32, torus32, u, cut, y0, R ** 2))]
 
 
 def test_prop31_needs_room(heat32, torus32):

@@ -53,12 +53,29 @@ def test_unconverged_quadrature_raises():
 
 
 def test_cumulative_is_monotone_for_nonnegative_integrand():
+    # every value is a sum of converged pieces, so it holds the rule's
+    # tolerance at every node, not only at the last
     ts = np.geomspace(0.01, 4.0, 12)
-    cum, vals = cumulative_log_quadrature(lambda tg: np.exp(-tg), ts,
-                                          zero_limit=1.0)
-    assert np.all(np.diff(cum) >= 0)
-    assert cum[-1] == pytest.approx(1.0 - np.exp(-4.0), rel=0.05)
-    assert vals.shape == ts.shape
+    f = lambda tg: np.exp(-tg)
+    cum, infos = cumulative_log_quadrature(f, ts, zero_limit=1.0)
+    assert cum.shape == ts.shape and np.all(np.diff(cum) >= 0)
+    assert np.max(np.abs(cum / (1.0 - np.exp(-ts)) - 1.0)) <= 2e-6
+    assert len(infos) == ts.size and all(i["converged"] for i in infos)
+    # the head is the one-interval rule from 0, bit for bit
+    assert cum[0] == log_time_quadrature(f, 0.0, ts[0], zero_limit=1.0)[0]
+
+
+def test_cumulative_piece_that_does_not_converge_raises():
+    # the integrand is smooth up to t = 1 and oscillates thousands of times
+    # on [1, 5]: the last piece raises instead of returning a value no
+    # level certified
+    def f(tg):
+        return np.where(tg < 1.0, 1.0, 1.0 + np.sin(1e4 * tg))
+
+    assert cumulative_log_quadrature(f, np.array([0.5, 0.9]), 1.0)[0] == \
+        pytest.approx([0.5, 0.9], rel=1e-6)
+    with pytest.raises(NumericalError, match=r"on \[0.9, 5\] did not converge"):
+        cumulative_log_quadrature(f, np.array([0.5, 0.9, 5.0]), zero_limit=1.0)
 
 
 def nested_rule_reference(f, b, rtol, zero_limit, base_panels=16, max_levels=7):
