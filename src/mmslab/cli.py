@@ -432,7 +432,9 @@ _TASKS = {
                  "<= p(t,x,y) <= C mu(B(x,sqrt(t)))^-1 exp(-d^2/(C1 t))"),
     "heat-caccioppoli": (_task_heat_caccioppoli,
                          "checks int_0^s int_{B(x,2R)\\B(x,R)} |D_y p(t,x,y)|^2 "
-                         "dmu dt <= C mu(B(x,R))^-1 exp(-c R^2/s)"),
+                         "dmu dt <= C mu(B(x,R))^-1 exp(-c R^2/s), the left "
+                         "side by a locally adaptive log-time quadrature that "
+                         "also converges for s << R^2"),
     "curvature": (_task_curvature,
                   "estimates the smallest c_kappa(T) with T_t(g^2) - (T_t g)^2 "
                   "<= (2t + c_kappa t^2) T_t(|Dg|^2) for t <= T, plus the "
@@ -456,8 +458,9 @@ _TASKS = {
                "checks the averaged-energy bound J(x0,R^2) <= C "
                "(sup|u|(8B)^2/R^2 + R^2 sup|g|(8B)^2), "
                "J(x0,t) = (1/t) int_0^t T_s|D(u psi)|^2(x0) ds, over the "
-               "profile t in [h^2, R^2], each value summed from converged "
-               "log_time_quadrature pieces"),
+               "profile t in [h^2, R^2], each value read off one converged "
+               "adaptive log-time quadrature with every profile time a "
+               "breakpoint"),
     "gradest": (_task_gradest,
                 "verifies a gradient-estimate conclusion: sup_B|Du| <= "
                 "C (1/R + sqrt(c_kappa)) * [norms of u and g] (modes thm31, "

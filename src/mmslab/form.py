@@ -89,21 +89,3 @@ def lip_field(space: MetricMeasureSpace, f) -> np.ndarray:
     np.maximum.at(out, space.edge_j, slope)
     return out
 
-
-def lip_comparability_bounds(space: MetricMeasureSpace):
-    """Per-vertex constants (c1, c2) with c1 sqrt(Gamma f) <= Lip f <= c2 sqrt(Gamma f).
-
-    Both follow from the defining sums:
-      Gamma <= (sum_j c l^2 / 2 mu) Lip^2        gives c1 = sqrt(2 mu / sum c l^2),
-      Gamma >= (min_j c l^2 / 2 mu) Lip^2        gives c2 = sqrt(2 mu / min c l^2).
-    """
-    cl2 = space.edge_c * space.edge_l ** 2
-    s = np.zeros(space.n)
-    np.add.at(s, space.edge_i, cl2)
-    np.add.at(s, space.edge_j, cl2)
-    m = np.full(space.n, np.inf)
-    np.minimum.at(m, space.edge_i, cl2)
-    np.minimum.at(m, space.edge_j, cl2)
-    c1 = np.sqrt(2.0 * space.mu / s)
-    c2 = np.sqrt(2.0 * space.mu / m)
-    return c1, c2

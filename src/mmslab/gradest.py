@@ -75,9 +75,10 @@ def averaged_energy(H: HeatOperator, space: MetricMeasureSpace, u, cutoff: Cutof
 
 def averaged_energy_profile(H: HeatOperator, space: MetricMeasureSpace, u,
                             cutoff: Cutoff, x0: int, ts) -> list:
-    """[(t, J(x0, t))] on an ascending grid.  t * J is summed from converged
-    `log_time_quadrature` pieces of a nonnegative integrand, so it is
-    nondecreasing and every value carries the rule's tolerance."""
+    """[(t, J(x0, t))] on an ascending grid.  t * J is read off one
+    converged `cumulative_log_quadrature` of a nonnegative integrand at each
+    time, so every value carries the rule's tolerance, and the rule's
+    positive panel weights make it nondecreasing."""
     _require_probe(space, cutoff, x0)
     F = carre_du_champ(space, space.check_field(u) * cutoff.values)
     x0 = int(x0)

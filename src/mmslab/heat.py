@@ -20,13 +20,7 @@ paths:
   on the smaller operand of the second product.  Nothing of size n x n
   beyond a dense basis and no transposed copy is formed; a column-major
   stack is read in place, and each (n, k) output is a column-major
-  (Fortran-ordered) view.  Kernel columns take two routes.  On a product a
-  column p(t, (a, b), .) is the outer product of two factor rows, each
-  summed in one fixed order so that kernels are exactly symmetric; only
-  the rows the sources need are formed, for a whole time grid in chunks of
-  about 1 MB of temporaries.  On a dense space, as in stepping, a column
-  is the clamped action on 1_x/mu_x: fixed-order rows of a single factor
-  took 45 times as long for 25 columns at 8 times on a 2401-vertex grid.
+  (Fortran-ordered) view.
 * stepping: for other spaces past the dense cap, a Chebyshev expansion of
   e^{tA} in the shifted generator X = (2/lam)(-A) - I, whose spectrum lies
   in [-1, 1] for the edge-wise bound lam = max over edges {i, j} of
@@ -43,9 +37,10 @@ paths:
   does the same arithmetic on any thread.
 
 Every action is one time of `apply_grid` and every kernel column one time
-of `kernel_grid`; these two are the only methods that branch on the
-realization, `apply_grid` between stepping and the spectral path and
-`kernel_grid` for the product's factor rows.  The layout of an action's
+of `kernel_grid`, the clamped action on 1_x/mu_x in every realization;
+these two are the only methods that branch on the realization, `apply_grid`
+between stepping and the spectral path and `kernel_grid` only to copy a
+stepping group's last output before clamping it.  The layout of an action's
 output is the path's: a spectral one is column-major, a stepping one
 row-major.
 
@@ -58,7 +53,7 @@ eigenvectors that are orthonormal to a few ulp, where scipy's default MRRR
 left errors of 2.7e-13 on the sqrt|x| factors at h = 1/64 (Demmel, Marques,
 Parlett and Voemel, SIAM J. Sci. Comput. 30, 2008).  An `mmslab run` task
 runs on one BLAS thread.  The eigendecompositions and the spectral sweeps
-of `apply_grid` (dense kernel columns among them) step back out to the
+of `apply_grid` (kernel columns among them) step back out to the
 count the task found (`blas.spectral`) for the life of a sweep, not around
 each product, when the scope's largest call reaches `blas.PARALLEL_WORK` =
 2^25 multiply-adds: n^3 for the largest factor's eigendecomposition and
@@ -67,11 +62,11 @@ space, where n_y = n).  A 48 x 48 torus's sweeps (at most 2^23.5) stay on
 one thread, where the second thread saved at most 0.4 ms per call and its
 spin cost about 0.13 s of CPU per sweep; the sqrt|x| sweep's blocks of 30
 fields at h = 1/64 (2^25.9) and a dense build of 2401 vertices take two.
-A product's kernel rows take no BLAS call and stay on one thread.
 
 Kernel conventions: T_t f(x) = sum_y p(t, x, y) f(y) mu_y, with
 p(t, x, y) = p(t, y, x) >= 0 and sum_y p(t, x, y) mu_y = 1 (the semigroup
-is stochastically complete: T_t 1 = 1).  In every realization kernel
+is stochastically complete: T_t 1 = 1); in floating point the symmetry and
+the mass hold to round-off.  In every realization kernel
 columns, and `apply` of a nonnegative field, are clamped at zero, so
 positivity is exact; a negative value past the round-off floor raises.
 `apply_batch` and `apply_grid` return their stacks unclamped.
@@ -87,12 +82,12 @@ from . import blas
 from .errors import ConfigError, NumericalError
 # not called here any more; perfbench/tests checks that its tracer rebinds
 # and restores this name in the heat namespace, until the benchmark change
-# of ROADMAP item 2
+# of ROADMAP item 3
 from .form import carre_du_champ  # noqa: F401
 from .quad import log_time_quadrature
 from .reports import GaussianFit, Measurement
 from .space import (DENSE_CAP_DEFAULT, MetricMeasureSpace, _ball_masses,
-                    laplacian_spectrum, metric_ball, product_pays)
+                    laplacian_spectrum, product_pays)
 
 # The Chebyshev series stops where the tail sum of |c_k| (the whole sum is 1)
 # drops below this.
@@ -102,8 +97,6 @@ _COLUMN_BLOCK = 2 ** 16
 # Outputs of one stepping recurrence over a time grid: about 2**19 doubles
 # (4 MB), or a single output when that alone is larger.
 _GRID_BLOCK = 2 ** 19
-# Temporaries of product kernel rows, in doubles per chunk (about 1 MB).
-_ROW_BLOCK = 2 ** 17
 # Product synthesis keeps the modes with theta t <= MODE_CUT on each axis: the
 # rest add less than e^-45 < 2^-64 times |F|_{L2(mu)} mu_x^{-1/2} at x, the
 # scale on which the full sum's round-off is a few 2^-53
@@ -132,29 +125,6 @@ def _chebyshev_coefficients(z: float) -> np.ndarray:
             f"Chebyshev series of exp at z={z:.3e} did not converge: tail "
             f"{tail[-1]:.3e} after {c.size} terms")
     return c[:int(np.argmax(tail < CHEB_TAIL))]
-
-
-def _factor_rows(theta, basis, ts, rows) -> np.ndarray:
-    """Clamped factor kernel rows p(t, a, .) for t in `ts` and a in `rows`,
-    as (len(ts), len(rows), n_f).
-
-    p(t, a, j) = sum_k U[a, k] U[j, k] with U = basis e^{-theta t / 2},
-    summed over k in one fixed order, so p(t, a, j) == p(t, j, a) exactly
-    and a row has the same bits whatever other times or rows are asked with
-    it (a BLAS row need not be either).  Temporaries stay near `_ROW_BLOCK`
-    doubles, or one time and one row when that alone is larger.
-    """
-    n, k = basis.shape
-    out = np.empty((ts.size, rows.size, n))
-    nt = max(1, _ROW_BLOCK // (n * k))
-    for i in range(0, ts.size, nt):
-        U = basis * np.exp(np.multiply.outer(-0.5 * ts[i:i + nt], theta))[:, None, :]
-        nr = max(1, _ROW_BLOCK // U.size)
-        for r in range(0, rows.size, nr):
-            out[i:i + nt, r:r + nr] = (U[:, rows[r:r + nr], None, :]
-                                       * U[:, None, :, :]).sum(axis=-1)
-    HeatOperator._clamp(out)
-    return out
 
 
 def _group_length(size: int) -> int:
@@ -463,10 +433,6 @@ class HeatOperator:
         if ts.size and ts[0] <= 0:
             raise ConfigError("kernel needs t > 0")
         xs = np.asarray(x0, dtype=np.intp)
-        if self.mode == "product":
-            for t, cols in self._product_kernels(ts, xs.ravel()):
-                yield t, cols.reshape((self.space.n,) + xs.shape)
-            return
         per_group = _group_length(self.space.n * xs.size)
         for i, (t, cols) in enumerate(self.apply_grid(self._delta(xs), ts)):
             if (self.mode == "stepping" and i % per_group == per_group - 1
@@ -475,28 +441,6 @@ class HeatOperator:
                 cols = cols.copy()
             self._clamp(cols)
             yield t, cols
-
-    def _product_kernels(self, ts, xs):
-        """Yield (t, (n, k) kernel columns p(t, xs[k], .)) for each t of `ts`.
-
-        Column k is the outer product of the factor rows p_x(t, a_k, .) and
-        p_y(t, b_k, .) of its source (a_k, b_k), and only the rows of
-        distinct factor sources are formed (`_factor_rows`), a chunk of
-        times at a time; no factor kernel matrix is formed.
-        """
-        (tx, bx), (ty, by) = self._factors
-        a, b = np.divmod(xs, by.shape[0])
-        ua, ia = np.unique(a, return_inverse=True)
-        ub, ib = np.unique(b, return_inverse=True)
-        per_time = max(ua.size * bx.size, ub.size * by.size)
-        nt = max(1, _ROW_BLOCK // per_time)
-        for i in range(0, ts.size, nt):
-            rx = _factor_rows(tx, bx, ts[i:i + nt], ua)
-            ry = _factor_rows(ty, by, ts[i:i + nt], ub)
-            for k, t in enumerate(ts[i:i + nt]):
-                # entry (u, v) of column s is rx[k, a_s, u] ry[k, b_s, v]
-                cols = rx[k, ia].T[:, None] * ry[k, ib].T[None, :]
-                yield float(t), cols.reshape(self.space.n, xs.size)
 
     def _delta(self, xs) -> np.ndarray:
         """The fields 1_{x}/mu_x (whose T_t is p(t, x, .)), (n,) or (n, k)."""
@@ -646,13 +590,15 @@ def check_heat_caccioppoli(H: HeatOperator, x: int, R: float, s: float,
     space = H.space
     if not (0 < s <= R * R * (1 + 1e-12)):
         raise ConfigError("need 0 < s <= R^2")
-    inner = metric_ball(space, x, R)
-    outer = metric_ball(space, x, 2 * R)
-    annulus = np.setdiff1d(outer.members, inner.members, assume_unique=True)
+    # B(x, R), B(x, 2R) and B(x, 3R) off one distance row
+    d = space.distances_from(x)
+    inner = np.flatnonzero(d < R)
+    annulus = np.flatnonzero((d >= R) & (d < 2 * R))
     if annulus.size == 0:
         raise ConfigError("empty annulus: R is below mesh scale")
-    if metric_ball(space, x, 3 * R).members.size >= space.n:
+    if np.count_nonzero(d < 3 * R) >= space.n:
         raise ConfigError("B(x, 3R) is not contained in the space")
+    ball_mass = float(space.mu[inner].sum())
 
     energy = _annulus_energy(space, annulus)
 
@@ -664,15 +610,15 @@ def check_heat_caccioppoli(H: HeatOperator, x: int, R: float, s: float,
     zero_limit = energy(e0_field)
 
     lhs, info = log_time_quadrature(eval_batch, 0.0, s, zero_limit=zero_limit)
-    unit = np.exp(-c * R * R / s) / inner.measure
+    unit = np.exp(-c * R * R / s) / ball_mass
     C = lhs / unit
     pareto = []
     for ck in np.geomspace(c / 8, 8 * c, 13):
-        pareto.append((float(ck), float(lhs / (np.exp(-ck * R * R / s) / inner.measure))))
+        pareto.append((float(ck), float(lhs / (np.exp(-ck * R * R / s) / ball_mass))))
     return Measurement(
         name="heat_caccioppoli", lhs=float(lhs), rhs=float(unit),
         constant=float(C),
         extras={"c": float(c), "s": float(s), "R": float(R),
                 "annulus_size": int(annulus.size),
-                "ball_mass": float(inner.measure),
+                "ball_mass": ball_mass,
                 "quadrature": info, "pareto": pareto})

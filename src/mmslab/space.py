@@ -1044,16 +1044,17 @@ def estimate_poincare(space: MetricMeasureSpace, R0: float, sample_count: int,
     for _ in range(sample_count):
         x = int(rng.integers(space.n))
         r = float(rng.choice(radii))
-        ball = metric_ball(space, x, r)
-        outer = metric_ball(space, x, 2 * r)
-        c = _sharp_poincare(space, ball.members, outer.members, r)
+        # B(x, r) and B(x, 2r) off one distance row
+        d = space.distances_from(x)
+        members = np.flatnonzero(d < r)
+        c = _sharp_poincare(space, members, np.flatnonzero(d < 2 * r), r)
         if c is None:
             skipped += 1
             continue
         used += 1
         if c > c_p:
             c_p = c
-            worst = ball
+            worst = Ball(x, r, members, float(space.mu[members].sum()))
     if used == 0:
         raise NumericalError("every sampled ball was degenerate")
     return PoincareReport(R0=float(R0), C_P=float(c_p), worst_ball=worst,

@@ -140,7 +140,8 @@ def test_criterion_07_heat_caccioppoli():
         H = build_heat(sp)
         x = sp.vertex_at((n // 2, n // 2))
         prev = -np.inf
-        for s in (4.0, 16.0, 64.0):
+        # s = R^2/128 and R^2/64: the regime s << R^2 the bound is about
+        for s in (0.5, 1.0, 4.0, 16.0, 64.0):
             rep = check_heat_caccioppoli(H, x, 8.0, s, c=0.25)
             monotone &= rep.lhs >= prev * (1 - 1e-12)
             prev = rep.lhs

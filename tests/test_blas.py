@@ -241,11 +241,10 @@ def test_an_unfinished_sweep_steps_back_to_one_thread(make, monkeypatch):
             H.apply_batch(F, 0.5)           # closes its sweep after one time
             H.kernel(0.5, [0, 3])
             assert counts() == one
-            for sweep, threaded in ((H.apply_grid(F, [0.1, 0.2]), True),
-                                    # a product's kernel rows take no BLAS call
-                                    (H.kernel_grid(1, [0.1, 0.2]), H.mode == "dense")):
+            # a kernel column is a spectral sweep of its delta field
+            for sweep in (H.apply_grid(F, [0.1, 0.2]), H.kernel_grid(1, [0.1, 0.2])):
                 next(sweep)
-                assert counts() == ((2,) * len(one) if threaded else one)
+                assert counts() == (2,) * len(one)
                 sweep.close()
                 assert counts() == one
 

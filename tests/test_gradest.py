@@ -108,9 +108,10 @@ def test_averaged_energy_probe_must_sit_in_ball(heat32, torus32):
 
 
 def test_unconverged_quadrature_raises(heat32, torus32, monkeypatch):
-    # one level leaves no two values to compare: every quadrature fails to
-    # converge
-    monkeypatch.setattr(quad, "MAX_LEVELS", 1)
+    # a node cap below the first grid: no quadrature can start, and each
+    # says so instead of returning a value (a smooth one-time profile
+    # converges on the first grid itself)
+    monkeypatch.setattr(quad, "MAX_NODES", 4 * quad.BASE_PANELS)
     y0 = torus32.vertex_at((16, 16))
     cut = build_cutoff(torus32, y0, 2.0)
     u = torus32.positions[:, 0].copy()

@@ -737,6 +737,34 @@ def test_heat_caccioppoli_annulus_energy_is_the_carre_du_champ_integral(
     assert seen["zero_limit"] == pytest.approx(reference(delta), rel=1e-13)
 
 
+def test_heat_caccioppoli_reads_its_balls_off_one_distance_row(tab16, monkeypatch):
+    # a tabulated grid, where each row is a Dijkstra: B(x, R), B(x, 2R) and
+    # B(x, 3R) come from one row, with metric_ball's members and mass
+    space, _, _, S = tab16
+    x, R = space.vertex_at((0.0, 0.0)), 0.125
+    inner = sp_mod.metric_ball(space, x, R)
+    outer = sp_mod.metric_ball(space, x, 2 * R)
+    rows = []
+    row = sp_mod.MetricMeasureSpace.distances_from
+    monkeypatch.setattr(sp_mod.MetricMeasureSpace, "distances_from",
+                        lambda self, v: rows.append(v) or row(self, v))
+    rep = check_heat_caccioppoli(S, x, R, R * R / 4)
+    assert rows == [x]
+    assert rep.extras["ball_mass"] == inner.measure
+    assert rep.extras["annulus_size"] == outer.members.size - inner.members.size
+
+
+def test_heat_caccioppoli_converges_far_below_R_squared():
+    # s = R^2/128 and R^2/64 on the 48^2 torus, where the annulus energy of
+    # the kernel is e^{-R^2/(4t)}-small on most of the log grid; the left
+    # side grows with s
+    space = sp_mod.uniform_torus(48, 48)
+    H, x = build_heat(space), space.vertex_at((24, 24))
+    lhs = [check_heat_caccioppoli(H, x, 8.0, s).lhs
+           for s in (0.5, 1.0, 4.0, 16.0, 64.0)]
+    assert 0.0 < lhs[0] and lhs == sorted(lhs)
+
+
 def test_heat_caccioppoli_empty_annulus(torus16):
     H = build_heat(torus16)
     with pytest.raises(ConfigError):
@@ -747,9 +775,9 @@ def test_heat_caccioppoli_empty_annulus(torus16):
 
 def test_heat_caccioppoli_unconverged_quadrature_raises(torus16, monkeypatch,
                                                         tmp_path):
-    # one level leaves no two values to compare: the quadrature cannot
-    # converge, and says so
-    monkeypatch.setattr(quad, "MAX_LEVELS", 1)
+    # a node cap of the first grid leaves no refinement: the quadrature
+    # cannot converge, and says so
+    monkeypatch.setattr(quad, "MAX_NODES", 4 * quad.BASE_PANELS + 1)
     with pytest.raises(NumericalError, match="did not converge"):
         check_heat_caccioppoli(build_heat(torus16), torus16.vertex_at((8, 8)),
                                2.0, 1.0)

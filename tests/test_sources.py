@@ -87,8 +87,9 @@ def test_only_the_generators_branch_on_the_heat_mode():
     # time of kernel_grid, so the realization is chosen in those two (and
     # set in __init__; kernel_matrix is dense-only).  A dense space is the
     # product of one vertex and itself, so apply_grid tells stepping from the
-    # one spectral path, and kernel_grid adds only the product's factor rows
-    # and stepping's copy of a group's last output
+    # one spectral path; a kernel column is the clamped action in every
+    # realization, so kernel_grid adds only stepping's copy of a group's
+    # last output
     tree = ast.parse(next(p for p in SOURCES if p.name == "heat.py").read_text())
     cls = next(node for node in tree.body
                if isinstance(node, ast.ClassDef) and node.name == "HeatOperator")
@@ -121,7 +122,7 @@ def test_only_the_generators_branch_on_the_heat_mode():
     assert {"apply_grid", "kernel_grid"} <= readers
     assert readers <= {"__init__", "apply_grid", "kernel_grid", "kernel_matrix"}
     assert compared["apply_grid"] == {"stepping"}
-    assert compared["kernel_grid"] == {"product", "stepping"}
+    assert compared["kernel_grid"] == {"stepping"}
 
 
 def names_and_strings(tree):

@@ -824,6 +824,25 @@ def test_poincare_recheck_random_fields(sqrt_square_16):
         assert left <= right * (1 + 1e-9)
 
 
+def test_poincare_reads_both_balls_off_one_distance_row(monkeypatch):
+    # a tabulated grid, where each row is a Dijkstra: one row per sampled
+    # center, and the worst ball and its constant are metric_ball's bits
+    space = tabulated_grid()
+    rows = []
+    inner = MetricMeasureSpace.distances_from
+    monkeypatch.setattr(MetricMeasureSpace, "distances_from",
+                        lambda self, v: rows.append(v) or inner(self, v))
+    rep = estimate_poincare(space, 0.5, 6, seed=1)
+    assert len(rows) == 6
+    monkeypatch.undo()
+    ball = rep.worst_ball
+    want = metric_ball(space, ball.center, ball.radius)
+    assert np.array_equal(ball.members, want.members)
+    assert ball.measure == want.measure
+    outer = metric_ball(space, ball.center, 2 * ball.radius)
+    assert rep.C_P == _sharp_poincare(space, want.members, outer.members, ball.radius)
+
+
 def test_poincare_cycle_runs(cycle64):
     rep = estimate_poincare(cycle64, 16.0, 12, seed=0)
     assert rep.C_P > 0
