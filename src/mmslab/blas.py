@@ -8,45 +8,31 @@ busy-waits for about 0.13 s before it sleeps (a 0.3 s sleep after one
 300 x 300 GEMM on two threads burns 0.13 s of CPU, on one thread 0.002 s).
 
 `threads` sets every runtime found in the process and restores the previous
-counts on exit.  `task` is the scope `cli.run_config` runs a task in: one
-thread, and the counts it found kept, so that `spectral`, the scope of the
-heat layer's eigendecompositions and BLAS sweeps, steps back out to them.
-It does so only when the scope's largest call is `PARALLEL_WORK` = 2^25
-multiply-adds or more; a smaller scope, and any scope outside a task,
-changes nothing.  scipy's runtime is mapped only when the package first
-imports scipy's sparse solvers, at call time and perhaps inside a task;
-`adopt`, called where ARPACK and SuperLU run, brings it into the open task.
-Nothing here runs at import, and no environment variable is read or written.
+counts on exit.  `task` is the scope `cli.run_config` runs a task in: every
+runtime on one thread for the whole task, and the counts it found kept.
+The one exception is `spectral`, the scope of an eigendecomposition in
+`HeatOperator.__init__`: LAPACK cannot be split by the caller, so a scope
+whose n^3 reaches `PARALLEL_WORK` = 2^25 multiply-adds runs at the counts
+the task found.  The scope is synchronous and never nests.  Every other
+piece of heat work is split by the heat layer itself, over column blocks
+that its own worker threads share (`one_thread` tells it when it may).
+scipy's runtime is mapped only when the package first imports scipy's
+sparse solvers, at call time and perhaps inside a task; `adopt`, called
+where ARPACK and SuperLU run, brings it into the open task.  Nothing here
+runs at import, and no environment variable is read or written.
 
-The rule by size.  The second thread saves wall time only on large calls,
-and each scope that wakes it costs the spin.  Median call times on one and
-two threads (2-core Xeon shared with other jobs, numpy's OpenBLAS; three
-alternating rounds of 11 calls, 5 for eigh).  A product row gives a product
-action's coefficients / one time's synthesis of (nx^2, k) fields, whose
-largest call is the (k nx, nx) x (nx, nx) product along y:
+The rule by size.  Median times of numpy's divide-and-conquer `eigh` on one
+and two threads (2-core Xeon shared with other jobs; three alternating
+rounds of 5 calls):
 
-    call                 work    1 thread          2 threads
-    product 33^2 x 16    2^19.1  0.06 / 0.10 ms    0.06 / 8.00 ms
-    product 48^2 x 108   2^23.5  1.41 / 1.17 ms    1.03 / 0.96 ms
-    product 65^2 x 60    2^24.0  4.07 / 4.29 ms    3.59 / 3.65 ms
-    product 129^2 x 8    2^24.0  2.12 / 2.13 ms    1.44 / 1.46 ms
-    product 65^2 x 120   2^25.0  4.31 / 4.06 ms    2.93 / 2.62 ms
-    product 129^2 x 16   2^25.0  3.97 / 4.21 ms    3.17 / 2.80 ms
-    product 129^2 x 31   2^26.0  13.81 / 13.09 ms  10.84 / 10.10 ms
-    product 129^2 x 62   2^27.0  17.01 / 18.60 ms  12.43 / 11.77 ms
-    eigh 129             2^21.0  2.02 ms           1.98 ms
-    eigh 257             2^24.0  7.49 ms           7.40 ms
-    eigh 513             2^27.0  41.33 ms          32.19 ms
-    GEMM 1089^2 x 8      2^23.2  1.38 ms           0.87 ms
-    GEMM 2401^2 x 6      2^25.0  8.19 ms           4.69 ms
-    GEMM 2401^2 x 60     2^28.4  24.79 ms          12.52 ms
+    n      work    1 thread   2 threads
+    129    2^21.0  2.02 ms    1.98 ms
+    257    2^24.0  7.49 ms    7.40 ms
+    513    2^27.0  41.33 ms   32.19 ms
 
-Below 2^25 a call saves at most 0.7 ms on two threads, and some are slower
-there; the spin after the scope costs about 0.13 s of CPU.  From 2^25 up
-every product and GEMM measured saves 0.8 ms or more (20-50 %), and a sweep
-repeats its largest call once per time.  The dense eigendecompositions
-gain only from a few hundred vertices (n = 2401: 2.86 s on one thread
-against 1.77 s on two).
+Below 2^25 the second thread saves nothing and its spin after the call
+costs about 0.13 s of CPU; a dense build of 2401 vertices takes 2.86 s on
+one thread against 1.77 s on two.
 """
 
 from __future__ import annotations
@@ -56,7 +42,6 @@ import ctypes
 import functools
 import os
 import sys
-import threading
 from typing import Callable, NamedTuple
 
 # (getter, setter) per build: numpy's 64-bit-integer scipy-openblas,
@@ -130,9 +115,7 @@ class _Task:
     def __init__(self, found):
         self.found = found          # [(runtime, count found)], restored by `threads`
         self.entry = [_entry(rt, n) for rt, n in found]
-        self.depth = 0              # raised spectral scopes open
         self.raised = 0             # spectral scopes raised so far
-        self.lock = threading.Lock()
 
 
 def _entry(rt: Runtime, n: int) -> dict:
@@ -143,8 +126,9 @@ def _entry(rt: Runtime, n: int) -> dict:
 _current = None
 
 PARALLEL_WORK = 2 ** 25
-"""Multiply-adds in a `spectral` scope's largest call from which the scope
-runs at the task's starting count (the table in the module docstring)."""
+"""Multiply-adds of an eigendecomposition (n^3) from which its `spectral`
+scope runs at the task's starting count (the table in the module
+docstring)."""
 
 
 @contextlib.contextmanager
@@ -167,47 +151,44 @@ def task():
                 runtime["raised"] = scope.raised
 
 
+def one_thread() -> bool:
+    """Whether an open task holds the runtimes it found on one thread, so
+    that callers may split BLAS work over their own threads."""
+    return _current is not None and bool(_current.found)
+
+
 def adopt():
-    """Runtimes mapped since the open task began join it: on one thread (or
-    at the count they were found at, inside a raised `spectral` scope), back
-    to that count when the task ends, and in its report entry.  Outside a
-    task, nothing."""
+    """Runtimes mapped since the open task began join it: on one thread,
+    back to the count they were found at when the task ends, and in its
+    report entry.  Outside a task, nothing."""
     scope = _current
     if scope is None:
         return
-    with scope.lock:
-        known = {rt.library for rt, _ in scope.found}
-        for rt in runtimes():
-            if rt.library not in known:
-                n = rt.get()
-                scope.found.append((rt, n))
-                scope.entry.append(_entry(rt, n))
-                if scope.depth == 0:
-                    rt.set(1)
+    known = {rt.library for rt, _ in scope.found}
+    for rt in runtimes():
+        if rt.library not in known:
+            n = rt.get()
+            scope.found.append((rt, n))
+            scope.entry.append(_entry(rt, n))
+            rt.set(1)
 
 
 @contextlib.contextmanager
 def spectral(work: int):
-    """Inside a task, every runtime back at the count the task found, when
-    `work`, the multiply-adds of the scope's largest BLAS or LAPACK call,
-    reaches `PARALLEL_WORK`; the first such scope open raises the counts and
-    the last one to close lowers them again, so scopes may close in any
-    order.  A smaller scope, or any scope outside a task, changes nothing."""
+    """Inside a task, every runtime back at the count the task found while
+    one eigendecomposition of `work` = n^3 multiply-adds runs, when `work`
+    reaches `PARALLEL_WORK`, and on one thread again after it.  The scope
+    is synchronous and does not nest.  A smaller scope, or any scope
+    outside a task, changes nothing."""
     scope = _current
     if scope is None or work < PARALLEL_WORK:
         yield
         return
-    with scope.lock:
-        if scope.depth == 0:
-            for rt, n in scope.found:
-                rt.set(n)
-        scope.depth += 1
-        scope.raised += 1
+    for rt, n in scope.found:
+        rt.set(n)
+    scope.raised += 1
     try:
         yield
     finally:
-        with scope.lock:
-            scope.depth -= 1
-            if scope.depth == 0 and _current is scope:
-                for rt, _ in scope.found:
-                    rt.set(1)
+        for rt, _ in scope.found:
+            rt.set(1)

@@ -13,14 +13,15 @@ paths:
   eigendecomposition (`space.laplacian_spectrum`).  The path works column
   by column (fast diagonalization: Lynch, Rice and Thomas, Numer. Math. 6,
   1964): column c of the stack is an (nx, ny) matrix F_c, its coefficients
-  are (bx mu_x)^T F_c (by mu_y), stored column first as one (k, nx, ny)
-  array, and each time is one batched product along x over the k columns
-  and one plain (k nx, ky) x (ky, ny) product along y, keeping only the
-  modes with theta t <= `MODE_CUT` on each axis and putting e^{-theta_y t}
-  on the smaller operand of the second product.  Nothing of size n x n
-  beyond a dense basis and no transposed copy is formed; a column-major
-  stack is read in place, and each (n, k) output is a column-major
-  (Fortran-ordered) view.
+  are (bx mu_x)^T F_c (by mu_y), stored column first as (w, nx, ny)
+  arrays, one per block of w columns, and each time is, per block, one
+  batched product along x over the w columns and one plain
+  (w nx, ky) x (ky, ny) product along y, keeping only the modes with
+  theta t <= `MODE_CUT` on each axis and putting e^{-theta_y t} on the
+  smaller operand of the second product.  Nothing of size n x n beyond a
+  dense basis and no transposed copy is formed; a column-major stack is
+  read in place, and each (n, k) output is a column-major
+  (Fortran-ordered) view of one (k, n) buffer that the blocks write into.
 * stepping: for other spaces past the dense cap, a Chebyshev expansion of
   e^{tA} in the shifted generator X = (2/lam)(-A) - I, whose spectrum lies
   in [-1, 1] for the edge-wise bound lam = max over edges {i, j} of
@@ -31,10 +32,20 @@ paths:
   largest increment and adds each time's coefficients into that time's
   accumulator (Tal-Ezer and Kosloff).  Time grids are swept in consecutive
   groups whose outputs fit about 4 MB, one recurrence per group, each group
-  starting from the previous group's last output.  The recurrence is
-  column-blocked (about 512 KB a block), and the blocks are shared between
-  the calling thread and up to one worker thread per further CPU; a block
-  does the same arithmetic on any thread.
+  starting from the previous group's last output.
+
+Both paths cut the stack into blocks of `_COLUMN_BLOCK // n` columns
+(about 512 KB a block) and deal them round-robin to the calling thread
+and up to one worker thread per further CPU (`_deal`); a block does the
+same arithmetic on any thread, so the bits do not depend on the worker
+count.  These workers are the package's one parallel mechanism.  The
+spectral path cuts its stack only inside an `mmslab run` task
+(`blas.one_thread`), where OpenBLAS runs one thread.  Outside one the
+caller owns the BLAS threads, and the whole stack is one block on the
+calling thread: those threads already split each call, and workers on
+top of them only multiply the threads (a 30-field h = 1/64 sweep of 8
+times at two BLAS threads on 2 cores read 0.053-0.056 s dealt against
+0.056 s as one block).
 
 Every action is one time of `apply_grid` and every kernel column one time
 of `kernel_grid`, the clamped action on 1_x/mu_x in every realization;
@@ -52,16 +63,11 @@ spinning on the cores the other needs; divide and conquer also gives
 eigenvectors that are orthonormal to a few ulp, where scipy's default MRRR
 left errors of 2.7e-13 on the sqrt|x| factors at h = 1/64 (Demmel, Marques,
 Parlett and Voemel, SIAM J. Sci. Comput. 30, 2008).  An `mmslab run` task
-runs on one BLAS thread.  The eigendecompositions and the spectral sweeps
-of `apply_grid` (kernel columns among them) step back out to the
-count the task found (`blas.spectral`) for the life of a sweep, not around
-each product, when the scope's largest call reaches `blas.PARALLEL_WORK` =
-2^25 multiply-adds: n^3 for the largest factor's eigendecomposition and
-n k n_y for a sweep of k fields (its product along y; n^2 k on a dense
-space, where n_y = n).  A 48 x 48 torus's sweeps (at most 2^23.5) stay on
-one thread, where the second thread saved at most 0.4 ms per call and its
-spin cost about 0.13 s of CPU per sweep; the sqrt|x| sweep's blocks of 30
-fields at h = 1/64 (2^25.9) and a dense build of 2401 vertices take two.
+runs on one BLAS thread.  Only the eigendecompositions step back out to the
+count the task found (`blas.spectral`), when the largest factor's n^3
+reaches `blas.PARALLEL_WORK` = 2^25 multiply-adds: LAPACK cannot be split
+by the caller, and a dense build of 2401 vertices took 2.86 s on one thread
+against 1.77 s on two.  A 48 x 48 torus's factors stay on one thread.
 
 Kernel conventions: T_t f(x) = sum_y p(t, x, y) f(y) mu_y, with
 p(t, x, y) = p(t, y, x) >= 0 and sum_y p(t, x, y) mu_y = 1 (the semigroup
@@ -102,6 +108,12 @@ _GRID_BLOCK = 2 ** 19
 # scale on which the full sum's round-off is a few 2^-53
 # (`HeatOperator._synthesize`).
 MODE_CUT = 45.0
+# `check_gaussian` leaves out a kernel value at or below this fraction of its
+# column's maximum, about 4500 units in the last place of that maximum: the
+# spectral sum returns round-off there, not the kernel (a pair 31 steps
+# apart on torus 128^2 at t = 4 has p of about 2e-18 against a maximum of
+# about 0.02).
+GAUSSIAN_FLOOR = 1e-12
 
 
 def _chebyshev_coefficients(z: float) -> np.ndarray:
@@ -235,8 +247,11 @@ class HeatOperator:
         """Yield (t, T_t F) for an ascending nonnegative time grid.
 
         The spectral path takes the coefficients of F once and synthesizes
-        each time from them; it yields each (n, k) output as a column-major
-        (Fortran-ordered) view and reads a column-major F without copying
+        each time from them, inside a task in blocks of
+        `_COLUMN_BLOCK // n` columns dealt by `_deal`, outside one in a
+        single block on the calling thread; each block writes its rows of
+        one (k, n) buffer per time, yielded as the (n, k) column-major
+        (Fortran-ordered) view.  A column-major F is read without copying
         it.  Stepping mode splits the grid into consecutive groups whose
         outputs fit `_GRID_BLOCK` doubles and runs one Chebyshev recurrence
         per group, from the previous group's last output.  That output is
@@ -259,12 +274,27 @@ class HeatOperator:
                     yield float(t), cur
                 t_start = group[-1]
         else:
-            shape = F.shape
-            # the largest call is the (k nx, ny) x (ny, ny) product along y
-            with blas.spectral(F.size * self._weighted[1].shape[0]):
-                coeff, F = self._coefficients(F), None
-                for t in ts:
-                    yield float(t), self._synthesize(coeff, t).reshape(shape)
+            n = self.space.n
+            shape, cols, F = F.shape, F.reshape(n, -1), None
+            k = cols.shape[1]
+            # inside a task OpenBLAS runs one thread, and the workers share
+            # blocks of the stepping width; outside one the caller's BLAS
+            # threads split the calls of a single block (module docstring)
+            width = max(1, _COLUMN_BLOCK // n if blas.one_thread() else k)
+            starts = range(0, k, width)
+            coeff = [None] * len(starts)
+
+            def coefficients(j):
+                coeff[j // width] = self._coefficients(cols[:, j:j + width])
+
+            self._deal(coefficients, starts)
+            cols = None
+            for t in ts:
+                rows = np.empty((k, n))
+                self._deal(lambda j: self._synthesize(coeff[j // width], t,
+                                                      rows[j:j + width]),
+                           starts)
+                yield float(t), rows.T.reshape(shape)
 
     def _coefficients(self, F) -> np.ndarray:
         """Spectral coefficients of a field or (n, k) stack on X x Y (on a
@@ -282,14 +312,15 @@ class HeatOperator:
         del cols
         return np.matmul(wx.T, along_y.reshape(-1, nx, ny))
 
-    def _synthesize(self, C, t: float) -> np.ndarray:
-        """The (n, k) fields bx e^{-theta_x t} C[c] (by e^{-theta_y t})^T of
-        column-first coefficients, as a column-major view.
+    def _synthesize(self, C, t: float, out):
+        """Write the fields bx e^{-theta_x t} C[c] (by e^{-theta_y t})^T of
+        a block of w column-first coefficients into the rows of `out`, a
+        C-contiguous (w, n) array.
 
-        One batched product of the x factor over the k columns, then one
-        plain (k nx, ky) x (ky, ny) product along y, with e^{-theta_y t} on
-        its smaller operand; nothing of size n x n and no transposed copy is
-        formed.
+        One batched product of the x factor over the w columns, then one
+        plain (w nx, ky) x (ky, ny) product along y written straight into
+        `out`, with e^{-theta_y t} on its smaller operand; nothing of size
+        n x n and no transposed copy is formed.
 
         Only the modes with theta t <= `MODE_CUT` on each axis are kept.  The
         bases are mu-orthonormal, so sum_k phi_k(x)^2 = 1/mu_x and the
@@ -307,16 +338,16 @@ class HeatOperator:
         along_x = np.matmul(bx[:, :kx] * np.exp(-tx[:kx] * t),
                             C[:, :kx, :ky]).reshape(-1, ky)
         scale = np.exp(-ty[:ky] * t)
-        # the diagonal goes on the smaller operand, the k nx rows of along_x
+        rows = out.reshape(along_x.shape[0], -1)        # a view: (w nx, ny)
+        # the diagonal goes on the smaller operand, the w nx rows of along_x
         # or the ny rows of by: on a 2401-vertex dense space (nx = 1),
         # scaling the basis took 2-3 times as long for a 16-time grid of 60
         # columns, and 8 times for a heat-Caccioppoli quadrature (one kernel
         # column per node)
         if along_x.shape[0] < by.shape[0]:
-            out = (along_x * scale) @ by[:, :ky].T
+            np.matmul(along_x * scale, by[:, :ky].T, out=rows)
         else:
-            out = along_x @ (by[:, :ky] * scale).T
-        return out.reshape(C.shape[0], -1).T
+            np.matmul(along_x, (by[:, :ky] * scale).T, out=rows)
 
     def _shifted_generator(self):
         """2X = 2((2/lam)(-A) - I) in CSR, built on first use."""
@@ -361,10 +392,8 @@ class HeatOperator:
         tail, so its output has the bits of a recurrence run for it alone;
         at step k the increments whose series still runs form a suffix of
         `dts`, updated in one call.  The recurrence runs on column blocks of
-        about `_COLUMN_BLOCK` doubles, dealt round-robin to the calling
-        thread and `_block_workers` threads (sparse products and ufuncs
-        release the GIL); a block's arithmetic does not depend on the
-        thread, so the result is the same bits with or without workers.
+        about `_COLUMN_BLOCK` doubles, dealt by `_deal` (sparse products
+        and ufuncs release the GIL).
         """
         X2 = self._shifted_generator()
         cs = [_chebyshev_coefficients(0.5 * self._lam * dt) for dt in dts]
@@ -399,11 +428,24 @@ class HeatOperator:
             for out, a in zip(outs, acc):
                 out[:, j:j + width] = a
 
-        def run(share):
-            for j in share:
+        self._deal(block, starts)
+        return [out.reshape(F.shape) for out in outs]
+
+    def _deal(self, block, starts):
+        """block(j) for every j in `starts`, dealt round-robin to the
+        calling thread and `_block_workers` threads.
+
+        A block's arithmetic does not depend on the thread that runs it, so
+        the results are the same bits with or without workers.  Every
+        worker's share is finished, and its exception raised, before this
+        returns.
+        """
+        pool, count = self._block_workers(len(starts))
+
+        def run(part):
+            for j in part:
                 block(j)
 
-        pool, count = self._block_workers(len(starts))
         futures = [pool.submit(run, starts[p::count + 1])
                    for p in range(1, count + 1)]
         try:
@@ -411,7 +453,6 @@ class HeatOperator:
         finally:
             for fut in futures:
                 fut.result()
-        return [out.reshape(F.shape) for out in outs]
 
     # -- kernel ---------------------------------------------------------------
 
@@ -488,6 +529,9 @@ def check_gaussian(H: HeatOperator, t_grid, pair_count: int, R: float,
 
     Pairs are sampled with h <= d(x, y) < R; the grid must satisfy
     h^2 <= t <= R^2 (below mesh scale the discrete kernel is not Gaussian).
+    A sample whose kernel value is at or below `GAUSSIAN_FLOOR` times its
+    column's maximum is round-off, not a kernel value: it is left out of
+    the fit and counted in `skipped`.  With no sample left the fit raises.
     """
     space = H.space
     h = space.min_edge_length
@@ -525,15 +569,20 @@ def check_gaussian(H: HeatOperator, t_grid, pair_count: int, R: float,
     order = np.argsort(t_grid, kind="stable")
     yv = np.empty((t_grid.size, len(pairs)))
     z = np.empty_like(yv)
+    keep = np.ones(yv.shape, dtype=bool)
     for i, (t, cols) in zip(order, H.kernel_grid(xs, t_grid[order])):
+        floor = GAUSSIAN_FLOOR * np.max(cols, axis=0)
         for j, (x, y, d) in enumerate(pairs):   # column k: p(t, xs[k], .)
             p = float(cols[y, xpos[x]])
-            if p <= 0:
-                raise NumericalError(f"nonpositive kernel value at t={t}, pair=({x},{y})")
-            yv[i, j] = np.log(p) + np.log(ball[x][i])
             z[i, j] = d * d / t
-    yv = yv.ravel()
-    z = z.ravel()
+            if p <= floor[xpos[x]]:
+                keep[i, j] = False
+            else:
+                yv[i, j] = np.log(p) + np.log(ball[x][i])
+    yv = yv[keep]
+    z = z[keep]
+    if yv.size == 0:
+        raise NumericalError("every kernel value of the Gaussian sample is at round-off")
 
     varz = float(np.var(z))
     if varz <= 0:
@@ -551,7 +600,7 @@ def check_gaussian(H: HeatOperator, t_grid, pair_count: int, R: float,
     return GaussianFit(C=C, C1=float(c1), C2=float(c2),
                        violations=up_viol + lo_viol,
                        t_range=(float(t_grid.min()), float(t_grid.max())),
-                       pair_sample=len(pairs))
+                       pair_sample=len(pairs), skipped=int(keep.size - yv.size))
 
 
 def _annulus_energy(space: MetricMeasureSpace, annulus):

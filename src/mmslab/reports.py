@@ -70,6 +70,7 @@ class GaussianFit:
     violations: int
     t_range: tuple
     pair_sample: int
+    skipped: int            # samples at round-off, left out of the fit
 
 
 @dataclass

@@ -591,48 +591,20 @@ def uniform_torus(n1: int, n2: int) -> MetricMeasureSpace:
                          name=f"torus_{n1}x{n2}")
 
 
-class _Weight:
-    """Separable weight w(x, y) = wx(x): cell integrals and point values."""
-
-    def integral_x(self, a, b):     # \int_a^b wx
-        raise NotImplementedError
-
-    def value_x(self, x):
-        raise NotImplementedError
-
-
-class ConstantWeight(_Weight):
-    def __init__(self, value=1.0):
-        if value <= 0:
-            raise ConfigError("constant weight must be positive")
-        self.value = float(value)
-
-    def integral_x(self, a, b):
-        return self.value * (b - a)
-
-    def value_x(self, x):
-        return self.value
-
-
-class SqrtAbsXWeight(_Weight):
-    """w(x, y) = sqrt(|x|); antiderivative (2/3) sgn(x) |x|^{3/2}."""
-
-    @staticmethod
-    def _F(x):
+def _sqrt_abs_x_integral(a, b):
+    """\\int_a^b sqrt|x| dx, off the antiderivative (2/3) sgn(x) |x|^{3/2}."""
+    def F(x):
         return (2.0 / 3.0) * np.sign(x) * np.abs(x) ** 1.5
-
-    def integral_x(self, a, b):
-        return self._F(b) - self._F(a)
-
-    def value_x(self, x):
-        return np.sqrt(np.abs(x))
+    return F(b) - F(a)
 
 
-_WEIGHTS = {"constant": ConstantWeight, "sqrt_abs_x": SqrtAbsXWeight}
+# separable weights w(x, y) = wx(x): name -> (cell integral \int_a^b wx,
+# point value wx(x))
+_WEIGHTS = {"constant": (lambda a, b: b - a, lambda x: 1.0),
+            "sqrt_abs_x": (_sqrt_abs_x_integral, lambda x: np.sqrt(np.abs(x)))}
 
 
-def weighted_grid_1d(bounds=(-1.0, 1.0), h=0.25, weight="constant",
-                     weight_value=1.0) -> MetricMeasureSpace:
+def weighted_grid_1d(bounds=(-1.0, 1.0), h=0.25, weight="constant") -> MetricMeasureSpace:
     """Vertex-centered finite-volume discretization of a weighted interval.
 
     Vertex masses are cell integrals of the weight over dual (Voronoi)
@@ -640,17 +612,19 @@ def weighted_grid_1d(bounds=(-1.0, 1.0), h=0.25, weight="constant",
     w(midpoint)/h (the 1-d transmissibility w * h^{d-2}).
     """
     a, b = float(bounds[0]), float(bounds[1])
-    w = _make_weight(weight, weight_value)
+    if weight not in _WEIGHTS:
+        raise ConfigError(f"unknown weight {weight!r}; catalog: {sorted(_WEIGHTS)}")
+    integral, value = _WEIGHTS[weight]
     xs = _grid_axis(a, b, h)
     n = xs.size
     xl = np.maximum(xs - h / 2, a)
     xr = np.minimum(xs + h / 2, b)
-    mu = np.array([w.integral_x(lo, hi) for lo, hi in zip(xl, xr)])
+    mu = np.array([integral(lo, hi) for lo, hi in zip(xl, xr)])
     if np.any(mu <= 0):
         raise ConfigError("weight produced a zero-mass cell")
     edges = []
     for k in range(n - 1):
-        c = w.value_x((xs[k] + xs[k + 1]) / 2) / h
+        c = value((xs[k] + xs[k + 1]) / 2) / h
         if c <= 0:
             raise ConfigError(f"zero conductance at midpoint {(xs[k] + xs[k+1]) / 2}")
         edges.append((k, k + 1, c, h))
@@ -660,8 +634,7 @@ def weighted_grid_1d(bounds=(-1.0, 1.0), h=0.25, weight="constant",
 
 
 def weighted_grid_2d(bounds=((-1.0, 1.0), (-1.0, 1.0)), h=0.25,
-                     weight="constant", weight_value=1.0,
-                     tabulated=None) -> MetricMeasureSpace:
+                     weight="constant", tabulated=None) -> MetricMeasureSpace:
     """Vertex-centered finite-volume discretization of a weighted rectangle.
 
     Masses are exact cell integrals over clipped Voronoi cells.
@@ -675,7 +648,7 @@ def weighted_grid_2d(bounds=((-1.0, 1.0), (-1.0, 1.0)), h=0.25,
     """
     (ax, bx), (ay, by) = bounds
     if tabulated is None:
-        return product_space(weighted_grid_1d((ax, bx), h, weight, weight_value),
+        return product_space(weighted_grid_1d((ax, bx), h, weight),
                              weighted_grid_1d((ay, by), h, "constant"),
                              name=f"grid2d_{weight}_h{h:g}")
 
@@ -701,16 +674,6 @@ def weighted_grid_2d(bounds=((-1.0, 1.0), (-1.0, 1.0)), h=0.25,
     return MetricMeasureSpace((wtab * dx[:, None] * dy[None, :]).ravel(), edges,
                               positions=pos, name=f"grid2d_tabulated_h{h:g}",
                               rim=rim)
-
-
-def _make_weight(weight, weight_value):
-    if isinstance(weight, _Weight):
-        return weight
-    if weight not in _WEIGHTS:
-        raise ConfigError(f"unknown weight {weight!r}; catalog: {sorted(_WEIGHTS)}")
-    if weight == "constant":
-        return ConstantWeight(weight_value)
-    return _WEIGHTS[weight]()
 
 
 def _grid_axis(a, b, h):
@@ -743,21 +706,19 @@ def build_space(config: dict) -> MetricMeasureSpace:
             _reject_unknown(cfg, {"n1", "n2"})
             return uniform_torus(int(cfg["n1"]), int(cfg["n2"]))
         if family == "grid":
-            _reject_unknown(cfg, {"dim", "bounds", "h", "weight", "weight_value",
-                                  "tabulated"})
+            _reject_unknown(cfg, {"dim", "bounds", "h", "weight", "tabulated"})
             dim = int(cfg.get("dim", 2))
             h = float(cfg["h"])
             weight = cfg.get("weight", "constant")
-            wv = float(cfg.get("weight_value", 1.0))
             if dim == 1:
                 bounds = tuple(cfg.get("bounds", (-1.0, 1.0)))
-                return weighted_grid_1d(bounds, h, weight, wv)
+                return weighted_grid_1d(bounds, h, weight)
             if dim == 2:
                 bounds = cfg.get("bounds", ((-1.0, 1.0), (-1.0, 1.0)))
                 bounds = (tuple(bounds[0]), tuple(bounds[1]))
                 if weight == "tabulated" or "tabulated" in cfg:
                     return weighted_grid_2d(bounds, h, tabulated=cfg["tabulated"])
-                return weighted_grid_2d(bounds, h, weight, wv)
+                return weighted_grid_2d(bounds, h, weight)
             raise ConfigError("grid dimension must be 1 or 2")
     except KeyError as e:
         raise ConfigError(f"missing space parameter {e.args[0]!r}") from None

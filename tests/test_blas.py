@@ -1,6 +1,11 @@
-"""BLAS thread counts: the scopes of `mmslab.blas`, a task on one thread, and
-the heat layer's spectral work back at the count the task found when its
-largest call reaches `blas.PARALLEL_WORK`."""
+"""BLAS thread counts: the scopes of `mmslab.blas`, a task on one thread, an
+eigendecomposition back at the count the task found when its n^3 reaches
+`blas.PARALLEL_WORK`, and heat sweeps on one BLAS thread inside a task, their
+column blocks dealt to the heat layer's workers."""
+
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -105,30 +110,15 @@ def test_nothing_found_changes_nothing(monkeypatch):
     assert passed and report["blas"] == []
 
 
-def test_spectral_scopes_may_close_in_any_order(fakes):
+def test_a_scope_below_the_rule_leaves_one_thread(fakes):
     a, b = fakes
+    below, at = blas.PARALLEL_WORK - 1, blas.PARALLEL_WORK
     with blas.task() as entry:
         assert entry == [{"library": a.library, "start": 2, "task": 1, "spectral": 2,
                           "raised": 0},
                          {"library": b.library, "start": 3, "task": 1, "spectral": 3,
                           "raised": 0}]
         assert (a.n, b.n) == (1, 1)
-        first, second = blas.spectral(blas.PARALLEL_WORK), blas.spectral(blas.PARALLEL_WORK)
-        first.__enter__()
-        assert (a.n, b.n) == (2, 3)
-        second.__enter__()
-        first.__exit__(None, None, None)
-        assert (a.n, b.n) == (2, 3)
-        second.__exit__(None, None, None)
-        assert (a.n, b.n) == (1, 1)
-    assert (a.n, b.n) == (2, 3)
-    assert [e["raised"] for e in entry] == [2, 2]
-
-
-def test_a_scope_below_the_rule_leaves_one_thread(fakes):
-    a, b = fakes
-    below, at = blas.PARALLEL_WORK - 1, blas.PARALLEL_WORK
-    with blas.task() as entry:
         with blas.spectral(below):
             assert (a.n, b.n) == (1, 1)
         # inside a raised scope: it neither raises nor lowers
@@ -146,18 +136,6 @@ def test_a_scope_below_the_rule_leaves_one_thread(fakes):
         assert (a.n, b.n) == (1, 1)
     assert [e["raised"] for e in entry] == [2, 2]
     assert (a.n, b.n) == (2, 3)
-
-
-def test_a_scope_left_open_past_its_task_changes_nothing_later(fakes):
-    a, _ = fakes
-    with blas.task():
-        left = blas.spectral(blas.PARALLEL_WORK)
-        left.__enter__()
-    assert a.n == 2
-    with blas.threads(5):
-        left.__exit__(None, None, None)
-        assert a.n == 5
-    assert a.n == 2
 
 
 def test_a_runtime_mapped_inside_a_task_joins_it(monkeypatch):
@@ -178,10 +156,10 @@ def test_a_runtime_mapped_inside_a_task_joins_it(monkeypatch):
         assert (a.n, late.n) == (1, 1)
         with blas.spectral(blas.PARALLEL_WORK):
             assert (a.n, late.n) == (2, 4)
-            mapped.append(later)
-            blas.adopt()            # inside a raised scope: at its own count
-            assert later.n == 5
-        assert (a.n, late.n, later.n) == (1, 1, 1)
+        assert (a.n, late.n) == (1, 1)
+        mapped.append(later)
+        blas.adopt()
+        assert later.n == 1
     assert (a.n, late.n, later.n) == (2, 4, 5)
     assert entry == [{"library": rt.library, "start": n, "task": 1, "spectral": n,
                       "raised": 1} for rt, n in ((a, 2), (late, 4), (later, 5))]
@@ -209,61 +187,98 @@ def test_the_blas_entry_is_no_record(tmp_path):
     assert reverify_report(str(tmp_path / "report_curvature.json"))
 
 
-def test_heat_spectral_work_runs_at_the_starting_count(monkeypatch):
-    # every heat scope at or above the rule
-    monkeypatch.setattr(blas, "PARALLEL_WORK", 0)
-    init, sweep, solve_spec, poincare = [], [], [], []
+def test_a_large_eigendecomposition_runs_at_the_starting_count(monkeypatch):
+    init, solve_spec, poincare = [], [], []
     spy(monkeypatch, heat, "laplacian_spectrum", init)
-    spy(monkeypatch, HeatOperator, "_synthesize", sweep)
     spy(monkeypatch, elliptic, "laplacian_spectrum", solve_spec)
     spy(monkeypatch, scipy.sparse.linalg, "eigsh", poincare)
+    # dense builds: 330^3 = 2^25.1 multiply-adds reaches the rule, 32^3 not
+    large, small = uniform_cycle(330), uniform_cycle(32)
+    assert small.n ** 3 < blas.PARALLEL_WORK <= large.n ** 3
     with blas.threads(2):
         start = counts()
-        for config in (CURVATURE, SOLVE, POINCARE):
+        one = (1,) * len(start)
+        with blas.task() as entry:
+            assert HeatOperator(large).mode == HeatOperator(small).mode == "dense"
+            assert counts() == one
+        for config in (SOLVE, POINCARE):
             assert run_config(config)[0]
         assert counts() == start
-    assert init and sweep and solve_spec and poincare
-    assert set(init) == set(sweep) == {start}
-    one = (1,) * len(start)
+    # each dense build decomposes one vertex and the space in one scope
+    assert init == [start, start, one, one]
+    assert [e["raised"] for e in entry] == [1] * len(start)
+    assert solve_spec and poincare
     assert set(solve_spec) == set(poincare) == {one}
 
 
 @pytest.mark.parametrize("make", [lambda: uniform_torus(8, 8), lambda: uniform_cycle(32)],
                          ids=["product", "dense"])
-def test_an_unfinished_sweep_steps_back_to_one_thread(make, monkeypatch):
+def test_a_sweep_inside_a_task_runs_on_one_thread(make, monkeypatch):
+    # even with every eigendecomposition raised, the sweeps stay on one thread
     monkeypatch.setattr(blas, "PARALLEL_WORK", 0)
+    seen = []
+    spy(monkeypatch, HeatOperator, "_synthesize", seen)
     X = make()
     F = np.random.default_rng(0).standard_normal((X.n, 3))
     with blas.threads(2):
-        with blas.task():
+        with blas.task() as entry:
             H = HeatOperator(X)
             one = counts()
+            assert one == (1,) * len(one)
             H.apply_batch(F, 0.5)           # closes its sweep after one time
             H.kernel(0.5, [0, 3])
-            assert counts() == one
             # a kernel column is a spectral sweep of its delta field
-            for sweep in (H.apply_grid(F, [0.1, 0.2]), H.kernel_grid(1, [0.1, 0.2])):
+            for sweep in (H.apply_grid(F, [0.1, 0.2]), H.kernel_grid(1, [0.1, 0.2]),
+                          H.kernel_grid([0, 5], [0.1, 0.2, 0.4])):
                 next(sweep)
-                assert counts() == (2,) * len(one)
+                assert counts() == one
                 sweep.close()
                 assert counts() == one
+            for _ in H.apply_grid(F, [0.1, 0.2, 0.4]):
+                assert counts() == one
+    assert seen and set(seen) == {one}
+    assert [e["raised"] for e in entry] == [1] * len(one)
 
 
 def test_outside_a_task_a_heat_sweep_keeps_the_callers_count(monkeypatch):
+    # four CPUs, so that a task would deal these blocks to workers
+    monkeypatch.setattr(heat.os, "sched_getaffinity", lambda pid: set(range(4)))
     seen = []
-    spy(monkeypatch, HeatOperator, "_synthesize", seen)
-    with blas.threads(1):
-        one = counts()
-        H = HeatOperator(uniform_torus(8, 8))
-        F = np.random.default_rng(1).standard_normal((64, 2))
-        for _ in H.apply_grid(F, [0.1, 0.4, 1.6]):
-            assert counts() == one
-        assert counts() == one
-    assert set(seen) == {one}
+    inner = HeatOperator._synthesize
+
+    def recorded(self, *args):
+        seen.append((counts(), threading.current_thread().name))
+        return inner(self, *args)
+
+    monkeypatch.setattr(HeatOperator, "_synthesize", recorded)
+    X = uniform_torus(64, 64)
+    width = heat._COLUMN_BLOCK // X.n
+    F = np.random.default_rng(1).standard_normal((X.n, 2 * width + 3))
+    H = HeatOperator(X)
+    try:
+        for start in (1, 2):
+            with blas.threads(start):
+                caller = counts()
+                for _ in H.apply_grid(F, [0.1, 0.4, 1.6]):
+                    assert counts() == caller
+                assert counts() == caller
+            outside, seen[:] = list(seen), []
+            # one block per time
+            assert {c for c, _ in outside} == {caller} and len(outside) == 3
+            assert not any(name.startswith("mmslab-chebyshev") for _, name in outside)
+        # inside a task three blocks per time, shared with the workers
+        with blas.task():
+            for _ in H.apply_grid(F, [0.1, 0.4, 1.6]):
+                pass
+        assert len(seen) == 9
+        assert any(name.startswith("mmslab-chebyshev") for _, name in seen)
+    finally:
+        if H._pool is not None:
+            H._pool.shutdown()
 
 
 def test_a_48_torus_runs_its_heat_work_on_one_thread(monkeypatch):
-    # every scope of curvature-t48 is below the rule (at most 2^23.5)
+    # no eigendecomposition of curvature-t48 reaches the rule (48^3 = 2^16.8)
     init, sweep = [], []
     spy(monkeypatch, heat, "laplacian_spectrum", init)
     spy(monkeypatch, HeatOperator, "_synthesize", sweep)
@@ -278,26 +293,38 @@ def test_a_48_torus_runs_its_heat_work_on_one_thread(monkeypatch):
     assert [e["raised"] for e in report["blas"]] == [0] * len(start)
 
 
-def test_a_wide_product_sweep_runs_at_the_starting_count_to_round_off(monkeypatch):
-    # 31 fields on the sqrt|x| grid at h = 1/64: 129^2 * 31 * 129 = 2^26.0
+def test_a_wide_product_sweep_has_the_same_bits_at_any_thread_count(monkeypatch):
+    # 31 fields on the sqrt|x| grid at h = 1/64, in blocks of
+    # `_COLUMN_BLOCK // n` = 3 columns
     X = weighted_grid_2d(((-1.0, 1.0), (-1.0, 1.0)), 1 / 64, "sqrt_abs_x")
     H = HeatOperator(X)
-    assert H.mode == "product" and X.n * 31 * 129 >= blas.PARALLEL_WORK
+    assert H.mode == "product"
     F = np.asfortranarray(np.random.default_rng(2).standard_normal((X.n, 31)))
     ts = [1 / 64 ** 2 / 4, 1 / 64 ** 2, 4 / 64 ** 2]
-    with blas.threads(1):
-        one = counts()
-        alone = [v.copy() for _, v in H.apply_grid(F, ts)]
-    seen = []
-    spy(monkeypatch, HeatOperator, "_synthesize", seen)
+
+    def sweep():
+        with blas.task():
+            return [v.copy() for _, v in H.apply_grid(F, ts)]
+
+    runs = []
+    for start in (1, 2):
+        with blas.threads(start):
+            runs.append(sweep())
     with blas.threads(2):
-        start = counts()
-        with blas.task() as entry:
-            shared = [v.copy() for _, v in H.apply_grid(F, ts)]
-            assert counts() == one
-    assert set(seen) == {start} and start != one
-    assert [e["raised"] for e in entry] == [1] * len(start)
-    # two threads round the GEMMs differently (measured: up to 2.0e-16 of the
-    # scale), so the outputs agree to round-off, not bit for bit
-    for a, b in zip(alone, shared):
-        assert np.max(np.abs(a - b)) <= 1e-15 * np.max(np.abs(a))
+        monkeypatch.setattr(H, "_block_workers", lambda blocks: (None, 0))
+        runs.append(sweep())
+        # more threads than cores, switching often: a block lost or written
+        # twice would show
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-6)
+            with ThreadPoolExecutor(3) as pool:
+                monkeypatch.setattr(H, "_block_workers",
+                                    lambda blocks: (pool, min(3, blocks - 1)))
+                runs.append(sweep())
+        finally:
+            sys.setswitchinterval(interval)
+    for outs in zip(*runs):
+        assert all(np.array_equal(outs[0], v) for v in outs[1:])
+    if H._pool is not None:
+        H._pool.shutdown()

@@ -16,7 +16,7 @@ from conftest import assert_markov_semigroup, close, connected_graphs, tabulated
 from mmslab import ConfigError, NumericalError
 from mmslab import heat, quad
 from mmslab import space as sp_mod
-from mmslab.cli import main
+from mmslab.cli import main, run_config
 from mmslab.form import carre_du_champ
 from mmslab.heat import build_heat, check_gaussian, check_heat_caccioppoli
 from mmslab.space import DENSE_CAP_DEFAULT, MetricMeasureSpace, _ball_masses
@@ -196,7 +196,9 @@ def test_dense_mode_keeps_the_spectral_formulas():
     for k, t in enumerate(ts):
         m = int(np.searchsorted(theta * t, heat.MODE_CUT, side="right"))
         want = ((coeff[:, 0, :m] * np.exp(-theta[:m] * t)) @ basis[:, :m].T).T
-        assert np.array_equal(D._synthesize(coeff, t), want)
+        rows = np.empty((F.shape[1], space.n))
+        D._synthesize(coeff, t, rows)
+        assert np.array_equal(rows.T, want)
         assert np.array_equal(D.apply_batch(F, t), want)
         assert np.array_equal(grid[k][1], want)
         cols = D.apply_batch(D._delta(xs), t)
@@ -653,6 +655,24 @@ def test_gaussian_ball_masses_match_the_per_pair_reference():
     shuffled = t_grid[[3, 0, 4, 1, 2]]
     fit = check_gaussian(H, shuffled, 40, R=6.0, seed=3)
     assert (fit.C, fit.C1, fit.C2) == gaussian_reference(H, shuffled, 40, 6.0, seed=3)
+
+
+@pytest.mark.parametrize("space", [{"family": "torus", "n1": 128, "n2": 128},
+                                   {"family": "grid", "dim": 2, "h": 1 / 64}],
+                         ids=["torus128", "grid64"])
+def test_gaussian_leaves_out_kernel_values_at_round_off(space, monkeypatch):
+    # the default task at seed 3 samples pairs whose kernel lies below double
+    # round-off of its column (on the torus, 31 steps apart at t = 4); they
+    # raised "nonpositive kernel value"
+    config = {"space": space, "task": "gaussian", "seed": 3}
+    passed, report, _ = run_config(config)
+    fit = report["records"][0]["report"]
+    assert passed and fit["violations"] == 0
+    # a few of the 8 x 200 samples
+    assert 0 < fit["skipped"] < fit["pair_sample"]
+    monkeypatch.setattr(heat, "GAUSSIAN_FLOOR", 2.0)
+    with pytest.raises(NumericalError, match="round-off"):
+        run_config(config)
 
 
 def test_gaussian_rejects_subscale_times(torus16):
