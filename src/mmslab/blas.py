@@ -14,8 +14,8 @@ The one exception is `spectral`, the scope of an eigendecomposition in
 `HeatOperator.__init__`: LAPACK cannot be split by the caller, so a scope
 whose n^3 reaches `PARALLEL_WORK` = 2^25 multiply-adds runs at the counts
 the task found.  The scope is synchronous and never nests.  Every other
-piece of heat work is split by the heat layer itself, over column blocks
-that its own worker threads share (`one_thread` tells it when it may).
+piece of heat work is split by the heat layer itself, over blocks that
+its own worker threads share (`one_thread` tells it when it may).
 scipy's runtime is mapped only when the package first imports scipy's
 sparse solvers, at call time and perhaps inside a task; `adopt`, called
 where ARPACK and SuperLU run, brings it into the open task.  Nothing here

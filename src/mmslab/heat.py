@@ -13,15 +13,15 @@ paths:
   eigendecomposition (`space.laplacian_spectrum`).  The path works column
   by column (fast diagonalization: Lynch, Rice and Thomas, Numer. Math. 6,
   1964): column c of the stack is an (nx, ny) matrix F_c, its coefficients
-  are (bx mu_x)^T F_c (by mu_y), stored column first as (w, nx, ny)
-  arrays, one per block of w columns, and each time is, per block, one
-  batched product along x over the w columns and one plain
-  (w nx, ky) x (ky, ny) product along y, keeping only the modes with
-  theta t <= `MODE_CUT` on each axis and putting e^{-theta_y t} on the
-  smaller operand of the second product.  Nothing of size n x n beyond a
-  dense basis and no transposed copy is formed; a column-major stack is
-  read in place, and each (n, k) output is a column-major
-  (Fortran-ordered) view of one (k, n) buffer that the blocks write into.
+  are (bx mu_x)^T F_c (by mu_y), stored column first as one (k, nx, ny)
+  array, and each time is, per block of w columns, one batched product
+  along x over the w columns and one plain (w nx, ky) x (ky, ny) product
+  along y, keeping only the modes with theta t <= `MODE_CUT` on each axis
+  and putting e^{-theta_y t} on the smaller operand of the second
+  product.  Nothing of size n x n beyond a dense basis and no transposed
+  copy is formed; a column-major stack is read in place, and each (n, k)
+  output is a column-major (Fortran-ordered) view of one (k, n) buffer
+  that the blocks write into.
 * stepping: for other spaces past the dense cap, a Chebyshev expansion of
   e^{tA} in the shifted generator X = (2/lam)(-A) - I, whose spectrum lies
   in [-1, 1] for the edge-wise bound lam = max over edges {i, j} of
@@ -34,18 +34,18 @@ paths:
   groups whose outputs fit about 4 MB, one recurrence per group, each group
   starting from the previous group's last output.
 
-Both paths cut the stack into blocks of `_COLUMN_BLOCK // n` columns
-(about 512 KB a block) and deal them round-robin to the calling thread
-and up to one worker thread per further CPU (`_deal`); a block does the
-same arithmetic on any thread, so the bits do not depend on the worker
-count.  These workers are the package's one parallel mechanism.  The
-spectral path cuts its stack only inside an `mmslab run` task
-(`blas.one_thread`), where OpenBLAS runs one thread.  Outside one the
-caller owns the BLAS threads, and the whole stack is one block on the
-calling thread: those threads already split each call, and workers on
-top of them only multiply the threads (a 30-field h = 1/64 sweep of 8
-times at two BLAS threads on 2 cores read 0.053-0.056 s dealt against
-0.056 s as one block).
+Both paths cut their work into fixed blocks and deal them round-robin to
+the calling thread and up to one worker thread per further CPU (`_deal`):
+stepping and a product cut the stack into blocks of `_COLUMN_BLOCK // n`
+columns (about 512 KB); a dense sweep, whose n x n basis each block of
+fields would read whole, cuts its vertices in two halves once a time's
+k n^2 multiply-adds reach `blas.PARALLEL_WORK`.  A block does the same
+arithmetic on any thread, so the bits do not depend on the worker count.
+These workers are the package's one parallel mechanism.  The spectral
+path deals its blocks only inside an `mmslab run` task (`blas.one_thread`),
+where OpenBLAS runs one thread; outside one they run on the calling
+thread, whose BLAS threads split each call and which workers would only
+oversubscribe (README, "One thread pool for every heat sweep").
 
 Every action is one time of `apply_grid` and every kernel column one time
 of `kernel_grid`, the clamped action on 1_x/mu_x in every realization;
@@ -247,11 +247,10 @@ class HeatOperator:
         """Yield (t, T_t F) for an ascending nonnegative time grid.
 
         The spectral path takes the coefficients of F once and synthesizes
-        each time from them, inside a task in blocks of
-        `_COLUMN_BLOCK // n` columns dealt by `_deal`, outside one in a
-        single block on the calling thread; each block writes its rows of
-        one (k, n) buffer per time, yielded as the (n, k) column-major
-        (Fortran-ordered) view.  A column-major F is read without copying
+        each time from them, in the blocks of the module docstring, dealt
+        by `_deal` inside a task and run on the calling thread outside
+        one; each block writes its part of one (k, n) buffer per time,
+        yielded as the (n, k) column-major (Fortran-ordered) view.  A column-major F is read without copying
         it.  Stepping mode splits the grid into consecutive groups whose
         outputs fit `_GRID_BLOCK` doubles and runs one Chebyshev recurrence
         per group, from the previous group's last output.  That output is
@@ -277,30 +276,29 @@ class HeatOperator:
             n = self.space.n
             shape, cols, F = F.shape, F.reshape(n, -1), None
             k = cols.shape[1]
-            # inside a task OpenBLAS runs one thread, and the workers share
-            # blocks of the stepping width; outside one the caller's BLAS
-            # threads split the calls of a single block (module docstring)
-            width = max(1, _COLUMN_BLOCK // n if blas.one_thread() else k)
-            starts = range(0, k, width)
-            coeff = [None] * len(starts)
-
-            def coefficients(j):
-                coeff[j // width] = self._coefficients(cols[:, j:j + width])
-
-            self._deal(coefficients, starts)
+            if self._weighted[0].shape[0] > 1:
+                w = max(1, _COLUMN_BLOCK // n)
+                parts = [(slice(j, j + w), slice(None)) for j in range(0, k, w)]
+            else:
+                # a dense basis is n x n: vertex (and mode) halves of every field
+                w = n if k * n * n < blas.PARALLEL_WORK else -(-n // 2)
+                parts = [(slice(None), slice(j, j + w)) for j in range(0, n, w)]
+            dealt = blas.one_thread()       # module docstring
+            C = np.empty((k,) + tuple(wt.shape[0] for wt in self._weighted))
+            self._deal(lambda p: self._coefficients(cols[:, p[0]], p[1], C[p[0], :, p[1]]),
+                       parts, dealt)
             cols = None
             for t in ts:
                 rows = np.empty((k, n))
-                self._deal(lambda j: self._synthesize(coeff[j // width], t,
-                                                      rows[j:j + width]),
-                           starts)
+                self._deal(lambda p: self._synthesize(C[p[0]], t, rows[p], p[1]),
+                           parts, dealt)
                 yield float(t), rows.T.reshape(shape)
 
-    def _coefficients(self, F) -> np.ndarray:
+    def _coefficients(self, F, modes=slice(None), out=None) -> np.ndarray:
         """Spectral coefficients of a field or (n, k) stack on X x Y (on a
         dense space, one vertex times the space), column first:
         C[c] = (bx mu_x)^T F_c (by mu_y), with F_c the (nx, ny) matrix of
-        column c, as one (k, nx, ny) array.
+        column c, as one (k, nx, ny) array (its y `modes` into `out`).
 
         A column-major stack is read in place; any other is copied once into
         that layout.
@@ -308,17 +306,17 @@ class HeatOperator:
         wx, wy = self._weighted
         nx, ny = wx.shape[0], wy.shape[0]
         cols = np.ascontiguousarray(F.reshape(nx * ny, -1).T)
-        along_y = cols.reshape(-1, ny) @ wy
+        along_y = cols.reshape(-1, ny) @ wy[:, modes]
         del cols
-        return np.matmul(wx.T, along_y.reshape(-1, nx, ny))
+        return np.matmul(wx.T, along_y.reshape(-1, nx, along_y.shape[1]), out=out)
 
-    def _synthesize(self, C, t: float, out):
+    def _synthesize(self, C, t: float, out, ys=slice(None)):
         """Write the fields bx e^{-theta_x t} C[c] (by e^{-theta_y t})^T of
-        a block of w column-first coefficients into the rows of `out`, a
-        C-contiguous (w, n) array.
+        a block of w column-first coefficients at the y vertices `ys` into
+        `out`, a (w, nx |ys|) array of unit stride along a row.
 
         One batched product of the x factor over the w columns, then one
-        plain (w nx, ky) x (ky, ny) product along y written straight into
+        plain (w nx, ky) x (ky, |ys|) product along y written straight into
         `out`, with e^{-theta_y t} on its smaller operand; nothing of size
         n x n and no transposed copy is formed.
 
@@ -338,16 +336,17 @@ class HeatOperator:
         along_x = np.matmul(bx[:, :kx] * np.exp(-tx[:kx] * t),
                             C[:, :kx, :ky]).reshape(-1, ky)
         scale = np.exp(-ty[:ky] * t)
-        rows = out.reshape(along_x.shape[0], -1)        # a view: (w nx, ny)
+        by = by[ys, :ky]
+        rows = out.reshape(along_x.shape[0], -1)        # a view: (w nx, |ys|)
         # the diagonal goes on the smaller operand, the w nx rows of along_x
-        # or the ny rows of by: on a 2401-vertex dense space (nx = 1),
+        # or the |ys| rows of by: on a 2401-vertex dense space (nx = 1),
         # scaling the basis took 2-3 times as long for a 16-time grid of 60
         # columns, and 8 times for a heat-Caccioppoli quadrature (one kernel
         # column per node)
         if along_x.shape[0] < by.shape[0]:
-            np.matmul(along_x * scale, by[:, :ky].T, out=rows)
+            np.matmul(along_x * scale, by.T, out=rows)
         else:
-            np.matmul(along_x, (by[:, :ky] * scale).T, out=rows)
+            np.matmul(along_x, (by * scale).T, out=rows)
 
     def _shifted_generator(self):
         """2X = 2((2/lam)(-A) - I) in CSR, built on first use."""
@@ -431,25 +430,26 @@ class HeatOperator:
         self._deal(block, starts)
         return [out.reshape(F.shape) for out in outs]
 
-    def _deal(self, block, starts):
-        """block(j) for every j in `starts`, dealt round-robin to the
-        calling thread and `_block_workers` threads.
+    def _deal(self, block, parts, workers=True):
+        """block(p) for every p in `parts`, dealt round-robin to the
+        calling thread and `_block_workers` threads (without `workers`, all
+        on the calling thread).
 
         A block's arithmetic does not depend on the thread that runs it, so
         the results are the same bits with or without workers.  Every
         worker's share is finished, and its exception raised, before this
         returns.
         """
-        pool, count = self._block_workers(len(starts))
+        pool, count = self._block_workers(len(parts)) if workers else (None, 0)
 
-        def run(part):
-            for j in part:
-                block(j)
+        def run(share):
+            for p in share:
+                block(p)
 
-        futures = [pool.submit(run, starts[p::count + 1])
-                   for p in range(1, count + 1)]
+        futures = [pool.submit(run, parts[i::count + 1])
+                   for i in range(1, count + 1)]
         try:
-            run(starts[::count + 1])
+            run(parts[::count + 1])
         finally:
             for fut in futures:
                 fut.result()
@@ -524,14 +524,15 @@ def check_gaussian(H: HeatOperator, t_grid, pair_count: int, R: float,
     A central decay constant comes from least squares on
     log(p * mu(B(x,sqrt(t)))) against -d^2/t; the envelopes use
     C1 = bracket * C0 and C2 = C0 / bracket, and C is then the smallest
-    constant making both bounds hold at every sample (so the reported
+    constant making both bounds hold at every kept sample (so the reported
     violation count is zero by construction and re-verified).
 
     Pairs are sampled with h <= d(x, y) < R; the grid must satisfy
     h^2 <= t <= R^2 (below mesh scale the discrete kernel is not Gaussian).
-    A sample whose kernel value is at or below `GAUSSIAN_FLOOR` times its
-    column's maximum is round-off, not a kernel value: it is left out of
-    the fit and counted in `skipped`.  With no sample left the fit raises.
+    A sample, one (time, pair) of the len(t_grid) * `pair_sample`, whose
+    kernel value is at or below `GAUSSIAN_FLOOR` times its column's maximum
+    is round-off, not a kernel value: it is left out of the fit and counted
+    in `skipped`.  With no sample left the fit raises.
     """
     space = H.space
     h = space.min_edge_length

@@ -69,8 +69,8 @@ class GaussianFit:
     C2: float               # decay constant of the lower envelope
     violations: int
     t_range: tuple
-    pair_sample: int
-    skipped: int            # samples at round-off, left out of the fit
+    pair_sample: int        # pairs sampled
+    skipped: int            # (time, pair) samples at round-off, not fitted
 
 
 @dataclass

@@ -241,7 +241,7 @@ def test_a_sweep_inside_a_task_runs_on_one_thread(make, monkeypatch):
 
 
 def test_outside_a_task_a_heat_sweep_keeps_the_callers_count(monkeypatch):
-    # four CPUs, so that a task would deal these blocks to workers
+    # four CPUs, so that a task deals these blocks to workers
     monkeypatch.setattr(heat.os, "sched_getaffinity", lambda pid: set(range(4)))
     seen = []
     inner = HeatOperator._synthesize
@@ -254,24 +254,29 @@ def test_outside_a_task_a_heat_sweep_keeps_the_callers_count(monkeypatch):
     X = uniform_torus(64, 64)
     width = heat._COLUMN_BLOCK // X.n
     F = np.random.default_rng(1).standard_normal((X.n, 2 * width + 3))
+    ts = [0.1, 0.4, 1.6]
     H = HeatOperator(X)
     try:
+        outside = {}
         for start in (1, 2):
             with blas.threads(start):
                 caller = counts()
-                for _ in H.apply_grid(F, [0.1, 0.4, 1.6]):
+                outside[start] = []
+                for _, out in H.apply_grid(F, ts):
                     assert counts() == caller
+                    outside[start].append(out.copy())
                 assert counts() == caller
-            outside, seen[:] = list(seen), []
-            # one block per time
-            assert {c for c, _ in outside} == {caller} and len(outside) == 3
-            assert not any(name.startswith("mmslab-chebyshev") for _, name in outside)
-        # inside a task three blocks per time, shared with the workers
+            # a task's three blocks per time, all on the calling thread
+            assert {c for c, _ in seen} == {caller} and len(seen) == 9
+            assert not any(name.startswith("mmslab-chebyshev") for _, name in seen)
+            seen[:] = []
+        # inside a task the same blocks, shared with the workers: at one
+        # BLAS thread the same bits
         with blas.task():
-            for _ in H.apply_grid(F, [0.1, 0.4, 1.6]):
-                pass
+            inside = [out.copy() for _, out in H.apply_grid(F, ts)]
         assert len(seen) == 9
         assert any(name.startswith("mmslab-chebyshev") for _, name in seen)
+        assert all(np.array_equal(a, b) for a, b in zip(outside[1], inside))
     finally:
         if H._pool is not None:
             H._pool.shutdown()
@@ -293,15 +298,9 @@ def test_a_48_torus_runs_its_heat_work_on_one_thread(monkeypatch):
     assert [e["raised"] for e in report["blas"]] == [0] * len(start)
 
 
-def test_a_wide_product_sweep_has_the_same_bits_at_any_thread_count(monkeypatch):
-    # 31 fields on the sqrt|x| grid at h = 1/64, in blocks of
-    # `_COLUMN_BLOCK // n` = 3 columns
-    X = weighted_grid_2d(((-1.0, 1.0), (-1.0, 1.0)), 1 / 64, "sqrt_abs_x")
-    H = HeatOperator(X)
-    assert H.mode == "product"
-    F = np.asfortranarray(np.random.default_rng(2).standard_normal((X.n, 31)))
-    ts = [1 / 64 ** 2 / 4, 1 / 64 ** 2, 4 / 64 ** 2]
-
+def same_bits_at_any_thread_count(H, F, ts, monkeypatch):
+    """The outputs of `H.apply_grid(F, ts)` in a task at BLAS start counts
+    1 and 2, without workers and with three of them, equal by `==`."""
     def sweep():
         with blas.task():
             return [v.copy() for _, v in H.apply_grid(F, ts)]
@@ -328,3 +327,44 @@ def test_a_wide_product_sweep_has_the_same_bits_at_any_thread_count(monkeypatch)
         assert all(np.array_equal(outs[0], v) for v in outs[1:])
     if H._pool is not None:
         H._pool.shutdown()
+    return runs[0]
+
+
+def test_a_wide_product_sweep_has_the_same_bits_at_any_thread_count(monkeypatch):
+    # 31 fields on the sqrt|x| grid at h = 1/64, in blocks of
+    # `_COLUMN_BLOCK // n` = 3 columns
+    X = weighted_grid_2d(((-1.0, 1.0), (-1.0, 1.0)), 1 / 64, "sqrt_abs_x")
+    H = HeatOperator(X)
+    assert H.mode == "product"
+    F = np.asfortranarray(np.random.default_rng(2).standard_normal((X.n, 31)))
+    same_bits_at_any_thread_count(H, F, [1 / 64 ** 2 / 4, 1 / 64 ** 2, 4 / 64 ** 2],
+                                  monkeypatch)
+
+
+def test_a_large_dense_sweep_has_the_same_bits_at_any_thread_count(monkeypatch):
+    # 32 fields on a 1024-cycle: 32 * 1024^2 = PARALLEL_WORK multiply-adds a
+    # time, so every field in two halves of the vertices
+    X = uniform_cycle(1024)
+    F = np.random.default_rng(3).standard_normal((X.n, 32))
+    assert F.shape[1] * X.n ** 2 >= blas.PARALLEL_WORK
+    with blas.task():
+        H = HeatOperator(X)
+    assert H.mode == "dense"
+    ts = [0.5, 2.0, 8.0]
+    parts = []
+    inner = HeatOperator._synthesize
+
+    def recorded(self, C, t, out, ys=slice(None)):
+        parts.append(out.shape)
+        return inner(self, C, t, out, ys)
+
+    monkeypatch.setattr(HeatOperator, "_synthesize", recorded)
+    split = same_bits_at_any_thread_count(H, F, ts, monkeypatch)
+    assert parts[:6] == [(32, 512)] * 6
+    # one block of every vertex agrees to round-off
+    monkeypatch.setattr(blas, "PARALLEL_WORK", np.inf)
+    with blas.task():
+        whole = [v.copy() for _, v in H.apply_grid(F, ts)]
+    assert parts[-3:] == [(32, 1024)] * 3
+    for a, b in zip(split, whole):
+        assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(b))
