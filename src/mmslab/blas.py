@@ -1,4 +1,4 @@
-"""OpenBLAS thread counts: the BLAS threads of a task, and where they pay.
+"""OpenBLAS thread counts: one BLAS thread for the whole of a task.
 
 numpy and scipy each load their own OpenBLAS runtime: numpy's
 ``libscipy_openblas64_-*.so`` and scipy's ``libscipy_openblas-*.so``, which
@@ -10,29 +10,13 @@ busy-waits for about 0.13 s before it sleeps (a 0.3 s sleep after one
 `threads` sets every runtime found in the process and restores the previous
 counts on exit.  `task` is the scope `cli.run_config` runs a task in: every
 runtime on one thread for the whole task, and the counts it found kept.
-The one exception is `spectral`, the scope of an eigendecomposition in
-`HeatOperator.__init__`: LAPACK cannot be split by the caller, so a scope
-whose n^3 reaches `PARALLEL_WORK` = 2^25 multiply-adds runs at the counts
-the task found.  The scope is synchronous and never nests.  Every other
-piece of heat work is split by the heat layer itself, over blocks that
-its own worker threads share (`one_thread` tells it when it may).
+Heat work is split by the heat layer itself, over blocks that its own
+worker threads share (`one_thread` tells it when it may): the sweeps' column
+blocks and the two factor eigendecompositions of a heat build.
 scipy's runtime is mapped only when the package first imports scipy's
 sparse solvers, at call time and perhaps inside a task; `adopt`, called
 where ARPACK and SuperLU run, brings it into the open task.  Nothing here
 runs at import, and no environment variable is read or written.
-
-The rule by size.  Median times of numpy's divide-and-conquer `eigh` on one
-and two threads (2-core Xeon shared with other jobs; three alternating
-rounds of 5 calls):
-
-    n      work    1 thread   2 threads
-    129    2^21.0  2.02 ms    1.98 ms
-    257    2^24.0  7.49 ms    7.40 ms
-    513    2^27.0  41.33 ms   32.19 ms
-
-Below 2^25 the second thread saves nothing and its spin after the call
-costs about 0.13 s of CPU; a dense build of 2401 vertices takes 2.86 s on
-one thread against 1.77 s on two.
 """
 
 from __future__ import annotations
@@ -115,20 +99,14 @@ class _Task:
     def __init__(self, found):
         self.found = found          # [(runtime, count found)], restored by `threads`
         self.entry = [_entry(rt, n) for rt, n in found]
-        self.raised = 0             # spectral scopes raised so far
 
 
 def _entry(rt: Runtime, n: int) -> dict:
-    return {"library": rt.library, "start": n, "task": 1, "spectral": n, "raised": 0}
+    return {"library": rt.library, "start": n, "task": 1}
 
 
 # the task scope open in this process: OpenBLAS counts are process-wide
 _current = None
-
-PARALLEL_WORK = 2 ** 25
-"""Multiply-adds of an eigendecomposition (n^3) from which its `spectral`
-scope runs at the task's starting count (the table in the module
-docstring)."""
 
 
 @contextlib.contextmanager
@@ -136,8 +114,7 @@ def task():
     """One task: every runtime on one thread, back to its count on exit.
 
     Yields the report entry: per runtime, its library file, the count it
-    started at, the count the task runs at, the count of `spectral` and,
-    filled in on exit, how many of the task's `spectral` scopes ran at it.
+    started at and the count the task runs at.
     """
     global _current
     outer = _current
@@ -147,8 +124,6 @@ def task():
             yield scope.entry
         finally:
             _current = outer
-            for runtime in scope.entry:
-                runtime["raised"] = scope.raised
 
 
 def one_thread() -> bool:
@@ -170,25 +145,4 @@ def adopt():
             n = rt.get()
             scope.found.append((rt, n))
             scope.entry.append(_entry(rt, n))
-            rt.set(1)
-
-
-@contextlib.contextmanager
-def spectral(work: int):
-    """Inside a task, every runtime back at the count the task found while
-    one eigendecomposition of `work` = n^3 multiply-adds runs, when `work`
-    reaches `PARALLEL_WORK`, and on one thread again after it.  The scope
-    is synchronous and does not nest.  A smaller scope, or any scope
-    outside a task, changes nothing."""
-    scope = _current
-    if scope is None or work < PARALLEL_WORK:
-        yield
-        return
-    for rt, n in scope.found:
-        rt.set(n)
-    scope.raised += 1
-    try:
-        yield
-    finally:
-        for rt, _ in scope.found:
             rt.set(1)

@@ -492,7 +492,7 @@ def run_config(config: dict, out_dir=None, seed=None):
     if task != "counterexample" and "space" not in config:
         raise ConfigError(f"task {task!r} needs a space")
 
-    # one BLAS thread, except in a large eigendecomposition (`blas`)
+    # every BLAS runtime on one thread for the whole task (`blas`)
     with blas.task() as threads:
         space = None if task == "counterexample" else build_space(config["space"])
         records, csv_rows = _TASKS[task][0](space, params, seed)

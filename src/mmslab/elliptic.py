@@ -194,7 +194,7 @@ def _certify_positive_definite(problem: Problem, A, Wd):
 def cg(A, b, **kwargs):
     """scipy's conjugate gradients, imported at call time.  `_cg_solve` calls
     it by this module-level name because perfbench's tracer rebinds it to
-    count iterations; it goes with the benchmark change of ROADMAP item 2,
+    count iterations; it goes with the benchmark change of ROADMAP item 3,
     once the tracer stops rebinding names."""
     from scipy.sparse.linalg import cg
     return cg(A, b, **kwargs)

@@ -22,7 +22,7 @@ paths:
   copy is formed; a column-major stack is read in place, and each (n, k)
   output is a column-major (Fortran-ordered) view of one (k, n) buffer
   that the blocks write into.
-* stepping: for other spaces past the dense cap, a Chebyshev expansion of
+* stepping: for other spaces past `AUTO_DENSE_CAP`, a Chebyshev expansion of
   e^{tA} in the shifted generator X = (2/lam)(-A) - I, whose spectrum lies
   in [-1, 1] for the edge-wise bound lam = max over edges {i, j} of
   D_i + D_j, D = degree/mu (Anderson and Morley).  The Bessel coefficients
@@ -34,18 +34,16 @@ paths:
   groups whose outputs fit about 4 MB, one recurrence per group, each group
   starting from the previous group's last output.
 
-Both paths cut their work into fixed blocks and deal them round-robin to
-the calling thread and up to one worker thread per further CPU (`_deal`):
-stepping and a product cut the stack into blocks of `_COLUMN_BLOCK // n`
-columns (about 512 KB); a dense sweep, whose n x n basis each block of
-fields would read whole, cuts its vertices in two halves once a time's
-k n^2 multiply-adds reach `blas.PARALLEL_WORK`.  A block does the same
-arithmetic on any thread, so the bits do not depend on the worker count.
-These workers are the package's one parallel mechanism.  The spectral
-path deals its blocks only inside an `mmslab run` task (`blas.one_thread`),
-where OpenBLAS runs one thread; outside one they run on the calling
-thread, whose BLAS threads split each call and which workers would only
-oversubscribe (README, "One thread pool for every heat sweep").
+Both paths cut the stack into blocks of `_COLUMN_BLOCK // n` columns
+(about 512 KB) and deal them round-robin to the calling thread and up to
+one worker thread per further CPU (`_deal`); a spectral build deals its two
+factor eigendecompositions the same way.  A block does the same arithmetic
+on any thread, so the bits do not depend on the worker count.  These
+workers are the package's one parallel mechanism.  The spectral path deals
+its blocks and factors only inside an `mmslab run` task
+(`blas.one_thread`), where OpenBLAS runs one thread; outside one they run
+on the calling thread, whose BLAS threads split each call and which workers
+would only oversubscribe (README, "One thread pool for every heat sweep").
 
 Every action is one time of `apply_grid` and every kernel column one time
 of `kernel_grid`, the clamped action on 1_x/mu_x in every realization;
@@ -63,11 +61,7 @@ spinning on the cores the other needs; divide and conquer also gives
 eigenvectors that are orthonormal to a few ulp, where scipy's default MRRR
 left errors of 2.7e-13 on the sqrt|x| factors at h = 1/64 (Demmel, Marques,
 Parlett and Voemel, SIAM J. Sci. Comput. 30, 2008).  An `mmslab run` task
-runs on one BLAS thread.  Only the eigendecompositions step back out to the
-count the task found (`blas.spectral`), when the largest factor's n^3
-reaches `blas.PARALLEL_WORK` = 2^25 multiply-adds: LAPACK cannot be split
-by the caller, and a dense build of 2401 vertices took 2.86 s on one thread
-against 1.77 s on two.  A 48 x 48 torus's factors stay on one thread.
+runs all of its heat work, eigendecompositions included, on one BLAS thread.
 
 Kernel conventions: T_t f(x) = sum_y p(t, x, y) f(y) mu_y, with
 p(t, x, y) = p(t, y, x) >= 0 and sum_y p(t, x, y) mu_y = 1 (the semigroup
@@ -98,8 +92,13 @@ from .space import (DENSE_CAP_DEFAULT, MetricMeasureSpace, _ball_masses,
 # The Chebyshev series stops where the tail sum of |c_k| (the whole sum is 1)
 # drops below this.
 CHEB_TAIL = 2.0 ** -60
-# Columns per block of the Chebyshev recurrence: about 2**16 doubles (512 KB).
+# Columns per block of a heat sweep: about 2**16 doubles (512 KB).
 _COLUMN_BLOCK = 2 ** 16
+# "auto" realizes a space that `product_pays` turns down densely up to this
+# many vertices and by stepping above: past about 1000 vertices a dense build
+# costs more than a stepping task (tabulated h = 1/20, n = 1681: curvature
+# task 1.05 s dense against 0.48 s stepping, 2 cores).
+AUTO_DENSE_CAP = 1024
 # Outputs of one stepping recurrence over a time grid: about 2**19 doubles
 # (4 MB), or a single output when that alone is larger.
 _GRID_BLOCK = 2 ** 19
@@ -162,10 +161,12 @@ class HeatOperator:
         "auto" picks product on a Cartesian-product space whose factors fit
         the dense cap and are no more than `space.PRODUCT_MAX_ASPECT` times
         apart in size (`space.product_pays`), else dense-spectral up to
-        `space.DENSE_CAP_DEFAULT` vertices, else stepping.  The product
-        realization is reached only through "auto".  A dense space is
-        realized as the product of one vertex and itself, so dense and
-        product share one spectral path.
+        `AUTO_DENSE_CAP` vertices, else stepping.  "dense" is accepted up to
+        `space.DENSE_CAP_DEFAULT` vertices, as a cross-check of the other
+        two.  The product realization is reached only through "auto".  A
+        dense space is realized as the product of one vertex and itself, so
+        dense and product share one spectral path, whose two factor
+        eigendecompositions `_deal` shares out like a sweep's blocks.
     """
 
     def __init__(self, space: MetricMeasureSpace, mode="auto"):
@@ -175,7 +176,7 @@ class HeatOperator:
             if product_pays(space.factors):
                 mode = "product"
             else:
-                mode = "dense" if n <= DENSE_CAP_DEFAULT else "stepping"
+                mode = "dense" if n <= AUTO_DENSE_CAP else "stepping"
         elif mode not in ("dense", "stepping"):
             raise ConfigError(f"unknown heat mode {mode!r}")
         if mode == "dense" and n > DENSE_CAP_DEFAULT:
@@ -199,10 +200,13 @@ class HeatOperator:
             # [[1]], mu = [1]) and itself
             spaces = (space.factors if mode == "product"
                       else (MetricMeasureSpace([1.0], []), space))
-            # the work of the largest eigendecomposition, n^3
-            with blas.spectral(max(X.n for X in spaces) ** 3):
-                self._factors = [(np.clip(w, 0.0, None), V)
-                                 for w, V in map(laplacian_spectrum, spaces)]
+            self._factors = [None, None]
+
+            def decompose(i):
+                w, V = laplacian_spectrum(spaces[i])
+                self._factors[i] = (np.clip(w, 0.0, None), V)
+
+            self._deal(decompose, [0, 1], blas.one_thread())    # module docstring
             # basis^T M on a product is (bx mu_x)^T (x) (by mu_y)^T
             self._weighted = [V * X.mu[:, None]
                               for (_, V), X in zip(self._factors, spaces)]
@@ -247,16 +251,17 @@ class HeatOperator:
         """Yield (t, T_t F) for an ascending nonnegative time grid.
 
         The spectral path takes the coefficients of F once and synthesizes
-        each time from them, in the blocks of the module docstring, dealt
-        by `_deal` inside a task and run on the calling thread outside
-        one; each block writes its part of one (k, n) buffer per time,
-        yielded as the (n, k) column-major (Fortran-ordered) view.  A column-major F is read without copying
-        it.  Stepping mode splits the grid into consecutive groups whose
-        outputs fit `_GRID_BLOCK` doubles and runs one Chebyshev recurrence
-        per group, from the previous group's last output.  That output is
-        the start of the next group, so callers must not modify a yielded
-        array in place.  Neither path holds F past its coefficients or its
-        first group, so a caller that drops F frees it then.
+        each time from them, in the column blocks of the module docstring,
+        dealt by `_deal` inside a task and run on the calling thread
+        outside one; each block writes its columns of one (k, n) buffer per
+        time, yielded as the (n, k) column-major (Fortran-ordered) view.  A
+        column-major F is read without copying it.  Stepping mode splits
+        the grid into consecutive groups whose outputs fit `_GRID_BLOCK`
+        doubles and runs one Chebyshev recurrence per group, from the
+        previous group's last output.  That output is the start of the next
+        group, so callers must not modify a yielded array in place.  Neither
+        path holds F past its coefficients or its first group, so a caller
+        that drops F frees it then.
         """
         ts = _time_grid(ts)
         F = np.asarray(F, dtype=float)
@@ -276,29 +281,22 @@ class HeatOperator:
             n = self.space.n
             shape, cols, F = F.shape, F.reshape(n, -1), None
             k = cols.shape[1]
-            if self._weighted[0].shape[0] > 1:
-                w = max(1, _COLUMN_BLOCK // n)
-                parts = [(slice(j, j + w), slice(None)) for j in range(0, k, w)]
-            else:
-                # a dense basis is n x n: vertex (and mode) halves of every field
-                w = n if k * n * n < blas.PARALLEL_WORK else -(-n // 2)
-                parts = [(slice(None), slice(j, j + w)) for j in range(0, n, w)]
+            w = max(1, _COLUMN_BLOCK // n)
+            parts = [slice(j, j + w) for j in range(0, k, w)]
             dealt = blas.one_thread()       # module docstring
             C = np.empty((k,) + tuple(wt.shape[0] for wt in self._weighted))
-            self._deal(lambda p: self._coefficients(cols[:, p[0]], p[1], C[p[0], :, p[1]]),
-                       parts, dealt)
+            self._deal(lambda p: self._coefficients(cols[:, p], C[p]), parts, dealt)
             cols = None
             for t in ts:
                 rows = np.empty((k, n))
-                self._deal(lambda p: self._synthesize(C[p[0]], t, rows[p], p[1]),
-                           parts, dealt)
+                self._deal(lambda p: self._synthesize(C[p], t, rows[p]), parts, dealt)
                 yield float(t), rows.T.reshape(shape)
 
-    def _coefficients(self, F, modes=slice(None), out=None) -> np.ndarray:
+    def _coefficients(self, F, out=None) -> np.ndarray:
         """Spectral coefficients of a field or (n, k) stack on X x Y (on a
         dense space, one vertex times the space), column first:
         C[c] = (bx mu_x)^T F_c (by mu_y), with F_c the (nx, ny) matrix of
-        column c, as one (k, nx, ny) array (its y `modes` into `out`).
+        column c, as one (k, nx, ny) array (into `out` when given).
 
         A column-major stack is read in place; any other is copied once into
         that layout.
@@ -306,17 +304,17 @@ class HeatOperator:
         wx, wy = self._weighted
         nx, ny = wx.shape[0], wy.shape[0]
         cols = np.ascontiguousarray(F.reshape(nx * ny, -1).T)
-        along_y = cols.reshape(-1, ny) @ wy[:, modes]
+        along_y = cols.reshape(-1, ny) @ wy
         del cols
         return np.matmul(wx.T, along_y.reshape(-1, nx, along_y.shape[1]), out=out)
 
-    def _synthesize(self, C, t: float, out, ys=slice(None)):
+    def _synthesize(self, C, t: float, out):
         """Write the fields bx e^{-theta_x t} C[c] (by e^{-theta_y t})^T of
-        a block of w column-first coefficients at the y vertices `ys` into
-        `out`, a (w, nx |ys|) array of unit stride along a row.
+        a block of w column-first coefficients into `out`, a (w, n) array of
+        unit stride along a row.
 
         One batched product of the x factor over the w columns, then one
-        plain (w nx, ky) x (ky, |ys|) product along y written straight into
+        plain (w nx, ky) x (ky, ny) product along y written straight into
         `out`, with e^{-theta_y t} on its smaller operand; nothing of size
         n x n and no transposed copy is formed.
 
@@ -336,10 +334,10 @@ class HeatOperator:
         along_x = np.matmul(bx[:, :kx] * np.exp(-tx[:kx] * t),
                             C[:, :kx, :ky]).reshape(-1, ky)
         scale = np.exp(-ty[:ky] * t)
-        by = by[ys, :ky]
-        rows = out.reshape(along_x.shape[0], -1)        # a view: (w nx, |ys|)
+        by = by[:, :ky]
+        rows = out.reshape(along_x.shape[0], -1)        # a view: (w nx, ny)
         # the diagonal goes on the smaller operand, the w nx rows of along_x
-        # or the |ys| rows of by: on a 2401-vertex dense space (nx = 1),
+        # or the ny rows of by: on a 2401-vertex dense space (nx = 1),
         # scaling the basis took 2-3 times as long for a 16-time grid of 60
         # columns, and 8 times for a heat-Caccioppoli quadrature (one kernel
         # column per node)
@@ -361,7 +359,7 @@ class HeatOperator:
 
     def _block_workers(self, blocks: int):
         """(executor, count): `count` = min(CPUs - 1, blocks - 1) worker
-        threads to share `blocks` column blocks with the calling thread, or
+        threads to share `blocks` blocks with the calling thread, or
         (None, 0).
 
         The pool is made on first use and starts a thread only when a task

@@ -1,7 +1,7 @@
-"""BLAS thread counts: the scopes of `mmslab.blas`, a task on one thread, an
-eigendecomposition back at the count the task found when its n^3 reaches
-`blas.PARALLEL_WORK`, and heat sweeps on one BLAS thread inside a task, their
-column blocks dealt to the heat layer's workers."""
+"""BLAS thread counts: the scopes of `mmslab.blas`, a task on one thread for
+all of its work, eigendecompositions included, and heat builds and sweeps
+inside a task, their factors and column blocks dealt to the heat layer's
+workers."""
 
 import sys
 import threading
@@ -13,7 +13,7 @@ import scipy.sparse.linalg
 
 from mmslab import blas, cli, elliptic, heat
 from mmslab.cli import reverify_report, run_config
-from mmslab.errors import ConfigError
+from mmslab.errors import ConfigError, NumericalError
 from mmslab.heat import HeatOperator
 from mmslab.space import uniform_cycle, uniform_torus, weighted_grid_2d
 
@@ -103,39 +103,25 @@ def test_nothing_found_changes_nothing(monkeypatch):
         assert found == []
     with blas.task() as entry:
         assert entry == []
-        with blas.spectral(blas.PARALLEL_WORK):
-            pass
+        assert not blas.one_thread()
     assert blas._current is before
     passed, report, _ = run_config(CURVATURE)
     assert passed and report["blas"] == []
 
 
-def test_a_scope_below_the_rule_leaves_one_thread(fakes):
+def test_a_task_holds_every_runtime_on_one_thread(fakes):
     a, b = fakes
-    below, at = blas.PARALLEL_WORK - 1, blas.PARALLEL_WORK
+    assert not blas.one_thread()
     with blas.task() as entry:
-        assert entry == [{"library": a.library, "start": 2, "task": 1, "spectral": 2,
-                          "raised": 0},
-                         {"library": b.library, "start": 3, "task": 1, "spectral": 3,
-                          "raised": 0}]
-        assert (a.n, b.n) == (1, 1)
-        with blas.spectral(below):
+        assert entry == [{"library": a.library, "start": 2, "task": 1},
+                         {"library": b.library, "start": 3, "task": 1}]
+        assert (a.n, b.n) == (1, 1) and blas.one_thread()
+    assert (a.n, b.n) == (2, 3) and not blas.one_thread()
+    with pytest.raises(RuntimeError):
+        with blas.task():
             assert (a.n, b.n) == (1, 1)
-        # inside a raised scope: it neither raises nor lowers
-        with blas.spectral(at):
-            assert (a.n, b.n) == (2, 3)
-            with blas.spectral(below):
-                assert (a.n, b.n) == (2, 3)
-            assert (a.n, b.n) == (2, 3)
-        assert (a.n, b.n) == (1, 1)
-        # around a raised scope: the raised one still lowers on closing
-        with blas.spectral(below):
-            with blas.spectral(at):
-                assert (a.n, b.n) == (2, 3)
-            assert (a.n, b.n) == (1, 1)
-        assert (a.n, b.n) == (1, 1)
-    assert [e["raised"] for e in entry] == [2, 2]
-    assert (a.n, b.n) == (2, 3)
+            raise RuntimeError("inside")
+    assert (a.n, b.n) == (2, 3) and not blas.one_thread()
 
 
 def test_a_runtime_mapped_inside_a_task_joins_it(monkeypatch):
@@ -154,23 +140,20 @@ def test_a_runtime_mapped_inside_a_task_joins_it(monkeypatch):
         blas.adopt()
         blas.adopt()                # joins once
         assert (a.n, late.n) == (1, 1)
-        with blas.spectral(blas.PARALLEL_WORK):
-            assert (a.n, late.n) == (2, 4)
-        assert (a.n, late.n) == (1, 1)
         mapped.append(later)
         blas.adopt()
         assert later.n == 1
     assert (a.n, late.n, later.n) == (2, 4, 5)
-    assert entry == [{"library": rt.library, "start": n, "task": 1, "spectral": n,
-                      "raised": 1} for rt, n in ((a, 2), (late, 4), (later, 5))]
+    assert entry == [{"library": rt.library, "start": n, "task": 1}
+                     for rt, n in ((a, 2), (late, 4), (later, 5))]
 
 
 def test_run_config_restores_the_counts_it_found():
     before = counts()
     passed, report, _ = run_config(CURVATURE)
     assert passed and counts() == before
-    assert [(e["start"], e["task"], e["spectral"]) for e in report["blas"]] == \
-        [(n, 1, n) for n in before]
+    assert [sorted(e) for e in report["blas"]] == [["library", "start", "task"]] * len(before)
+    assert [(e["start"], e["task"]) for e in report["blas"]] == [(n, 1) for n in before]
     bad = dict(CURVATURE, params={"T": 1.0, "bogus": 1})
     with pytest.raises(ConfigError):
         run_config(bad)
@@ -187,35 +170,87 @@ def test_the_blas_entry_is_no_record(tmp_path):
     assert reverify_report(str(tmp_path / "report_curvature.json"))
 
 
-def test_a_large_eigendecomposition_runs_at_the_starting_count(monkeypatch):
+def test_every_eigendecomposition_in_a_task_runs_on_one_thread(monkeypatch):
     init, solve_spec, poincare = [], [], []
     spy(monkeypatch, heat, "laplacian_spectrum", init)
     spy(monkeypatch, elliptic, "laplacian_spectrum", solve_spec)
     spy(monkeypatch, scipy.sparse.linalg, "eigsh", poincare)
-    # dense builds: 330^3 = 2^25.1 multiply-adds reaches the rule, 32^3 not
-    large, small = uniform_cycle(330), uniform_cycle(32)
-    assert small.n ** 3 < blas.PARALLEL_WORK <= large.n ** 3
     with blas.threads(2):
         start = counts()
         one = (1,) * len(start)
-        with blas.task() as entry:
-            assert HeatOperator(large).mode == HeatOperator(small).mode == "dense"
-            assert counts() == one
+        # the largest dense build `auto` makes, and a product build
+        with blas.task():
+            assert HeatOperator(uniform_cycle(1024)).mode == "dense"
+            assert HeatOperator(uniform_torus(48, 48)).mode == "product"
         for config in (SOLVE, POINCARE):
             assert run_config(config)[0]
         assert counts() == start
-    # each dense build decomposes one vertex and the space in one scope
-    assert init == [start, start, one, one]
-    assert [e["raised"] for e in entry] == [1] * len(start)
-    assert solve_spec and poincare
-    assert set(solve_spec) == set(poincare) == {one}
+    # each build decomposes two factors (a dense one: one vertex and the space)
+    assert len(init) == 4 and solve_spec and poincare
+    assert set(init) == set(solve_spec) == set(poincare) == {one}
+
+
+@pytest.fixture
+def four_cpus(monkeypatch):
+    # so that a task deals the two factors to a worker on any machine
+    monkeypatch.setattr(heat.os, "sched_getaffinity", lambda pid: set(range(4)))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: weighted_grid_2d(((-1.0, 1.0), (-1.0, 1.0)), 1 / 64, "sqrt_abs_x"),
+    lambda: uniform_torus(48, 48)], ids=["sqrt64", "torus48"])
+def test_a_product_build_decomposes_a_factor_on_a_worker(make, four_cpus, monkeypatch):
+    X = make()
+    where = []
+    inner = heat.laplacian_spectrum
+
+    def recorded(space):
+        where.append((space.n, threading.current_thread().name, counts()))
+        return inner(space)
+
+    monkeypatch.setattr(heat, "laplacian_spectrum", recorded)
+    with blas.threads(2):
+        with blas.task():
+            one = counts()
+            inside = HeatOperator(X)
+        assert inside.mode == "product"
+        assert len(where) == 2 and {c for _, _, c in where} == {one}
+        assert sorted(n for n, _, _ in where) == sorted(f.n for f in X.factors)
+        assert sum(name.startswith("mmslab-chebyshev") for _, name, _ in where) == 1
+        # outside a task both factors stay on the calling thread
+        where[:] = []
+        with blas.threads(1):
+            outside = HeatOperator(X)
+        assert not any(name.startswith("mmslab-chebyshev") for _, name, _ in where)
+        with blas.task():
+            monkeypatch.setattr(HeatOperator, "_block_workers", lambda self, blocks: (None, 0))
+            alone = HeatOperator(X)
+    for H in (outside, alone):
+        for (w, V), (w2, V2) in zip(inside._factors, H._factors):
+            assert np.array_equal(w, w2) and np.array_equal(V, V2)
+    inside._pool.shutdown()
+
+
+def test_a_failed_factor_on_a_worker_is_a_numerical_error(four_cpus, monkeypatch):
+    failed = []
+    inner = np.linalg.eigh
+
+    def eigh(S):
+        if threading.current_thread().name.startswith("mmslab-chebyshev"):
+            failed.append(S.shape)
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return inner(S)
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    with blas.task():
+        with pytest.raises(NumericalError, match="eigendecomposition failed"):
+            HeatOperator(uniform_torus(8, 6))
+    assert len(failed) == 1
 
 
 @pytest.mark.parametrize("make", [lambda: uniform_torus(8, 8), lambda: uniform_cycle(32)],
                          ids=["product", "dense"])
 def test_a_sweep_inside_a_task_runs_on_one_thread(make, monkeypatch):
-    # even with every eigendecomposition raised, the sweeps stay on one thread
-    monkeypatch.setattr(blas, "PARALLEL_WORK", 0)
     seen = []
     spy(monkeypatch, HeatOperator, "_synthesize", seen)
     X = make()
@@ -237,7 +272,6 @@ def test_a_sweep_inside_a_task_runs_on_one_thread(make, monkeypatch):
             for _ in H.apply_grid(F, [0.1, 0.2, 0.4]):
                 assert counts() == one
     assert seen and set(seen) == {one}
-    assert [e["raised"] for e in entry] == [1] * len(one)
 
 
 def test_outside_a_task_a_heat_sweep_keeps_the_callers_count(monkeypatch):
@@ -283,7 +317,6 @@ def test_outside_a_task_a_heat_sweep_keeps_the_callers_count(monkeypatch):
 
 
 def test_a_48_torus_runs_its_heat_work_on_one_thread(monkeypatch):
-    # no eigendecomposition of curvature-t48 reaches the rule (48^3 = 2^16.8)
     init, sweep = [], []
     spy(monkeypatch, heat, "laplacian_spectrum", init)
     spy(monkeypatch, HeatOperator, "_synthesize", sweep)
@@ -295,7 +328,7 @@ def test_a_48_torus_runs_its_heat_work_on_one_thread(monkeypatch):
         assert passed and counts() == start
     assert init and sweep
     assert set(init) == set(sweep) == {(1,) * len(start)}
-    assert [e["raised"] for e in report["blas"]] == [0] * len(start)
+    assert [(e["start"], e["task"]) for e in report["blas"]] == [(n, 1) for n in start]
 
 
 def same_bits_at_any_thread_count(H, F, ts, monkeypatch):
@@ -342,29 +375,20 @@ def test_a_wide_product_sweep_has_the_same_bits_at_any_thread_count(monkeypatch)
 
 
 def test_a_large_dense_sweep_has_the_same_bits_at_any_thread_count(monkeypatch):
-    # 32 fields on a 1024-cycle: 32 * 1024^2 = PARALLEL_WORK multiply-adds a
-    # time, so every field in two halves of the vertices
+    # 130 fields on a 1024-cycle, the largest dense space `auto` makes, in
+    # blocks of `_COLUMN_BLOCK // n` = 64 columns, each reading the whole basis
     X = uniform_cycle(1024)
-    F = np.random.default_rng(3).standard_normal((X.n, 32))
-    assert F.shape[1] * X.n ** 2 >= blas.PARALLEL_WORK
+    F = np.random.default_rng(3).standard_normal((X.n, 130))
     with blas.task():
         H = HeatOperator(X)
     assert H.mode == "dense"
-    ts = [0.5, 2.0, 8.0]
     parts = []
     inner = HeatOperator._synthesize
 
-    def recorded(self, C, t, out, ys=slice(None)):
+    def recorded(self, C, t, out):
         parts.append(out.shape)
-        return inner(self, C, t, out, ys)
+        return inner(self, C, t, out)
 
     monkeypatch.setattr(HeatOperator, "_synthesize", recorded)
-    split = same_bits_at_any_thread_count(H, F, ts, monkeypatch)
-    assert parts[:6] == [(32, 512)] * 6
-    # one block of every vertex agrees to round-off
-    monkeypatch.setattr(blas, "PARALLEL_WORK", np.inf)
-    with blas.task():
-        whole = [v.copy() for _, v in H.apply_grid(F, ts)]
-    assert parts[-3:] == [(32, 1024)] * 3
-    for a, b in zip(split, whole):
-        assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(b))
+    same_bits_at_any_thread_count(H, F, [0.5, 2.0, 8.0], monkeypatch)
+    assert sorted(parts[:3]) == [(2, 1024), (64, 1024), (64, 1024)]

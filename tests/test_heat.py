@@ -126,6 +126,24 @@ def test_dense_cap_enforced(monkeypatch):
         build_heat(sp_mod.uniform_cycle(DENSE_CAP_DEFAULT + 1), mode="dense")
 
 
+def test_auto_is_dense_up_to_1024_vertices(monkeypatch):
+    assert build_heat(sp_mod.uniform_cycle(1024)).mode == "dense"
+    assert build_heat(sp_mod.uniform_cycle(1025)).mode == "stepping"
+    # the oracle is still accepted up to the dense cap (its eigendecomposition
+    # stubbed: a dense build of 4000 vertices needs about 0.6 GB)
+    sizes = []
+
+    def spectrum(space):
+        sizes.append(space.n)
+        return np.zeros(1), np.ones((space.n, 1))
+
+    monkeypatch.setattr(heat, "laplacian_spectrum", spectrum)
+    big = sp_mod.uniform_cycle(DENSE_CAP_DEFAULT)
+    assert build_heat(big, mode="dense").mode == "dense"
+    assert build_heat(big).mode == "stepping"
+    assert sorted(sizes) == [1, DENSE_CAP_DEFAULT]
+
+
 def test_heat_grid_monotone_interface(torus16):
     H = build_heat(torus16)
     F = np.random.default_rng(6).standard_normal(torus16.n)
@@ -587,13 +605,13 @@ def test_random_imported_graphs_step_like_dense(graph, t):
 
 
 def test_apply_of_a_nonnegative_field_is_exactly_nonnegative(monkeypatch):
-    # h = 1/20 puts the tabulated grid (n = 1681) in dense mode, where the
-    # spectral sum for a point source at t = 1e-3 has entries of about -1e-15
-    # far from the source, where the kernel is close to zero
+    # on the tabulated grid at h = 1/20 (n = 1681) the dense spectral sum for
+    # a point source at t = 1e-3 has entries of about -1e-15 far from the
+    # source, where the kernel is close to zero
     space = tabulated_grid(1 / 20)
-    D, S = build_heat(space), build_heat(space, mode="stepping")
+    D, S = build_heat(space, mode="dense"), build_heat(space)
     P = build_heat(sp_mod.weighted_grid_2d(SQUARE, 1 / 20, "sqrt_abs_x"))
-    assert (D.mode, P.mode) == ("dense", "product")
+    assert (D.mode, S.mode, P.mode) == ("dense", "stepping", "product")
     for x0 in (0, 100, space.n // 2):
         delta = np.zeros(space.n)
         delta[x0] = 1.0

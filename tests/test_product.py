@@ -219,7 +219,8 @@ def test_auto_mode_follows_space_structure(realizations):
     assert build_heat(space).mode == "product"
     imported = MetricMeasureSpace.from_text(space.to_text())
     assert imported.factors is None
-    assert build_heat(imported).mode == "dense"
+    # dense up to 1024 vertices: the 16 x 16 torus, not the 33 x 33 grid
+    assert build_heat(imported).mode == {256: "dense", 1089: "stepping"}[imported.n]
     # an imported graph above the dense cap steps
     big = MetricMeasureSpace.from_text(sp_mod.uniform_torus(64, 64).to_text())
     assert big.factors is None and big.n > DENSE_CAP_DEFAULT
