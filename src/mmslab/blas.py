@@ -1,4 +1,4 @@
-"""OpenBLAS thread counts: one BLAS thread for the whole of a task.
+"""OpenBLAS thread counts: two primitives, `runtimes` and `threads`.
 
 numpy and scipy each load their own OpenBLAS runtime: numpy's
 ``libscipy_openblas64_-*.so`` and scipy's ``libscipy_openblas-*.so``, which
@@ -7,16 +7,18 @@ names.  After every call that OpenBLAS splits over threads, the idle worker
 busy-waits for about 0.13 s before it sleeps (a 0.3 s sleep after one
 300 x 300 GEMM on two threads burns 0.13 s of CPU, on one thread 0.002 s).
 
-`threads` sets every runtime found in the process and restores the previous
-counts on exit.  `task` is the scope `cli.run_config` runs a task in: every
-runtime on one thread for the whole task, and the counts it found kept.
-Heat work is split by the heat layer itself, over blocks that its own
-worker threads share (`one_thread` tells it when it may): the sweeps' column
-blocks and the two factor eigendecompositions of a heat build.
-scipy's runtime is mapped only when the package first imports scipy's
-sparse solvers, at call time and perhaps inside a task; `adopt`, called
-where ARPACK and SuperLU run, brings it into the open task.  Nothing here
-runs at import, and no environment variable is read or written.
+`runtimes` lists the runtimes mapped into the process, and `threads` sets
+every one of them for the length of a ``with`` block and restores the
+previous counts on exit.  `threads(1)` is the only way the package changes
+a count, and three kinds of caller open it: `cli.run_config` around a whole
+task, the heat layer around each list of blocks it deals to its own worker
+threads (`heat.HeatOperator._deal`), and the two places that call scipy's
+sparse solvers (ARPACK and SuperLU), after importing them.  scipy's runtime
+is mapped only by that import, and `runtimes` reads the maps again after
+any import, so a scope opened after it finds scipy's runtime too.  A
+nested scope sets and restores the same counts, and every scope closes
+before the call that opened it returns or yields.  Nothing here runs at
+import, and no environment variable is read or written.
 """
 
 from __future__ import annotations
@@ -83,8 +85,8 @@ def runtimes() -> tuple:
 @contextlib.contextmanager
 def threads(count: int):
     """Every runtime found at `count` threads; the previous counts come back
-    on exit.  Yields [(runtime, previous count)], empty when none is found;
-    every pair in it on exit is restored, those `adopt` appends included."""
+    on exit, also on an exception.  Yields [(runtime, previous count)],
+    empty when none is found."""
     found = [(rt, rt.get()) for rt in runtimes()]
     for rt, _ in found:
         rt.set(count)
@@ -94,55 +96,3 @@ def threads(count: int):
         for rt, n in found:
             rt.set(n)
 
-
-class _Task:
-    def __init__(self, found):
-        self.found = found          # [(runtime, count found)], restored by `threads`
-        self.entry = [_entry(rt, n) for rt, n in found]
-
-
-def _entry(rt: Runtime, n: int) -> dict:
-    return {"library": rt.library, "start": n, "task": 1}
-
-
-# the task scope open in this process: OpenBLAS counts are process-wide
-_current = None
-
-
-@contextlib.contextmanager
-def task():
-    """One task: every runtime on one thread, back to its count on exit.
-
-    Yields the report entry: per runtime, its library file, the count it
-    started at and the count the task runs at.
-    """
-    global _current
-    outer = _current
-    with threads(1) as found:
-        scope = _current = _Task(found)
-        try:
-            yield scope.entry
-        finally:
-            _current = outer
-
-
-def one_thread() -> bool:
-    """Whether an open task holds the runtimes it found on one thread, so
-    that callers may split BLAS work over their own threads."""
-    return _current is not None and bool(_current.found)
-
-
-def adopt():
-    """Runtimes mapped since the open task began join it: on one thread,
-    back to the count they were found at when the task ends, and in its
-    report entry.  Outside a task, nothing."""
-    scope = _current
-    if scope is None:
-        return
-    known = {rt.library for rt, _ in scope.found}
-    for rt in runtimes():
-        if rt.library not in known:
-            n = rt.get()
-            scope.found.append((rt, n))
-            scope.entry.append(_entry(rt, n))
-            rt.set(1)

@@ -492,10 +492,16 @@ def run_config(config: dict, out_dir=None, seed=None):
     if task != "counterexample" and "space" not in config:
         raise ConfigError(f"task {task!r} needs a space")
 
-    # every BLAS runtime on one thread for the whole task (`blas`)
-    with blas.task() as threads:
+    # every OpenBLAS runtime on one thread for the whole task, space build
+    # included.  A runtime first mapped during the task (scipy's, by the
+    # import for ARPACK or SuperLU) ran on one thread in the solvers' own
+    # scopes; it follows the runtimes found, and each is listed at the count
+    # it has after the task
+    with blas.threads(1) as found:
         space = None if task == "counterexample" else build_space(config["space"])
         records, csv_rows = _TASKS[task][0](space, params, seed)
+    ran = [rt for rt, _ in found]
+    ran += [rt for rt in blas.runtimes() if rt not in ran]
     passed = all(r["pass"] for r in records)
     report = {
         "task": task,
@@ -508,7 +514,7 @@ def run_config(config: dict, out_dir=None, seed=None):
         "records": records,
         "pass": passed,
         # not a record: verify-report and the config hash never read it
-        "blas": threads,
+        "blas": [{"library": rt.library, "start": rt.get(), "task": 1} for rt in ran],
     }
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)

@@ -173,10 +173,11 @@ def _certify_positive_definite(problem: Problem, A, Wd):
         lam_min = float(A[0, 0])
     else:
         from scipy.sparse.linalg import ArpackNoConvergence, eigsh
-        blas.adopt()            # ARPACK calls scipy's OpenBLAS
         try:
-            vals = eigsh(A, k=1, which="SA", tol=1e-6, maxiter=5000,
-                         return_eigenvectors=False)
+            # ARPACK calls scipy's OpenBLAS, which the import above maps
+            with blas.threads(1):
+                vals = eigsh(A, k=1, which="SA", tol=1e-6, maxiter=5000,
+                             return_eigenvectors=False)
             lam_min = float(vals[0])
         except ArpackNoConvergence as e:
             if e.eigenvalues is not None and len(e.eigenvalues):

@@ -37,13 +37,13 @@ paths:
 Both paths cut the stack into blocks of `_COLUMN_BLOCK // n` columns
 (about 512 KB) and deal them round-robin to the calling thread and up to
 one worker thread per further CPU (`_deal`); a spectral build deals its two
-factor eigendecompositions the same way.  A block does the same arithmetic
-on any thread, so the bits do not depend on the worker count.  These
-workers are the package's one parallel mechanism.  The spectral path deals
-its blocks and factors only inside an `mmslab run` task
-(`blas.one_thread`), where OpenBLAS runs one thread; outside one they run
-on the calling thread, whose BLAS threads split each call and which workers
-would only oversubscribe (README, "One thread pool for every heat sweep").
+factor eigendecompositions the same way.  Every deal runs inside one
+`blas.threads(1)` scope, inside an `mmslab run` task or not, and the scope
+closes before `_deal` returns, so none stays open across a yield.  A block
+does the same arithmetic on any thread at one BLAS thread, so the bits
+depend neither on the worker count nor on the BLAS thread count the caller
+runs at.  These workers are the package's one parallel mechanism (README,
+"One thread pool for every heat sweep").
 
 Every action is one time of `apply_grid` and every kernel column one time
 of `kernel_grid`, the clamped action on 1_x/mu_x in every realization;
@@ -60,8 +60,8 @@ eigendecomposition through scipy between numpy products leaves one pool
 spinning on the cores the other needs; divide and conquer also gives
 eigenvectors that are orthonormal to a few ulp, where scipy's default MRRR
 left errors of 2.7e-13 on the sqrt|x| factors at h = 1/64 (Demmel, Marques,
-Parlett and Voemel, SIAM J. Sci. Comput. 30, 2008).  An `mmslab run` task
-runs all of its heat work, eigendecompositions included, on one BLAS thread.
+Parlett and Voemel, SIAM J. Sci. Comput. 30, 2008).  Like the sweeps' blocks,
+they run on one BLAS thread, inside a task or not.
 
 Kernel conventions: T_t f(x) = sum_y p(t, x, y) f(y) mu_y, with
 p(t, x, y) = p(t, y, x) >= 0 and sum_y p(t, x, y) mu_y = 1 (the semigroup
@@ -206,7 +206,7 @@ class HeatOperator:
                 w, V = laplacian_spectrum(spaces[i])
                 self._factors[i] = (np.clip(w, 0.0, None), V)
 
-            self._deal(decompose, [0, 1], blas.one_thread())    # module docstring
+            self._deal(decompose, [0, 1])
             # basis^T M on a product is (bx mu_x)^T (x) (by mu_y)^T
             self._weighted = [V * X.mu[:, None]
                               for (_, V), X in zip(self._factors, spaces)]
@@ -252,16 +252,18 @@ class HeatOperator:
 
         The spectral path takes the coefficients of F once and synthesizes
         each time from them, in the column blocks of the module docstring,
-        dealt by `_deal` inside a task and run on the calling thread
-        outside one; each block writes its columns of one (k, n) buffer per
-        time, yielded as the (n, k) column-major (Fortran-ordered) view.  A
-        column-major F is read without copying it.  Stepping mode splits
-        the grid into consecutive groups whose outputs fit `_GRID_BLOCK`
-        doubles and runs one Chebyshev recurrence per group, from the
-        previous group's last output.  That output is the start of the next
-        group, so callers must not modify a yielded array in place.  Neither
-        path holds F past its coefficients or its first group, so a caller
-        that drops F frees it then.
+        dealt by `_deal` on one BLAS thread; each block writes its columns
+        of one (k, n) buffer per time, yielded as the (n, k) column-major
+        (Fortran-ordered) view.  Every deal, stepping or spectral, ends
+        before the time it computes is yielded, so the caller's BLAS thread
+        counts are its own between yields.  A column-major F is read
+        without copying it.  Stepping mode splits the grid into consecutive
+        groups whose outputs fit `_GRID_BLOCK` doubles and runs one
+        Chebyshev recurrence per group, from the previous group's last
+        output.  That output is the start of the next group, so callers
+        must not modify a yielded array in place.  Neither path holds F
+        past its coefficients or its first group, so a caller that drops F
+        frees it then.
         """
         ts = _time_grid(ts)
         F = np.asarray(F, dtype=float)
@@ -283,13 +285,12 @@ class HeatOperator:
             k = cols.shape[1]
             w = max(1, _COLUMN_BLOCK // n)
             parts = [slice(j, j + w) for j in range(0, k, w)]
-            dealt = blas.one_thread()       # module docstring
             C = np.empty((k,) + tuple(wt.shape[0] for wt in self._weighted))
-            self._deal(lambda p: self._coefficients(cols[:, p], C[p]), parts, dealt)
+            self._deal(lambda p: self._coefficients(cols[:, p], C[p]), parts)
             cols = None
             for t in ts:
                 rows = np.empty((k, n))
-                self._deal(lambda p: self._synthesize(C[p], t, rows[p]), parts, dealt)
+                self._deal(lambda p: self._synthesize(C[p], t, rows[p]), parts)
                 yield float(t), rows.T.reshape(shape)
 
     def _coefficients(self, F, out=None) -> np.ndarray:
@@ -428,29 +429,31 @@ class HeatOperator:
         self._deal(block, starts)
         return [out.reshape(F.shape) for out in outs]
 
-    def _deal(self, block, parts, workers=True):
+    def _deal(self, block, parts):
         """block(p) for every p in `parts`, dealt round-robin to the
-        calling thread and `_block_workers` threads (without `workers`, all
-        on the calling thread).
+        calling thread and `_block_workers` threads, with every OpenBLAS
+        runtime on one thread (`blas.threads(1)`).
 
         A block's arithmetic does not depend on the thread that runs it, so
-        the results are the same bits with or without workers.  Every
-        worker's share is finished, and its exception raised, before this
-        returns.
+        the results are the same bits with or without workers, and at any
+        BLAS thread count the caller started at.  Every worker's share is
+        finished, and its exception raised, before the scope closes and the
+        caller's counts come back.
         """
-        pool, count = self._block_workers(len(parts)) if workers else (None, 0)
+        pool, count = self._block_workers(len(parts))
 
         def run(share):
             for p in share:
                 block(p)
 
-        futures = [pool.submit(run, parts[i::count + 1])
-                   for i in range(1, count + 1)]
-        try:
-            run(parts[::count + 1])
-        finally:
-            for fut in futures:
-                fut.result()
+        with blas.threads(1):
+            futures = [pool.submit(run, parts[i::count + 1])
+                       for i in range(1, count + 1)]
+            try:
+                run(parts[::count + 1])
+            finally:
+                for fut in futures:
+                    fut.result()
 
     # -- kernel ---------------------------------------------------------------
 

@@ -943,7 +943,6 @@ def _sharp_poincare(space, ball_members, outer_members, radius):
     import scipy.sparse as sp
     from scipy.sparse.csgraph import connected_components
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
-    blas.adopt()                # SuperLU and ARPACK call scipy's OpenBLAS
 
     k = ball_members.size
     if k < 2:
@@ -954,10 +953,6 @@ def _sharp_poincare(space, ball_members, outer_members, radius):
     if connected_components(W, directed=False)[0] != 1:
         return None
     L_g = (sp.diags(np.asarray(W.sum(axis=1)).ravel()) - W)[:-1, :-1]
-    try:
-        lu = splu(L_g.tocsc())
-    except RuntimeError as e:
-        raise NumericalError(f"Poincare energy on 2B is singular: {e}") from None
     root = np.sqrt(space.mu[ball_members])
     s = root / np.sqrt(root @ root)
 
@@ -969,12 +964,18 @@ def _sharp_poincare(space, ball_members, outer_members, radius):
         w = root * u[:k]
         return w - s * (s @ w)
 
-    try:
-        lam = eigsh(LinearOperator((k, k), matvec=apply_k, dtype=float), k=1,
-                    which="LA", v0=np.random.default_rng(0).standard_normal(k),
-                    return_eigenvectors=False)
-    except ArpackError as e:
-        raise NumericalError(f"Poincare Lanczos solve failed: {e}") from None
+    # SuperLU and ARPACK call scipy's OpenBLAS, which the import above maps
+    with blas.threads(1):
+        try:
+            lu = splu(L_g.tocsc())
+        except RuntimeError as e:
+            raise NumericalError(f"Poincare energy on 2B is singular: {e}") from None
+        try:
+            lam = eigsh(LinearOperator((k, k), matvec=apply_k, dtype=float), k=1,
+                        which="LA", v0=np.random.default_rng(0).standard_normal(k),
+                        return_eigenvectors=False)
+        except ArpackError as e:
+            raise NumericalError(f"Poincare Lanczos solve failed: {e}") from None
     return np.sqrt(max(float(lam[0]), 0.0)) / radius
 
 

@@ -1,7 +1,7 @@
-"""BLAS thread counts: the scopes of `mmslab.blas`, a task on one thread for
-all of its work, eigendecompositions included, and heat builds and sweeps
-inside a task, their factors and column blocks dealt to the heat layer's
-workers."""
+"""BLAS thread counts: the two primitives of `mmslab.blas`, a task on one
+thread for all of its work, eigendecompositions included, and heat builds
+and sweeps, inside a task or not, their factors and column blocks dealt to
+the heat layer's workers on one BLAS thread."""
 
 import sys
 import threading
@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
-from mmslab import blas, cli, elliptic, heat
+from mmslab import blas, cli, elliptic, heat, space
 from mmslab.cli import reverify_report, run_config
 from mmslab.errors import ConfigError, NumericalError
 from mmslab.heat import HeatOperator
@@ -98,54 +98,66 @@ def test_threads_restores_on_exit_on_error_and_when_nested(fakes):
 
 def test_nothing_found_changes_nothing(monkeypatch):
     monkeypatch.setattr(blas, "runtimes", lambda: ())
-    before = blas._current
     with blas.threads(1) as found:
         assert found == []
-    with blas.task() as entry:
-        assert entry == []
-        assert not blas.one_thread()
-    assert blas._current is before
     passed, report, _ = run_config(CURVATURE)
     assert passed and report["blas"] == []
 
 
-def test_a_task_holds_every_runtime_on_one_thread(fakes):
+def test_a_task_holds_every_runtime_on_one_thread(fakes, monkeypatch):
     a, b = fakes
-    assert not blas.one_thread()
-    with blas.task() as entry:
-        assert entry == [{"library": a.library, "start": 2, "task": 1},
-                         {"library": b.library, "start": 3, "task": 1}]
-        assert (a.n, b.n) == (1, 1) and blas.one_thread()
-    assert (a.n, b.n) == (2, 3) and not blas.one_thread()
-    with pytest.raises(RuntimeError):
-        with blas.task():
-            assert (a.n, b.n) == (1, 1)
-            raise RuntimeError("inside")
-    assert (a.n, b.n) == (2, 3) and not blas.one_thread()
+    seen = []
+    inner = cli.build_space
+
+    def build(spec):
+        seen.append((a.n, b.n))
+        return inner(spec)
+
+    monkeypatch.setattr(cli, "build_space", build)
+    spy(monkeypatch, HeatOperator, "_synthesize", seen)
+    passed, report, _ = run_config(CURVATURE)
+    assert passed and (a.n, b.n) == (2, 3)
+    # the space build included
+    assert len(seen) > 1 and set(seen) == {(1, 1)}
+    assert report["blas"] == [{"library": a.library, "start": 2, "task": 1},
+                              {"library": b.library, "start": 3, "task": 1}]
+    # a config error raised inside the task: the counts come back
+    for bad in (dict(CURVATURE, params={"T": 1.0, "bogus": 1}),
+                dict(CURVATURE, space={"family": "torus", "n1": 0, "n2": 8})):
+        seen[:] = []
+        with pytest.raises(ConfigError):
+            run_config(bad)
+        assert seen == [(1, 1)] and (a.n, b.n) == (2, 3)
 
 
 def test_a_runtime_mapped_inside_a_task_joins_it(monkeypatch):
     # scipy maps its runtime when its sparse solvers are first imported,
-    # which may be inside a task
-    a = FakeRuntime("libopenblas-a.so", 2)
-    late, later = FakeRuntime("libopenblas-late.so", 4), FakeRuntime("libopenblas-later.so", 5)
+    # which may be inside a task: the Poincare solvers' own scope holds it on
+    # one thread, and the report entry lists it after the runtimes found
+    a, late = FakeRuntime("libopenblas-a.so", 2), FakeRuntime("libopenblas-late.so", 4)
     mapped = [a]
     monkeypatch.setattr(blas, "runtimes", lambda: tuple(mapped))
-    mapped.append(late)
-    blas.adopt()                    # outside a task: nothing
-    assert late.n == 4
-    mapped.remove(late)
-    with blas.task() as entry:
-        mapped.append(late)
-        blas.adopt()
-        blas.adopt()                # joins once
-        assert (a.n, late.n) == (1, 1)
-        mapped.append(later)
-        blas.adopt()
-        assert later.n == 1
-    assert (a.n, late.n, later.n) == (2, 4, 5)
-    assert entry == [{"library": rt.library, "start": n, "task": 1}
-                     for rt, n in ((a, 2), (late, 4), (later, 5))]
+    inner = cli.build_space
+
+    def build(spec):
+        mapped.append(late)         # mapped once the task has begun
+        return inner(spec)
+
+    monkeypatch.setattr(cli, "build_space", build)
+    seen = []                       # `counts` reads the fakes
+    for name in ("splu", "eigsh"):
+        spy(monkeypatch, scipy.sparse.linalg, name, seen)
+    passed, report, _ = run_config(POINCARE)
+    assert passed and seen and set(seen) == {(1, 1)}
+    assert (a.n, late.n) == (2, 4)
+    assert report["blas"] == [{"library": a.library, "start": 2, "task": 1},
+                              {"library": late.library, "start": 4, "task": 1}]
+    # outside a task the solvers' scope holds it on one thread too
+    seen[:] = []
+    X = uniform_torus(8, 8)
+    members = np.arange(X.n)
+    assert space._sharp_poincare(X, members[:12], members, 1.0) is not None
+    assert seen and set(seen) == {(1, 1)} and (a.n, late.n) == (2, 4)
 
 
 def test_run_config_restores_the_counts_it_found():
@@ -179,7 +191,7 @@ def test_every_eigendecomposition_in_a_task_runs_on_one_thread(monkeypatch):
         start = counts()
         one = (1,) * len(start)
         # the largest dense build `auto` makes, and a product build
-        with blas.task():
+        with blas.threads(1):
             assert HeatOperator(uniform_cycle(1024)).mode == "dense"
             assert HeatOperator(uniform_torus(48, 48)).mode == "product"
         for config in (SOLVE, POINCARE):
@@ -192,7 +204,8 @@ def test_every_eigendecomposition_in_a_task_runs_on_one_thread(monkeypatch):
 
 @pytest.fixture
 def four_cpus(monkeypatch):
-    # so that a task deals the two factors to a worker on any machine
+    # so that the heat layer deals blocks and factors to workers on any
+    # machine
     monkeypatch.setattr(heat.os, "sched_getaffinity", lambda pid: set(range(4)))
 
 
@@ -210,25 +223,25 @@ def test_a_product_build_decomposes_a_factor_on_a_worker(make, four_cpus, monkey
 
     monkeypatch.setattr(heat, "laplacian_spectrum", recorded)
     with blas.threads(2):
-        with blas.task():
+        with blas.threads(1):
             one = counts()
             inside = HeatOperator(X)
-        assert inside.mode == "product"
-        assert len(where) == 2 and {c for _, _, c in where} == {one}
-        assert sorted(n for n, _, _ in where) == sorted(f.n for f in X.factors)
-        assert sum(name.startswith("mmslab-chebyshev") for _, name, _ in where) == 1
-        # outside a task both factors stay on the calling thread
-        where[:] = []
+        # outside any scope, at the caller's two threads, the same deal
+        outside = HeatOperator(X)
+        assert counts() == (2,) * len(one)
         with blas.threads(1):
-            outside = HeatOperator(X)
-        assert not any(name.startswith("mmslab-chebyshev") for _, name, _ in where)
-        with blas.task():
             monkeypatch.setattr(HeatOperator, "_block_workers", lambda self, blocks: (None, 0))
             alone = HeatOperator(X)
+    assert inside.mode == outside.mode == "product"
+    assert len(where) == 6 and {c for _, _, c in where} == {one}
+    for built in (where[:2], where[2:4]):
+        assert sorted(n for n, _, _ in built) == sorted(f.n for f in X.factors)
+        assert sum(name.startswith("mmslab-chebyshev") for _, name, _ in built) == 1
     for H in (outside, alone):
         for (w, V), (w2, V2) in zip(inside._factors, H._factors):
             assert np.array_equal(w, w2) and np.array_equal(V, V2)
-    inside._pool.shutdown()
+    for H in (inside, outside):
+        H._pool.shutdown()
 
 
 def test_a_failed_factor_on_a_worker_is_a_numerical_error(four_cpus, monkeypatch):
@@ -242,7 +255,7 @@ def test_a_failed_factor_on_a_worker_is_a_numerical_error(four_cpus, monkeypatch
         return inner(S)
 
     monkeypatch.setattr(np.linalg, "eigh", eigh)
-    with blas.task():
+    with blas.threads(1):
         with pytest.raises(NumericalError, match="eigendecomposition failed"):
             HeatOperator(uniform_torus(8, 6))
     assert len(failed) == 1
@@ -256,7 +269,7 @@ def test_a_sweep_inside_a_task_runs_on_one_thread(make, monkeypatch):
     X = make()
     F = np.random.default_rng(0).standard_normal((X.n, 3))
     with blas.threads(2):
-        with blas.task() as entry:
+        with blas.threads(1):
             H = HeatOperator(X)
             one = counts()
             assert one == (1,) * len(one)
@@ -274,14 +287,15 @@ def test_a_sweep_inside_a_task_runs_on_one_thread(make, monkeypatch):
     assert seen and set(seen) == {one}
 
 
-def test_outside_a_task_a_heat_sweep_keeps_the_callers_count(monkeypatch):
-    # four CPUs, so that a task deals these blocks to workers
-    monkeypatch.setattr(heat.os, "sched_getaffinity", lambda pid: set(range(4)))
+def test_outside_a_task_a_heat_sweep_deals_its_blocks_on_one_thread(four_cpus, monkeypatch):
     seen = []
     inner = HeatOperator._synthesize
+    fail = []
 
     def recorded(self, *args):
         seen.append((counts(), threading.current_thread().name))
+        if fail:
+            raise RuntimeError("block")
         return inner(self, *args)
 
     monkeypatch.setattr(HeatOperator, "_synthesize", recorded)
@@ -291,26 +305,33 @@ def test_outside_a_task_a_heat_sweep_keeps_the_callers_count(monkeypatch):
     ts = [0.1, 0.4, 1.6]
     H = HeatOperator(X)
     try:
-        outside = {}
+        with blas.threads(1):
+            one = counts()
+            inside = [out.copy() for _, out in H.apply_grid(F, ts)]
         for start in (1, 2):
+            seen[:] = []
             with blas.threads(start):
                 caller = counts()
-                outside[start] = []
+                outside = []
                 for _, out in H.apply_grid(F, ts):
                     assert counts() == caller
-                    outside[start].append(out.copy())
+                    outside.append(out.copy())
                 assert counts() == caller
-            # a task's three blocks per time, all on the calling thread
-            assert {c for c, _ in seen} == {caller} and len(seen) == 9
-            assert not any(name.startswith("mmslab-chebyshev") for _, name in seen)
-            seen[:] = []
-        # inside a task the same blocks, shared with the workers: at one
-        # BLAS thread the same bits
-        with blas.task():
-            inside = [out.copy() for _, out in H.apply_grid(F, ts)]
-        assert len(seen) == 9
-        assert any(name.startswith("mmslab-chebyshev") for _, name in seen)
-        assert all(np.array_equal(a, b) for a, b in zip(outside[1], inside))
+                sweep = H.apply_grid(F, ts)
+                next(sweep)
+                assert counts() == caller
+                sweep.close()
+                assert counts() == caller
+                fail.append(True)
+                with pytest.raises(RuntimeError, match="block"):
+                    next(H.apply_grid(F, ts))
+                fail.pop()
+                assert counts() == caller
+            # three blocks per time, shared with the workers at one BLAS
+            # thread: the in-scope sweep's bits
+            assert len(seen) > 12 and {c for c, _ in seen} == {one}
+            assert any(name.startswith("mmslab-chebyshev") for _, name in seen)
+            assert all(np.array_equal(a, b) for a, b in zip(outside, inside))
     finally:
         if H._pool is not None:
             H._pool.shutdown()
@@ -335,7 +356,7 @@ def same_bits_at_any_thread_count(H, F, ts, monkeypatch):
     """The outputs of `H.apply_grid(F, ts)` in a task at BLAS start counts
     1 and 2, without workers and with three of them, equal by `==`."""
     def sweep():
-        with blas.task():
+        with blas.threads(1):
             return [v.copy() for _, v in H.apply_grid(F, ts)]
 
     runs = []
@@ -379,7 +400,7 @@ def test_a_large_dense_sweep_has_the_same_bits_at_any_thread_count(monkeypatch):
     # blocks of `_COLUMN_BLOCK // n` = 64 columns, each reading the whole basis
     X = uniform_cycle(1024)
     F = np.random.default_rng(3).standard_normal((X.n, 130))
-    with blas.task():
+    with blas.threads(1):
         H = HeatOperator(X)
     assert H.mode == "dense"
     parts = []
