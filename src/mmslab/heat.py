@@ -32,7 +32,7 @@ paths:
   largest increment and adds each time's coefficients into that time's
   accumulator (Tal-Ezer and Kosloff).  Time grids are swept in consecutive
   groups whose outputs fit about 4 MB, one recurrence per group, each group
-  starting from the previous group's last output.
+  starting from the previous group's last output, which is yielded read-only.
 
 Both paths cut the stack into blocks of `_COLUMN_BLOCK // n` columns
 (about 512 KB) and deal them round-robin to the calling thread and up to
@@ -46,12 +46,11 @@ runs at.  These workers are the package's one parallel mechanism (README,
 "One thread pool for every heat sweep").
 
 Every action is one time of `apply_grid` and every kernel column one time
-of `kernel_grid`, the clamped action on 1_x/mu_x in every realization;
-these two are the only methods that branch on the realization, `apply_grid`
-between stepping and the spectral path and `kernel_grid` only to copy a
-stepping group's last output before clamping it.  The layout of an action's
-output is the path's: a spectral one is column-major, a stepping one
-row-major.
+of `kernel_grid`, the clamped action on 1_x/mu_x in every realization
+(clamped on a copy where the output is read-only); only `apply_grid`
+branches on the realization, between stepping and the spectral path.  The
+layout of an action's output is the path's: a spectral one is
+column-major, a stepping one row-major.
 
 The spectra come from numpy's LAPACK (`numpy.linalg.eigh`, divide and
 conquer), the library whose BLAS then applies them.  numpy and scipy each
@@ -136,12 +135,6 @@ def _chebyshev_coefficients(z: float) -> np.ndarray:
             f"Chebyshev series of exp at z={z:.3e} did not converge: tail "
             f"{tail[-1]:.3e} after {c.size} terms")
     return c[:int(np.argmax(tail < CHEB_TAIL))]
-
-
-def _group_length(size: int) -> int:
-    """Times per stepping group: that many outputs of `size` doubles fit
-    `_GRID_BLOCK` (at least one)."""
-    return max(1, _GRID_BLOCK // max(size, 1))
 
 
 def _time_grid(ts) -> np.ndarray:
@@ -260,23 +253,25 @@ class HeatOperator:
         without copying it.  Stepping mode splits the grid into consecutive
         groups whose outputs fit `_GRID_BLOCK` doubles and runs one
         Chebyshev recurrence per group, from the previous group's last
-        output.  That output is the start of the next group, so callers
-        must not modify a yielded array in place.  Neither path holds F
+        output.  That output starts the next group, so it is yielded
+        read-only (writing to it raises ValueError).  Neither path holds F
         past its coefficients or its first group, so a caller that drops F
         frees it then.
         """
         ts = _time_grid(ts)
         F = np.asarray(F, dtype=float)
         if self.mode == "stepping":
-            per_group = _group_length(F.size)
+            per_group = max(1, _GRID_BLOCK // max(F.size, 1))
             cur, F, t_start = F, None, 0.0
             for i in range(0, ts.size, per_group):
                 group = ts[i:i + per_group]
                 outs = self._chebyshev_sweep(cur, group - t_start)
                 # hand the outputs out one at a time, keeping no other
-                # reference; the last one starts the next group
+                # reference; the last one starts the next group, read-only
                 for t in group:
                     cur = outs.pop(0)
+                    if not outs and i + per_group < ts.size:
+                        cur.flags.writeable = False
                     yield float(t), cur
                 t_start = group[-1]
         else:
@@ -470,17 +465,14 @@ class HeatOperator:
 
     def kernel_grid(self, x0, ts):
         """Yield (t, p(t, x0, .)) along an ascending positive time grid, for
-        one source or the (n, k) columns of a 1-d array of k sources."""
+        one source or the (n, k) columns of a 1-d array of k sources: each
+        action of `apply_grid`, clamped in place, or on a copy where it is
+        read-only (a stepping group's start)."""
         ts = _time_grid(ts)
         if ts.size and ts[0] <= 0:
             raise ConfigError("kernel needs t > 0")
-        xs = np.asarray(x0, dtype=np.intp)
-        per_group = _group_length(self.space.n * xs.size)
-        for i, (t, cols) in enumerate(self.apply_grid(self._delta(xs), ts)):
-            if (self.mode == "stepping" and i % per_group == per_group - 1
-                    and i < ts.size - 1):
-                # clamp a copy: a group's last output starts the next group
-                cols = cols.copy()
+        for t, cols in self.apply_grid(self._delta(x0), ts):
+            cols = cols if cols.flags.writeable else cols.copy()
             self._clamp(cols)
             yield t, cols
 

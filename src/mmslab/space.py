@@ -18,16 +18,14 @@ distance distributions without forming a product row.  The heat
 realization and the Dirichlet solve use the factors as well, when
 `product_pays` says the factor decompositions are worth forming.
 
-A space holds its edges as four columns (i, j as intp, c, l as float).  The
-families pass those columns to `MetricMeasureSpace` directly; rows given by
-a caller are converted to columns first, and both go through the same
-checks.  The space keeps the columns, the conductances W as three numpy CSR
-arrays and the degrees.  The package reads W through those arrays (the
-degrees, W u, the dense Laplacian of `laplacian_spectrum`), with scipy's
-bits; `conductance_matrix` wraps them as a scipy matrix for the callers that
-hand W to scipy.  The length graph that Dijkstra reads is
-built the first time Dijkstra runs, so a product, a path or a cycle never
-holds one.  No module imports scipy at import time.
+A space holds its edges as four columns (i, j as intp, c, l as float); rows
+given by a caller are turned into columns first.  Every 2-d grid takes its
+columns from one lattice (`_lattice`), and W, kept as three numpy CSR
+arrays, comes from one stable sort that also finds a repeated edge.  The
+package reads W through those arrays with scipy's bits; `conductance_matrix`
+wraps them for the callers that hand W to scipy.  The length graph that
+Dijkstra reads is built the first time Dijkstra runs, so a product, a path
+or a cycle never holds one.  No module imports scipy at import time.
 
 Measured constants:
 
@@ -72,13 +70,10 @@ class MetricMeasureSpace:
     mu : array_like
         Strictly positive vertex masses.
     edges : tuple (i, j, c, l) of 1-d arrays, (m, 4) array or iterable of rows
-        Undirected edges with conductance c > 0 and length l > 0.  Each
-        edge is listed once; symmetry is implicit.  A tuple of four 1-d
-        numpy arrays is read as edge columns (the vertex indices i, j and
-        the floats c, l), and columns already of dtype intp and float are
-        kept without a copy when every edge has i < j; any other input is
-        read as (i, j, c, l) rows and converted to columns first.  Both
-        forms then go through the same checks.
+        Undirected edges with conductance c > 0 and length l > 0, each
+        listed once.  Rows are turned into the four columns (i, j as intp,
+        c, l as float) first; columns of those dtypes with every i < j are
+        kept without a copy.  Both forms go through the same checks.
     positions : array_like, optional
         Vertex coordinates (n, dim), used for coordinate fields and export.
     name : str
@@ -97,8 +92,9 @@ class MetricMeasureSpace:
         The conductances W in CSR form: row r holds its neighbours'
         columns w_indices[w_indptr[r]:w_indptr[r + 1]] in ascending order
         and their conductances in w_data, with int32 indices below 2^31
-        entries.  These are the arrays scipy's COO -> CSR conversion gives
-        for the edge list, to the bit.
+        entries: scipy's COO -> CSR arrays for the edge list, to the bit,
+        from one stable sort (`_symmetric_csr`) that also names a repeated
+        edge.
     degree : ndarray
         The row sums of W, summed as scipy sums them.
 
@@ -134,20 +130,11 @@ class MetricMeasureSpace:
         first((i < 0) | (i >= n) | (j < 0) | (j >= n), "edge ({i},{j}) out of range")
         if np.any(i > j):
             i, j = np.minimum(i, j), np.maximum(i, j)
-        W = _symmetric_csr(n, i, j, c)
-        if W is None:
-            key = i * n + j
-            order = np.argsort(key, kind="stable")
-            dup = np.zeros(key.size, dtype=bool)
-            dup[order[1:]] = key[order[1:]] == key[order[:-1]]
-            first(dup, "duplicate edge ({i},{j})")
-        self.w_indptr, self.w_indices, self.w_data = W
+        self.w_indptr, self.w_indices, self.w_data, duplicate = _symmetric_csr(n, i, j, c)
+        first(duplicate, "duplicate edge ({i},{j})")
         first(~((c > 0) & (l > 0) & np.isfinite(c) & np.isfinite(l)),
               "edge ({i},{j}) needs c > 0 and l > 0, got c={c}, l={l}")
-        self.edge_i = i
-        self.edge_j = j
-        self.edge_c = c
-        self.edge_l = l
+        self.edge_i, self.edge_j, self.edge_c, self.edge_l = i, j, c, l
 
         if positions is not None:
             positions = np.atleast_2d(np.asarray(positions, dtype=float))
@@ -157,8 +144,6 @@ class MetricMeasureSpace:
         self.rim = np.asarray([] if rim is None else rim, dtype=np.intp)
 
         self._ring = _ring_lengths(n, i, j, l)
-        if n == 1 and self.edge_i.size:
-            raise ConfigError("single vertex cannot carry edges")
         # a path or a cycle holds every edge k -- k+1, and `product_space`
         # passes two factors that were checked when they were built: both
         # are connected by construction, every other graph is searched
@@ -237,7 +222,7 @@ class MetricMeasureSpace:
     def _len_graph(self):
         """Symmetric scipy matrix of the edge lengths, built on first use."""
         return _scipy_csr(self.n, *_symmetric_csr(self.n, self.edge_i, self.edge_j,
-                                                  self.edge_l))
+                                                  self.edge_l)[:3])
 
     def distances_from(self, v: int) -> np.ndarray:
         """Shortest-path distances (n,) from vertex v: the one row of
@@ -353,57 +338,42 @@ class MetricMeasureSpace:
 def _edge_columns(edges):
     """(i, j, c, l): the edge columns as contiguous intp and float arrays,
     from a tuple of four 1-d arrays (read in place where the dtypes match)
-    or from (i, j, c, l) rows."""
-    if isinstance(edges, tuple) and len(edges) == 4 and all(
-            isinstance(a, np.ndarray) and a.ndim == 1 for a in edges):
-        if len({a.size for a in edges}) != 1:
-            raise ConfigError("edge columns must have one length")
-        return (np.ascontiguousarray(edges[0], dtype=np.intp),
-                np.ascontiguousarray(edges[1], dtype=np.intp),
-                np.ascontiguousarray(edges[2], dtype=float),
-                np.ascontiguousarray(edges[3], dtype=float))
-    E = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=float)
-    if E.size == 0:
-        E = E.reshape(0, 4)
-    if E.ndim != 2 or E.shape[1] != 4:
-        raise ConfigError("edges must be (i, j, c, l) rows")
-    return (E[:, 0].astype(np.intp), E[:, 1].astype(np.intp),
-            np.ascontiguousarray(E[:, 2]), np.ascontiguousarray(E[:, 3]))
+    or from (i, j, c, l) rows, which are turned into columns first."""
+    if not (isinstance(edges, tuple) and len(edges) == 4 and all(
+            isinstance(a, np.ndarray) and a.ndim == 1 for a in edges)):
+        E = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=float)
+        E = E.reshape(0, 4) if E.size == 0 else E
+        if E.ndim != 2 or E.shape[1] != 4:
+            raise ConfigError("edges must be (i, j, c, l) rows")
+        edges = tuple(E.T)
+    if len({a.size for a in edges}) != 1:
+        raise ConfigError("edge columns must have one length")
+    return tuple(np.ascontiguousarray(a, dtype=t)
+                 for a, t in zip(edges, (np.intp, np.intp, float, float)))
 
 
 def _symmetric_csr(n: int, i, j, values):
-    """(indptr, indices, data) of the n x n matrix with `values` at (i, j)
-    and (j, i), for i < j, in the order scipy's COO -> CSR conversion gives:
-    rows ascending, columns ascending inside a row.  None when an (i, j)
-    pair repeats.
-
-    Row r holds the entries (r, i) of the edges with j = r, all left of the
-    diagonal, then the entries (r, j) of the edges with i = r.  Each half is
-    sorted by (row, column) on its own, and entry p of a sorted half lands p
-    places past the other half's entries of the rows before it (and, for the
-    right half, of its own row).  The sorts run over m keys, not 2m.
+    """(indptr, indices, data, duplicate): the n x n matrix with `values` at
+    (i, j) and (j, i), for i < j, in scipy's COO -> CSR order (rows, then
+    columns, ascending), and the mask of the edges whose pair an earlier
+    edge holds.  One stable sort of the 2m keys row * n + column (entry k
+    for edge k's (i, j), m + k for its (j, i)) orders both halves and puts
+    a repeated pair's later copy right after the earlier one in its row.
     """
     m = i.size
     idx = np.int32 if max(n, 2 * m) < 2 ** 31 else np.intp
-    left = np.bincount(j, minlength=n)
-    right = np.bincount(i, minlength=n)
     indptr = np.zeros(n + 1, dtype=idx)
-    np.cumsum(left + right, out=indptr[1:])
-    indices = np.empty(2 * m, dtype=idx)
-    data = np.empty(2 * m)
-    for rows, cols, count, shift in ((i, j, right, np.cumsum(left)),
-                                     (j, i, left, np.cumsum(right) - right)):
-        order = np.argsort(rows * n + cols, kind="stable")
-        dest = np.repeat(shift, count)
-        dest += np.arange(m)
-        indices[dest] = cols[order]
-        data[dest] = values[order]
-    # a repeated pair puts one column twice in a row, next to itself; the
-    # pairs that straddle a row start are not compared
+    np.cumsum(np.bincount(i, minlength=n) + np.bincount(j, minlength=n), out=indptr[1:])
+    order = np.argsort(np.concatenate([i * n + j, j * n + i]), kind="stable")
+    indices = np.concatenate([j, i]).astype(idx, copy=False)[order]
+    data = np.take(values, order, mode="wrap")      # entry m + k reads edge k
+    # equal neighbours inside a row, not across a row start
     same = indices[1:] == indices[:-1]
     starts = indptr[1:-1]
     same[starts[(starts > 0) & (starts < 2 * m)] - 1] = False
-    return None if same.any() else (indptr, indices, data)
+    duplicate = np.zeros(m, dtype=bool)
+    duplicate[order[1:][same] % m] = True
+    return indptr, indices, data, duplicate
 
 
 def _scipy_csr(n: int, indptr, indices, data):
@@ -550,9 +520,18 @@ def product_space(X: MetricMeasureSpace, Y: MetricMeasureSpace, positions=None,
     d((i, a), (i', a')) = d_X(i, i') + d_Y(a, a'), which `distance_rows`
     uses.  Positions default to the Cartesian product of the factor
     embeddings (when both have one); the rim is (rim_X x Y) u (X x rim_Y).
+    The edge columns, positions and rim come from `_lattice`, which the
+    tabulated grid re-weights.
     """
+    edges, positions, rim = _lattice(X, Y, positions)
+    return MetricMeasureSpace(np.outer(X.mu, Y.mu).ravel(), edges, positions=positions,
+                              name=name, rim=rim, _factors=(X, Y))
+
+
+def _lattice(X: MetricMeasureSpace, Y: MetricMeasureSpace, positions=None):
+    """((i, j, c, l), positions, rim) of `product_space(X, Y, positions)`,
+    the columns written in place: the x-edges, then the y-edges."""
     nx, ny = X.n, Y.n
-    # the edge columns, written in place: the x-edges, then the y-edges
     mx = X.n_edges * ny
     i, j = np.empty((2, mx + nx * Y.n_edges), dtype=np.intp)
     c, l = np.empty((2, mx + nx * Y.n_edges))
@@ -577,9 +556,7 @@ def product_space(X: MetricMeasureSpace, Y: MetricMeasureSpace, positions=None,
     on_rim = np.zeros((nx, ny), dtype=bool)
     on_rim[X.rim, :] = True
     on_rim[:, Y.rim] = True
-    return MetricMeasureSpace(np.outer(X.mu, Y.mu).ravel(), (i, j, c, l),
-                              positions=positions, name=name,
-                              rim=np.flatnonzero(on_rim), _factors=(X, Y))
+    return (i, j, c, l), positions, np.flatnonzero(on_rim)
 
 
 def uniform_torus(n1: int, n2: int) -> MetricMeasureSpace:
@@ -643,8 +620,11 @@ def weighted_grid_2d(bounds=((-1.0, 1.0), (-1.0, 1.0)), h=0.25,
     x = 0 of the sqrt|x| weight.  Edge lengths are Euclidean (= h).
 
     A separable weight w(x, y) = wx(x) gives the Cartesian product
-    grid1d(wx) x grid1d(1); a tabulated weight gives a plain lattice graph
-    with the face average taken between the two cells.
+    grid1d(wx) x grid1d(1).  A tabulated weight, one value per vertex,
+    re-weights the lattice of grid1d(1) x grid1d(1) (`_lattice`): vertex
+    masses w |cell| and conductances 0.5 (w_i + w_j) |face| / h, the face
+    average taken between the two cells.  Its measure is not a product, so
+    it keeps no `factors`.
     """
     (ax, bx), (ay, by) = bounds
     if tabulated is None:
@@ -652,28 +632,23 @@ def weighted_grid_2d(bounds=((-1.0, 1.0), (-1.0, 1.0)), h=0.25,
                              weighted_grid_1d((ay, by), h, "constant"),
                              name=f"grid2d_{weight}_h{h:g}")
 
-    xs = _grid_axis(float(ax), float(bx), h)
-    ys = _grid_axis(float(ay), float(by), h)
-    nx, ny = xs.size, ys.size
-    wtab = np.asarray(tabulated, dtype=float).reshape(nx, ny)
+    X, Y = weighted_grid_1d((ax, bx), h), weighted_grid_1d((ay, by), h)
+    wtab = np.asarray(tabulated, dtype=float)
+    if wtab.size != X.n * Y.n:
+        raise ConfigError(f"tabulated weight has {wtab.size} values; the "
+                          f"{X.n} x {Y.n} grid needs {X.n * Y.n}")
+    wtab = wtab.reshape(X.n, Y.n)
     if np.any(wtab <= 0) or not np.all(np.isfinite(wtab)):
         raise ConfigError("tabulated weight must be strictly positive")
-    dx = np.minimum(xs + h / 2, bx) - np.maximum(xs - h / 2, ax)
-    dy = np.minimum(ys + h / 2, by) - np.maximum(ys - h / 2, ay)
-    idx = np.arange(nx * ny).reshape(nx, ny)
-    # face at the x (y) midpoint between two cells, spanning the other cell width
-    cx = 0.5 * (wtab[:-1, :] + wtab[1:, :]) * dy[None, :] / h
-    cy = 0.5 * (wtab[:, :-1] + wtab[:, 1:]) * dx[:, None] / h
-    c = np.concatenate([cx.ravel(), cy.ravel()])
-    edges = (np.concatenate([idx[:-1, :].ravel(), idx[:, :-1].ravel()]),
-             np.concatenate([idx[1:, :].ravel(), idx[:, 1:].ravel()]),
-             c, np.full(c.size, h))
-    i, j = np.divmod(idx.ravel(), ny)
-    rim = np.flatnonzero((i == 0) | (i == nx - 1) | (j == 0) | (j == ny - 1))
-    pos = np.column_stack([xs[i], ys[j]])
-    return MetricMeasureSpace((wtab * dx[:, None] * dy[None, :]).ravel(), edges,
-                              positions=pos, name=f"grid2d_tabulated_h{h:g}",
-                              rim=rim)
+    (i, j, c, l), positions, rim = _lattice(X, Y)
+    w = wtab.ravel()
+    # the face of an x-edge (j = i + ny) spans its y cell, a y-edge's its x
+    # cell; c shares its buffer with l, so it is written over in place
+    face = np.where(j - i == Y.n, Y.mu[i % Y.n], X.mu[i // Y.n])
+    c[:] = 0.5 * (w[i] + w[j]) * face / h
+    return MetricMeasureSpace((wtab * X.mu[:, None] * Y.mu[None, :]).ravel(),
+                              (i, j, c, l), positions=positions,
+                              name=f"grid2d_tabulated_h{h:g}", rim=rim)
 
 
 def _grid_axis(a, b, h):
@@ -695,34 +670,46 @@ def build_space(config: dict) -> MetricMeasureSpace:
         raise ConfigError("space config must be a mapping with a 'family' key")
     cfg = dict(config)
     family = cfg.pop("family")
+
+    def read(key, convert, default=None):
+        # cfg[key] (or the default, when one is given) through `convert`
+        try:
+            return convert(cfg[key] if default is None else cfg.get(key, default))
+        except (TypeError, ValueError, IndexError) as e:
+            raise ConfigError(f"space parameter {key!r} is malformed: {e}") from None
+
     try:
         if family == "two_point":
             _reject_unknown(cfg, set())
             return two_point()
         if family == "cycle":
             _reject_unknown(cfg, {"n"})
-            return uniform_cycle(int(cfg["n"]))
+            return uniform_cycle(read("n", int))
         if family == "torus":
             _reject_unknown(cfg, {"n1", "n2"})
-            return uniform_torus(int(cfg["n1"]), int(cfg["n2"]))
+            return uniform_torus(read("n1", int), read("n2", int))
         if family == "grid":
             _reject_unknown(cfg, {"dim", "bounds", "h", "weight", "tabulated"})
-            dim = int(cfg.get("dim", 2))
-            h = float(cfg["h"])
-            weight = cfg.get("weight", "constant")
+            dim = read("dim", int, 2)
+            h = read("h", float)
+            weight = read("weight", str, "constant")
             if dim == 1:
-                bounds = tuple(cfg.get("bounds", (-1.0, 1.0)))
-                return weighted_grid_1d(bounds, h, weight)
+                return weighted_grid_1d(read("bounds", _pair, (-1.0, 1.0)), h, weight)
             if dim == 2:
-                bounds = cfg.get("bounds", ((-1.0, 1.0), (-1.0, 1.0)))
-                bounds = (tuple(bounds[0]), tuple(bounds[1]))
+                bounds = read("bounds", lambda b: _pair(b, _pair), ((-1.0, 1.0), (-1.0, 1.0)))
                 if weight == "tabulated" or "tabulated" in cfg:
-                    return weighted_grid_2d(bounds, h, tabulated=cfg["tabulated"])
+                    return weighted_grid_2d(bounds, h, tabulated=read(
+                        "tabulated", lambda v: np.asarray(v, dtype=float)))
                 return weighted_grid_2d(bounds, h, weight)
             raise ConfigError("grid dimension must be 1 or 2")
     except KeyError as e:
         raise ConfigError(f"missing space parameter {e.args[0]!r}") from None
     raise ConfigError(f"unknown space family {family!r}")
+
+
+def _pair(value, convert=float):
+    a, b = value            # exactly two entries, each through `convert`
+    return convert(a), convert(b)
 
 
 def _reject_unknown(cfg, allowed):

@@ -116,6 +116,31 @@ def test_unknown_task_and_bad_params(tmp_path):
     assert main(["run", write_config(tmp_path, cfg)]) == 2
 
 
+@pytest.mark.parametrize("space,named", [
+    ({"family": "grid", "dim": 2, "h": 0.5, "tabulated": [1.0, 2.0, 3.0]}, "3 values"),
+    ({"family": "grid", "dim": 2, "h": 0.5, "tabulated": [[1.0], [2.0, 3.0]]},
+     "'tabulated'"),
+    ({"family": "grid", "dim": 2, "h": "fine"}, "'h'"),
+    ({"family": "grid", "dim": 1, "h": [0.5]}, "'h'"),
+    ({"family": "cycle", "n": "eight"}, "'n'"),
+    ({"family": "torus", "n1": 8, "n2": None}, "'n2'"),
+    ({"family": "grid", "dim": "two", "h": 0.5}, "'dim'"),
+    ({"family": "grid", "dim": 2, "h": 0.5, "bounds": [-1, 1]}, "'bounds'"),
+    ({"family": "grid", "dim": 2, "h": 0.5, "bounds": [[-1, 1]]}, "'bounds'"),
+    ({"family": "grid", "dim": 2, "h": 0.5, "bounds": [[-1, 1, 2], [-1, 1]]}, "'bounds'"),
+    ({"family": "grid", "dim": 1, "h": 0.5, "bounds": ["a", 1]}, "'bounds'"),
+    ({"family": "grid", "dim": 2, "h": 0.5, "weight": ["constant"]}, "unknown weight"),
+], ids=["table-size", "table-ragged", "h-text", "h-list", "n-text", "n2-null", "dim-text",
+        "bounds-flat", "bounds-one-axis", "bounds-three", "bounds-text", "weight-list"])
+def test_malformed_space_configs_exit_2(tmp_path, capsys, space, named):
+    cfg = {"space": space, "task": "doubling", "params": {"R0": 1.0}}
+    assert main(["run", write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and named in err
+    if named == "3 values":
+        assert "needs 25" in err
+
+
 def test_curvature_rejects_the_unread_t_points_key(tmp_path, capsys):
     # estimate_ckappa fixes its own time grid, so a t_points setting would
     # be silently ignored; the gaussian task still reads its own

@@ -428,6 +428,31 @@ def test_stepping_sweep_holds_one_group_of_outputs(tab16, monkeypatch):
     assert (len(ts) + 1) * F.nbytes > bound
 
 
+def test_only_the_stepping_group_starts_reject_writes(tab16, monkeypatch):
+    # two times a group over seven times: four groups, whose first three
+    # end in the output that starts the next one
+    space, _, _, S = tab16
+    k = 5
+    ts = np.geomspace(space.min_edge_length ** 2, 1 / 16, 7)
+    monkeypatch.setattr(heat, "_GRID_BLOCK", 2 * space.n * k)
+    F = np.random.default_rng(3).standard_normal((space.n, k))
+    untouched = [out.copy() for _, out in S.apply_grid(F, ts)]
+    starts = []
+    for i, (_, out) in enumerate(S.apply_grid(F, ts)):
+        assert np.array_equal(out, untouched[i])
+        if out.flags.writeable:
+            np.clip(out, 0.0, None, out=out)     # a caller's in-place clamp
+        else:
+            starts.append(i)
+            with pytest.raises(ValueError):
+                out[0, 0] = 0.0
+    assert starts == [1, 3, 5]
+    # kernel columns clamp a copy of a group's start
+    kernel = [cols.copy() for _, cols in S.kernel_grid([40, 700], ts)]
+    assert all(np.array_equal(cols, np.clip(out, 0.0, None)) for cols, (_, out)
+               in zip(kernel, S.apply_grid(S._delta(np.array([40, 700])), ts)))
+
+
 def test_product_and_dense_heat_leave_scipy_special_unimported():
     # scipy.special adds about 4 MB of resident memory; only stepping needs it
     code = """if True:

@@ -119,11 +119,42 @@ def test_separable_grid_matches_double_loop(h, weight, w):
     assert grid.factors is not None
 
 
-def test_tabulated_grid_matches_double_loop():
-    h = 0.25
-    wtab = np.exp(0.5 * np.random.default_rng(0).standard_normal((9, 9)))
+@pytest.mark.parametrize("h", [0.25, 0.1, 1 / 12])
+def test_tabulated_grid_matches_double_loop(h):
+    m = int(round(2.0 / h)) + 1
+    wtab = np.exp(0.5 * np.random.default_rng(0).standard_normal((m, m)))
     grid = sp_mod.weighted_grid_2d(SQUARE, h, tabulated=wtab)
     assert_same_space(grid, loop_grid(h, wtab=wtab))
+    assert grid.factors is None
+
+
+@pytest.mark.parametrize("bounds,h", [(SQUARE, 0.1), (SQUARE, 1 / 24),
+                                      (((0.0, 1.5), (-0.6, 0.3)), 0.1),
+                                      (((0.0, 1.5), (-0.6, 0.3)), 0.3)],
+                         ids=["square-0.1", "square-1/24", "box-0.1", "box-0.3"])
+def test_tabulated_grid_is_the_face_formula_to_the_bit(bounds, h):
+    # the lattice's arrays written out whole, the x-edges first: masses
+    # w |cell| and conductances 0.5 (w + w') |face| / h, in this order of
+    # operations, with the cells clipped at the box
+    (ax, bx), (ay, by) = bounds
+    xs = ax + h * np.arange(int(round((bx - ax) / h)) + 1)
+    ys = ay + h * np.arange(int(round((by - ay) / h)) + 1)
+    wtab = np.exp(0.5 * np.random.default_rng(2).standard_normal((xs.size, ys.size)))
+    grid = sp_mod.weighted_grid_2d(bounds, h, tabulated=wtab)
+    dx = np.minimum(xs + h / 2, bx) - np.maximum(xs - h / 2, ax)
+    dy = np.minimum(ys + h / 2, by) - np.maximum(ys - h / 2, ay)
+    idx = np.arange(xs.size * ys.size).reshape(xs.size, ys.size)
+    cx = 0.5 * (wtab[:-1, :] + wtab[1:, :]) * dy[None, :] / h
+    cy = 0.5 * (wtab[:, :-1] + wtab[:, 1:]) * dx[:, None] / h
+    want = {"mu": (wtab * dx[:, None] * dy[None, :]).ravel(),
+            "edge_i": np.concatenate([idx[:-1, :].ravel(), idx[:, :-1].ravel()]),
+            "edge_j": np.concatenate([idx[1:, :].ravel(), idx[:, 1:].ravel()]),
+            "edge_c": np.concatenate([cx.ravel(), cy.ravel()]),
+            "edge_l": np.full(cx.size + cy.size, h),
+            "positions": np.column_stack([np.repeat(xs, ys.size), np.tile(ys, xs.size)])}
+    for attr, value in want.items():
+        got = getattr(grid, attr)
+        assert got.dtype == value.dtype and got.tobytes() == value.tobytes(), attr
     assert grid.factors is None
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 from scipy.sparse.csgraph import dijkstra
 from scipy.sparse.linalg import ArpackNoConvergence
 
@@ -286,6 +286,24 @@ def test_rows_and_columns_run_the_same_checks(edges, message):
     for form in (edges, E, columns):
         with pytest.raises(ConfigError, match=re.escape(message)):
             MetricMeasureSpace(np.ones(3), form)
+
+
+@settings(max_examples=60, deadline=None)
+@given(connected_graphs(), st.data())
+def test_a_repeated_pair_is_named_at_its_later_copy(space, data):
+    # one pair listed again further on, in either orientation: the error
+    # names the pair, and only the later copy is marked
+    rows = list(zip(space.edge_i.tolist(), space.edge_j.tolist(),
+                    space.edge_c.tolist(), space.edge_l.tolist()))
+    k = data.draw(st.integers(0, len(rows) - 1))
+    at = data.draw(st.integers(k + 1, len(rows)))
+    a, b, c, l = rows[k]
+    rows.insert(at, (b, a, 2 * c, l) if data.draw(st.booleans()) else (a, b, c, l))
+    with pytest.raises(ConfigError, match=re.escape(f"duplicate edge ({a},{b})")):
+        MetricMeasureSpace(space.mu, rows)
+    i, j, c, _ = sp_mod._edge_columns(rows)
+    duplicate = sp_mod._symmetric_csr(space.n, np.minimum(i, j), np.maximum(i, j), c)[3]
+    assert np.flatnonzero(duplicate).tolist() == [at]
 
 
 def traced(build):
