@@ -83,17 +83,61 @@ def _record(name, lhs, rhs, constant, kind="bound", lo=None, hi=None, **extra):
     return rec
 
 
-def _required(mapping, key):
-    """mapping[key] for a required config key; a missing one is a config error."""
-    if key not in mapping:
+# the default of a parameter that has none
+_REQUIRED = object()
+
+
+def _required(mapping, key, default=_REQUIRED):
+    """mapping[key], or `default` where the key is absent; a missing key
+    without a default is a config error."""
+    if key in mapping:
+        return mapping[key]
+    if default is _REQUIRED:
         raise ConfigError(f"missing required parameter {key!r}")
-    return mapping[key]
+    return default
 
 
-def _resolve_vertex(space, ref):
+def _number(value, name, kind=float):
+    """`value` as a `kind` (float or int): the one conversion of every
+    numeric config value, where anything that is not a number is a config
+    error."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"parameter {name!r} must be {what}, got {value!r}") from None
+
+
+def _param(mapping, key, default=_REQUIRED, kind=float, positive=False):
+    """mapping[key], or `default` where the key is absent, as a `kind`; a
+    default of None is an optional parameter, which stays None."""
+    value = _required(mapping, key, default)
+    if value is None and default is None:
+        return None
+    value = _number(value, key, kind)
+    if positive and not (value > 0):
+        raise ConfigError(f"parameter {key!r} must be positive")
+    return value
+
+
+def _numbers(mapping, key, default=_REQUIRED, size=None):
+    """mapping[key], or `default` where the key is absent, as a list of
+    floats (of `size` entries where given; a null entry of a sized list,
+    a range's open end, stays None)."""
+    values = _required(mapping, key, default)
+    if not isinstance(values, (list, tuple)) or size not in (None, len(values)):
+        raise ConfigError(f"parameter {key!r} must be a list of "
+                          f"{f'{size} ' if size else ''}numbers")
+    return [None if v is None and size else _number(v, key) for v in values]
+
+
+def _vertex(space, mapping, key, default=_REQUIRED):
+    """The vertex mapping[key] names: an index, or the coordinates of an
+    embedded vertex."""
+    ref = _required(mapping, key, default)
     if isinstance(ref, (list, tuple)):
-        return space.vertex_at(ref)
-    return int(ref)
+        return space.vertex_at([_number(c, key) for c in ref])
+    return _number(ref, key, int)
 
 
 def _boundary_field(space, spec):
@@ -102,11 +146,11 @@ def _boundary_field(space, spec):
     kind = spec.get("type")
     pos = space.positions
     if kind == "constant":
-        return np.full(space.n, float(spec.get("value", 1.0)))
+        return np.full(space.n, _param(spec, "value", 1.0))
     if pos is None:
         raise ConfigError(f"boundary type {kind!r} needs an embedded space")
     if kind == "affine":
-        coeffs = [float(c) for c in _required(spec, "coeffs")]
+        coeffs = _numbers(spec, "coeffs")
         out = np.full(space.n, coeffs[0])
         for d in range(min(len(coeffs) - 1, pos.shape[1])):
             out += coeffs[d + 1] * pos[:, d]
@@ -115,15 +159,15 @@ def _boundary_field(space, spec):
         x = pos[:, 0]
         return np.sign(x) * np.sqrt(np.abs(x))
     if kind == "coordinate":
-        return pos[:, int(spec.get("axis", 0))].astype(float)
+        return pos[:, _param(spec, "axis", 0, int)].astype(float)
     if kind == "chart":
-        axis = int(spec.get("axis", 0))
-        c = _resolve_vertex(space, _required(spec, "center"))
+        axis = _param(spec, "axis", 0, int)
+        c = _vertex(space, spec, "center")
         L = pos[:, axis].max() - pos[:, axis].min() + 1.0
         return (pos[:, axis] - pos[c, axis] + L / 2) % L - L / 2
     if kind == "distance_plus":
-        origin = _resolve_vertex(space, _required(spec, "origin"))
-        return space.distances_from(origin) + float(spec.get("offset", 1.0))
+        origin = _vertex(space, spec, "origin")
+        return space.distances_from(origin) + _param(spec, "offset", 1.0)
     raise ConfigError(f"unknown boundary type {kind!r}")
 
 
@@ -135,12 +179,12 @@ def _domain_vertices(space, spec):
             raise ConfigError("all_interior needs a space with a geometric rim")
         return vertex_complement(space.n, space.rim)
     if kind == "ball":
-        c = _resolve_vertex(space, _required(spec, "center"))
-        return metric_ball(space, c, float(_required(spec, "radius"))).members
+        c = _vertex(space, spec, "center")
+        return metric_ball(space, c, _param(spec, "radius")).members
     if kind == "annulus":
-        c = _resolve_vertex(space, _required(spec, "center"))
+        c = _vertex(space, spec, "center")
         d = space.distances_from(c)
-        r_in, r_out = float(_required(spec, "r_in")), float(_required(spec, "r_out"))
+        r_in, r_out = _param(spec, "r_in"), _param(spec, "r_out")
         return np.flatnonzero((d > r_in) & (d < r_out))
     raise ConfigError(f"unknown domain type {kind!r}")
 
@@ -150,38 +194,30 @@ def _build_problem(space, params):
     _check_keys(prob_spec, {"domain", "boundary", "lambda", "f"}, "problem")
     domain = _domain_vertices(space, _required(prob_spec, "domain"))
     bc = _boundary_field(space, _required(prob_spec, "boundary"))
-    lam = np.full(space.n, float(prob_spec.get("lambda", 0.0)))
-    f = np.full(space.n, float(prob_spec.get("f", 0.0)))
+    lam = np.full(space.n, _param(prob_spec, "lambda", 0.0))
+    f = np.full(space.n, _param(prob_spec, "f", 0.0))
     return Problem(space, domain, bc, lam, f)
-
-
-def _positive(params, names):
-    for nm in names:
-        if nm in params and not (float(params[nm]) > 0):
-            raise ConfigError(f"parameter {nm!r} must be positive")
 
 
 # -- task handlers (each returns a list of records + optional csv rows) ------
 
 def _task_doubling(space, params, seed):
     _check_keys(params, {"R0"}, "params")
-    _positive(params, ["R0"])
-    rep = estimate_doubling(space, float(_required(params, "R0")))
+    rep = estimate_doubling(space, _param(params, "R0", positive=True))
     return [_record("doubling", rep.C_d, 1.0, rep.C_d, kind="range", lo=1.0,
                     report=rep)], None
 
 
 def _task_poincare(space, params, seed):
     _check_keys(params, {"R0", "sample_count", "recheck_fields"}, "params")
-    _positive(params, ["R0"])
-    rep = estimate_poincare(space, float(_required(params, "R0")),
-                            int(params.get("sample_count", 24)), seed=seed)
+    rep = estimate_poincare(space, _param(params, "R0", positive=True),
+                            _param(params, "sample_count", 24, int), seed=seed)
     # independent recheck: random fields on the worst ball must respect C_P
     rng = np.random.default_rng(seed + 1)
     ball = rep.worst_ball
     outer = metric_ball(space, ball.center, 2 * ball.radius)
     violations = 0
-    for _ in range(int(params.get("recheck_fields", 100))):
+    for _ in range(_param(params, "recheck_fields", 100, int)):
         u = rng.standard_normal(space.n)
         mu_b = space.mu[ball.members]
         mean = float(mu_b @ u[ball.members] / mu_b.sum())
@@ -201,22 +237,22 @@ def _task_gaussian(space, params, seed):
                          "t_points", "bracket"}, "params")
     H = build_heat(space)
     h = space.min_edge_length
-    R = float(params.get("R", np.sqrt(space.n) / 4 * h))
-    tmin = float(params.get("t_min_factor", 4.0)) * h * h
-    tmax = min(float(params.get("t_max_factor", 64.0)) * h * h, R * R)
-    t_grid = np.geomspace(tmin, tmax, int(params.get("t_points", 8)))
-    fit = check_gaussian(H, t_grid, int(params.get("pairs", 200)), R,
-                         seed=seed, bracket=float(params.get("bracket", 2.0)))
+    R = _param(params, "R", np.sqrt(space.n) / 4 * h)
+    tmin = _param(params, "t_min_factor", 4.0) * h * h
+    tmax = min(_param(params, "t_max_factor", 64.0) * h * h, R * R)
+    t_grid = np.geomspace(tmin, tmax, _param(params, "t_points", 8, int))
+    fit = check_gaussian(H, t_grid, _param(params, "pairs", 200, int), R,
+                         seed=seed, bracket=_param(params, "bracket", 2.0))
     return [_record("gaussian", fit.violations, 0.0, fit.C, report=fit)], None
 
 
 def _task_heat_caccioppoli(space, params, seed):
     _check_keys(params, {"x", "R", "s_list", "c"}, "params")
     H = build_heat(space)
-    x = _resolve_vertex(space, params.get("x", 0))
-    R = float(_required(params, "R"))
-    s_list = [float(s) for s in params.get("s_list", [R * R / 4, R * R])]
-    c = float(params.get("c", 0.25))
+    x = _vertex(space, params, "x", 0)
+    R = _param(params, "R")
+    s_list = _numbers(params, "s_list", [R * R / 4, R * R])
+    c = _param(params, "c", 0.25)
     recs, lhs = [], []
     for s in sorted(s_list):
         rep = check_heat_caccioppoli(H, x, R, s, c=c)
@@ -231,12 +267,12 @@ def _task_heat_caccioppoli(space, params, seed):
 
 def _task_curvature(space, params, seed):
     _check_keys(params, {"T", "n_random", "margin_t"}, "params")
-    _positive(params, ["T"])
+    T = _param(params, "T", 1.0, positive=True)
+    n_random = _param(params, "n_random", 32, int)
+    t_m = _param(params, "margin_t", np.sqrt(space.min_edge_length ** 2 * T))
     H = build_heat(space)
-    T = float(params.get("T", 1.0))
-    samples = default_sample_fields(H, seed, int(params.get("n_random", 32)))
+    samples = default_sample_fields(H, seed, n_random)
     rep = estimate_ckappa(H, T, samples=samples)
-    t_m = float(params.get("margin_t", np.sqrt(space.min_edge_length ** 2 * T)))
     # the commutation oracle takes the drawn fields, not their smoothings
     margin = check_commutation(H, samples[:, :samples.shape[1] // 2], t_m)
     return [_record("curvature", rep.c_kappa, 1.0, rep.c_kappa, kind="range",
@@ -265,10 +301,13 @@ def _task_solve(space, params, seed):
 
 
 def _ball_param(space, params):
+    """(ball, row): the `ball` parameter's ball and its center's distance
+    row, which the ball is read off."""
     spec = _required(params, "ball")
     _check_keys(spec, {"center", "radius"}, "ball")
-    c = _resolve_vertex(space, _required(spec, "center"))
-    return metric_ball(space, c, float(_required(spec, "radius")))
+    c = _vertex(space, spec, "center")
+    row = space.distances_from(c)
+    return metric_ball(space, c, _param(spec, "radius"), row), row
 
 
 def _task_caccioppoli(space, params, seed):
@@ -276,9 +315,9 @@ def _task_caccioppoli(space, params, seed):
     prob = _build_problem(space, params)
     u = solve(prob)
     g = -prob.lam * u + prob.source
-    y0 = _resolve_vertex(space, _required(params, "y0"))
-    rep = check_caccioppoli(space, u, g, y0, float(_required(params, "r1")),
-                            float(_required(params, "r2")))
+    y0 = _vertex(space, params, "y0")
+    rep = check_caccioppoli(space, u, g, y0, _param(params, "r1"),
+                            _param(params, "r2"))
     return [_record("caccioppoli", rep.lhs, rep.rhs, rep.constant,
                     kind="range", report=rep)], None
 
@@ -287,9 +326,9 @@ def _task_moser(space, params, seed):
     _check_keys(params, {"problem", "ball", "p", "Q"}, "params")
     prob = _build_problem(space, params)
     u = solve(prob)
-    ball = _ball_param(space, params)
-    rep = local_sup_bound(space, u, prob.lam, ball, float(params.get("p", 2.0)),
-                          Q=params.get("Q"))
+    ball, _ = _ball_param(space, params)
+    rep = local_sup_bound(space, u, prob.lam, ball, _param(params, "p", 2.0),
+                          Q=_param(params, "Q", None))
     return [_record("moser", rep.lhs, rep.rhs, rep.constant,
                     kind="range", report=rep)], None
 
@@ -298,9 +337,9 @@ def _task_harnack(space, params, seed):
     _check_keys(params, {"problem", "ball", "q", "cap"}, "params")
     prob = _build_problem(space, params)
     u = solve(prob)
-    ball = _ball_param(space, params)
-    cap = float(params.get("cap", 1e3))
-    rep = weak_harnack(space, u, ball, float(params.get("q", 0.5)), cap=cap)
+    ball, _ = _ball_param(space, params)
+    cap = _param(params, "cap", 1e3)
+    rep = weak_harnack(space, u, ball, _param(params, "q", 0.5), cap=cap)
     return [_record("harnack", rep.lhs, rep.rhs, rep.constant, kind="range",
                     hi=cap, report=rep)], None
 
@@ -309,10 +348,13 @@ def _task_hoelder(space, params, seed):
     _check_keys(params, {"problem", "ball", "cap"}, "params")
     prob = _build_problem(space, params)
     u = solve(prob)
-    ball = _ball_param(space, params)
+    ball, row = _ball_param(space, params)
     g = -prob.lam * u + prob.source
-    cap = float(params.get("cap", 1e3))
-    rep = holder_fit(space, u, ball, g, cap=cap, seed=seed)
+    # the fit peaks with the center's row alive; the problem's fields are
+    # not read past g
+    del prob
+    cap = _param(params, "cap", 1e3)
+    rep = holder_fit(space, u, ball, g, cap=cap, seed=seed, row=row)
     return [_record("hoelder", rep.constant, 1.0, rep.constant, kind="range",
                     hi=cap, report=rep)], None
 
@@ -323,8 +365,8 @@ def _task_prop31(space, params, seed):
     u = solve(prob)
     g = -prob.lam * u + prob.source
     rep = check_prop31(build_heat(space), space, u, g,
-                       _resolve_vertex(space, _required(params, "y0")),
-                       float(_required(params, "R")), seed=seed)
+                       _vertex(space, params, "y0"), _param(params, "R"),
+                       seed=seed)
     return [_record("prop31", rep.lhs, rep.rhs, rep.constant,
                     kind="range", report=rep)], None
 
@@ -333,10 +375,10 @@ def _task_gradest(space, params, seed):
     _check_keys(params, {"problem", "ball", "mode", "T", "n_random"}, "params")
     mode = params.get("mode", "thm11")
     prob = _build_problem(space, params)
-    ball = _ball_param(space, params)
+    ball, _ = _ball_param(space, params)
     H = build_heat(space)
-    T = float(params.get("T", ball.radius ** 2))
-    ck = estimate_ckappa(H, T, seed=seed, n_random=int(params.get("n_random", 16)))
+    T = _param(params, "T", ball.radius ** 2)
+    ck = estimate_ckappa(H, T, seed=seed, n_random=_param(params, "n_random", 16, int))
     rep = verify_gradient_estimate(H, space, prob, ball, mode, ck)
     return [_record(f"gradest_{mode}", rep.left, rep.right, rep.constant,
                     kind="range", report=rep)], None
@@ -345,13 +387,13 @@ def _task_gradest(space, params, seed):
 def _task_counterexample(space, params, seed):
     _check_keys(params, {"h_list", "T", "inner_radius", "n_random",
                          "slope_range", "gamma_range", "ck_min_ratio"}, "params")
-    rep = run_counterexample([float(h) for h in _required(params, "h_list")],
-                             T=float(params.get("T", 1 / 64)),
-                             inner_radius=float(params.get("inner_radius", 0.2)),
-                             n_random=int(params.get("n_random", 8)), seed=seed)
-    slo, shi = params.get("slope_range", (-0.65, -0.35))
-    glo, ghi = params.get("gamma_range", (0.4, 0.6))
-    min_ratio = float(params.get("ck_min_ratio", 2.0))
+    slo, shi = _numbers(params, "slope_range", (-0.65, -0.35), size=2)
+    glo, ghi = _numbers(params, "gamma_range", (0.4, 0.6), size=2)
+    min_ratio = _param(params, "ck_min_ratio", 2.0)
+    rep = run_counterexample(_numbers(params, "h_list"),
+                             T=_param(params, "T", 1 / 64),
+                             inner_radius=_param(params, "inner_radius", 0.2),
+                             n_random=_param(params, "n_random", 8, int), seed=seed)
     # worst drop of c_kappa from one mesh to the next, as a bound <= 0
     ck = rep.c_kappa
     drop = max(a - b * (1 + 1e-9) for a, b in zip(ck, ck[1:]))
@@ -371,7 +413,7 @@ def _task_counterexample(space, params, seed):
 def _task_all(space, params, seed):
     _check_keys(params, {"n_fields", "T"}, "params")
     rng = np.random.default_rng(seed)
-    n_fields = int(params.get("n_fields", 20))
+    n_fields = _param(params, "n_fields", 20, int)
     recs = []
 
     worst_ident = largest = 0.0
@@ -398,7 +440,7 @@ def _task_all(space, params, seed):
     recs.append(_record("semigroup_property", semi_err, 1.0, 1e-8))
     recs.append(_record("positivity", pos_min, 1.0, pos_min, kind="range", lo=0.0))
 
-    T = float(params.get("T", 1.0))
+    T = _param(params, "T", 1.0)
     ck = estimate_ckappa(H, T, seed=seed, n_random=min(n_fields, 16))
     recs.append(_record("curvature", ck.c_kappa, 1.0, ck.c_kappa, kind="range",
                         lo=0.0))
@@ -488,7 +530,7 @@ def run_config(config: dict, out_dir=None, seed=None):
     params = config.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("params must be a mapping")
-    seed = int(config.get("seed", 0) if seed is None else seed)
+    seed = _param(config, "seed", 0, int) if seed is None else int(seed)
     if task != "counterexample" and "space" not in config:
         raise ConfigError(f"task {task!r} needs a space")
 

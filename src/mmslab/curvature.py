@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .form import carre_du_champ
-from . import heat
 from .heat import HeatOperator
 from .reports import CurvatureReport
 
@@ -127,10 +126,12 @@ def estimate_ckappa(H: HeatOperator, T: float, samples=None, t_grid=None,
     column; the default `t_grid` is 24 geometric times in [h^2, T].
 
     The fields are swept in blocks: each block's column-major stack
-    [g~^2 | g~ | Gamma(g)] of recentred fields g~ fits the heat module's
-    `_GRID_BLOCK` doubles (or holds one field), goes through one
-    `apply_grid` sweep, and each output is released before the next is
-    made, so memory stays near a few blocks beside `samples` at any mesh.
+    [g~^2 | g~ | Gamma(g)] of recentred fields g~ has the columns
+    `H.grid_columns` allows for the grid (or holds one field), so a
+    stepping block crosses the whole grid in one recurrence.  It goes
+    through one `apply_grid` sweep, and each output is released before the
+    next is made (a stepping sweep holds its one group of outputs), so
+    memory stays near a few blocks beside `samples` at any mesh.
     The per-time maxima fold across blocks; ties go to the smaller vertex,
     then the smaller field, as a flat argmax over the whole stack would.
     """
@@ -156,8 +157,8 @@ def estimate_ckappa(H: HeatOperator, T: float, samples=None, t_grid=None,
     # c_kappa is a max over fields, so each block's per-time maxima fold
     # into `best`, the (value, vertex, field) per time
     n = H.space.n
-    width = max(1, heat._GRID_BLOCK // (3 * n))
     ts = np.sort(t_grid)
+    width = max(1, H.grid_columns(ts.size) // 3)
     best = [(-1.0, 0, 0)] * ts.size
     for f0 in range(0, k, width):
         block = samples[:, f0:f0 + width]

@@ -368,7 +368,7 @@ def weak_harnack(space: MetricMeasureSpace, u, ball: Ball, q: float,
 
 
 def holder_fit(space: MetricMeasureSpace, u, ball: Ball, g_field,
-               cap: float = 1e3, seed: int = 0) -> HoelderReport:
+               cap: float = 1e3, seed: int = 0, row=None) -> HoelderReport:
     """Hoelder exponent and constant of u over pairs in the doubled ball:
 
         |u(x) - u(y)| <= constant * scale * (d(x,y)/R)^gamma,
@@ -381,13 +381,15 @@ def holder_fit(space: MetricMeasureSpace, u, ball: Ball, g_field,
     it.  Pair distances run from a bounded set of seeded source vertices
     to every vertex of 2B (`distance_rows` at those targets).  Two points
     of B(x, 2R) are less than 4R apart, so Dijkstra may stop at 4R.
+    2B and 4B are read off `row`, the center's distance row, where the
+    caller holds it.
     """
     u = space.check_field(u)
     g_field = space.check_field(g_field)
     R = ball.radius
     if ball.members.size < 4:
         raise ConfigError("ball too small for a Hoelder fit (< 4 vertices)")
-    d = space.distances_from(ball.center)     # 2B and 4B from one row
+    d = space.distances_from(ball.center) if row is None else row
     four_b = d < 4 * R
     scale = (float(np.max(np.abs(u[four_b])))
              + R ** 2 * float(np.max(np.abs(g_field[four_b]))))

@@ -28,11 +28,15 @@ paths:
   D_i + D_j, D = degree/mu (Anderson and Morley).  The Bessel coefficients
   are cut where their tail drops below 2^-60 (never silently: a tail that
   stays above raises), so an action costs O(sqrt(lam_max t)) sparse
-  matvecs.  One three-term recurrence serves several times: it runs to the
-  largest increment and adds each time's coefficients into that time's
-  accumulator (Tal-Ezer and Kosloff).  Time grids are swept in consecutive
-  groups whose outputs fit about 4 MB, one recurrence per group, each group
-  starting from the previous group's last output, which is yielded read-only.
+  matvecs.  One three-term recurrence serves several times (Tal-Ezer and
+  Kosloff): it runs to the largest increment, and every five terms it adds
+  them into the output of each time whose series still runs, by one
+  fixed-shape product of that time's coefficients, so each output has the
+  bits of its own recurrence.  Time grids are swept in consecutive groups
+  whose outputs fit about 4 MB, one recurrence per group, each group
+  starting from the previous group's last output, which is yielded
+  read-only; `grid_columns` tells a caller how many columns keep a whole
+  grid in one group.
 
 Both paths cut the stack into blocks of `_COLUMN_BLOCK // n` columns
 (about 512 KB) and deal them round-robin to the calling thread and up to
@@ -101,6 +105,13 @@ AUTO_DENSE_CAP = 1024
 # Outputs of one stepping recurrence over a time grid: about 2**19 doubles
 # (4 MB), or a single output when that alone is larger.
 _GRID_BLOCK = 2 ** 19
+# A stepping column block adds its Chebyshev terms into the outputs this many
+# at a time, from a ring whose rows are zero-padded to a multiple of `_PAD`
+# doubles: BLAS takes a vector's tail, past its last multiple of 4 to 16
+# doubles, by other instructions, which round differently.  A ring of eight
+# terms was faster, but holds more than a sweep's memory bound allows.
+_FOLD = 5
+_PAD = 64
 # Product synthesis keeps the modes with theta t <= MODE_CUT on each axis: the
 # rest add less than e^-45 < 2^-64 times |F|_{L2(mu)} mu_x^{-1/2} at x, the
 # scale on which the full sum's round-off is a few 2^-53
@@ -180,6 +191,8 @@ class HeatOperator:
         # 0 and basis the mu-orthonormal eigenfields
         self._factors = self._weighted = self._X2 = self._lam = None
         self._pool = None
+        # the last stepping sweep's Chebyshev coefficients, by increment
+        self._series = {}
 
         if mode == "stepping":
             # -A = M^-1 B^T C B (B the edge-vertex incidence, C the edge
@@ -288,6 +301,17 @@ class HeatOperator:
                 self._deal(lambda p: self._synthesize(C[p], t, rows[p]), parts)
                 yield float(t), rows.T.reshape(shape)
 
+    def grid_columns(self, times: int) -> int:
+        """How many columns (at least one) a sweep over `times` times may
+        take while its live outputs stay within `_GRID_BLOCK` doubles.
+
+        Stepping holds a group's outputs at once and answers for the whole
+        grid in one group, one recurrence; the spectral path holds one
+        output at a time.
+        """
+        per_column = self.space.n * (times if self.mode == "stepping" else 1)
+        return max(1, _GRID_BLOCK // per_column)
+
     def _coefficients(self, F, out=None) -> np.ndarray:
         """Spectral coefficients of a field or (n, k) stack on X x Y (on a
         dense space, one vertex times the space), column first:
@@ -381,45 +405,60 @@ class HeatOperator:
 
         The stored matrix is 2X, so T_1 = (2X) T_0 / 2 and T_{k+1} =
         (2X) T_k - T_{k-1}.  X 1 = -1 and 1^T M X = -1^T M, so mass is kept to
-        round-off.  Each increment keeps its own coefficients, cut at its own
-        tail, so its output has the bits of a recurrence run for it alone;
-        at step k the increments whose series still runs form a suffix of
-        `dts`, updated in one call.  The recurrence runs on column blocks of
-        about `_COLUMN_BLOCK` doubles, dealt by `_deal` (sparse products
-        and ufuncs release the GIL).
+        round-off.  The recurrence runs on column blocks of about
+        `_COLUMN_BLOCK` doubles, dealt by `_deal` (sparse products and BLAS
+        release the GIL).  A block keeps its last `_FOLD` terms in a ring,
+        each row zero-padded to a multiple of `_PAD` doubles, and every
+        `_FOLD` terms adds the ring into the output of each increment whose
+        series still runs, by one (`_FOLD`,) x (`_FOLD`, padded) product of
+        that increment's coefficients, zero past its own tail.  The padding
+        puts every element through the same BLAS instructions whatever the
+        block's size, and each increment's series is cut at its own tail
+        (its Bessel coefficients are kept for the next sweep), so its output
+        has the bits of a recurrence run for it alone, at any column count,
+        group or thread.
         """
         X2 = self._shifted_generator()
-        cs = [_chebyshev_coefficients(0.5 * self._lam * dt) for dt in dts]
-        lengths = np.array([c.size for c in cs])
-        C = np.zeros((len(cs), int(lengths.max())))
+        kept = self._series
+        cs = [kept[dt] if dt in kept
+              else _chebyshev_coefficients(0.5 * self._lam * dt)
+              for dt in dts.tolist()]
+        self._series = dict(zip(dts.tolist(), cs))
+        terms = max(c.size for c in cs)
+        folds = -(-terms // _FOLD)
+        # C[i, q]: increment i's coefficients of the terms of fold q
+        C = np.zeros((len(cs), folds * _FOLD))
         for i, c in enumerate(cs):
             C[i, :c.size] = c
-        # first[k]: the first increment whose series has a term k
-        first = np.searchsorted(np.maximum.accumulate(lengths),
-                                np.arange(C.shape[1]), side="right")
+        C = C.reshape(len(cs), folds, _FOLD)
+        # live[q]: the increments whose series has a term in fold q
+        live = [[i for i, c in enumerate(cs) if c.size > _FOLD * q]
+                for q in range(folds)]
         n = self.space.n
         F2 = F.reshape(n, -1)
-        outs = [np.empty(F2.shape) for _ in cs]
+        outs = [np.zeros(F2.shape) for _ in cs]
         width = max(1, _COLUMN_BLOCK // n)
         starts = range(0, F2.shape[1], width)
 
         def block(j):
             # its temporaries die on return, before the next block starts
-            prev = np.ascontiguousarray(F2[:, j:j + width])
-            # one contiguous accumulator per increment
-            acc = C[:, 0, None, None] * prev
-            if C.shape[1] > 1:
-                cur = 0.5 * (X2 @ prev)
-                s = first[1]
-                acc[s:] += C[s:, 1, None, None] * cur
-                for k in range(2, C.shape[1]):
-                    nxt = X2 @ cur
-                    nxt -= prev
-                    s = first[k]
-                    acc[s:] += C[s:, k, None, None] * nxt
-                    prev, cur = cur, nxt
-            for out, a in zip(outs, acc):
-                out[:, j:j + width] = a
+            into = [out[:, j:j + width] for out in outs]
+            size = into[0].size
+            ring = np.zeros((_FOLD, -(-size // _PAD) * _PAD))
+            term = [row[:size].reshape(n, -1) for row in ring]
+            fold = np.empty(ring.shape[1])
+            folded = fold[:size].reshape(n, -1)
+            term[0][...] = F2[:, j:j + width]
+            for q, series in enumerate(live):
+                for k in range(max(1, _FOLD * q), min(_FOLD * (q + 1), terms)):
+                    if k == 1:
+                        np.multiply(X2 @ term[0], 0.5, out=term[1])
+                    else:
+                        np.subtract(X2 @ term[(k - 1) % _FOLD],
+                                    term[(k - 2) % _FOLD], out=term[k % _FOLD])
+                for i in series:
+                    np.dot(C[i, q], ring, out=fold)
+                    into[i] += folded
 
         self._deal(block, starts)
         return [out.reshape(F.shape) for out in outs]

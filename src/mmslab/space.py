@@ -477,11 +477,13 @@ class Ball:
     measure: float
 
 
-def metric_ball(space: MetricMeasureSpace, center: int, radius: float) -> Ball:
-    """Open ball in the shortest-path metric."""
+def metric_ball(space: MetricMeasureSpace, center: int, radius: float,
+                row=None) -> Ball:
+    """Open ball in the shortest-path metric, read off `row`, the center's
+    distance row, where the caller holds it."""
     if radius < 0:
         raise ConfigError("radius must be nonnegative")
-    d = space.distances_from(center)
+    d = space.distances_from(center) if row is None else row
     members = np.flatnonzero(d < radius)
     return Ball(int(center), float(radius),
                 members, float(space.mu[members].sum()))

@@ -6,11 +6,13 @@ import json
 import numpy as np
 import pytest
 
-from mmslab.cli import TASKS, main, reverify_report, run_config
+from mmslab import blas
+from mmslab.cli import TASKS, _build_problem, _record, main, reverify_report, run_config
 from mmslab.curvature import check_commutation, estimate_ckappa
+from mmslab.elliptic import holder_fit, solve
 from mmslab.errors import ConfigError
 from mmslab.heat import build_heat
-from mmslab.space import MetricMeasureSpace, build_space
+from mmslab.space import MetricMeasureSpace, build_space, metric_ball
 
 GRID8 = {"family": "grid", "dim": 2, "h": 0.125}
 TORUS16 = {"family": "torus", "n1": 16, "n2": 16}
@@ -389,6 +391,74 @@ def test_missing_required_parameter_is_a_config_error(tmp_path, capsys):
            "task": "heat-caccioppoli", "params": {"x": [8, 8]}}
     assert main(["run", write_config(tmp_path, cfg)]) == 2
     assert "'R'" in capsys.readouterr().err
+
+
+# (task, the keys of the config mapping that holds the key, key, value)
+NOT_A_NUMBER = [
+    ("doubling", ("params",), "R0", "x"),
+    ("doubling", (), "seed", "seven"),
+    ("poincare", ("params",), "sample_count", "six"),
+    ("curvature", ("params",), "n_random", [8]),
+    ("curvature", ("params",), "T", None),
+    ("heat-caccioppoli", ("params",), "s_list", [1.0, "four"]),
+    ("heat-caccioppoli", ("params",), "x", "center"),
+    ("moser", ("params",), "Q", "2.5x"),
+    ("hoelder", ("params", "ball"), "radius", "wide"),
+    ("hoelder", ("params", "ball"), "center", [0.0, "zero"]),
+    ("solve", ("params", "problem"), "lambda", {"value": 1}),
+    ("solve", ("params", "problem", "boundary"), "coeffs", 3.0),
+    ("gradest", ("params", "problem", "boundary"), "axis", "x"),
+    ("counterexample", ("params",), "slope_range", [-0.65]),
+    ("counterexample", ("params",), "h_list", [0.125, "1/16", 1 / 32]),
+    ("all", ("params",), "n_fields", 1e400),
+]
+
+
+@pytest.mark.parametrize("task,where,key,value", NOT_A_NUMBER,
+                         ids=[f"{task}-{key}" for task, _, key, _ in NOT_A_NUMBER])
+def test_a_parameter_that_is_not_a_number_exits_2(tmp_path, capsys, task, where, key,
+                                                   value):
+    cfg = small_config(task)
+    spec = cfg
+    for name in where:
+        spec = spec.setdefault(name, {})
+    spec[key] = value
+    path = write_config(tmp_path, cfg)
+    assert main(["run", path, "--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and repr(key) in err
+
+
+def test_hoelder_task_reads_the_center_row_once(monkeypatch):
+    # on a tabulated grid each row is a Dijkstra run: the task reads the
+    # ball and the fit's 2B and 4B off one row of the center
+    table = np.exp(0.5 * np.random.default_rng(4).standard_normal(17 * 17)).tolist()
+    cfg = {"space": {"family": "grid", "dim": 2, "h": 0.125, "tabulated": table},
+           "task": "hoelder", "seed": 2,
+           "params": {"problem": QUAD_PROBLEM,
+                      "ball": {"center": [0.0, 0.0], "radius": 0.5}}}
+    space = build_space(cfg["space"])
+    assert space.factors is None
+    center = space.vertex_at([0.0, 0.0])
+    # the record of a fit that reads the row itself
+    with blas.threads(1):
+        prob = _build_problem(space, cfg["params"])
+        u = solve(prob)
+        rep = holder_fit(space, u, metric_ball(space, center, 0.5),
+                         -prob.lam * u + prob.source, seed=2)
+    want = _record("hoelder", rep.constant, 1.0, rep.constant, kind="range",
+                   hi=1e3, report=rep)
+    rows = []
+    distances_from = MetricMeasureSpace.distances_from
+
+    def counted(self, v):
+        rows.append(int(v))
+        return distances_from(self, v)
+
+    monkeypatch.setattr(MetricMeasureSpace, "distances_from", counted)
+    _, report, _ = run_config(cfg)
+    assert rows.count(center) == 1
+    assert repr(report["records"]) == repr([want])
 
 
 def test_key_error_inside_a_task_is_not_a_config_error(tmp_path, monkeypatch):

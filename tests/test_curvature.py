@@ -240,8 +240,11 @@ def block_case(request):
 
 
 def estimate_in_blocks(H, samples, width, monkeypatch):
-    """estimate_ckappa to T = 1/64 with field blocks of `width` fields."""
-    monkeypatch.setattr(heat, "_GRID_BLOCK", 3 * H.space.n * width)
+    """estimate_ckappa to T = 1/64 with field blocks of `width` fields, each
+    swept over the whole grid in one stepping group, as `grid_columns`
+    has it."""
+    monkeypatch.setattr(H, "grid_columns", lambda times: 3 * width)
+    monkeypatch.setattr(heat, "_GRID_BLOCK", 3 * H.space.n * samples.shape[1] * 24)
     return estimate_ckappa(H, 1 / 64, samples=samples)
 
 
@@ -267,6 +270,37 @@ def test_a_tie_across_blocks_goes_to_the_first_field(block_case, monkeypatch):
     assert reps[0].argmax[0] == 1
     assert all(rep.argmax == reps[0].argmax for rep in reps)
     assert all(rep.per_t_profile == reps[0].per_t_profile for rep in reps)
+
+
+def test_stepping_estimate_sweeps_each_field_block_over_the_whole_grid(monkeypatch):
+    # one recurrence per field block, over every time, and the Bessel
+    # coefficients of the grid computed once for all blocks
+    space = tabulated_grid(1 / 16)
+    # smoothed on another operator, whose first sweep keeps h^2's series
+    samples = default_sample_fields(build_heat(space, mode="stepping"), seed=2,
+                                    n_random=12)
+    H = build_heat(space, mode="stepping")
+    width = H.grid_columns(24) // 3
+    assert 1 < width < samples.shape[1]
+    sweeps, series = [], []
+    sweep, coefficients = H._chebyshev_sweep, heat._chebyshev_coefficients
+
+    def counted(F, dts):
+        sweeps.append((F.shape[1], dts.size))
+        return sweep(F, dts)
+
+    def computed(z):
+        series.append(z)
+        return coefficients(z)
+
+    monkeypatch.setattr(H, "_chebyshev_sweep", counted)
+    monkeypatch.setattr(heat, "_chebyshev_coefficients", computed)
+    rep = estimate_ckappa(H, 1 / 64, samples=samples)
+    blocks = -(-samples.shape[1] // width)
+    assert len(rep.per_t_profile) == 24
+    assert [size for _, size in sweeps] == [24] * blocks
+    assert sum(cols for cols, _ in sweeps) == 3 * samples.shape[1]
+    assert len(series) == 24
 
 
 def test_block_maxima_fold_to_the_flat_argmax_rule(torus16, monkeypatch):

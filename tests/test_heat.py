@@ -289,7 +289,9 @@ def test_stepping_leaves_the_global_generator_alone(tab16):
 def test_unconverged_chebyshev_series_raises(tab16, monkeypatch):
     from scipy.special import ive
 
-    space, times, _, S = tab16
+    space, times, _, _ = tab16
+    # a fresh operator: the fixture's keeps the coefficients of its last sweep
+    S = build_heat(space, mode="stepping")
     monkeypatch.setattr("scipy.special.ive", lambda k, z: np.full(np.shape(k), 0.25))
     with pytest.raises(NumericalError):
         S.apply_batch(np.ones(space.n), 0.1)
@@ -402,6 +404,36 @@ def test_stepping_grid_groups_agree_with_dense_and_apply_batch(tab16, monkeypatc
             assert np.array_equal(v, once)
 
 
+def test_stepping_outputs_do_not_depend_on_the_column_block_width(tab16, monkeypatch):
+    # the fold's product sees a ring row of n w doubles, padded: without the
+    # padding its tail would round by other instructions as n w changes
+    space, times, _, S = tab16
+    F = np.random.default_rng(15).standard_normal((space.n, 9))
+    got = []
+    for width in (1, 2, 3, 7):
+        assert space.n * width % heat._PAD
+        monkeypatch.setattr(heat, "_COLUMN_BLOCK", width * space.n)
+        got.append([out.copy() for _, out in S.apply_grid(F, times)]
+                   + [S.apply_batch(F[:, 4], times[2])])
+    for outs in got[1:]:
+        assert all(np.array_equal(a, b) for a, b in zip(got[0], outs))
+    assert np.array_equal(got[0][-1], got[0][2][:, 4])
+
+
+def test_a_long_stepping_group_has_the_bits_of_each_lone_recurrence(tab16):
+    # twelve times in one group, whose series end in different fold chunks
+    # and run on past two of them
+    space, _, _, S = tab16
+    F = np.random.default_rng(16).standard_normal((space.n, 3))
+    ts = np.geomspace(space.min_edge_length ** 2 / 4, 0.25, 12)
+    assert heat._GRID_BLOCK >= ts.size * F.size
+    lengths = [heat._chebyshev_coefficients(0.5 * S._lam * t).size for t in ts]
+    assert min(lengths) > 2 * heat._FOLD
+    assert len({-(-m // heat._FOLD) for m in lengths}) > 2
+    for t, out in S.apply_grid(F, ts):
+        assert np.array_equal(out, S.apply_batch(F, t)), t
+
+
 def test_stepping_sweep_holds_one_group_of_outputs(tab16, monkeypatch):
     space, _, _, S = tab16
     k, per_group = 480, 2
@@ -420,7 +452,8 @@ def test_stepping_sweep_holds_one_group_of_outputs(tab16, monkeypatch):
         tracemalloc.stop()
     # F, one group of outputs and the previous output, which starts the
     # group; per thread, three recurrence terms, and an accumulator and an
-    # update per output of a column block
+    # update per output of a column block (the fold holds a ring of five
+    # terms, a new term's product and the product of one fold)
     bound = (per_group + 2) * F.nbytes \
         + threads * (3 + 2 * per_group) * 8 * width * space.n + 2 ** 20
     assert peak <= bound

@@ -89,7 +89,9 @@ def test_only_the_generators_branch_on_the_heat_mode():
     # product of one vertex and itself, so apply_grid tells stepping from the
     # one spectral path; a kernel column is the clamped action in every
     # realization, and a stepping group's start comes read-only, so
-    # kernel_grid copies by the flag, not by the mode
+    # kernel_grid copies by the flag, not by the mode.  grid_columns tells a
+    # caller how wide a sweep over a grid may be: stepping holds a group of
+    # outputs at once, the spectral path one
     tree = ast.parse(next(p for p in SOURCES if p.name == "heat.py").read_text())
     cls = next(node for node in tree.body
                if isinstance(node, ast.ClassDef) and node.name == "HeatOperator")
@@ -120,8 +122,9 @@ def test_only_the_generators_branch_on_the_heat_mode():
                 o.value if isinstance(o, ast.Constant) and isinstance(o.value, str)
                 else None for o in others if o is not node)
     assert "apply_grid" in readers
-    assert readers <= {"__init__", "apply_grid", "kernel_matrix"}
+    assert readers <= {"__init__", "apply_grid", "grid_columns", "kernel_matrix"}
     assert compared["apply_grid"] == {"stepping"}
+    assert compared["grid_columns"] == {"stepping"}
 
 
 def names_and_strings(tree):
