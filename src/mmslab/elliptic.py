@@ -12,9 +12,10 @@ structure of the problem (`solver_path`):
 * fast diagonalization: on a product space X x Y whose factors pass
   `space.product_pays`, with Omega = I_x x I_y and lambda constant on it, the
   interior operator is L_x^I (x) M_y^I + M_x^I (x) L_y^I + lambda M_x^I (x)
-  M_y^I.  One dense eigendecomposition of the pencil (L^I, M^I) per factor,
-  L^I V = M^I V diag(w), solved as the standard problem scaled by
-  (M^I)^-1/2 (`space.laplacian_spectrum`), gives the exact inverse
+  M_y^I.  One dense eigendecomposition of the pencil (L^I, M^I) per factor
+  (one in all when a square product's one factor object serves both axes
+  and I_x = I_y), L^I V = M^I V diag(w), solved as the standard problem
+  scaled by (M^I)^-1/2 (`space.laplacian_spectrum`), gives the exact inverse
   v = V_x [(V_x^T B V_y) / (w_x,i + w_y,j + lambda)] V_y^T, with B the right
   side as an |I_x| x |I_y| array; nothing n x n and no sparse interior
   matrix is formed (Lynch, Rice and Thomas, Numer. Math. 6, 1964).  The
@@ -130,7 +131,9 @@ def _fast_diagonalization_solve(problem: Problem, b: np.ndarray) -> np.ndarray:
     # dom is I_x x I_y in row-major order: its first |I_y| entries share i
     m_y = int(np.count_nonzero(ix == ix[0]))
     wx, Vx = laplacian_spectrum(X, ix[::m_y])
-    wy, Vy = laplacian_spectrum(Y, iy[:m_y])
+    # a square product on a square domain has one factor problem, solved once
+    same = Y is X and np.array_equal(ix[::m_y], iy[:m_y])
+    wy, Vy = (wx, Vx) if same else laplacian_spectrum(Y, iy[:m_y])
     lam = float(problem.lam[dom[0]])
     denom = wx[:, None] + wy[None, :] + lam
     lam_min = float(wx[0] + wy[0] + lam)
@@ -195,7 +198,7 @@ def _certify_positive_definite(problem: Problem, A, Wd):
 def cg(A, b, **kwargs):
     """scipy's conjugate gradients, imported at call time.  `_cg_solve` calls
     it by this module-level name because perfbench's tracer rebinds it to
-    count iterations; it goes with the benchmark change of ROADMAP item 3,
+    count iterations; it goes with the benchmark change of ROADMAP item 1,
     once the tracer stops rebinding names."""
     from scipy.sparse.linalg import cg
     return cg(A, b, **kwargs)

@@ -10,7 +10,8 @@ paths:
   Geometry of Markov Diffusion Operators, 2014, 1.15).  A dense space is
   the product of one vertex (theta = [0], basis [[1]], mu = [1]) and
   itself, so both realizations share one path.  Each factor keeps its
-  eigendecomposition (`space.laplacian_spectrum`).  The path works column
+  eigendecomposition (`space.laplacian_spectrum`), and one factor object
+  passed twice (a square product) is decomposed once.  The path works column
   by column (fast diagonalization: Lynch, Rice and Thomas, Numer. Math. 6,
   1964): column c of the stack is an (nx, ny) matrix F_c, its coefficients
   are (bx mu_x)^T F_c (by mu_y), stored column first as one (k, nx, ny)
@@ -22,7 +23,7 @@ paths:
   copy is formed; a column-major stack is read in place, and each (n, k)
   output is a column-major (Fortran-ordered) view of one (k, n) buffer
   that the blocks write into.
-* stepping: for other spaces past `AUTO_DENSE_CAP`, a Chebyshev expansion of
+* stepping: for other spaces past `DENSE_CAP`, a Chebyshev expansion of
   e^{tA} in the shifted generator X = (2/lam)(-A) - I, whose spectrum lies
   in [-1, 1] for the edge-wise bound lam = max over edges {i, j} of
   D_i + D_j, D = degree/mu (Anderson and Morley).  The Bessel coefficients
@@ -40,8 +41,7 @@ paths:
 
 Both paths cut the stack into blocks of `_COLUMN_BLOCK // n` columns
 (about 512 KB) and deal them round-robin to the calling thread and up to
-one worker thread per further CPU (`_deal`); a spectral build deals its two
-factor eigendecompositions the same way.  Every deal runs inside one
+one worker thread per further CPU (`_deal`).  Every deal runs inside one
 `blas.threads(1)` scope, inside an `mmslab run` task or not, and the scope
 closes before `_deal` returns, so none stays open across a yield.  A block
 does the same arithmetic on any thread at one BLAS thread, so the bits
@@ -63,8 +63,13 @@ eigendecomposition through scipy between numpy products leaves one pool
 spinning on the cores the other needs; divide and conquer also gives
 eigenvectors that are orthonormal to a few ulp, where scipy's default MRRR
 left errors of 2.7e-13 on the sqrt|x| factors at h = 1/64 (Demmel, Marques,
-Parlett and Voemel, SIAM J. Sci. Comput. 30, 2008).  Like the sweeps' blocks,
-they run on one BLAS thread, inside a task or not.
+Parlett and Voemel, SIAM J. Sci. Comput. 30, 2008).  A build runs them one
+after the other on the calling thread, inside one `blas.threads(1)` scope
+whether in a task or not, so one LAPACK workspace (about 2n^2 doubles for n
+vertices) is live at a time.  The dense realization, forced or not, stops
+at `DENSE_CAP` vertices; a product factor may have up to `space.FACTOR_CAP`.
+Past the dense cap, stepping is cross-checked against scipy's
+`expm_multiply` in the tests.
 
 Kernel conventions: T_t f(x) = sum_y p(t, x, y) f(y) mu_y, with
 p(t, x, y) = p(t, y, x) >= 0 and sum_y p(t, x, y) mu_y = 1 (the semigroup
@@ -85,23 +90,25 @@ from . import blas
 from .errors import ConfigError, NumericalError
 # not called here any more; perfbench/tests checks that its tracer rebinds
 # and restores this name in the heat namespace, until the benchmark change
-# of ROADMAP item 3
+# of ROADMAP item 1
 from .form import carre_du_champ  # noqa: F401
 from .quad import log_time_quadrature
 from .reports import GaussianFit, Measurement
-from .space import (DENSE_CAP_DEFAULT, MetricMeasureSpace, _ball_masses,
-                    laplacian_spectrum, product_pays)
+from .space import (MetricMeasureSpace, _ball_masses, laplacian_spectrum,
+                    product_pays)
 
 # The Chebyshev series stops where the tail sum of |c_k| (the whole sum is 1)
 # drops below this.
 CHEB_TAIL = 2.0 ** -60
 # Columns per block of a heat sweep: about 2**16 doubles (512 KB).
 _COLUMN_BLOCK = 2 ** 16
-# "auto" realizes a space that `product_pays` turns down densely up to this
-# many vertices and by stepping above: past about 1000 vertices a dense build
-# costs more than a stepping task (tabulated h = 1/20, n = 1681: curvature
-# task 1.05 s dense against 0.48 s stepping, 2 cores).
-AUTO_DENSE_CAP = 1024
+# The dense realization stops at this many vertices, forced or not: "auto"
+# realizes a space that `product_pays` turns down densely up to here and by
+# stepping above.  Past about 1000 vertices a dense build costs more than a
+# stepping task (tabulated h = 1/20, n = 1681: curvature task 1.05 s dense
+# against 0.48 s stepping, 2 cores), and its LAPACK workspace of about 2n^2
+# doubles grows past 16 MB.
+DENSE_CAP = 1024
 # Outputs of one stepping recurrence over a time grid: about 2**19 doubles
 # (4 MB), or a single output when that alone is larger.
 _GRID_BLOCK = 2 ** 19
@@ -163,14 +170,16 @@ class HeatOperator:
     space : MetricMeasureSpace
     mode : {"auto", "dense", "stepping"}
         "auto" picks product on a Cartesian-product space whose factors fit
-        the dense cap and are no more than `space.PRODUCT_MAX_ASPECT` times
-        apart in size (`space.product_pays`), else dense-spectral up to
-        `AUTO_DENSE_CAP` vertices, else stepping.  "dense" is accepted up to
-        `space.DENSE_CAP_DEFAULT` vertices, as a cross-check of the other
-        two.  The product realization is reached only through "auto".  A
-        dense space is realized as the product of one vertex and itself, so
-        dense and product share one spectral path, whose two factor
-        eigendecompositions `_deal` shares out like a sweep's blocks.
+        `space.FACTOR_CAP` and are no more than `space.PRODUCT_MAX_ASPECT`
+        times apart in size (`space.product_pays`), else dense-spectral up
+        to `DENSE_CAP` vertices, else stepping.  "dense" has the same cap:
+        past it, a `ConfigError` names the cap and n before any
+        eigendecomposition starts.  The product realization is reached only
+        through "auto".  A dense space is realized as the product of one
+        vertex and itself, so dense and product share one spectral path.
+        The build decomposes the two factors one after the other on the
+        calling thread at one BLAS thread, and a factor passed twice (a
+        square product) once.
     """
 
     def __init__(self, space: MetricMeasureSpace, mode="auto"):
@@ -180,12 +189,12 @@ class HeatOperator:
             if product_pays(space.factors):
                 mode = "product"
             else:
-                mode = "dense" if n <= AUTO_DENSE_CAP else "stepping"
+                mode = "dense" if n <= DENSE_CAP else "stepping"
         elif mode not in ("dense", "stepping"):
             raise ConfigError(f"unknown heat mode {mode!r}")
-        if mode == "dense" and n > DENSE_CAP_DEFAULT:
+        if mode == "dense" and n > DENSE_CAP:
             raise ConfigError(
-                f"dense mode capped at {DENSE_CAP_DEFAULT} vertices (space has {n})")
+                f"dense mode capped at {DENSE_CAP} vertices (space has {n})")
         self.mode = mode
         # [(theta, basis)] per factor, theta the eigenvalues of -A clipped at
         # 0 and basis the mu-orthonormal eigenfields
@@ -206,16 +215,17 @@ class HeatOperator:
             # [[1]], mu = [1]) and itself
             spaces = (space.factors if mode == "product"
                       else (MetricMeasureSpace([1.0], []), space))
-            self._factors = [None, None]
-
-            def decompose(i):
-                w, V = laplacian_spectrum(spaces[i])
-                self._factors[i] = (np.clip(w, 0.0, None), V)
-
-            self._deal(decompose, [0, 1])
-            # basis^T M on a product is (bx mu_x)^T (x) (by mu_y)^T
-            self._weighted = [V * X.mu[:, None]
-                              for (_, V), X in zip(self._factors, spaces)]
+            # one factor after the other on this thread, so that one LAPACK
+            # workspace is live at a time; a factor passed twice (a square
+            # product) is decomposed once, and its arrays are shared
+            done = {}
+            with blas.threads(1):
+                for X in spaces:
+                    if id(X) not in done:
+                        w, V = laplacian_spectrum(X)
+                        # basis^T M on a product is (bx mu_x)^T (x) (by mu_y)^T
+                        done[id(X)] = (np.clip(w, 0.0, None), V), V * X.mu[:, None]
+            self._factors, self._weighted = zip(*(done[id(X)] for X in spaces))
 
     # -- eigen data ----------------------------------------------------------
 
@@ -466,7 +476,8 @@ class HeatOperator:
     def _deal(self, block, parts):
         """block(p) for every p in `parts`, dealt round-robin to the
         calling thread and `_block_workers` threads, with every OpenBLAS
-        runtime on one thread (`blas.threads(1)`).
+        runtime on one thread (`blas.threads(1)`): the column blocks of a
+        spectral or stepping sweep, never an eigendecomposition.
 
         A block's arithmetic does not depend on the thread that runs it, so
         the results are the same bits with or without workers, and at any

@@ -53,7 +53,7 @@ _SQRT2 = np.sqrt(2.0)
 _ROW_BLOCK = 2 ** 18               # doubles (2 MB) per block of distance rows
 _TIE_STEPS = 8                     # boundary runs a product ball count may cross
 _ROW_CHUNK = 2 ** 13               # rows per step of `conductance_apply`
-DENSE_CAP_DEFAULT = 4000           # largest dense eigendecomposition, in vertices
+FACTOR_CAP = 4000                  # largest factor `product_pays` admits, in vertices
 # Product-structured solvers (the heat realization, the Dirichlet solve)
 # decompose each factor once (~nx^3 + ny^3 flops) and then push fields
 # through the factor bases (~nx ny (nx + ny) each); the ratio of the two is
@@ -405,12 +405,12 @@ def _ring_lengths(n: int, i, j, l):
 
 def product_pays(factors) -> bool:
     """True when a space with these `factors` should be handled factor by
-    factor: both factors fit `DENSE_CAP_DEFAULT` and are at most
+    factor: both factors fit `FACTOR_CAP` and are at most
     `PRODUCT_MAX_ASPECT` times apart in size."""
     if factors is None:
         return False
     small, large = sorted(f.n for f in factors)
-    return large <= DENSE_CAP_DEFAULT and large <= PRODUCT_MAX_ASPECT * small
+    return large <= FACTOR_CAP and large <= PRODUCT_MAX_ASPECT * small
 
 
 def dense_laplacian(space: MetricMeasureSpace, idx=None) -> np.ndarray:
@@ -503,7 +503,8 @@ def two_point() -> MetricMeasureSpace:
 def uniform_cycle(n: int) -> MetricMeasureSpace:
     if n < 3:
         raise ConfigError("cycle needs n >= 3")
-    edges = [(k, (k + 1) % n, 1.0, 1.0) for k in range(n)]
+    k = np.arange(n)
+    edges = (k, (k + 1) % n, np.ones(n), np.ones(n))
     ang = 2 * np.pi * np.arange(n) / n
     r = n / (2 * np.pi)             # unit spacing along the circle
     pos = np.column_stack([r * np.cos(ang), r * np.sin(ang)])
@@ -566,7 +567,8 @@ def uniform_torus(n1: int, n2: int) -> MetricMeasureSpace:
     if n1 < 3 or n2 < 3:
         raise ConfigError("torus needs n1, n2 >= 3")
     pos = np.column_stack(np.divmod(np.arange(n1 * n2), n2)).astype(float)
-    return product_space(uniform_cycle(n1), uniform_cycle(n2), positions=pos,
+    X = uniform_cycle(n1)
+    return product_space(X, X if n2 == n1 else uniform_cycle(n2), positions=pos,
                          name=f"torus_{n1}x{n2}")
 
 
@@ -578,8 +580,8 @@ def _sqrt_abs_x_integral(a, b):
 
 
 # separable weights w(x, y) = wx(x): name -> (cell integral \int_a^b wx,
-# point value wx(x))
-_WEIGHTS = {"constant": (lambda a, b: b - a, lambda x: 1.0),
+# point values wx(x) at an array of points)
+_WEIGHTS = {"constant": (lambda a, b: b - a, np.ones_like),
             "sqrt_abs_x": (_sqrt_abs_x_integral, lambda x: np.sqrt(np.abs(x)))}
 
 
@@ -601,12 +603,12 @@ def weighted_grid_1d(bounds=(-1.0, 1.0), h=0.25, weight="constant") -> MetricMea
     mu = np.array([integral(lo, hi) for lo, hi in zip(xl, xr)])
     if np.any(mu <= 0):
         raise ConfigError("weight produced a zero-mass cell")
-    edges = []
-    for k in range(n - 1):
-        c = value((xs[k] + xs[k + 1]) / 2) / h
-        if c <= 0:
-            raise ConfigError(f"zero conductance at midpoint {(xs[k] + xs[k+1]) / 2}")
-        edges.append((k, k + 1, c, h))
+    mid = (xs[:-1] + xs[1:]) / 2
+    c = value(mid) / h
+    if np.any(c <= 0):
+        raise ConfigError(f"zero conductance at midpoint {mid[np.argmax(c <= 0)]}")
+    k = np.arange(n - 1)
+    edges = (k, k + 1, c, np.full(n - 1, float(h)))
     rim = [0, n - 1]
     return MetricMeasureSpace(mu, edges, positions=xs[:, None],
                               name=f"grid1d_{weight}_h{h:g}", rim=rim)
@@ -629,12 +631,13 @@ def weighted_grid_2d(bounds=((-1.0, 1.0), (-1.0, 1.0)), h=0.25,
     it keeps no `factors`.
     """
     (ax, bx), (ay, by) = bounds
+    constant = tabulated is not None or weight == "constant"
+    X = weighted_grid_1d((ax, bx), h, "constant" if constant else weight)
+    # on equal bounds one constant factor object serves both axes
+    Y = X if constant and (ax, bx) == (ay, by) else weighted_grid_1d((ay, by), h)
     if tabulated is None:
-        return product_space(weighted_grid_1d((ax, bx), h, weight),
-                             weighted_grid_1d((ay, by), h, "constant"),
-                             name=f"grid2d_{weight}_h{h:g}")
+        return product_space(X, Y, name=f"grid2d_{weight}_h{h:g}")
 
-    X, Y = weighted_grid_1d((ax, bx), h), weighted_grid_1d((ay, by), h)
     wtab = np.asarray(tabulated, dtype=float)
     if wtab.size != X.n * Y.n:
         raise ConfigError(f"tabulated weight has {wtab.size} values; the "

@@ -1,7 +1,8 @@
 """BLAS thread counts: the two primitives of `mmslab.blas`, a task on one
 thread for all of its work, eigendecompositions included, and heat builds
-and sweeps, inside a task or not, their factors and column blocks dealt to
-the heat layer's workers on one BLAS thread."""
+and sweeps, inside a task or not, on one BLAS thread: a build decomposes
+its factors one after the other on the calling thread, and a sweep deals
+its column blocks to the heat layer's workers."""
 
 import sys
 import threading
@@ -197,28 +198,30 @@ def test_every_eigendecomposition_in_a_task_runs_on_one_thread(monkeypatch):
         for config in (SOLVE, POINCARE):
             assert run_config(config)[0]
         assert counts() == start
-    # each build decomposes two factors (a dense one: one vertex and the space)
-    assert len(init) == 4 and solve_spec and poincare
+    # a dense build decomposes one vertex and the space, the square torus
+    # its one factor
+    assert len(init) == 3 and solve_spec and poincare
     assert set(init) == set(solve_spec) == set(poincare) == {one}
 
 
 @pytest.fixture
 def four_cpus(monkeypatch):
-    # so that the heat layer deals blocks and factors to workers on any
-    # machine
+    # so that the heat layer would have workers to deal to on any machine
     monkeypatch.setattr(heat.os, "sched_getaffinity", lambda pid: set(range(4)))
 
 
-@pytest.mark.parametrize("make", [
-    lambda: weighted_grid_2d(((-1.0, 1.0), (-1.0, 1.0)), 1 / 64, "sqrt_abs_x"),
-    lambda: uniform_torus(48, 48)], ids=["sqrt64", "torus48"])
-def test_a_product_build_decomposes_a_factor_on_a_worker(make, four_cpus, monkeypatch):
+# the sqrt|x| grid has two factors, the square torus one, passed twice
+@pytest.mark.parametrize("make,factors", [
+    (lambda: weighted_grid_2d(((-1.0, 1.0), (-1.0, 1.0)), 1 / 64, "sqrt_abs_x"), 2),
+    (lambda: uniform_torus(48, 48), 1)], ids=["sqrt64", "torus48"])
+def test_a_product_build_decomposes_on_the_calling_thread(make, factors, four_cpus,
+                                                         monkeypatch):
     X = make()
     where = []
     inner = heat.laplacian_spectrum
 
     def recorded(space):
-        where.append((space.n, threading.current_thread().name, counts()))
+        where.append((space.n, threading.current_thread(), counts()))
         return inner(space)
 
     monkeypatch.setattr(heat, "laplacian_spectrum", recorded)
@@ -226,39 +229,75 @@ def test_a_product_build_decomposes_a_factor_on_a_worker(make, four_cpus, monkey
         with blas.threads(1):
             one = counts()
             inside = HeatOperator(X)
-        # outside any scope, at the caller's two threads, the same deal
+        # outside any scope, at the caller's two threads, the same build
         outside = HeatOperator(X)
         assert counts() == (2,) * len(one)
-        with blas.threads(1):
-            monkeypatch.setattr(HeatOperator, "_block_workers", lambda self, blocks: (None, 0))
-            alone = HeatOperator(X)
     assert inside.mode == outside.mode == "product"
-    assert len(where) == 6 and {c for _, _, c in where} == {one}
-    for built in (where[:2], where[2:4]):
-        assert sorted(n for n, _, _ in built) == sorted(f.n for f in X.factors)
-        assert sum(name.startswith("mmslab-chebyshev") for _, name, _ in built) == 1
-    for H in (outside, alone):
-        for (w, V), (w2, V2) in zip(inside._factors, H._factors):
-            assert np.array_equal(w, w2) and np.array_equal(V, V2)
-    for H in (inside, outside):
-        H._pool.shutdown()
+    distinct = {id(f): f.n for f in X.factors}
+    assert len(distinct) == factors
+    assert [n for n, _, _ in where] == 2 * list(distinct.values())
+    assert {c for _, _, c in where} == {one}
+    assert {thread for _, thread, _ in where} == {threading.current_thread()}
+    # no worker was started
+    assert inside._pool is None and outside._pool is None
+    for (w, V), (w2, V2) in zip(inside._factors, outside._factors):
+        assert np.array_equal(w, w2) and np.array_equal(V, V2)
 
 
-def test_a_failed_factor_on_a_worker_is_a_numerical_error(four_cpus, monkeypatch):
-    failed = []
+def test_a_failed_second_factor_is_a_numerical_error(monkeypatch):
+    calls = []
     inner = np.linalg.eigh
 
     def eigh(S):
-        if threading.current_thread().name.startswith("mmslab-chebyshev"):
-            failed.append(S.shape)
+        calls.append(S.shape)
+        if len(calls) == 2:
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
         return inner(S)
 
     monkeypatch.setattr(np.linalg, "eigh", eigh)
-    with blas.threads(1):
+    with blas.threads(2):
+        start = counts()
         with pytest.raises(NumericalError, match="eigendecomposition failed"):
             HeatOperator(uniform_torus(8, 6))
-    assert len(failed) == 1
+        assert counts() == start
+    assert calls == [(8, 8), (6, 6)]
+
+
+def test_a_square_product_decomposes_its_factor_once(monkeypatch):
+    # the heat build and the all-interior solve of a square product: one
+    # eigendecomposition each, with the bits of the same product built from
+    # two equal factor objects; the sqrt|x| grid still decomposes two
+    heat_calls, solve_calls = [], []
+    spy(monkeypatch, heat, "laplacian_spectrum", heat_calls)
+    spy(monkeypatch, elliptic, "laplacian_spectrum", solve_calls)
+    F = np.random.default_rng(4).standard_normal((48 * 48, 3))
+    ts = [0.5, 4.0]
+    torus = uniform_torus(48, 48)
+    assert torus.factors[0] is torus.factors[1]
+    twin = space.product_space(uniform_cycle(48), uniform_cycle(48),
+                               positions=torus.positions)
+    got = [[v.copy() for _, v in HeatOperator(X).apply_grid(F, ts)] for X in (torus, twin)]
+    assert len(heat_calls) == 1 + 2
+    assert all(np.array_equal(a, b) for a, b in zip(*got))
+
+    def all_interior(X):
+        return elliptic.Problem(X, space.vertex_complement(X.n, X.rim),
+                                1.0 + X.positions[:, 0] - 0.5 * X.positions[:, 1] ** 2)
+
+    square = ((-1.0, 1.0), (-1.0, 1.0))
+    grid = weighted_grid_2d(square, 1 / 128)
+    assert grid.factors[0] is grid.factors[1]
+    X1, Y1 = (space.weighted_grid_1d(b, 1 / 128) for b in square)
+    pair = space.product_space(X1, Y1)
+    solved = [elliptic.solve(all_interior(X)) for X in (grid, pair)]
+    assert len(solve_calls) == 1 + 2
+    assert np.array_equal(*solved)
+
+    heat_calls[:], solve_calls[:] = [], []
+    sqrt64 = weighted_grid_2d(square, 1 / 64, "sqrt_abs_x")
+    HeatOperator(sqrt64)
+    elliptic.solve(all_interior(sqrt64))
+    assert len(heat_calls) == len(solve_calls) == 2
 
 
 @pytest.mark.parametrize("make", [lambda: uniform_torus(8, 8), lambda: uniform_cycle(32)],

@@ -234,7 +234,9 @@ def block_case(request):
         H = build_heat(sp_mod.weighted_grid_2d(((-1.0, 1.0), (-1.0, 1.0)), 1 / 16,
                                                "sqrt_abs_x"))
     else:
-        H = build_heat(tabulated_grid(1 / 16), mode=request.param)
+        # dense on the largest square tabulated grid under its cap (n = 961)
+        h = 1 / 16 if request.param == "stepping" else 1 / 15
+        H = build_heat(tabulated_grid(h), mode=request.param)
     assert H.mode == request.param
     return H, default_sample_fields(H, seed=2, n_random=6)
 

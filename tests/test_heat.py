@@ -19,7 +19,7 @@ from mmslab import space as sp_mod
 from mmslab.cli import main, run_config
 from mmslab.form import carre_du_champ
 from mmslab.heat import build_heat, check_gaussian, check_heat_caccioppoli
-from mmslab.space import DENSE_CAP_DEFAULT, MetricMeasureSpace, _ball_masses
+from mmslab.space import MetricMeasureSpace, _ball_masses
 
 SQUARE = ((-1.0, 1.0), (-1.0, 1.0))
 
@@ -122,26 +122,17 @@ def test_dense_cap_enforced(monkeypatch):
         raise AssertionError("eigendecomposition started past the dense cap")
 
     monkeypatch.setattr(np.linalg, "eigh", eigh)
-    with pytest.raises(ConfigError):
-        build_heat(sp_mod.uniform_cycle(DENSE_CAP_DEFAULT + 1), mode="dense")
+    # forced dense stops where "auto" does, past the factor cap's 4000 too
+    for n in (heat.DENSE_CAP + 1, sp_mod.FACTOR_CAP):
+        with pytest.raises(ConfigError,
+                           match=rf"capped at {heat.DENSE_CAP} vertices \(space has {n}\)"):
+            build_heat(sp_mod.uniform_cycle(n), mode="dense")
 
 
-def test_auto_is_dense_up_to_1024_vertices(monkeypatch):
+def test_auto_is_dense_up_to_1024_vertices():
+    assert heat.DENSE_CAP == 1024
     assert build_heat(sp_mod.uniform_cycle(1024)).mode == "dense"
     assert build_heat(sp_mod.uniform_cycle(1025)).mode == "stepping"
-    # the oracle is still accepted up to the dense cap (its eigendecomposition
-    # stubbed: a dense build of 4000 vertices needs about 0.6 GB)
-    sizes = []
-
-    def spectrum(space):
-        sizes.append(space.n)
-        return np.zeros(1), np.ones((space.n, 1))
-
-    monkeypatch.setattr(heat, "laplacian_spectrum", spectrum)
-    big = sp_mod.uniform_cycle(DENSE_CAP_DEFAULT)
-    assert build_heat(big, mode="dense").mode == "dense"
-    assert build_heat(big).mode == "stepping"
-    assert sorted(sizes) == [1, DENSE_CAP_DEFAULT]
 
 
 def test_heat_grid_monotone_interface(torus16):
@@ -231,15 +222,26 @@ def test_dense_mode_keeps_the_spectral_formulas():
 
 @pytest.fixture(scope="module")
 def tab16():
+    # n = 1089, past the dense cap: stepping only
     space = tabulated_grid(1 / 16)
     h2 = (1 / 16) ** 2
+    times = (h2 / 4, h2, 1 / 64, 0.25, 2.0)
+    return space, times, build_heat(space, mode="stepping")
+
+
+@pytest.fixture(scope="module")
+def tab15():
+    # the largest square tabulated grid under the dense cap (n = 961), where
+    # stepping and dense can both be forced
+    space = tabulated_grid(1 / 15)
+    h2 = (1 / 15) ** 2
     times = (h2 / 4, h2, 1 / 64, 0.25, 2.0)
     return (space, times, build_heat(space, mode="dense"),
             build_heat(space, mode="stepping"))
 
 
-def test_stepping_matches_dense_on_a_tabulated_grid(tab16):
-    space, times, D, S = tab16
+def test_stepping_matches_dense_on_a_tabulated_grid(tab15):
+    space, times, D, S = tab15
     F = np.random.default_rng(9).standard_normal((space.n, 5))
     grids = {H.mode: list(H.apply_grid(F, times)) for H in (D, S)}
     kgrids = {H.mode: list(H.kernel_grid(40, times)) for H in (D, S)}
@@ -253,21 +255,8 @@ def test_stepping_matches_dense_on_a_tabulated_grid(tab16):
             assert close(S.kernel(t, x0), D.kernel(t, x0)), (t, x0)
 
 
-def test_stepping_matches_expm_multiply_at_h32():
-    from scipy.sparse.linalg import expm_multiply   # independent oracle
-
-    h = 1 / 32
-    space = tabulated_grid(h, seed=1)
-    S = build_heat(space, mode="stepping")
-    L = scipy.sparse.diags(space.degree) - space.conductance_matrix
-    A = -(L.multiply(1.0 / space.mu[:, None])).tocsr()
-    F = np.random.default_rng(10).standard_normal((space.n, 3))
-    for t in (h * h / 4, 1 / 64):
-        assert close(S.apply_batch(F, t), expm_multiply(A * t, F)), t
-
-
 def test_stepping_kernel_mass_positivity_and_symmetry(tab16):
-    space, times, _, S = tab16
+    space, times, S = tab16
     rng = np.random.default_rng(11)
     for t in times:
         x, y = (int(v) for v in rng.integers(space.n, size=2))
@@ -279,7 +268,7 @@ def test_stepping_kernel_mass_positivity_and_symmetry(tab16):
 
 
 def test_stepping_leaves_the_global_generator_alone(tab16):
-    space, _, _, S = tab16
+    space, _, S = tab16
     state = np.random.get_state()
     S.apply_batch(np.ones(space.n), 0.1)
     after = np.random.get_state()
@@ -289,7 +278,7 @@ def test_stepping_leaves_the_global_generator_alone(tab16):
 def test_unconverged_chebyshev_series_raises(tab16, monkeypatch):
     from scipy.special import ive
 
-    space, times, _, _ = tab16
+    space, times, _ = tab16
     # a fresh operator: the fixture's keeps the coefficients of its last sweep
     S = build_heat(space, mode="stepping")
     monkeypatch.setattr("scipy.special.ive", lambda k, z: np.full(np.shape(k), 0.25))
@@ -314,7 +303,7 @@ def test_unconverged_chebyshev_series_raises(tab16, monkeypatch):
 
 
 def test_stepping_blocks_give_the_same_bits_on_any_thread(tab16, monkeypatch):
-    space, times, _, S = tab16
+    space, times, S = tab16
     width = heat._COLUMN_BLOCK // space.n
     F = np.random.default_rng(12).standard_normal((space.n, 3 * width + 7))
     # the grid runs in two groups, of two times and of one
@@ -343,7 +332,7 @@ def test_stepping_blocks_give_the_same_bits_on_any_thread(tab16, monkeypatch):
 
 
 def test_stepping_kernel_grid_clamps_copies_not_the_sweep(tab16, monkeypatch):
-    space, times, _, S = tab16
+    space, times, S = tab16
     # groups of two: times[1] and times[3] end a group and start the next
     monkeypatch.setattr(heat, "_GRID_BLOCK", 2 * space.n)
     delta = np.zeros(space.n)
@@ -360,7 +349,7 @@ def test_stepping_kernel_grid_clamps_copies_not_the_sweep(tab16, monkeypatch):
 @pytest.mark.parametrize("per_group", [1, 2, 3, 5])
 def test_stepping_kernel_grid_copies_only_the_outputs_that_start_a_group(
         tab16, monkeypatch, per_group):
-    space, times, _, S = tab16
+    space, times, S = tab16
     monkeypatch.setattr(heat, "_GRID_BLOCK", per_group * space.n)
     swept = []
     apply_grid = heat.HeatOperator.apply_grid
@@ -378,9 +367,9 @@ def test_stepping_kernel_grid_copies_only_the_outputs_that_start_a_group(
 
 
 @pytest.mark.parametrize("per_group", [1, 2, 3, 5])
-def test_stepping_grid_groups_agree_with_dense_and_apply_batch(tab16, monkeypatch,
+def test_stepping_grid_groups_agree_with_dense_and_apply_batch(tab15, monkeypatch,
                                                                per_group):
-    space, times, D, S = tab16
+    space, times, D, S = tab15
     F = np.random.default_rng(13).standard_normal((space.n, 4))
     monkeypatch.setattr(heat, "_GRID_BLOCK", per_group * F.size)
     sizes = []
@@ -407,7 +396,7 @@ def test_stepping_grid_groups_agree_with_dense_and_apply_batch(tab16, monkeypatc
 def test_stepping_outputs_do_not_depend_on_the_column_block_width(tab16, monkeypatch):
     # the fold's product sees a ring row of n w doubles, padded: without the
     # padding its tail would round by other instructions as n w changes
-    space, times, _, S = tab16
+    space, times, S = tab16
     F = np.random.default_rng(15).standard_normal((space.n, 9))
     got = []
     for width in (1, 2, 3, 7):
@@ -423,7 +412,7 @@ def test_stepping_outputs_do_not_depend_on_the_column_block_width(tab16, monkeyp
 def test_a_long_stepping_group_has_the_bits_of_each_lone_recurrence(tab16):
     # twelve times in one group, whose series end in different fold chunks
     # and run on past two of them
-    space, _, _, S = tab16
+    space, _, S = tab16
     F = np.random.default_rng(16).standard_normal((space.n, 3))
     ts = np.geomspace(space.min_edge_length ** 2 / 4, 0.25, 12)
     assert heat._GRID_BLOCK >= ts.size * F.size
@@ -435,7 +424,7 @@ def test_a_long_stepping_group_has_the_bits_of_each_lone_recurrence(tab16):
 
 
 def test_stepping_sweep_holds_one_group_of_outputs(tab16, monkeypatch):
-    space, _, _, S = tab16
+    space, _, S = tab16
     k, per_group = 480, 2
     ts = np.geomspace(space.min_edge_length ** 2 / 4, 1 / 64, 8)
     monkeypatch.setattr(heat, "_GRID_BLOCK", per_group * space.n * k)
@@ -464,7 +453,7 @@ def test_stepping_sweep_holds_one_group_of_outputs(tab16, monkeypatch):
 def test_only_the_stepping_group_starts_reject_writes(tab16, monkeypatch):
     # two times a group over seven times: four groups, whose first three
     # end in the output that starts the next one
-    space, _, _, S = tab16
+    space, _, S = tab16
     k = 5
     ts = np.geomspace(space.min_edge_length ** 2, 1 / 16, 7)
     monkeypatch.setattr(heat, "_GRID_BLOCK", 2 * space.n * k)
@@ -550,7 +539,8 @@ def top_mode_fields(space):
 
 @pytest.fixture(scope="module")
 def sqrt16_spectral():
-    space = sp_mod.weighted_grid_2d(SQUARE, 1 / 16, "sqrt_abs_x")
+    # 33 x 31 vertices at h = 1/16 (n = 1023), under the dense cap
+    space = sp_mod.weighted_grid_2d(((-1.0, 1.0), (-1.0, 0.875)), 1 / 16, "sqrt_abs_x")
     H = [build_heat(space), build_heat(space, mode="dense")]
     assert [op.mode for op in H] == ["product", "dense"]
     return space, H
@@ -576,8 +566,8 @@ def test_product_mode_cut_stays_within_its_bound(cut, sqrt16_spectral, monkeypat
             worst = max(worst, float(np.max(err)))
         if cut < heat.MODE_CUT:
             assert worst >= 1e-3 * np.exp(-cut), H.mode
-        # at the module's cut the last time keeps 9 of 33 modes on each axis
-        # of the product, and part of the dense spectrum
+        # at the module's cut the last time keeps 9 of the 33 and 31 modes on
+        # the axes of the product, and part of the dense spectrum
         _, (ty, _) = H._factors
         assert np.sum(ty * ts[-1] <= heat.MODE_CUT) < ty.size, H.mode
 
@@ -663,12 +653,12 @@ def test_random_imported_graphs_step_like_dense(graph, t):
 
 
 def test_apply_of_a_nonnegative_field_is_exactly_nonnegative(monkeypatch):
-    # on the tabulated grid at h = 1/20 (n = 1681) the dense spectral sum for
-    # a point source at t = 1e-3 has entries of about -1e-15 far from the
+    # on the tabulated grid at h = 1/15 (n = 961) the dense spectral sum for
+    # a point source at t = 1e-3 has entries of about -1e-16 far from the
     # source, where the kernel is close to zero
-    space = tabulated_grid(1 / 20)
-    D, S = build_heat(space, mode="dense"), build_heat(space)
-    P = build_heat(sp_mod.weighted_grid_2d(SQUARE, 1 / 20, "sqrt_abs_x"))
+    space = tabulated_grid(1 / 15)
+    D, S = build_heat(space, mode="dense"), build_heat(space, mode="stepping")
+    P = build_heat(sp_mod.weighted_grid_2d(SQUARE, 1 / 15, "sqrt_abs_x"))
     assert (D.mode, S.mode, P.mode) == ("dense", "stepping", "product")
     for x0 in (0, 100, space.n // 2):
         delta = np.zeros(space.n)
@@ -681,6 +671,75 @@ def test_apply_of_a_nonnegative_field_is_exactly_nonnegative(monkeypatch):
     monkeypatch.setattr(D, "apply_batch", lambda F, t: -np.ones(space.n))
     with pytest.raises(NumericalError):
         D.apply(np.ones(space.n), 0.1)
+
+
+# -- stepping past the dense cap against expm_multiply -----------------------------
+#
+# scipy's `expm_multiply` (Al-Mohy and Higham, SIAM J. Sci. Comput. 33, 2011:
+# truncated Taylor steps with a norm-based step count) is an algorithm
+# independent of the Chebyshev stepping, applied to a generator assembled
+# here from the space's arrays, without the heat module.  It is the
+# cross-check of stepping on spaces past the dense cap.
+
+def generator(space):
+    """A = -M^-1 (D - W) in CSR, from the space's degrees, W and mu."""
+    L = scipy.sparse.diags(space.degree) - space.conductance_matrix
+    return -(L.multiply(1.0 / space.mu[:, None])).tocsr()
+
+
+def relative_difference(got, want) -> float:
+    return float(np.max(np.abs(got - want))) / float(np.max(np.abs(want)))
+
+
+@pytest.fixture(scope="module")
+def tab32():
+    # n = 4225, and the time grid of the curvature task at T = 1/64
+    # (`estimate_ckappa`'s default): 24 geometric times from h^2
+    h = 1 / 32
+    space = tabulated_grid(h)
+    S = build_heat(space)
+    assert S.mode == "stepping"
+    return space, np.unique(np.geomspace(h * h, 1 / 64, 24)), S
+
+
+def test_stepping_matches_expm_multiply_at_h32():
+    from scipy.sparse.linalg import expm_multiply
+
+    h = 1 / 32
+    space = tabulated_grid(h, seed=1)
+    S = build_heat(space, mode="stepping")
+    A = generator(space)
+    F = np.random.default_rng(10).standard_normal((space.n, 3))
+    for t in (h * h / 4, 1 / 64):
+        assert close(S.apply_batch(F, t), expm_multiply(A * t, F)), t
+
+
+def test_a_stepping_sweep_over_the_curvature_grid_matches_expm_multiply(tab32):
+    # one recurrence over all 24 times (one group), checked at h^2, a middle
+    # time and 1/64
+    from scipy.sparse.linalg import expm_multiply
+
+    space, ts, S = tab32
+    F = np.random.default_rng(17).standard_normal((space.n, 3))
+    assert heat._GRID_BLOCK >= ts.size * F.size
+    sweep = {t: out.copy() for t, out in S.apply_grid(F, ts)}
+    A = generator(space)
+    for t in ts[[0, ts.size // 2, -1]]:
+        assert relative_difference(sweep[t], expm_multiply(A * t, F)) <= 1e-12, t
+
+
+def test_stepping_kernel_columns_match_expm_multiply(tab32):
+    from scipy.sparse.linalg import expm_multiply
+
+    space, ts, S = tab32
+    xs = np.array([0, space.vertex_at((0.0, 0.0)), space.n - 1])
+    columns = {t: cols.copy() for t, cols in S.kernel_grid(xs, ts)}
+    deltas = np.zeros((space.n, xs.size))
+    deltas[xs, np.arange(xs.size)] = 1.0 / space.mu[xs]
+    A = generator(space)
+    for t in ts[[0, ts.size // 2, -1]]:
+        want = expm_multiply(A * t, deltas)
+        assert relative_difference(columns[t], want) <= 1e-12, t
 
 
 # -- Gaussian bounds ---------------------------------------------------------
@@ -808,7 +867,7 @@ def test_heat_caccioppoli_annulus_energy_is_the_carre_du_champ_integral(
         H, x, R = build_heat(torus16), torus16.vertex_at((8, 8)), 2.0
     else:
         space = sqrt_square_16 if case == "sqrt16" else tab16[0]
-        H = build_heat(space) if case == "sqrt16" else tab16[3]
+        H = build_heat(space) if case == "sqrt16" else tab16[2]
         x, R = space.vertex_at((0.0, 0.0)), 0.125
     assert H.mode == {"torus16": "product", "sqrt16": "product",
                       "tab16": "stepping"}[case]
@@ -838,7 +897,7 @@ def test_heat_caccioppoli_annulus_energy_is_the_carre_du_champ_integral(
 def test_heat_caccioppoli_reads_its_balls_off_one_distance_row(tab16, monkeypatch):
     # a tabulated grid, where each row is a Dijkstra: B(x, R), B(x, 2R) and
     # B(x, 3R) come from one row, with metric_ball's members and mass
-    space, _, _, S = tab16
+    space, _, S = tab16
     x, R = space.vertex_at((0.0, 0.0)), 0.125
     inner = sp_mod.metric_ball(space, x, R)
     outer = sp_mod.metric_ball(space, x, 2 * R)

@@ -18,8 +18,8 @@ from scipy.sparse.csgraph import dijkstra
 from conftest import assert_markov_semigroup, close, connected_graphs
 from mmslab import ConfigError
 from mmslab import space as sp_mod
-from mmslab.heat import build_heat
-from mmslab.space import (DENSE_CAP_DEFAULT, MetricMeasureSpace, product_pays,
+from mmslab.heat import DENSE_CAP, build_heat
+from mmslab.space import (FACTOR_CAP, MetricMeasureSpace, product_pays,
                           product_space)
 
 SQUARE = ((-1.0, 1.0), (-1.0, 1.0))
@@ -236,8 +236,9 @@ def realizations(request):
     if request.param == "torus16":
         space, times = sp_mod.uniform_torus(16, 16), (0.01, 0.3, 2.0, 16.0)
     else:
+        # 33 x 31 vertices (n = 1023), under the dense cap
         h = 1 / 16
-        space = sp_mod.weighted_grid_2d(SQUARE, h, "sqrt_abs_x")
+        space = sp_mod.weighted_grid_2d(((-1.0, 1.0), (-1.0, 0.875)), h, "sqrt_abs_x")
         times = (h * h / 4, h * h, 1 / 64, 0.25)
     H = {"dense": build_heat(space, mode="dense"), "product": build_heat(space),
          "stepping": build_heat(space, mode="stepping")}
@@ -250,11 +251,11 @@ def test_auto_mode_follows_space_structure(realizations):
     assert build_heat(space).mode == "product"
     imported = MetricMeasureSpace.from_text(space.to_text())
     assert imported.factors is None
-    # dense up to 1024 vertices: the 16 x 16 torus, not the 33 x 33 grid
-    assert build_heat(imported).mode == {256: "dense", 1089: "stepping"}[imported.n]
+    # dense up to 1024 vertices: the 16 x 16 torus and the 33 x 31 grid
+    assert imported.n in (256, 1023) and build_heat(imported).mode == "dense"
     # an imported graph above the dense cap steps
     big = MetricMeasureSpace.from_text(sp_mod.uniform_torus(64, 64).to_text())
-    assert big.factors is None and big.n > DENSE_CAP_DEFAULT
+    assert big.factors is None and big.n > DENSE_CAP
     assert build_heat(big).mode == "stepping"
     wtab = np.ones((17, 17))
     assert build_heat(sp_mod.weighted_grid_2d(SQUARE, 0.125, tabulated=wtab)).mode == "dense"
@@ -308,9 +309,9 @@ def test_auto_mode_leaves_costly_products_to_the_generic_path(cycle32):
     def sizes(*ns):
         return [SimpleNamespace(n=n) for n in ns]
 
-    assert product_pays(sizes(DENSE_CAP_DEFAULT, DENSE_CAP_DEFAULT // 16))
-    assert not product_pays(sizes(DENSE_CAP_DEFAULT + 1, DENSE_CAP_DEFAULT // 2))
-    assert not product_pays(sizes(DENSE_CAP_DEFAULT // 2, DENSE_CAP_DEFAULT + 1))
+    assert product_pays(sizes(FACTOR_CAP, FACTOR_CAP // 16))
+    assert not product_pays(sizes(FACTOR_CAP + 1, FACTOR_CAP // 2))
+    assert not product_pays(sizes(FACTOR_CAP // 2, FACTOR_CAP + 1))
     # elongated products: forming the long factor's kernel per time would
     # dominate, so they keep the dense (n <= cap) or stepping choice
     assert build_heat(sp_mod.uniform_torus(3, 4000)).mode == "stepping"

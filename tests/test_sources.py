@@ -15,7 +15,7 @@ SOURCES = sorted((pathlib.Path(__file__).resolve().parents[1]
 UNUSED_IMPORTS = {
     ("heat.py", "carre_du_champ"):
         "perfbench/tests reads mmslab.heat.carre_du_champ until the benchmark "
-        "change of ROADMAP item 3",
+        "change of ROADMAP item 1",
 }
 
 

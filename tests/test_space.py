@@ -38,6 +38,32 @@ def test_grid1d_masses_and_conductances():
     assert np.allclose(g.edge_c, [1.0, 1.0])
 
 
+@pytest.mark.parametrize("h", [1 / 16, 0.1])
+@pytest.mark.parametrize("weight", ["constant", "sqrt_abs_x"])
+def test_grid1d_edge_columns_have_the_bits_of_the_row_loop(weight, h):
+    # the loop of (k, k + 1, w(midpoint) / h, h) rows, with scalar point
+    # values, that numpy columns replaced
+    value = {"constant": lambda x: 1.0, "sqrt_abs_x": lambda x: np.sqrt(np.abs(x))}[weight]
+    g = sp_mod.weighted_grid_1d((-1.0, 1.0), h, weight)
+    xs = g.positions[:, 0]
+    rows = [(k, k + 1, value((xs[k] + xs[k + 1]) / 2) / h, h) for k in range(g.n - 1)]
+    old = MetricMeasureSpace(g.mu, rows, positions=g.positions, rim=[0, g.n - 1])
+    for attr in ("edge_i", "edge_j", "edge_c", "edge_l", "w_data", "degree"):
+        assert np.array_equal(getattr(g, attr), getattr(old, attr)), attr
+    # a midpoint on the degeneracy line x = 0 is named
+    with pytest.raises(ConfigError, match="zero conductance at midpoint 0.0"):
+        sp_mod.weighted_grid_1d((-1.5, 1.5), 1.0, "sqrt_abs_x")
+
+
+@pytest.mark.parametrize("n", [3, 64])
+def test_cycle_edge_columns_have_the_bits_of_the_row_loop(n):
+    c = sp_mod.uniform_cycle(n)
+    old = MetricMeasureSpace(np.ones(n), [(k, (k + 1) % n, 1.0, 1.0) for k in range(n)],
+                             positions=c.positions)
+    for attr in ("edge_i", "edge_j", "edge_c", "edge_l", "w_data", "degree"):
+        assert np.array_equal(getattr(c, attr), getattr(old, attr)), attr
+
+
 def test_grid2d_sqrt_row_masses():
     h = 0.5
     g = sp_mod.weighted_grid_2d(((-1, 1), (-1, 1)), h, "sqrt_abs_x")
