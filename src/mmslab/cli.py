@@ -35,8 +35,7 @@ import sys
 import numpy as np
 
 from . import __version__, blas
-from .curvature import (check_commutation, default_sample_fields,
-                        estimate_ckappa, variance)
+from .curvature import _draw, check_commutation, estimate_ckappa, variance
 from .elliptic import (Problem, check_caccioppoli, holder_fit, local_sup_bound,
                        solve, solver_path, weak_harnack, weak_residual)
 from .errors import ConfigError, NumericalError
@@ -271,10 +270,10 @@ def _task_curvature(space, params, seed):
     n_random = _param(params, "n_random", 32, int)
     t_m = _param(params, "margin_t", np.sqrt(space.min_edge_length ** 2 * T))
     H = build_heat(space)
-    samples = default_sample_fields(H, seed, n_random)
-    rep = estimate_ckappa(H, T, samples=samples)
-    # the commutation oracle takes the drawn fields, not their smoothings
-    margin = check_commutation(H, samples[:, :samples.shape[1] // 2], t_m)
+    rep = estimate_ckappa(H, T, seed=seed, n_random=n_random)
+    # the commutation oracle takes the k drawn fields, not their smoothings
+    drawn = _draw(space, np.random.default_rng(seed), range(rep.n_fields // 2))
+    margin = check_commutation(H, drawn, t_m)
     return [_record("curvature", rep.c_kappa, 1.0, rep.c_kappa, kind="range",
                     lo=0.0, report=rep, commutation_margin=margin,
                     commutation_t=t_m)], None

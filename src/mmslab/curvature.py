@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .form import carre_du_champ
-from .heat import HeatOperator
+from .heat import _COLUMN_BLOCK, HeatOperator
 from .reports import CurvatureReport
 
 VAR_FLOOR = -1e-12      # round-off clamp threshold, scaled by max(1, |g|_inf^2)
@@ -56,30 +56,67 @@ def _clip_variance(var, centred) -> np.ndarray:
     return np.clip(var, 0.0, None)
 
 
+def _field_count(space, n_random: int) -> int:
+    """k, the number of drawn sample fields: the space's coordinates, then
+    `n_random` seeded Gaussians."""
+    if n_random < 0:
+        raise ConfigError(f"n_random must be nonnegative, got {n_random}")
+    return (0 if space.positions is None else space.positions.shape[1]) + n_random
+
+
+def _draw(space, rng, cols) -> np.ndarray:
+    """The drawn sample fields numbered `cols` (a range), as a column-major
+    (n, len(cols)) array: coordinate c for c below the space's dimension,
+    else the next standard normal field of `rng`."""
+    dims = 0 if space.positions is None else space.positions.shape[1]
+    part = np.empty((len(cols), space.n)).T
+    for j, c in enumerate(cols):
+        if c < dims:
+            part[:, j] = space.positions[:, c]
+        else:
+            rng.standard_normal(out=part[:, j])
+    return part
+
+
+def _sample_columns(H: HeatOperator, seed: int, n_random: int):
+    """Yield the columns of the default sample stack in order: the k drawn
+    fields, then their smoothings T_{h^2} g.
+
+    Both passes draw the fields afresh from `seed`, in parts of
+    `_COLUMN_BLOCK // n` columns from column 0, and a part is smoothed
+    alone.  A heat action on all k fields deals the same parts, each
+    through products of the same shapes, so every smoothing keeps the bits
+    it has in that action.  One part is held at a time.
+    """
+    space = H.space
+    k = _field_count(space, n_random)
+    w = max(1, _COLUMN_BLOCK // space.n)
+    for smoothed in (False, True):
+        rng = np.random.default_rng(seed)
+        for c0 in range(0, k, w):
+            part = _draw(space, rng, range(c0, min(k, c0 + w)))
+            if smoothed:
+                part = H.apply_batch(part, space.min_edge_length ** 2)
+            yield from part.T
+            # dropped before the next part is drawn
+            del part
+
+
 def default_sample_fields(H: HeatOperator, seed: int = 0,
                           n_random: int = 32) -> np.ndarray:
     """Default (n, 2k) sample stack: k fields (coordinates, seeded
     Gaussians), then their heat-smoothed versions T_{h^2} g, as one
     column-major array.
 
-    The fields are drawn into a column-major (n, k) block and smoothed in
-    one action; the stack is allocated after that action, so it is not
-    alive beside the action's temporaries (coefficients, the partial
-    synthesis and the output, each the size of the block).
+    It is the concatenation of the columns `estimate_ckappa(samples=None)`
+    streams a block at a time (`_sample_columns`), for callers that pass
+    a stack: besides the stack, only one part of `_COLUMN_BLOCK // n`
+    fields and its smoothing are held.
     """
-    space = H.space
-    dims = 0 if space.positions is None else space.positions.shape[1]
-    k = dims + n_random
-    F = np.empty((k, space.n)).T
-    if dims:
-        F[:, :dims] = space.positions
-    rng = np.random.default_rng(seed)
-    for c in range(dims, k):
-        rng.standard_normal(out=F[:, c])
-    smooth = H.apply_batch(F, space.min_edge_length ** 2)
-    out = np.empty((2 * k, space.n)).T
-    out[:, :k] = F
-    out[:, k:] = smooth
+    k = 2 * _field_count(H.space, n_random)
+    out = np.empty((k, H.space.n)).T
+    for c, col in enumerate(_sample_columns(H, seed, n_random)):
+        out[:, c] = col
     return out
 
 
@@ -111,6 +148,13 @@ def _largest_required(out, t: float, scale2):
     return float(req.flat[flat]), int(f), int(x)
 
 
+def _flat_argmax(a, b):
+    """Of two (value, field, vertex) maxima over parts of one stack, the one
+    a flat argmax over the whole stack picks: the larger value, then the
+    smaller vertex, then the smaller field, whichever part came first."""
+    return min(a, b, key=lambda m: (-m[0], m[2], m[1]))
+
+
 def estimate_ckappa(H: HeatOperator, T: float, samples=None, t_grid=None,
                     seed: int = 0, n_random: int = 32) -> CurvatureReport:
     """Smallest sampled constant making the variance bound hold up to time T.
@@ -123,17 +167,21 @@ def estimate_ckappa(H: HeatOperator, T: float, samples=None, t_grid=None,
     the variance must vanish too (checked; anything else signals numerical
     corruption).  The result is floored at zero and is a lower estimate of
     the true minimal constant.  `samples` is an (n, k) stack, one field per
-    column; the default `t_grid` is 24 geometric times in [h^2, T].
+    column; without it the fields are `default_sample_fields(H, seed,
+    n_random)`, drawn and smoothed a part at a time as the blocks need
+    them, so that stack is never held.  The default `t_grid` is 24
+    geometric times in [h^2, T].
 
     The fields are swept in blocks: each block's column-major stack
     [g~^2 | g~ | Gamma(g)] of recentred fields g~ has the columns
     `H.grid_columns` allows for the grid (or holds one field), so a
-    stepping block crosses the whole grid in one recurrence.  It goes
-    through one `apply_grid` sweep, and each output is released before the
-    next is made (a stepping sweep holds its one group of outputs), so
-    memory stays near a few blocks beside `samples` at any mesh.
-    The per-time maxima fold across blocks; ties go to the smaller vertex,
-    then the smaller field, as a flat argmax over the whole stack would.
+    spectral block's stack, coefficients and output fit `heat._GRID_BLOCK`
+    together, and a stepping block crosses the whole grid in one
+    recurrence.  It goes through one `apply_grid` sweep, and each output is
+    released before the next is made (a stepping sweep holds its one group
+    of outputs), so memory stays near one block, beside `samples` or one
+    smoothing part, at any mesh.  The per-time maxima fold across blocks by
+    the flat-argmax rule (`_flat_argmax`).
     """
     if not (T > 0):
         raise ConfigError("horizon T must be positive")
@@ -145,48 +193,48 @@ def estimate_ckappa(H: HeatOperator, T: float, samples=None, t_grid=None,
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(t_grid <= 0) or np.any(t_grid > T * (1 + 1e-12)):
         raise ConfigError("t grid must lie in (0, T]")
+    n = H.space.n
     if samples is None:
-        samples = default_sample_fields(H, seed=seed, n_random=n_random)
-    samples = np.asarray(samples, dtype=float)
-    if samples.ndim != 2 or samples.shape[0] != H.space.n:
-        raise ConfigError(f"samples must be an (n, k) stack, got {samples.shape}")
-    k = samples.shape[1]
+        k = 2 * _field_count(H.space, n_random)
+        columns = _sample_columns(H, seed, n_random)
+    else:
+        samples = np.asarray(samples, dtype=float)
+        if samples.ndim != 2 or samples.shape[0] != n:
+            raise ConfigError(f"samples must be an (n, k) stack, got {samples.shape}")
+        k = samples.shape[1]
+        columns = iter(samples.T)
     if k == 0:
         raise ConfigError("empty sample collection")
 
     # c_kappa is a max over fields, so each block's per-time maxima fold
-    # into `best`, the (value, vertex, field) per time
-    n = H.space.n
+    # into `best`, the (value, field, vertex) per time
     ts = np.sort(t_grid)
     width = max(1, H.grid_columns(ts.size) // 3)
     best = [(-1.0, 0, 0)] * ts.size
     for f0 in range(0, k, width):
-        block = samples[:, f0:f0 + width]
-        kb = block.shape[1]
+        kb = min(width, k - f0)
         stack = np.empty((3 * kb, n)).T        # column-major, read in place
         gs = stack[:, kb:2 * kb]
+        for c in range(kb):
+            gs[:, c] = next(columns)
         # recentre per field
-        np.subtract(block, 0.5 * (block.max(axis=0) + block.min(axis=0)), out=gs)
+        gs -= 0.5 * (gs.max(axis=0) + gs.min(axis=0))
         np.square(gs, out=stack[:, :kb])
         for i in range(kb):
             stack[:, 2 * kb + i] = carre_du_champ(H.space, gs[:, i])
         scale2 = np.maximum(1.0, np.max(np.abs(gs), axis=0) ** 2)
         sweep = H.apply_grid(stack, ts)
-        # the sweep holds the stack only until its first output
+        # the sweep holds the stack only until its first output, and `map`
+        # drops each output before the sweep makes the next
         del stack, gs
-        for i, (t, out) in enumerate(sweep):
-            m, f, x = _largest_required(out, t, scale2)
-            # released before the next output is made
-            del out
-            # a later block's fields are larger, so a tie moves only to a
-            # smaller vertex
-            if m > best[i][0] or (m == best[i][0] and x < best[i][1]):
-                best[i] = (m, x, f0 + f)
+        maxima = map(lambda tx: _largest_required(tx[1], tx[0], scale2), sweep)
+        for i, (m, f, x) in enumerate(maxima):
+            best[i] = _flat_argmax(best[i], (m, f0 + f, x))
 
     c_kappa = 0.0
     argmax = (0, float(t_grid[0]), 0)
     profile = []
-    for t, (m, x, f) in zip(ts, best):
+    for t, (m, f, x) in zip(ts, best):
         profile.append((float(t), m))
         if m > c_kappa:
             c_kappa = m

@@ -310,16 +310,19 @@ class HeatOperator:
                 rows = np.empty((k, n))
                 self._deal(lambda p: self._synthesize(C[p], t, rows[p]), parts)
                 yield float(t), rows.T.reshape(shape)
+                # a caller that drops this output frees it before the next
+                del rows
 
     def grid_columns(self, times: int) -> int:
         """How many columns (at least one) a sweep over `times` times may
-        take while its live outputs stay within `_GRID_BLOCK` doubles.
+        take while the stack-sized arrays it holds fit `_GRID_BLOCK`
+        doubles together.
 
-        Stepping holds a group's outputs at once and answers for the whole
-        grid in one group, one recurrence; the spectral path holds one
-        output at a time.
+        The spectral path holds three: the stack, its coefficients and one
+        output.  Stepping holds a group's outputs at once, one per time, and
+        answers for the whole grid in one group, one recurrence.
         """
-        per_column = self.space.n * (times if self.mode == "stepping" else 1)
+        per_column = self.space.n * (times if self.mode == "stepping" else 3)
         return max(1, _GRID_BLOCK // per_column)
 
     def _coefficients(self, F, out=None) -> np.ndarray:

@@ -698,6 +698,12 @@ def build_space(config: dict) -> MetricMeasureSpace:
             dim = read("dim", int, 2)
             h = read("h", float)
             weight = read("weight", str, "constant")
+            # a table is a weight: it must not be dropped beside another
+            if "tabulated" in cfg and dim == 1:
+                raise ConfigError("a 1-d grid takes no 'tabulated' table")
+            if "tabulated" in cfg and "weight" in cfg and weight != "tabulated":
+                raise ConfigError(f"grid names weight {weight!r} and a "
+                                  "'tabulated' table; give one of them")
             if dim == 1:
                 return weighted_grid_1d(read("bounds", _pair, (-1.0, 1.0)), h, weight)
             if dim == 2:

@@ -132,8 +132,12 @@ def test_unknown_task_and_bad_params(tmp_path):
     ({"family": "grid", "dim": 2, "h": 0.5, "bounds": [[-1, 1, 2], [-1, 1]]}, "'bounds'"),
     ({"family": "grid", "dim": 1, "h": 0.5, "bounds": ["a", 1]}, "'bounds'"),
     ({"family": "grid", "dim": 2, "h": 0.5, "weight": ["constant"]}, "unknown weight"),
+    ({"family": "grid", "dim": 1, "h": 0.5, "tabulated": [1, 2, 3, 4, 5]}, "1-d grid"),
+    ({"family": "grid", "dim": 2, "h": 0.5, "weight": "sqrt_abs_x",
+      "tabulated": [1.0] * 25}, "'sqrt_abs_x'"),
 ], ids=["table-size", "table-ragged", "h-text", "h-list", "n-text", "n2-null", "dim-text",
-        "bounds-flat", "bounds-one-axis", "bounds-three", "bounds-text", "weight-list"])
+        "bounds-flat", "bounds-one-axis", "bounds-three", "bounds-text", "weight-list",
+        "table-1d", "table-and-weight"])
 def test_malformed_space_configs_exit_2(tmp_path, capsys, space, named):
     cfg = {"space": space, "task": "doubling", "params": {"R0": 1.0}}
     assert main(["run", write_config(tmp_path, cfg)]) == 2
@@ -427,6 +431,17 @@ def test_a_parameter_that_is_not_a_number_exits_2(tmp_path, capsys, task, where,
     assert main(["run", path, "--out", str(tmp_path / "r")]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and repr(key) in err
+
+
+@pytest.mark.parametrize("task", ["curvature", "gradest", "counterexample"])
+def test_a_negative_field_count_exits_2(tmp_path, capsys, task):
+    # refused where the fields are drawn, before an array of -5 columns
+    cfg = small_config(task)
+    cfg["params"]["n_random"] = -5
+    path = write_config(tmp_path, cfg)
+    assert main(["run", path, "--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "n_random" in err
 
 
 def test_hoelder_task_reads_the_center_row_once(monkeypatch):

@@ -1,5 +1,6 @@
 """Variance bound, curvature constant estimation, commutation oracle."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -311,36 +312,72 @@ def test_block_maxima_fold_to_the_flat_argmax_rule(torus16, monkeypatch):
     # at the second it ties at the same vertex and the smaller field stays
     H = build_heat(torus16)
     samples = np.random.default_rng(0).standard_normal((torus16.n, 4))
-    planted = iter([(5.0, 1, 7), (2.0, 1, 3),       # block 0: fields 0, 1
-                    (5.0, 0, 3), (2.0, 0, 3)])      # block 1: fields 2, 3
+    planted = [(5.0, 1, 7), (2.0, 1, 3),       # block 0: fields 0, 1
+               (5.0, 0, 3), (2.0, 0, 3)]       # block 1: fields 2, 3
+    maxima = iter(planted)
     monkeypatch.setattr(curvature, "_largest_required",
-                        lambda out, t, scale2: next(planted))
-    monkeypatch.setattr(heat, "_GRID_BLOCK", 3 * torus16.n * 2)
+                        lambda out, t, scale2: next(maxima))
+    # a two-field block's 6-column stack, coefficients and output
+    monkeypatch.setattr(heat, "_GRID_BLOCK", 3 * 6 * torus16.n)
+    assert H.grid_columns(2) == 6
     rep = estimate_ckappa(H, 1.0, samples=samples, t_grid=[0.5, 1.0])
     assert rep.c_kappa == 5.0
     assert rep.argmax == (2, 0.5, 3)
     assert rep.per_t_profile == [(0.5, 5.0), (1.0, 2.0)]
+    # the same maxima with block 1 arriving first: the fold keeps its picks
+    for t_index, want in ((0, (5.0, 2, 3)), (1, (2.0, 1, 3))):
+        block0, block1 = planted[t_index], planted[2 + t_index]
+        first = (block1[0], 2 + block1[1], block1[2])
+        assert curvature._flat_argmax((-1.0, 0, 0), first) == first
+        assert curvature._flat_argmax(first, block0) == want
+        assert curvature._flat_argmax(block0, first) == want
 
 
-def test_ckappa_memory_stays_near_one_block_beside_the_samples():
-    # h = 1/128: a block holds two fields, so the twelve fields go through
-    # the sweep in six blocks; the whole 36-column stack with the copies of
-    # a tensordot route peaks near 91 MB
+@pytest.mark.parametrize("seed", range(4))
+def test_block_maxima_fold_in_any_block_order(seed):
+    # the (value, field, vertex) maxima of three column blocks of a required
+    # array with many ties, folded in every order, are its flat argmax
+    req = np.random.default_rng(seed).integers(0, 3, size=(5, 9)).astype(float)
+    maxima = []
+    for f0, f1 in ((0, 2), (2, 6), (6, 9)):
+        x, f = np.unravel_index(np.argmax(req[:, f0:f1]), (5, f1 - f0))
+        maxima.append((float(req[x, f0 + f]), f0 + int(f), int(x)))
+    x, f = np.unravel_index(np.argmax(req), req.shape)
+    want = (float(req[x, f]), int(f), int(x))
+    for order in itertools.permutations(maxima):
+        best = (-1.0, 0, 0)
+        for m in order:
+            best = curvature._flat_argmax(best, m)
+        assert best == want
+
+
+def test_ckappa_memory_stays_near_one_block_and_one_smoothing_part(monkeypatch):
+    # h = 1/128, twenty sample fields: a block holds one field, so its
+    # stack, coefficients and output are three columns each, and a smoothing
+    # part is one column.  The fields are drawn and smoothed a part at a
+    # time, so the (n, 20) sample stack is never held.  The parts run on
+    # the calling thread alone: each worker thread would add the products'
+    # temporaries of the part it synthesizes, up to two columns here
     space = sp_mod.weighted_grid_2d(((-1.0, 1.0), (-1.0, 1.0)), 1 / 128, "sqrt_abs_x")
     H = build_heat(space)
-    samples = default_sample_fields(H, seed=0, n_random=4)
-    width = max(1, heat._GRID_BLOCK // (3 * space.n))
-    block = 8 * 3 * width * space.n
-    assert samples.shape[1] > 4 * width
+    monkeypatch.setattr(H, "_block_workers", lambda blocks: (None, 0))
+    ts = np.geomspace(1 / 128 ** 2, 1 / 64, 4)
+    column = 8 * space.n
+    block = 3 * (3 * max(1, H.grid_columns(ts.size) // 3)) * column
+    part = max(1, heat._COLUMN_BLOCK // space.n) * column
+    bound = block + part + 2 ** 20
+    # the whole sample stack alone would not fit
+    assert 20 * column > bound
+    # a first run imports what the estimate uses
+    estimate_ckappa(H, 1 / 64, t_grid=ts, seed=0, n_random=8)
     tracemalloc.start()
     try:
-        rep = estimate_ckappa(H, 1 / 64, samples=samples,
-                              t_grid=np.geomspace(1 / 128 ** 2, 1 / 64, 4))
+        rep = estimate_ckappa(H, 1 / 64, t_grid=ts, seed=0, n_random=8)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert rep.c_kappa > 0
-    assert peak <= samples.nbytes + 5 * block + 2 ** 20
+    assert rep.n_fields == 20 and rep.c_kappa > 0
+    assert peak <= bound
 
 
 # -- the default sample stack ---------------------------------------------------
@@ -373,14 +410,55 @@ def test_sample_stack_is_the_column_by_column_stack(block_case):
             (ref.c_kappa, ref.argmax, ref.per_t_profile)
 
 
-def test_sample_stack_is_allocated_after_the_smoothing():
-    # h = 1/128, ten fields: the smoothing holds the fields, their
-    # coefficients, a partial synthesis and its output (four halves of the
-    # stack), and the stack is made only when the first three are gone.
-    # Holding the column list and the stack through the action took the
-    # column-by-column build to 25.7 MB, 2.5 stacks
+def streamed_case(name):
+    """(H, T, t_grid) of one streamed-estimate case."""
+    if name == "tab16":
+        # stepping: the default 24-time grid sets the block width
+        return build_heat(tabulated_grid(1 / 16), mode="stepping"), 1 / 64, None
+    if name == "torus32":
+        return build_heat(sp_mod.uniform_torus(32, 32)), 4.0, np.geomspace(1.0, 4.0, 6)
+    h = 1 / int(name[4:])
+    space = sp_mod.weighted_grid_2d(((-1.0, 1.0), (-1.0, 1.0)), h, "sqrt_abs_x")
+    return build_heat(space), 1 / 64, np.geomspace(h * h, 1 / 64, 6)
+
+
+@pytest.mark.parametrize("name", ["sqrt32", "sqrt64", "sqrt128", "tab16", "torus32"])
+def test_streamed_estimate_equals_the_whole_stack_estimate(name):
+    # seven drawn fields: at h = 1/64 (parts and blocks of three fields) the
+    # last part is short, and there and at h = 1/32 (blocks of 13) a block
+    # straddles the drawn/smoothed boundary.  The streamed smoothings are
+    # the bits of one action on all seven drawn fields, and the estimate is
+    # the whole-stack estimate's to the bit
+    H, T, ts = streamed_case(name)
+    whole = sample_fields_by_columns(H, 3, 5)
+    assert default_sample_fields(H, seed=3, n_random=5).tobytes(order="F") == \
+        whole.tobytes(order="F")
+    rep = estimate_ckappa(H, T, t_grid=ts, seed=3, n_random=5)
+    ref = estimate_ckappa(H, T, t_grid=ts, samples=whole)
+    assert rep.n_fields == 14
+    # the flat torus needs no constant
+    assert (rep.c_kappa == 0) == (name == "torus32")
+    assert repr((rep.c_kappa, rep.argmax, rep.per_t_profile)) == \
+        repr((ref.c_kappa, ref.argmax, ref.per_t_profile))
+
+
+def test_negative_field_count_is_a_config_error(torus16):
+    H = build_heat(torus16)
+    with pytest.raises(ConfigError, match="n_random"):
+        default_sample_fields(H, seed=0, n_random=-5)
+    with pytest.raises(ConfigError, match="n_random"):
+        estimate_ckappa(H, 1.0, seed=0, n_random=-5)
+
+
+def test_sample_stack_holds_one_smoothing_part_beside_it():
+    # h = 1/128, ten fields smoothed a part (one column) at a time: beside
+    # the stack, the smoothing of a part holds the drawn part, its
+    # coefficients, its output and the products' temporaries.  Smoothing
+    # all ten fields in one action before making the stack peaked at two
+    # stacks
     space = sp_mod.weighted_grid_2d(((-1.0, 1.0), (-1.0, 1.0)), 1 / 128, "sqrt_abs_x")
     H = build_heat(space)
+    part = max(1, heat._COLUMN_BLOCK // space.n) * 8 * space.n
     default_sample_fields(H, seed=0, n_random=8)
     tracemalloc.start()
     try:
@@ -389,4 +467,4 @@ def test_sample_stack_is_allocated_after_the_smoothing():
     finally:
         tracemalloc.stop()
     assert samples.shape == (space.n, 20)
-    assert peak <= 2 * samples.nbytes + 2 ** 20
+    assert peak <= samples.nbytes + 7 * part + 2 ** 20

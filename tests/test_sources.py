@@ -91,7 +91,8 @@ def test_only_the_generators_branch_on_the_heat_mode():
     # realization, and a stepping group's start comes read-only, so
     # kernel_grid copies by the flag, not by the mode.  grid_columns tells a
     # caller how wide a sweep over a grid may be: stepping holds a group of
-    # outputs at once, the spectral path one
+    # outputs at once, the spectral path its stack, coefficients and one
+    # output
     tree = ast.parse(next(p for p in SOURCES if p.name == "heat.py").read_text())
     cls = next(node for node in tree.body
                if isinstance(node, ast.ClassDef) and node.name == "HeatOperator")

@@ -86,6 +86,15 @@ def test_build_space_errors():
         build_space({"family": "cycle", "n": 2})
     with pytest.raises(ConfigError):
         build_space({"family": "cycle", "n": 8, "extra": 1})
+    # a table beside a grid that cannot carry it, or beside another weight
+    with pytest.raises(ConfigError, match="1-d grid"):
+        build_space({"family": "grid", "dim": 1, "h": 0.5, "tabulated": [1, 2, 3, 4, 5]})
+    for weight in ("sqrt_abs_x", "constant"):
+        with pytest.raises(ConfigError, match=f"weight '{weight}'"):
+            build_space({"family": "grid", "dim": 2, "h": 0.5, "weight": weight,
+                         "tabulated": [1.0] * 25})
+    assert build_space({"family": "grid", "dim": 2, "h": 0.5, "weight": "tabulated",
+                        "tabulated": [1.0] * 25}).name == "grid2d_tabulated_h0.5"
     with pytest.raises(ConfigError):
         MetricMeasureSpace([1.0, -1.0], [(0, 1, 1.0, 1.0)])
     with pytest.raises(ConfigError):  # disconnected
