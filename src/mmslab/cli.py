@@ -216,7 +216,7 @@ def _task_poincare(space, params, seed):
     ball = rep.worst_ball
     outer = metric_ball(space, ball.center, 2 * ball.radius)
     violations = 0
-    for _ in range(_param(params, "recheck_fields", 100, int)):
+    for _ in range(_param(params, "recheck_fields", 100, int, positive=True)):
         u = rng.standard_normal(space.n)
         mu_b = space.mu[ball.members]
         mean = float(mu_b @ u[ball.members] / mu_b.sum())
@@ -239,7 +239,7 @@ def _task_gaussian(space, params, seed):
     R = _param(params, "R", np.sqrt(space.n) / 4 * h)
     tmin = _param(params, "t_min_factor", 4.0) * h * h
     tmax = min(_param(params, "t_max_factor", 64.0) * h * h, R * R)
-    t_grid = np.geomspace(tmin, tmax, _param(params, "t_points", 8, int))
+    t_grid = np.geomspace(tmin, tmax, _param(params, "t_points", 8, int, positive=True))
     fit = check_gaussian(H, t_grid, _param(params, "pairs", 200, int), R,
                          seed=seed, bracket=_param(params, "bracket", 2.0))
     return [_record("gaussian", fit.violations, 0.0, fit.C, report=fit)], None
@@ -251,6 +251,8 @@ def _task_heat_caccioppoli(space, params, seed):
     x = _vertex(space, params, "x", 0)
     R = _param(params, "R")
     s_list = _numbers(params, "s_list", [R * R / 4, R * R])
+    if not s_list:
+        raise ConfigError("parameter 's_list' must hold at least one time")
     c = _param(params, "c", 0.25)
     recs, lhs = [], []
     for s in sorted(s_list):
@@ -412,7 +414,7 @@ def _task_counterexample(space, params, seed):
 def _task_all(space, params, seed):
     _check_keys(params, {"n_fields", "T"}, "params")
     rng = np.random.default_rng(seed)
-    n_fields = _param(params, "n_fields", 20, int)
+    n_fields = _param(params, "n_fields", 20, int, positive=True)
     recs = []
 
     worst_ident = largest = 0.0

@@ -50,7 +50,7 @@ def build_cutoff(space: MetricMeasureSpace, y0: int, R: float) -> Cutoff:
     if not (R > 0):
         raise ConfigError("cutoff radius must be positive")
     d = space.distances_from(y0)
-    four_b = metric_ball(space, y0, 4 * R)
+    four_b = metric_ball(space, y0, 4 * R, d)
     if four_b.members.size >= space.n:
         raise ConfigError("4R exceeds the space extent")
     psi = np.clip(2.0 - d / (2.0 * R), 0.0, 1.0)
@@ -349,6 +349,8 @@ def run_counterexample(h_list, T: float = 1.0 / 64.0, inner_radius: float = 0.2,
     h_list = [float(h) for h in h_list]
     if len(h_list) < 3 or any(h_list[i] <= h_list[i + 1] for i in range(len(h_list) - 1)):
         raise ConfigError("need at least 3 strictly decreasing mesh widths")
+    if not (inner_radius > 0):
+        raise ConfigError("inner_radius must be positive, or the inner ball is empty")
     sup_grads, cks, gammas, rows = [], [], [], []
     for h in h_list:
         space = weighted_grid_2d(((-1.0, 1.0), (-1.0, 1.0)), h, "sqrt_abs_x")

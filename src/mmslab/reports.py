@@ -44,13 +44,17 @@ class Measurement:
 
 @dataclass
 class DoublingReport:
+    """The doubling constant C_d, attained at `worst_pair`, and the
+    Q-doubling power law fitted to `n_samples` log mass ratios.  Every
+    space's ball masses come from one routine
+    (`space._factor_ball_masses`)."""
+
     R0: float
     C_d: float
     Q_fit: float
     C_Q: float
     worst_pair: tuple       # (vertex, radius) achieving C_d
     n_samples: int = 0
-    path: str = "rows"      # "factor_cdf" on product spaces, "rows" elsewhere
 
 
 @dataclass

@@ -13,8 +13,9 @@ of a product graph is the sum of the factor metrics, d((i, a), (i', a')) =
 d_X(i, i') + d_Y(a, a'), so its rows are sums of the factors' rows, taken by
 the same routine; paths and cycles (every factor of the built-in families)
 take running sums of their edge lengths, and other graphs run Dijkstra.
-The doubling estimate on a product reads every ball mass off the factors'
-distance distributions without forming a product row.  The heat
+The doubling estimate reads every ball mass off the factors' distance
+distributions without forming a product row; a graph without factors is the
+product of one vertex and the graph itself, so the same routine serves it.  The heat
 realization and the Dirichlet solve use the factors as well, when
 `product_pays` says the factor decompositions are worth forming.
 
@@ -745,31 +746,24 @@ def radius_grid(space: MetricMeasureSpace, R0: float) -> np.ndarray:
     return np.asarray(out)
 
 
+def _sorted_masses(d_rows: np.ndarray, mu: np.ndarray):
+    """(srt, cum) of a block of distance rows (k, n): each row sorted once,
+    and the cumulative sum of mu in that order, cum[:, c] the mass of the
+    first c vertices.  The open ball of radius r about a row's source holds
+    the first searchsorted(srt row, r, side="left") of them."""
+    order = np.argsort(d_rows, axis=1)
+    cum = np.zeros((d_rows.shape[0], d_rows.shape[1] + 1))
+    np.cumsum(mu[order], axis=1, out=cum[:, 1:])
+    return np.take_along_axis(d_rows, order, axis=1), cum
+
+
 def _ball_masses(d_rows: np.ndarray, mu: np.ndarray, radii: np.ndarray) -> np.ndarray:
     """mu(B(x, r)) for every r in radii from a distance row (n,) or a block of
-    rows (k, n) (open balls).  Each row is sorted once, and the masses are
-    read off the cumulative sum of mu in that order."""
-    block = np.atleast_2d(d_rows)
-    order = np.argsort(block, axis=1)
-    cum = np.zeros((block.shape[0], block.shape[1] + 1))
-    np.cumsum(mu[order], axis=1, out=cum[:, 1:])
-    counts = [np.searchsorted(row[o], radii, side="left")
-              for row, o in zip(block, order)]
+    rows (k, n) (open balls), read off `_sorted_masses`."""
+    srt, cum = _sorted_masses(np.atleast_2d(d_rows), mu)
+    counts = [np.searchsorted(row, radii, side="left") for row in srt]
     masses = np.take_along_axis(cum, np.asarray(counts), axis=1)
     return masses if d_rows.ndim == 2 else masses[0]
-
-
-def _run_bounds(srt):
-    """For each position c of each sorted row: the first index of the run of
-    equal values holding it, and the first index past that run."""
-    nb, n = srt.shape
-    idx = np.broadcast_to(np.arange(n), (nb, n))
-    new_run = np.ones((nb, n), dtype=bool)
-    new_run[:, 1:] = srt[:, 1:] != srt[:, :-1]
-    run_start = np.maximum.accumulate(np.where(new_run, idx, 0), axis=1)
-    run_end = np.minimum.accumulate(
-        np.where(np.roll(new_run, -1, axis=1), idx + 1, n)[:, ::-1], axis=1)[:, ::-1]
-    return run_start, run_end
 
 
 def _settle_counts(srt, counts, dq, rq):
@@ -780,72 +774,75 @@ def _settle_counts(srt, counts, dq, rq):
     product row.  fl(d + .) is monotone, so the members are a prefix of s,
     and a guess taken as #{s < fl(r - d)} is off only by the few runs of
     equal distances whose sums round across r.  Each step moves every
-    unsettled count past one whole run; a count still unsettled after
-    `_TIE_STEPS` checks raises NumericalError.
+    unsettled count past one whole run, whose ends a `searchsorted` of the
+    row finds; a count still unsettled after `_TIE_STEPS` checks raises
+    NumericalError.
     """
-    n = srt.shape[1]
     padded = np.pad(srt, ((0, 0), (1, 1)), constant_values=(-np.inf, np.inf))
-    runs = None
     for _ in range(_TIE_STEPS):
         up = dq + np.take_along_axis(padded, counts + 1, axis=1) < rq     # s[c] is in
         down = dq + np.take_along_axis(padded, counts, axis=1) >= rq     # s[c-1] is out
         if not (up.any() or down.any()):
             return counts
-        if runs is None:
-            runs = _run_bounds(srt)
-        past = np.take_along_axis(runs[1], np.minimum(counts, n - 1), axis=1)
-        back = np.take_along_axis(runs[0], np.maximum(counts - 1, 0), axis=1)
-        counts = np.where(up, past, np.where(down, back, counts))
+        for b in np.flatnonzero(up.any(axis=1) | down.any(axis=1)):
+            row, c = srt[b], counts[b]
+            c[up[b]] = np.searchsorted(row, row[c[up[b]]], side="right")
+            c[down[b]] = np.searchsorted(row, row[c[down[b]] - 1], side="left")
     raise NumericalError("product ball counts did not settle at the boundary")
 
 
 def _factor_ball_masses(space: MetricMeasureSpace, queries: np.ndarray) -> np.ndarray:
-    """mu(B(v, r)) for every vertex v of a product X x Y and every r in
-    `queries` (open balls, vertex-major (n, len(queries))), from the factors.
+    """mu(B(v, r)) for every vertex v and every r in `queries` (open balls,
+    vertex-major (n, len(queries))), with the space read as a product S x L.
 
-    With S the smaller factor and L the larger, a center (i, a), i in S,
-    a in L, has
+    On a product X x Y, S is the smaller factor and L the larger; any other
+    space is the product of one vertex S (mass 1, no edges) and the graph
+    itself, L.  A center (i, a), i in S, a in L, has
 
         mu(B((i, a), r)) = sum_u M[i, u] F_a(u, r),
         M[i, u] = mu_S{j : d_S(i, j) = D_u},
         F_a(u, r) = mu_L{b : fl(D_u + d_L(a, b)) < r},
 
     over the distinct distances D_u of S.  Each row d_L(a, .) is sorted
-    once; F_a is its cumulative mass at counts from one `searchsorted` per
-    row, settled to the exact membership test of the product rows
-    (`_settle_counts`).  M is sparse with at most |S|^2 entries.  A block
-    of L rows keeps about eight arrays of its rows' and counts' size alive,
-    so blocks hold `_ROW_BLOCK` / 8 doubles of each.
+    once (`_sorted_masses`); F_a is its cumulative mass at counts from one
+    `searchsorted` per row, settled to the exact membership test of the
+    product rows (`_settle_counts`).  M is sparse with at most |S|^2
+    entries.  With one vertex, D = [0], the first counts are exact and the
+    sum over S is F itself, so no sparse matrix is formed and no scipy
+    module is loaded.  A block of L rows holds up to six arrays of its
+    rows' size and six of its counts' size, the last block's among them:
+    about `_ROW_BLOCK` doubles in all.
     """
-    X, Y = space.factors
-    s_first = X.n <= Y.n
-    S, L = (X, Y) if s_first else (Y, X)
-    import scipy.sparse as sp
-    d_s = S.distance_rows(np.arange(S.n))
-    D, inv = np.unique(d_s, return_inverse=True)
-    pairs = (np.repeat(np.arange(S.n), S.n), inv.ravel())
-    M = sp.csr_matrix((np.tile(S.mu, S.n), pairs), shape=(S.n, D.size))
     nq = queries.size
+    if space.factors is None:
+        n_s, L, s_first, D, M = 1, space, True, np.zeros(1), None
+    else:
+        X, Y = space.factors
+        s_first = X.n <= Y.n
+        S, L = (X, Y) if s_first else (Y, X)
+        import scipy.sparse as sp
+        d_s = S.distance_rows(np.arange(S.n))
+        D, inv = np.unique(d_s, return_inverse=True)
+        pairs = (np.repeat(np.arange(S.n), S.n), inv.ravel())
+        M = sp.csr_matrix((np.tile(S.mu, S.n), pairs), shape=(S.n, D.size))
+        n_s = S.n
     dq = np.repeat(D, nq)
     rq = np.tile(queries, D.size)
     targets = rq - dq
-    masses = np.empty((X.n, Y.n, nq))
-    batch = max(1, _ROW_BLOCK // (8 * (L.n + dq.size)))
+    masses = np.empty((n_s, L.n, nq) if s_first else (L.n, n_s, nq))
+    batch = max(1, _ROW_BLOCK // (6 * (L.n + dq.size)))
     for start in range(0, L.n, batch):
         block = np.arange(start, min(start + batch, L.n))
-        d_l = L.distance_rows(block)
-        order = np.argsort(d_l, axis=1, kind="stable")
-        srt = np.take_along_axis(d_l, order, axis=1)
-        cum = np.zeros((block.size, L.n + 1))
-        np.cumsum(L.mu[order], axis=1, out=cum[:, 1:])
-        guess = np.array([np.searchsorted(row, targets, side="left") for row in srt])
-        F = np.take_along_axis(cum, _settle_counts(srt, guess, dq, rq), axis=1)
+        srt, cum = _sorted_masses(L.distance_rows(block), L.mu)
+        counts = np.array([np.searchsorted(row, targets, side="left") for row in srt])
+        F = np.take_along_axis(cum, _settle_counts(srt, counts, dq, rq), axis=1)
         F = F.reshape(block.size, D.size, nq).transpose(1, 0, 2)
-        part = (M @ F.reshape(D.size, -1)).reshape(S.n, block.size, nq)
+        if M is not None:
+            F = (M @ F.reshape(D.size, -1)).reshape(n_s, block.size, nq)
         if s_first:
-            masses[:, block] = part
+            masses[:, block] = F
         else:
-            masses[block] = part.transpose(1, 0, 2)
+            masses[block] = F.transpose(1, 0, 2)
     return masses.reshape(space.n, nq)
 
 
@@ -858,13 +855,12 @@ def estimate_doubling(space: MetricMeasureSpace, R0: float) -> DoublingReport:
     over all grid pairs r < R, with the intercept raised afterwards so the
     power-law bound holds for every sample.
 
-    The ball masses come from one of two paths, named in the report's
-    `path`.  On a product space ("factor_cdf") they are sums over the
-    smaller factor of the larger factor's sorted cumulative masses
-    (`_factor_ball_masses`), with the membership test of the summed rows,
-    fl(d_X + d_Y) < r, kept exactly; no product row is formed.  Other
-    graphs ("rows") take Dijkstra rows in blocks of about `_ROW_BLOCK`
-    doubles and sort each row once (`_ball_masses`).
+    The ball masses of every space come from `_factor_ball_masses`.  On a
+    product they are sums over the smaller factor of the larger factor's
+    sorted cumulative masses, with the membership test of the summed rows,
+    fl(d_X + d_Y) < r, kept exactly, and no product row is formed; any
+    other graph is the product of one vertex and the graph itself, so its
+    masses are read off its own sorted rows, a block of rows at a time.
     """
     if space.n < 2:
         raise ConfigError("doubling needs at least two vertices")
@@ -880,17 +876,7 @@ def estimate_doubling(space: MetricMeasureSpace, R0: float) -> DoublingReport:
     k = small.size
     queries = np.concatenate([small, 2 * small, radii])
 
-    if space.factors is not None:
-        path = "factor_cdf"
-        masses = _factor_ball_masses(space, queries)
-    else:
-        path = "rows"
-        masses = np.empty((space.n, queries.size))
-        batch = max(1, _ROW_BLOCK // space.n)
-        for start in range(0, space.n, batch):
-            block = np.arange(start, min(start + batch, space.n))
-            masses[block] = _ball_masses(space.distance_rows(block), space.mu, queries)
-
+    masses = _factor_ball_masses(space, queries)
     ratios = masses[:, k:2 * k] / masses[:, :k]
     v, j = np.unravel_index(np.argmax(ratios), ratios.shape)
     # samples y[v, p] = log mu(B(v, R_p)) - log mu(B(v, r_p)) against
@@ -914,7 +900,7 @@ def estimate_doubling(space: MetricMeasureSpace, R0: float) -> DoublingReport:
     c_q = max(1.0, float(np.exp(b)))
     return DoublingReport(R0=float(R0), C_d=float(ratios[v, j]), Q_fit=float(q),
                           C_Q=c_q, worst_pair=(int(v), float(small[j])),
-                          n_samples=int(N), path=path)
+                          n_samples=int(N))
 
 
 def _sharp_poincare(space, ball_members, outer_members, radius):

@@ -444,6 +444,28 @@ def test_a_negative_field_count_exits_2(tmp_path, capsys, task):
     assert "config error" in err and "n_random" in err
 
 
+# (task, key, value) of a parameter that would leave a check nothing to check
+EMPTY_CHECKS = [
+    ("gaussian", "t_points", -1),
+    ("counterexample", "inner_radius", 0.0),
+    ("poincare", "recheck_fields", -3),
+    ("heat-caccioppoli", "s_list", []),
+    ("all", "n_fields", 0),
+]
+
+
+@pytest.mark.parametrize("task,key,value", EMPTY_CHECKS,
+                         ids=[f"{task}-{key}" for task, key, _ in EMPTY_CHECKS])
+def test_a_parameter_that_empties_a_check_exits_2(tmp_path, capsys, task, key, value):
+    cfg = small_config(task)
+    cfg.setdefault("params", {})[key] = value
+    path = write_config(tmp_path, cfg)
+    assert main(["run", path, "--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err
+    assert not (tmp_path / "r").exists()
+
+
 def test_hoelder_task_reads_the_center_row_once(monkeypatch):
     # on a tabulated grid each row is a Dijkstra run: the task reads the
     # ball and the fit's 2B and 4B off one row of the center

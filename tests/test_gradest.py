@@ -14,7 +14,9 @@ from mmslab.gradest import (Cutoff, averaged_energy, averaged_energy_profile,
                             check_variance_identity, run_counterexample,
                             variance_log_integral, verify_gradient_estimate)
 from mmslab.heat import build_heat
-from mmslab.space import metric_ball
+from mmslab.space import MetricMeasureSpace, metric_ball
+
+from conftest import tabulated_grid
 
 
 def torus_chart(sp, n, y0):
@@ -66,6 +68,26 @@ def test_cutoff_plateau_and_support(torus32):
 def test_cutoff_needs_room(torus32):
     with pytest.raises(ConfigError):
         build_cutoff(torus32, 0, 10.0)     # 4R = 40 swallows the torus
+
+
+def test_cutoff_reads_the_center_row_once(monkeypatch):
+    # on a tabulated grid each row is a Dijkstra run: the support 4B is
+    # read off the row the cutoff is built from
+    space = tabulated_grid(1 / 16)
+    y0 = space.vertex_at((0.0, 0.0))
+    d = space.distances_from(y0)
+    rows = []
+    distances_from = MetricMeasureSpace.distances_from
+
+    def counted(self, v):
+        rows.append(int(v))
+        return distances_from(self, v)
+
+    monkeypatch.setattr(MetricMeasureSpace, "distances_from", counted)
+    cut = build_cutoff(space, y0, 0.125)
+    assert rows == [y0]
+    assert np.array_equal(cut.support, np.flatnonzero(d < 0.5))
+    assert np.array_equal(cut.values, np.clip(2.0 - d / 0.25, 0.0, 1.0))
 
 
 # -- averaged energy ----------------------------------------------------------
@@ -440,6 +462,8 @@ def test_counterexample_validates_input():
         run_counterexample([1 / 8, 1 / 16])
     with pytest.raises(ConfigError):
         run_counterexample([1 / 8, 1 / 16, 1 / 12])
+    with pytest.raises(ConfigError, match="inner_radius"):     # an empty inner ball
+        run_counterexample([1 / 8, 1 / 16, 1 / 32], inner_radius=0.0)
 
 
 def test_counterexample_mini_sweep():

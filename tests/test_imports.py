@@ -1,8 +1,8 @@
-"""Which scipy modules a fresh interpreter loads.  Importing the package and
-running the sqrt|x| sweep load no scipy module at all: W is held in numpy
-arrays, and every call into scipy imports it at call time.  A task that
-runs ARPACK and SuperLU does load scipy's sparse solvers, and brings
-scipy's OpenBLAS into its task."""
+"""Which scipy modules a fresh interpreter loads.  Importing the package,
+running the sqrt|x| sweep and doubling on a cycle or a path load no scipy
+module at all: W is held in numpy arrays, and every call into scipy imports
+it at call time.  A task that runs ARPACK and SuperLU does load scipy's
+sparse solvers, and brings scipy's OpenBLAS into its task."""
 
 import json
 import os
@@ -71,3 +71,18 @@ def test_a_poincare_task_loads_the_sparse_solvers_and_their_blas():
     assert any(name.startswith("libscipy_openblas-") for name in libraries)
     for e in out["entry"]:
         assert e["task"] == 1 and e["start"] == out["now"][e["library"]]
+
+
+def test_doubling_on_a_cycle_or_a_path_loads_no_scipy():
+    # a graph without factors is the product of one vertex and the graph
+    # itself: its masses need no sparse sum over the vertex, and its rows
+    # are running sums of the edge lengths
+    out = fresh(f"""
+        import json, sys
+        from mmslab import estimate_doubling, uniform_cycle, weighted_grid_1d
+        reps = [estimate_doubling(uniform_cycle(64), 16.0),
+                estimate_doubling(weighted_grid_1d((-1.0, 1.0), 1 / 32, "sqrt_abs_x"), 0.5)]
+        print(json.dumps({{"C_d": [rep.C_d for rep in reps], "loaded": {LOADED}}}))
+    """)
+    assert out["loaded"] == []
+    assert out["C_d"][0] == 2.2

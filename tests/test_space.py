@@ -583,19 +583,25 @@ def assert_exact_factor_balls(space, queries):
                                rtol=1e-13, atol=0.0)
 
 
+def assert_exact_doubling(rep, want):
+    assert (rep.C_d, rep.worst_pair) == want[:2]
+    # the fit solves the normal equations from sums, the reference runs
+    # lstsq on the tiled samples: the same least squares to round-off
+    np.testing.assert_allclose([rep.Q_fit, rep.C_Q], want[2:], rtol=1e-12, atol=0.0)
+
+
 @pytest.mark.parametrize("space,R0,exact", [
     (sp_mod.uniform_torus(32, 32), 8.0, True),
     (tabulated_grid(1 / 16), 0.5, True),
+    (sp_mod.uniform_cycle(64), 16.0, True),
+    (sp_mod.weighted_grid_1d((-1.0, 1.0), 1 / 32, "sqrt_abs_x"), 0.5, True),
     (sp_mod.weighted_grid_2d(((-1, 1), (-1, 1)), 1 / 16, "sqrt_abs_x"), 0.5, False),
-], ids=["torus32", "tabulated16", "sqrt16"])
+], ids=["torus32", "tabulated16", "cycle64", "path32", "sqrt16"])
 def test_doubling_equals_the_per_vertex_reference(space, R0, exact):
     rep = estimate_doubling(space, R0)
     want = doubling_reference(space, R0)
-    if exact:       # integer masses on the torus, the same sorted rows on the grid
-        assert (rep.C_d, rep.worst_pair) == want[:2]
-        # the fit solves the normal equations from sums, the reference runs
-        # lstsq on the tiled samples: the same least squares to round-off
-        np.testing.assert_allclose([rep.Q_fit, rep.C_Q], want[2:], rtol=1e-12, atol=0.0)
+    if exact:       # integer masses on the torus, the same sorted rows elsewhere
+        assert_exact_doubling(rep, want)
         return
     # the factor path adds the same masses in another order, which moves the
     # constants by an ulp here; the balls themselves are the same
@@ -608,6 +614,20 @@ def test_doubling_equals_the_per_vertex_reference(space, R0, exact):
     attained = (ball_masses_one_row(row, space.mu, [2 * r])
                 / ball_masses_one_row(row, space.mu, [r]))
     np.testing.assert_allclose(attained, [rep.C_d], rtol=1e-13, atol=0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(connected_graphs())
+def test_doubling_equals_the_per_vertex_reference_on_random_graphs(space):
+    # a graph without factors is the product of one vertex and the graph
+    # itself: its masses are its own sorted rows', the reference's to the bit
+    R0 = 8 * space.min_edge_length
+    want = doubling_reference(space, R0)
+    if want[2] <= 0:        # every ball of the grid holds the whole graph
+        with pytest.raises(NumericalError):
+            estimate_doubling(space, R0)
+        return
+    assert_exact_doubling(estimate_doubling(space, R0), want)
 
 
 @pytest.mark.parametrize("space,R0", [
@@ -671,11 +691,12 @@ def test_doubling_on_elongated_products_sums_over_the_smaller_factor():
     assert (a.C_d, a.Q_fit, a.C_Q) == (b.C_d, b.Q_fit, b.C_Q)
 
 
-def test_doubling_names_its_path():
+def test_doubling_of_a_product_equals_its_import():
+    # the import keeps no factors: one vertex times the graph, read off its
+    # Dijkstra rows, against the factor sums of the torus
     torus = sp_mod.uniform_torus(8, 8)
     fast = estimate_doubling(torus, 4.0)
     rows = estimate_doubling(MetricMeasureSpace.from_text(torus.to_text()), 4.0)
-    assert (fast.path, rows.path) == ("factor_cdf", "rows")
     assert (fast.C_d, fast.worst_pair, fast.Q_fit, fast.C_Q) == \
         (rows.C_d, rows.worst_pair, rows.Q_fit, rows.C_Q)
 
