@@ -221,7 +221,7 @@ def estimate_ckappa(H: HeatOperator, T: float, samples=None, t_grid=None,
         gs -= 0.5 * (gs.max(axis=0) + gs.min(axis=0))
         np.square(gs, out=stack[:, :kb])
         for i in range(kb):
-            stack[:, 2 * kb + i] = carre_du_champ(H.space, gs[:, i])
+            carre_du_champ(H.space, gs[:, i], out=stack[:, 2 * kb + i])
         scale2 = np.maximum(1.0, np.max(np.abs(gs), axis=0) ** 2)
         sweep = H.apply_grid(stack, ts)
         # the sweep holds the stack only until its first output, and `map`

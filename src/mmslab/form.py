@@ -19,21 +19,34 @@ import numpy as np
 from .space import MetricMeasureSpace
 
 
-def carre_du_champ(space: MetricMeasureSpace, f, g=None) -> np.ndarray:
-    """Pointwise square-gradient field Gamma(f, g); Gamma(f, f) >= 0."""
+def carre_du_champ(space: MetricMeasureSpace, f, g=None, out=None) -> np.ndarray:
+    """Pointwise square-gradient field Gamma(f, g); Gamma(f, f) >= 0.
+
+    Written into `out`, an (n,) array such as a column of a stack, when it
+    is given, and returned.  Each edge term (c df) dg is formed in one
+    buffer, and the differences are dropped before it is summed.
+    """
     f = space.check_field(f)
-    df = f[space.edge_j] - f[space.edge_i]
-    if g is None or g is f:
-        prod = space.edge_c * df * df
+    df = _edge_differences(space, f)
+    dg = df if g is None or g is f else _edge_differences(space, space.check_field(g))
+    prod = np.multiply(space.edge_c, df)
+    prod *= dg
+    del df, dg
+    if out is None:
+        out = np.zeros(space.n)
     else:
-        g = space.check_field(g)
-        dg = g[space.edge_j] - g[space.edge_i]
-        prod = space.edge_c * df * dg
-    out = np.zeros(space.n)
+        out[...] = 0.0
     np.add.at(out, space.edge_i, prod)
     np.add.at(out, space.edge_j, prod)
     out /= 2.0 * space.mu
     return out
+
+
+def _edge_differences(space: MetricMeasureSpace, f) -> np.ndarray:
+    """f_j - f_i on every edge {i, j}, with one gathered temporary."""
+    df = f[space.edge_j]
+    df -= f[space.edge_i]
+    return df
 
 
 def energy(space: MetricMeasureSpace, f, g=None) -> float:

@@ -50,11 +50,18 @@ runs at.  These workers are the package's one parallel mechanism (README,
 "One thread pool for every heat sweep").
 
 Every action is one time of `apply_grid` and every kernel column one time
-of `kernel_grid`, the clamped action on 1_x/mu_x in every realization
-(clamped on a copy where the output is read-only); only `apply_grid`
-branches on the realization, between stepping and the spectral path.  The
-layout of an action's output is the path's: a spectral one is
-column-major, a stepping one row-major.
+of `kernel_grid`.  Those two, and `kernel_pairs`, which reads kernel values
+at sampled pairs, branch on the realization, between stepping and the
+spectral path.  A stepping kernel column is the clamped action on
+1_x/mu_x (clamped on a copy where the output is read-only).  A spectral
+one comes from the factor kernels, p(t, (a, b), (c, d)) =
+p^X(t, a, c) p^Y(t, b, d), with p^X = 1 on a dense space: per time each
+distinct factor coordinate of the sources takes one product of fixed
+shape, clamped, and a column is the outer product of its two factor
+columns, so its bits depend on its source and t only.  No delta field or
+coefficient set is formed for a kernel.  The layout of an action's or a
+kernel grid's output is the path's: a spectral one is column-major, a
+stepping one row-major.
 
 The spectra come from numpy's LAPACK (`numpy.linalg.eigh`, divide and
 conquer), the library whose BLAS then applies them.  numpy and scipy each
@@ -74,9 +81,10 @@ Past the dense cap, stepping is cross-checked against scipy's
 Kernel conventions: T_t f(x) = sum_y p(t, x, y) f(y) mu_y, with
 p(t, x, y) = p(t, y, x) >= 0 and sum_y p(t, x, y) mu_y = 1 (the semigroup
 is stochastically complete: T_t 1 = 1); in floating point the symmetry and
-the mass hold to round-off.  In every realization kernel
-columns, and `apply` of a nonnegative field, are clamped at zero, so
-positivity is exact; a negative value past the round-off floor raises.
+the mass hold to round-off.  In every realization kernel columns (on the
+spectral path, their factor columns), and `apply` of a nonnegative field,
+are clamped at zero, so positivity is exact; a negative value past the
+round-off floor raises.
 `apply_batch` and `apply_grid` return their stacks unclamped.
 """
 
@@ -125,10 +133,13 @@ _PAD = 64
 # (`HeatOperator._synthesize`).
 MODE_CUT = 45.0
 # `check_gaussian` leaves out a kernel value at or below this fraction of its
-# column's maximum, about 4500 units in the last place of that maximum: the
-# spectral sum returns round-off there, not the kernel (a pair 31 steps
-# apart on torus 128^2 at t = 4 has p of about 2e-18 against a maximum of
-# about 0.02).
+# column's maximum, about 4500 units in the last place of that maximum: a
+# spectral value is the product of two factor kernel values, each a sum
+# that returns round-off of its own maximum far from its source, so there
+# the product is round-off, not the kernel (a pair 31 steps apart on torus
+# 128^2 at t = 4 has p of about 2e-18 against a maximum of about 0.02).
+# The floor is the one the full spectral synthesis needed, and it leaves
+# out the same samples on the torus 128^2 and grid h = 1/64 tasks.
 GAUSSIAN_FLOOR = 1e-12
 
 
@@ -159,6 +170,13 @@ def _time_grid(ts) -> np.ndarray:
     ts = np.asarray(ts, dtype=float)
     if ts.size and (np.any(np.diff(ts) < 0) or ts[0] < 0):
         raise ConfigError("time grid must be ascending and nonnegative")
+    return ts
+
+
+def _kernel_times(ts) -> np.ndarray:
+    ts = _time_grid(ts)
+    if ts.size and ts[0] <= 0:
+        raise ConfigError("kernel needs t > 0")
     return ts
 
 
@@ -518,16 +536,115 @@ class HeatOperator:
 
     def kernel_grid(self, x0, ts):
         """Yield (t, p(t, x0, .)) along an ascending positive time grid, for
-        one source or the (n, k) columns of a 1-d array of k sources: each
-        action of `apply_grid`, clamped in place, or on a copy where it is
-        read-only (a stepping group's start)."""
-        ts = _time_grid(ts)
-        if ts.size and ts[0] <= 0:
-            raise ConfigError("kernel needs t > 0")
-        for t, cols in self.apply_grid(self._delta(x0), ts):
-            cols = cols if cols.flags.writeable else cols.copy()
-            self._clamp(cols)
-            yield t, cols
+        one source or the (n, k) columns of a 1-d array of k sources.
+
+        Stepping clamps each action of `apply_grid` on the fields 1_x/mu_x
+        in place, or on a copy where it is read-only (a stepping group's
+        start).  The spectral path takes every column from the factor
+        kernels, p(t, (a, b), (c, d)) = p^X(t, a, c) p^Y(t, b, d)
+        (`_factor_kernels`), as the outer product of the source's two
+        clamped factor columns, written per time into one (k, n) buffer and
+        yielded as its (n, k) column-major view.  A column's bits depend on
+        its source and t only, not on the other sources asked with it.
+        """
+        ts = _kernel_times(ts)
+        if self.mode == "stepping":
+            for t, cols in self.apply_grid(self._delta(x0), ts):
+                cols = cols if cols.flags.writeable else cols.copy()
+                self._clamp(cols)
+                yield t, cols
+            return
+        xs = np.asarray(x0, dtype=np.intp)
+        groups = self._factor_groups(xs.ravel())
+        shape = (self.space.n,) + xs.shape
+        for t in ts:
+            rows = np.empty((xs.size,) + tuple(V.shape[0] for _, V in self._factors))
+            px = [None] * xs.size
+            with blas.threads(1):
+                for axis, js, col in self._factor_kernels(groups, t):
+                    for j in js:
+                        if axis == 0:
+                            px[j] = col
+                        else:
+                            np.multiply.outer(px[j], col, out=rows[j])
+            yield float(t), rows.reshape(xs.size, -1).T.reshape(shape)
+            # a caller that drops this output frees it before the next
+            del rows
+
+    def kernel_pairs(self, xs, ys, ts):
+        """Yield (t, values, maxima) along an ascending positive time grid,
+        for 1-d arrays of sources `xs` and targets `ys`: values[j] =
+        p(t, xs[j], ys[j]) and maxima[j] the maximum of the column
+        p(t, xs[j], .), each bit-equal to the `kernel_grid` column of xs[j]
+        read there.
+
+        Stepping reads them off the `kernel_grid` columns of the distinct
+        sources.  The spectral path reads each factor column at the pairs
+        as it makes it and keeps it only for the other axis of a square
+        product, so it holds no (n, sources) array: a value is the product
+        of the two factor values, and a maximum the product of the two
+        factor maxima, exact because both factors are >= 0 and rounding is
+        monotone.
+        """
+        xs = np.asarray(xs, dtype=np.intp)
+        ys = np.asarray(ys, dtype=np.intp)
+        if self.mode == "stepping":
+            sources, inv = np.unique(xs, return_inverse=True)
+            for t, cols in self.kernel_grid(sources, ts):
+                yield t, cols[ys, inv], np.max(cols, axis=0)[inv]
+            return
+        groups = self._factor_groups(xs)
+        targets = self._coordinates(ys)
+        for t in _kernel_times(ts):
+            values, maxima = np.empty((2, 2, xs.size))
+            with blas.threads(1):
+                for axis, js, col in self._factor_kernels(groups, t):
+                    values[axis, js] = col[targets[axis][js]]
+                    maxima[axis, js] = np.max(col)
+            yield float(t), values[0] * values[1], maxima[0] * maxima[1]
+
+    def _coordinates(self, xs):
+        """The factor coordinates (a, b) of vertices xs = a ny + b (on a
+        dense space a = 0)."""
+        return np.divmod(xs, self._factors[1][1].shape[0])
+
+    def _factor_groups(self, xs) -> list:
+        """Per factor, [(a, js)]: each distinct factor coordinate a of the
+        vertices xs, with the positions js of the vertices that have it."""
+        groups = []
+        for coords in self._coordinates(xs):
+            found = {}
+            for j, a in enumerate(coords.tolist()):
+                found.setdefault(a, []).append(j)
+            groups.append(list(found.items()))
+        return groups
+
+    def _factor_kernels(self, groups, t: float):
+        """Yield (axis, js, p_t(a, .)) for each (a, js) of `groups[axis]`
+        (see `_factor_groups`), factor X (axis 0) first, then Y: the
+        factor's kernel column sum_k phi_k(a) e^{-theta_k t} phi_k over the
+        modes with theta t <= `MODE_CUT`, clamped.
+
+        Each column is one product of fixed shape, (nx, kept) x (kept,), so
+        its bits depend on the factor, a and t only.  The one-vertex factor
+        of a dense space gives [1.0] exactly.  A square product holds one
+        factor twice, so the columns made for X serve Y as well; otherwise
+        no column is kept past its yield.  Callers run it at one BLAS
+        thread.
+        """
+        made = {} if self._factors[0] is self._factors[1] else None
+        for axis, ((theta, basis), pending) in enumerate(zip(self._factors, groups)):
+            kept = int(np.searchsorted(theta * t, MODE_CUT, side="right"))
+            scale = np.exp(-theta[:kept] * t)
+            lead = basis[:, :kept]
+            for a, js in pending:
+                col = None if made is None else made.get(a)
+                if col is None:
+                    col = lead @ (basis[a, :kept] * scale)
+                    self._clamp(col)
+                    if made is not None:
+                        made[a] = col
+                yield axis, js, col
 
     def _delta(self, xs) -> np.ndarray:
         """The fields 1_{x}/mu_x (whose T_t is p(t, x, .)), (n,) or (n, k)."""
@@ -573,12 +690,16 @@ def check_gaussian(H: HeatOperator, t_grid, pair_count: int, R: float,
     constant making both bounds hold at every kept sample (so the reported
     violation count is zero by construction and re-verified).
 
-    Pairs are sampled with h <= d(x, y) < R; the grid must satisfy
-    h^2 <= t <= R^2 (below mesh scale the discrete kernel is not Gaussian).
-    A sample, one (time, pair) of the len(t_grid) * `pair_sample`, whose
-    kernel value is at or below `GAUSSIAN_FLOOR` times its column's maximum
-    is round-off, not a kernel value: it is left out of the fit and counted
-    in `skipped`.  With no sample left the fit raises.
+    Pairs are sampled with h <= d(x, y) < R, one distance row read per
+    distinct source; the grid must satisfy h^2 <= t <= R^2 (below mesh
+    scale the discrete kernel is not Gaussian).  The kernel is read only at
+    the sampled pairs, with each source's column maximum
+    (`HeatOperator.kernel_pairs`): on the spectral path a value is the
+    product of two factor kernel values, so no (n, sources) array is
+    formed.  A sample, one (time, pair) of the len(t_grid) * `pair_sample`,
+    whose kernel value is at or below `GAUSSIAN_FLOOR` times its column's
+    maximum is round-off, not a kernel value: it is left out of the fit and
+    counted in `skipped`.  With no sample left the fit raises.
     """
     space = H.space
     h = space.min_edge_length
@@ -593,36 +714,39 @@ def check_gaussian(H: HeatOperator, t_grid, pair_count: int, R: float,
     rng = np.random.default_rng(seed)
     sqrt_t = np.sqrt(t_grid)
     pairs = []
-    ball = {}               # x -> mu(B(x, sqrt t)) for every time, off the row just read
+    ball = {}               # x -> mu(B(x, sqrt t)) for every time
+    reach = {}              # x -> (targets y with h <= d(x, y) < R, their d)
     guard = 0
     while len(pairs) < pair_count and guard < 50 * pair_count:
         guard += 1
         x = int(rng.integers(space.n))
-        d = space.distances_from(x)
-        ok = np.flatnonzero((d >= h * (1 - 1e-12)) & (d < R))
+        if x not in reach:
+            d = space.distances_from(x)
+            ok = np.flatnonzero((d >= h * (1 - 1e-12)) & (d < R))
+            reach[x] = ok, d[ok]
+            ball[x] = _ball_masses(d, space.mu, sqrt_t)
+        ok, dist = reach[x]
         if ok.size == 0:
             continue
-        y = int(rng.choice(ok))
-        pairs.append((x, y, float(d[y])))
-        if x not in ball:
-            ball[x] = _ball_masses(d, space.mu, sqrt_t)
+        k = int(np.searchsorted(ok, int(rng.choice(ok))))
+        pairs.append((x, int(ok[k]), float(dist[k])))
+    del reach
     if not pairs:
         raise ConfigError(f"no vertex pairs with d in [h, {R})")
 
-    xs = sorted(ball)
-    xpos = {x: k for k, x in enumerate(xs)}
-    # one kernel grid over the sorted times, each sample stored in its row
-    # of the given grid
+    # the kernel values at the pairs and their columns' maxima, over the
+    # sorted times, each sample stored in its row of the given grid
+    xs, ys, _ = map(np.array, zip(*pairs))
     order = np.argsort(t_grid, kind="stable")
     yv = np.empty((t_grid.size, len(pairs)))
     z = np.empty_like(yv)
     keep = np.ones(yv.shape, dtype=bool)
-    for i, (t, cols) in zip(order, H.kernel_grid(xs, t_grid[order])):
-        floor = GAUSSIAN_FLOOR * np.max(cols, axis=0)
-        for j, (x, y, d) in enumerate(pairs):   # column k: p(t, xs[k], .)
-            p = float(cols[y, xpos[x]])
+    for i, (t, values, maxima) in zip(order, H.kernel_pairs(xs, ys, t_grid[order])):
+        floor = GAUSSIAN_FLOOR * maxima
+        for j, (x, y, d) in enumerate(pairs):
+            p = float(values[j])
             z[i, j] = d * d / t
-            if p <= floor[xpos[x]]:
+            if p <= floor[j]:
                 keep[i, j] = False
             else:
                 yv[i, j] = np.log(p) + np.log(ball[x][i])

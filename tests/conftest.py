@@ -41,6 +41,19 @@ def close(a, b, tol=1e-12):
     return float(np.max(np.abs(a - b))) <= tol * max(1.0, float(np.max(np.abs(b))))
 
 
+def gamma_out_of_place(space, f, g=None):
+    """Gamma(f, g) with every edge temporary of its own: (c df) dg summed into
+    a fresh field."""
+    df = f[space.edge_j] - f[space.edge_i]
+    dg = df if g is None else g[space.edge_j] - g[space.edge_i]
+    prod = space.edge_c * df * dg
+    field = np.zeros(space.n)
+    np.add.at(field, space.edge_i, prod)
+    np.add.at(field, space.edge_j, prod)
+    field /= 2.0 * space.mu
+    return field
+
+
 def assert_markov_semigroup(H, t, tol=1e-10):
     """The exact identities of a heat realization at time t: unit mass,
     kernel symmetry, the semigroup law, and exact positivity of `apply`."""

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import tabulated_grid
+from conftest import gamma_out_of_place, tabulated_grid
 from mmslab import ConfigError, NumericalError, curvature, heat
 from mmslab import space as sp_mod
 from mmslab.curvature import (_largest_required, check_commutation,
@@ -468,3 +468,42 @@ def test_sample_stack_holds_one_smoothing_part_beside_it():
         tracemalloc.stop()
     assert samples.shape == (space.n, 20)
     assert peak <= samples.nbytes + 7 * part + 2 ** 20
+
+
+def test_the_estimate_fills_gamma_into_its_stack_in_place(monkeypatch):
+    # h = 1/128 (n = 66049, one field a block): Gamma is written straight
+    # into its stack column, holding about two columns fewer than an
+    # out-of-place field copied in (measured 4.0 against 6.0 columns above
+    # what the estimate held at the call), with the same c_kappa, argmax and
+    # profile
+    h = 1 / 128
+    space = sp_mod.weighted_grid_2d(((-1, 1), (-1, 1)), h, "sqrt_abs_x")
+    H = build_heat(space)
+
+    def copied_in(space, f, g=None, out=None):
+        out[...] = gamma_out_of_place(space, f, g)
+        return out
+
+    def estimate(gamma):
+        peaks = []
+
+        def spy(*args, **kwargs):
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = gamma(*args, **kwargs)
+            peaks.append(tracemalloc.get_traced_memory()[1] - held)
+            return out
+
+        monkeypatch.setattr(curvature, "carre_du_champ", spy)
+        tracemalloc.start()
+        try:
+            rep = estimate_ckappa(H, 1 / 64, t_grid=[h * h, 4 * h * h], seed=3,
+                                  n_random=2)
+        finally:
+            tracemalloc.stop()
+        return (rep.c_kappa, rep.argmax, rep.per_t_profile), max(peaks)
+
+    got, in_place = estimate(carre_du_champ)
+    want, copied = estimate(copied_in)
+    assert repr(got) == repr(want)
+    assert in_place <= copied - 1.5 * 8 * space.n

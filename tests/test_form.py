@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import gamma_out_of_place
 from mmslab import space as sp_mod
 from mmslab.form import (carre_du_champ, check_leibniz, energy,
                          generator_apply, lip_field)
@@ -23,6 +24,21 @@ def test_gamma_three_path_values():
     sp = three_path()
     assert carre_du_champ(sp, np.array([0.0, 1.0, 2.0]))[1] == pytest.approx(1.0)
     assert carre_du_champ(sp, np.array([0.0, 1.0, 0.0]))[1] == pytest.approx(1.0)
+
+
+def test_gamma_fills_a_given_column_with_the_same_bits():
+    space = sp_mod.weighted_grid_2d(((-1, 1), (-1, 1)), 1 / 16, "sqrt_abs_x")
+    rng = np.random.default_rng(4)
+    f, g = rng.standard_normal((2, space.n))
+    stack = np.full((3, space.n), np.nan).T          # column-major
+    carre_du_champ(space, f, out=stack[:, 0])
+    carre_du_champ(space, f, g, out=stack[:, 1])
+    got = carre_du_champ(space, g, out=stack[:, 2])
+    assert np.shares_memory(got, stack)
+    assert np.array_equal(stack[:, 0], gamma_out_of_place(space, f))
+    assert np.array_equal(stack[:, 1], gamma_out_of_place(space, f, g))
+    assert np.array_equal(stack[:, 2], gamma_out_of_place(space, g))
+    assert np.array_equal(carre_du_champ(space, f), stack[:, 0])
 
 
 def test_gamma_nonnegative(torus16):

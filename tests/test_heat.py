@@ -189,8 +189,10 @@ def test_kernel_grid_over_many_sources_matches_each_source(three_modes):
 def test_dense_mode_keeps_the_spectral_formulas():
     # a dense space is the product of one vertex (theta = [0], basis [[1]])
     # and itself: coefficients F^T (basis mu), synthesis ((coefficients
-    # e^{-theta t}) basis^T)^T over the modes within the cut, kernel columns
-    # the clamped action on 1_x/mu_x, bit for bit
+    # e^{-theta t}) basis^T)^T over the modes within the cut, and kernel
+    # columns the clamped factor column basis (e^{-theta t} basis[x]) over
+    # the same modes (the one-vertex factor's is [1.0]), bit for bit; the
+    # kernel is the clamped action on 1_x/mu_x to round-off
     space = tabulated_grid(1 / 8)
     D = build_heat(space, mode="dense")
     (t1, b1), (theta, basis) = D._factors
@@ -210,12 +212,121 @@ def test_dense_mode_keeps_the_spectral_formulas():
         assert np.array_equal(rows.T, want)
         assert np.array_equal(D.apply_batch(F, t), want)
         assert np.array_equal(grid[k][1], want)
+        K = D.kernel(t, xs)
+        for j, x in enumerate(xs):
+            column = basis[:, :m] @ (basis[x, :m] * np.exp(-theta[:m] * t))
+            assert np.min(column) >= -1e-10 * np.max(column)
+            assert np.array_equal(K[:, j], np.clip(column, 0.0, None)), (t, x)
         cols = D.apply_batch(D._delta(xs), t)
         assert np.min(cols) >= -1e-10 * np.max(cols)
-        assert np.array_equal(D.kernel(t, xs), np.clip(cols, 0.0, None))
+        assert close(K, np.clip(cols, 0.0, None), 1e-14)
     # the last time cuts modes
     assert m < space.n
     assert np.array_equal(D.eigenvalues, theta)
+
+
+# -- kernel values from the factor kernels -----------------------------------------
+#
+# On the spectral path p(t, (a, b), (c, d)) = p^X(t, a, c) p^Y(t, b, d); a dense
+# space is one vertex times itself.  The oracle is scipy's dense `expm` (Pade
+# scaling and squaring) of a generator assembled here from the edge arrays.
+
+def edge_generator(space):
+    """Dense A = M^-1 (W - D), from edge_i, edge_j, edge_c and mu alone."""
+    W = np.zeros((space.n, space.n))
+    np.add.at(W, (space.edge_i, space.edge_j), space.edge_c)
+    np.add.at(W, (space.edge_j, space.edge_i), space.edge_c)
+    return (W - np.diag(W.sum(axis=1))) / space.mu[:, None]
+
+
+@pytest.fixture(scope="module", params=["torus12x16", "sqrt8"])
+def kernel_spaces(request):
+    space = (sp_mod.uniform_torus(12, 16) if request.param == "torus12x16"
+             else sp_mod.weighted_grid_2d(SQUARE, 1 / 8, "sqrt_abs_x"))
+    H = [build_heat(space), build_heat(space, mode="dense"),
+         build_heat(space, mode="stepping")]
+    assert [op.mode for op in H] == ["product", "dense", "stepping"]
+    return space, space.min_edge_length ** 2 * np.array([0.25, 4.0, 64.0]), H
+
+
+def test_kernel_columns_match_expm_of_the_edge_generator(kernel_spaces):
+    # measured: at most 1.7e-13 of the column maximum (dense at 64 h^2)
+    from scipy.linalg import expm
+
+    space, ts, H = kernel_spaces
+    A = edge_generator(space)
+    xs = np.array([0, 37, space.n // 2, space.n - 1])
+    for t in ts:
+        want = expm(t * A)[:, xs] / space.mu[xs]
+        for op in H:
+            assert relative_difference(op.kernel(t, xs), want) <= 1e-12, (op.mode, t)
+
+
+def test_kernel_columns_have_unit_mass_and_are_symmetric(kernel_spaces):
+    space, ts, H = kernel_spaces
+    for op in H:
+        for t, K in op.kernel_grid(np.arange(space.n), ts):
+            assert np.min(K) >= 0.0
+            assert close(space.mu @ K, np.ones(space.n), 1e-12), (op.mode, t)
+            assert close(K, K.T, 1e-13), (op.mode, t)
+
+
+def test_kernel_pairs_are_the_kernel_grid_columns_read_at_the_pairs(kernel_spaces):
+    space, ts, H = kernel_spaces
+    rng = np.random.default_rng(5)
+    xs = rng.integers(space.n, size=30)
+    xs[10:15] = xs[0]                   # repeated sources
+    ys = rng.integers(space.n, size=xs.size)
+    for op in H:
+        pairs = list(op.kernel_pairs(xs, ys, ts))
+        assert [t for t, _, _ in pairs] == list(ts)
+        for (_, values, maxima), (_, cols) in zip(pairs, op.kernel_grid(xs, ts)):
+            assert np.array_equal(values, cols[ys, np.arange(xs.size)]), op.mode
+            assert np.array_equal(maxima, np.max(cols, axis=0)), op.mode
+        # a column's bits do not depend on the sources asked with it, dense
+        # included
+        for t, cols in op.kernel_grid(xs, ts):
+            for j in (0, 11, 29):
+                assert np.array_equal(cols[:, j], op.kernel(t, int(xs[j]))), op.mode
+
+
+def test_the_spectral_kernel_forms_no_delta_stack(kernel_spaces, monkeypatch):
+    space, ts, H = kernel_spaces
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the spectral kernel went through an action")
+
+    for name in ("_delta", "_coefficients", "_synthesize", "apply_grid"):
+        monkeypatch.setattr(heat.HeatOperator, name, refuse)
+    xs = np.array([0, 7, space.n - 1])
+    for op in H[:2]:
+        assert len(list(op.kernel_grid(xs, ts))) == ts.size
+        assert len(list(op.kernel_pairs(xs, xs[::-1], ts))) == ts.size
+        h = space.min_edge_length
+        check_gaussian(op, h * h * np.array([1.0, 4.0, 16.0]), 20, R=6 * h, seed=1)
+
+
+def test_the_gaussian_fit_reads_one_row_per_source_and_no_source_columns(monkeypatch):
+    # torus 48^2 as in the default task.  A repeated source reuses its row
+    # (the draws are the per-draw reference's: see
+    # test_gaussian_ball_masses_match_the_per_pair_reference), and the
+    # kernel columns of the sources are never gathered: an (n, sources)
+    # array alone would be twice the bound
+    torus = sp_mod.uniform_torus(48, 48)
+    H = build_heat(torus)
+    t_grid = np.geomspace(4.0, 64.0, 8)
+    check_gaussian(H, t_grid, 200, R=12.0, seed=3)
+    rows, read = [], torus.distances_from
+    monkeypatch.setattr(torus, "distances_from", lambda x: rows.append(x) or read(x))
+    tracemalloc.start()
+    try:
+        fit = check_gaussian(H, t_grid, 200, R=12.0, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert fit.pair_sample == 200
+    assert len(set(rows)) == len(rows) < 200
+    assert peak < 0.5 * 8 * torus.n * len(rows)
 
 
 # -- Chebyshev stepping realization ---------------------------------------------
@@ -807,6 +918,9 @@ def test_gaussian_leaves_out_kernel_values_at_round_off(space, monkeypatch):
     # of 200 pairs (25 on the torus, 36 on the grid)
     assert fit["pair_sample"] == 200
     assert 0 < fit["skipped"] < 8 * fit["pair_sample"] // 10
+    # the counts the full spectral synthesis left out: reading the kernel
+    # off the factor kernels moves no sample across the floor
+    assert fit["skipped"] == {"torus": 25, "grid": 36}[space["family"]]
     monkeypatch.setattr(heat, "GAUSSIAN_FLOOR", 2.0)
     with pytest.raises(NumericalError, match="round-off"):
         run_config(config)

@@ -87,12 +87,13 @@ def test_only_the_generators_branch_on_the_heat_mode():
     # time of kernel_grid, so the realization is chosen in those two (and
     # set in __init__; kernel_matrix is dense-only).  A dense space is the
     # product of one vertex and itself, so apply_grid tells stepping from the
-    # one spectral path; a kernel column is the clamped action in every
-    # realization, and a stepping group's start comes read-only, so
-    # kernel_grid copies by the flag, not by the mode.  grid_columns tells a
-    # caller how wide a sweep over a grid may be: stepping holds a group of
-    # outputs at once, the spectral path its stack, coefficients and one
-    # output
+    # one spectral path.  kernel_grid tells them apart too: stepping clamps
+    # the action on the deltas (copying a read-only group start by its
+    # flag, not by the mode), and the spectral path multiplies factor kernel
+    # columns; kernel_pairs reads the same values at sampled pairs, off
+    # kernel_grid's columns when stepping.  grid_columns tells a caller how
+    # wide a sweep over a grid may be: stepping holds a group of outputs at
+    # once, the spectral path its stack, coefficients and one output
     tree = ast.parse(next(p for p in SOURCES if p.name == "heat.py").read_text())
     cls = next(node for node in tree.body
                if isinstance(node, ast.ClassDef) and node.name == "HeatOperator")
@@ -123,9 +124,10 @@ def test_only_the_generators_branch_on_the_heat_mode():
                 o.value if isinstance(o, ast.Constant) and isinstance(o.value, str)
                 else None for o in others if o is not node)
     assert "apply_grid" in readers
-    assert readers <= {"__init__", "apply_grid", "grid_columns", "kernel_matrix"}
-    assert compared["apply_grid"] == {"stepping"}
-    assert compared["grid_columns"] == {"stepping"}
+    assert readers <= {"__init__", "apply_grid", "grid_columns", "kernel_grid",
+                       "kernel_pairs", "kernel_matrix"}
+    for name in ("apply_grid", "grid_columns", "kernel_grid", "kernel_pairs"):
+        assert compared[name] == {"stepping"}, name
 
 
 def names_and_strings(tree):
