@@ -10,11 +10,12 @@ busy-waits for about 0.13 s before it sleeps (a 0.3 s sleep after one
 `runtimes` lists the runtimes mapped into the process, and `threads` sets
 every one of them for the length of a ``with`` block and restores the
 previous counts on exit.  `threads(1)` is the only way the package changes
-a count, and three kinds of caller open it: `cli.run_config` around a whole
+a count, and four kinds of caller open it: `cli.run_config` around a whole
 task, the heat layer around a build's eigendecompositions and around each
 list of blocks it deals to its own worker threads
-(`heat.HeatOperator._deal`), and the two places that call scipy's sparse
-solvers (ARPACK and SuperLU), after importing them.  scipy's runtime is
+(`heat.HeatOperator._deal`), `elliptic.solve` around either solver, and
+the two places that call scipy's sparse solvers (ARPACK and SuperLU),
+after importing them.  scipy's runtime is
 mapped only by that import, and `runtimes` reads the maps again after
 any import, so a scope opened after it finds scipy's runtime too.  A
 nested scope sets and restores the same counts, and every scope closes

@@ -243,10 +243,13 @@ def solve(problem: Problem) -> np.ndarray:
     re-verified independently of the solver.
     """
     b, u = _right_side(problem)
-    if solver_path(problem) == "fast_diagonalization":
-        u[problem.domain] = _fast_diagonalization_solve(problem, b)
-    else:
-        u[problem.domain] = _cg_solve(problem, b)
+    # at one BLAS thread, as in a task: the products of either path round
+    # differently on more threads
+    with blas.threads(1):
+        if solver_path(problem) == "fast_diagonalization":
+            u[problem.domain] = _fast_diagonalization_solve(problem, b)
+        else:
+            u[problem.domain] = _cg_solve(problem, b)
 
     scale = (float(np.max(np.abs(u))) + float(np.max(np.abs(problem.source))))
     op_scale = float(np.max(problem.space.degree)) + float(

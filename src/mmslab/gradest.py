@@ -43,6 +43,7 @@ class Cutoff:
     R: float
     c_psi: float            # realized gradient bound max sqrt(Gamma(psi)) * R
     support: np.ndarray     # members of B(y0, 4R)
+    row: np.ndarray         # distances from y0: balls and probe checks read it
 
 
 def build_cutoff(space: MetricMeasureSpace, y0: int, R: float) -> Cutoff:
@@ -56,11 +57,11 @@ def build_cutoff(space: MetricMeasureSpace, y0: int, R: float) -> Cutoff:
     psi = np.clip(2.0 - d / (2.0 * R), 0.0, 1.0)
     c_psi = float(np.sqrt(np.max(carre_du_champ(space, psi))) * R)
     return Cutoff(values=psi, y0=int(y0), R=float(R), c_psi=c_psi,
-                  support=four_b.members)
+                  support=four_b.members, row=d)
 
 
-def _require_probe(space, cutoff, x0):
-    if space.distances_from(cutoff.y0)[int(x0)] >= cutoff.R:
+def _require_probe(cutoff, x0):
+    if cutoff.row[int(x0)] >= cutoff.R:
         raise ConfigError("probe vertex must lie in B(y0, R)")
 
 
@@ -79,7 +80,7 @@ def averaged_energy_profile(H: HeatOperator, space: MetricMeasureSpace, u,
     converged `cumulative_log_quadrature` of a nonnegative integrand at each
     time, so every value carries the rule's tolerance, and the rule's
     positive panel weights make it nondecreasing."""
-    _require_probe(space, cutoff, x0)
+    _require_probe(cutoff, x0)
     F = carre_du_champ(space, space.check_field(u) * cutoff.values)
     x0 = int(x0)
     ts = np.asarray(ts, dtype=float)
@@ -138,7 +139,7 @@ def check_semigroup_holder(H: HeatOperator, space: MetricMeasureSpace, u,
     """
     if gamma is None:
         raise ConfigError("gamma required (run a Hoelder fit first)")
-    _require_probe(space, cutoff, x0)
+    _require_probe(cutoff, x0)
     R = cutoff.R
     t_grid = np.sort(np.asarray(t_grid, dtype=float))
     if np.any(t_grid <= 0) or np.any(t_grid > R ** 2 * (1 + 1e-12)):
@@ -175,7 +176,7 @@ def variance_log_integral(H: HeatOperator, space: MetricMeasureSpace, u,
     bound Var(h^2)/gamma when a Hoelder exponent is supplied (the variance
     vanishes like t^gamma near zero).
     """
-    _require_probe(space, cutoff, x0)
+    _require_probe(cutoff, x0)
     u = space.check_field(u)
     g_field = space.check_field(g_field)
     R = cutoff.R
@@ -236,7 +237,7 @@ def check_prop31(H: HeatOperator, space: MetricMeasureSpace, u, g_field,
     rhs = (float(np.max(np.abs(u[eight_b.members]))) ** 2 / R ** 2
            + R ** 2 * float(np.max(np.abs(g_field[eight_b.members]))) ** 2)
     cutoff = build_cutoff(space, y0, R)
-    ball = metric_ball(space, y0, R)
+    ball = metric_ball(space, y0, R, cutoff.row)
     rng = np.random.default_rng(seed)
     probes = [int(y0)]
     if ball.members.size > 1:
@@ -285,8 +286,9 @@ def verify_gradient_estimate(H: HeatOperator, space: MetricMeasureSpace,
     R, y0 = ball.radius, ball.center
     dom_mask = np.zeros(space.n, dtype=bool)
     dom_mask[problem.domain] = True
-    two_b = metric_ball(space, y0, 2 * R)
-    eight_b = metric_ball(space, y0, 8 * R)
+    d = space.distances_from(y0)
+    two_b = metric_ball(space, y0, 2 * R, d)
+    eight_b = metric_ball(space, y0, 8 * R, d)
     grad = np.sqrt(np.clip(carre_du_champ(space, u), 0.0, None))
     ck = float(curvature_report.c_kappa)
     g_field = -problem.lam * u + problem.source
@@ -360,7 +362,8 @@ def run_counterexample(h_list, T: float = 1.0 / 64.0, inner_radius: float = 0.2,
         problem = Problem(space, interior, bc)
         u = solve(problem)
         center = space.vertex_at((0.0, 0.0))
-        ball = metric_ball(space, center, inner_radius)
+        row = space.distances_from(center)
+        ball = metric_ball(space, center, inner_radius, row)
         grad = np.sqrt(np.clip(carre_du_champ(space, u), 0.0, None))
         sup_g = float(np.max(grad[ball.members]))
 
@@ -368,7 +371,7 @@ def run_counterexample(h_list, T: float = 1.0 / 64.0, inner_radius: float = 0.2,
         t_grid = np.unique(np.geomspace(min(h * h, T), T, 16))
         ck = estimate_ckappa(H, T, t_grid=t_grid, seed=seed,
                              n_random=n_random).c_kappa
-        hoe = holder_fit(space, u, ball, np.zeros(space.n), seed=seed)
+        hoe = holder_fit(space, u, ball, np.zeros(space.n), seed=seed, row=row)
         sup_grads.append(sup_g)
         cks.append(float(ck))
         gammas.append(float(hoe.gamma))

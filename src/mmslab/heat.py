@@ -56,12 +56,13 @@ spectral path.  A stepping kernel column is the clamped action on
 1_x/mu_x (clamped on a copy where the output is read-only).  A spectral
 one comes from the factor kernels, p(t, (a, b), (c, d)) =
 p^X(t, a, c) p^Y(t, b, d), with p^X = 1 on a dense space: per time each
-distinct factor coordinate of the sources takes one product of fixed
-shape, clamped, and a column is the outer product of its two factor
-columns, so its bits depend on its source and t only.  No delta field or
-coefficient set is formed for a kernel.  The layout of an action's or a
-kernel grid's output is the path's: a spectral one is column-major, a
-stepping one row-major.
+factor makes one table (one for both axes of a square product), a row of
+one clamped product of fixed shape per distinct factor coordinate of the
+sources, and a column or a pair value is a product of table entries, so
+its bits depend on its source and t only.  One time's tables are freed
+before the next time's are made.  No delta field or coefficient set is
+formed for a kernel.  The layout of an action's or a kernel grid's output
+is the path's: a spectral one is column-major, a stepping one row-major.
 
 The spectra come from numpy's LAPACK (`numpy.linalg.eigh`, divide and
 conquer), the library whose BLAS then applies them.  numpy and scipy each
@@ -541,11 +542,11 @@ class HeatOperator:
         Stepping clamps each action of `apply_grid` on the fields 1_x/mu_x
         in place, or on a copy where it is read-only (a stepping group's
         start).  The spectral path takes every column from the factor
-        kernels, p(t, (a, b), (c, d)) = p^X(t, a, c) p^Y(t, b, d)
-        (`_factor_kernels`), as the outer product of the source's two
-        clamped factor columns, written per time into one (k, n) buffer and
-        yielded as its (n, k) column-major view.  A column's bits depend on
-        its source and t only, not on the other sources asked with it.
+        kernels, p(t, (a, b), (c, d)) = p^X(t, a, c) p^Y(t, b, d): per time,
+        one broadcast product of the sources' rows of the factor tables
+        (`_factor_kernels`) into a (k, nx, ny) array, yielded as its (n, k)
+        column-major view.  A column's bits depend on its source and t
+        only, not on the other sources asked with it.
         """
         ts = _kernel_times(ts)
         if self.mode == "stepping":
@@ -558,15 +559,12 @@ class HeatOperator:
         groups = self._factor_groups(xs.ravel())
         shape = (self.space.n,) + xs.shape
         for t in ts:
-            rows = np.empty((xs.size,) + tuple(V.shape[0] for _, V in self._factors))
-            px = [None] * xs.size
-            with blas.threads(1):
-                for axis, js, col in self._factor_kernels(groups, t):
-                    for j in js:
-                        if axis == 0:
-                            px[j] = col
-                        else:
-                            np.multiply.outer(px[j], col, out=rows[j])
+            (KX, ix), (KY, iy) = self._factor_kernels(groups, t)
+            # the tables go before the (k, nx, ny) product is made
+            px, py = KX[ix][:, :, None], KY[iy][:, None, :]
+            del KX, KY
+            rows = px * py
+            del px, py
             yield float(t), rows.reshape(xs.size, -1).T.reshape(shape)
             # a caller that drops this output frees it before the next
             del rows
@@ -579,12 +577,14 @@ class HeatOperator:
         read there.
 
         Stepping reads them off the `kernel_grid` columns of the distinct
-        sources.  The spectral path reads each factor column at the pairs
-        as it makes it and keeps it only for the other axis of a square
-        product, so it holds no (n, sources) array: a value is the product
-        of the two factor values, and a maximum the product of the two
-        factor maxima, exact because both factors are >= 0 and rounding is
-        monotone.
+        sources.  The spectral path reads the factor tables of
+        `_factor_kernels` (one shared table on a square product): a value
+        is the product of the two factor values, and a maximum the product
+        of the two factor maxima, exact because both factors are >= 0 and
+        rounding is monotone.  It holds the tables of one time at a time,
+        (distinct factor coordinates of xs) x (factor size) doubles each:
+        at most n on a square product, but n per distinct source on a
+        dense space.
         """
         xs = np.asarray(xs, dtype=np.intp)
         ys = np.asarray(ys, dtype=np.intp)
@@ -594,14 +594,13 @@ class HeatOperator:
                 yield t, cols[ys, inv], np.max(cols, axis=0)[inv]
             return
         groups = self._factor_groups(xs)
-        targets = self._coordinates(ys)
+        tx, ty = self._coordinates(ys)
         for t in _kernel_times(ts):
-            values, maxima = np.empty((2, 2, xs.size))
-            with blas.threads(1):
-                for axis, js, col in self._factor_kernels(groups, t):
-                    values[axis, js] = col[targets[axis][js]]
-                    maxima[axis, js] = np.max(col)
-            yield float(t), values[0] * values[1], maxima[0] * maxima[1]
+            (KX, ix), (KY, iy) = self._factor_kernels(groups, t)
+            values = KX[ix, tx] * KY[iy, ty]
+            maxima = np.max(KX, axis=1)[ix] * np.max(KY, axis=1)[iy]
+            del KX, KY
+            yield float(t), values, maxima
 
     def _coordinates(self, xs):
         """The factor coordinates (a, b) of vertices xs = a ny + b (on a
@@ -609,42 +608,42 @@ class HeatOperator:
         return np.divmod(xs, self._factors[1][1].shape[0])
 
     def _factor_groups(self, xs) -> list:
-        """Per factor, [(a, js)]: each distinct factor coordinate a of the
-        vertices xs, with the positions js of the vertices that have it."""
-        groups = []
-        for coords in self._coordinates(xs):
-            found = {}
-            for j, a in enumerate(coords.tolist()):
-                found.setdefault(a, []).append(j)
-            groups.append(list(found.items()))
-        return groups
+        """Per factor, (coordinates, rows): the distinct factor coordinates
+        of the vertices xs, ascending, and the row of each vertex among
+        them.  The two axes of a square product share one list, the union
+        of theirs."""
+        a, b = self._coordinates(xs)
+        if self._factors[0] is self._factors[1]:
+            coords, rows = np.unique(np.concatenate((a, b)), return_inverse=True)
+            return [(coords, rows[:a.size]), (coords, rows[a.size:])]
+        return [np.unique(c, return_inverse=True) for c in (a, b)]
 
-    def _factor_kernels(self, groups, t: float):
-        """Yield (axis, js, p_t(a, .)) for each (a, js) of `groups[axis]`
-        (see `_factor_groups`), factor X (axis 0) first, then Y: the
-        factor's kernel column sum_k phi_k(a) e^{-theta_k t} phi_k over the
-        modes with theta t <= `MODE_CUT`, clamped.
+    def _factor_kernels(self, groups, t: float) -> list:
+        """Per factor, (K, rows) for the (coordinates, rows) of `groups`
+        (see `_factor_groups`): row r of the table K is the factor's kernel
+        column sum_k phi_k(a) e^{-theta_k t} phi_k of the r-th coordinate a,
+        over the modes with theta t <= `MODE_CUT`, clamped on its own.
 
-        Each column is one product of fixed shape, (nx, kept) x (kept,), so
-        its bits depend on the factor, a and t only.  The one-vertex factor
-        of a dense space gives [1.0] exactly.  A square product holds one
-        factor twice, so the columns made for X serve Y as well; otherwise
-        no column is kept past its yield.  Callers run it at one BLAS
+        Each row is one product of fixed shape, (n_f, kept) x (kept,),
+        written into its row, so its bits depend on the factor, a and t
+        only.  The one-vertex factor of a dense space gives [[1.0]] exactly.
+        A square product's two axes share one table.  Runs at one BLAS
         thread.
         """
-        made = {} if self._factors[0] is self._factors[1] else None
-        for axis, ((theta, basis), pending) in enumerate(zip(self._factors, groups)):
-            kept = int(np.searchsorted(theta * t, MODE_CUT, side="right"))
-            scale = np.exp(-theta[:kept] * t)
-            lead = basis[:, :kept]
-            for a, js in pending:
-                col = None if made is None else made.get(a)
-                if col is None:
-                    col = lead @ (basis[a, :kept] * scale)
-                    self._clamp(col)
-                    if made is not None:
-                        made[a] = col
-                yield axis, js, col
+        tables = []
+        with blas.threads(1):
+            for (theta, basis), (coords, rows) in zip(self._factors, groups):
+                if tables and self._factors[0] is self._factors[1]:
+                    tables.append((tables[0][0], rows))
+                    continue
+                kept = int(np.searchsorted(theta * t, MODE_CUT, side="right"))
+                scale = np.exp(-theta[:kept] * t)
+                K = np.empty((coords.size, basis.shape[0]))
+                for a, row in zip(coords.tolist(), K):
+                    np.matmul(basis[:, :kept], basis[a, :kept] * scale, out=row)
+                    self._clamp(row)
+                tables.append((K, rows))
+        return tables
 
     def _delta(self, xs) -> np.ndarray:
         """The fields 1_{x}/mu_x (whose T_t is p(t, x, .)), (n,) or (n, k)."""
@@ -654,8 +653,8 @@ class HeatOperator:
         return e.reshape((self.space.n,) + xs.shape)
 
     @staticmethod
-    def _clamp(arr, rel=1e-10):
-        floor = -rel * max(float(np.max(arr)), 1e-300)
+    def _clamp(arr):
+        floor = -1e-10 * max(float(np.max(arr)), 1e-300)
         if float(np.min(arr)) < floor:
             raise NumericalError(
                 f"kernel entry {float(np.min(arr)):.3e} below round-off floor "
@@ -695,10 +694,11 @@ def check_gaussian(H: HeatOperator, t_grid, pair_count: int, R: float,
     scale the discrete kernel is not Gaussian).  The kernel is read only at
     the sampled pairs, with each source's column maximum
     (`HeatOperator.kernel_pairs`): on the spectral path a value is the
-    product of two factor kernel values, so no (n, sources) array is
-    formed.  A sample, one (time, pair) of the len(t_grid) * `pair_sample`,
-    whose kernel value is at or below `GAUSSIAN_FLOOR` times its column's
-    maximum is round-off, not a kernel value: it is left out of the fit and
+    product of two factor kernel values, read off one time's factor
+    tables (on a dense space, n doubles per distinct source).  A sample,
+    one (time, pair) of the len(t_grid) * `pair_sample`, whose kernel value
+    is at or below `GAUSSIAN_FLOOR` times its column's maximum, is
+    round-off, not a kernel value: it is left out of the fit and
     counted in `skipped`.  With no sample left the fit raises.
     """
     space = H.space
@@ -825,11 +825,7 @@ def check_heat_caccioppoli(H: HeatOperator, x: int, R: float, s: float,
     def eval_batch(ts):
         return [energy(col) for _, col in H.kernel_grid(x, ts)]
 
-    e0_field = np.zeros(space.n)
-    e0_field[x] = 1.0 / space.mu[x]
-    zero_limit = energy(e0_field)
-
-    lhs, info = log_time_quadrature(eval_batch, 0.0, s, zero_limit=zero_limit)
+    lhs, info = log_time_quadrature(eval_batch, 0.0, s, zero_limit=energy(H._delta(x)))
     unit = np.exp(-c * R * R / s) / ball_mass
     C = lhs / unit
     pareto = []

@@ -2,7 +2,8 @@
 thread for all of its work, eigendecompositions included, and heat builds
 and sweeps, inside a task or not, on one BLAS thread: a build decomposes
 its factors one after the other on the calling thread, and a sweep deals
-its column blocks to the heat layer's workers."""
+its column blocks to the heat layer's workers; and library solves, on
+either path, on one BLAS thread."""
 
 import sys
 import threading
@@ -15,8 +16,11 @@ import scipy.sparse.linalg
 from mmslab import blas, cli, elliptic, heat, space
 from mmslab.cli import reverify_report, run_config
 from mmslab.errors import ConfigError, NumericalError
+from mmslab.gradest import run_counterexample
 from mmslab.heat import HeatOperator
 from mmslab.space import uniform_cycle, uniform_torus, weighted_grid_2d
+
+from conftest import tabulated_grid
 
 TORUS8 = {"family": "torus", "n1": 8, "n2": 8}
 GRID8 = {"family": "grid", "dim": 2, "h": 0.125}
@@ -452,3 +456,31 @@ def test_a_large_dense_sweep_has_the_same_bits_at_any_thread_count(monkeypatch):
     monkeypatch.setattr(HeatOperator, "_synthesize", recorded)
     same_bits_at_any_thread_count(H, F, [0.5, 2.0, 8.0], monkeypatch)
     assert sorted(parts[:3]) == [(2, 1024), (64, 1024), (64, 1024)]
+
+
+@pytest.mark.parametrize("make, path", [
+    (lambda: weighted_grid_2d(((-1.0, 1.0), (-1.0, 1.0)), 1 / 64, "sqrt_abs_x"),
+     "fast_diagonalization"),
+    (lambda: tabulated_grid(1 / 64), "cg")], ids=["sqrt64", "tabulated64"])
+def test_a_library_solve_has_a_tasks_bits_at_two_threads(make, path):
+    # before either solver ran in its own one-thread scope, two threads
+    # moved the solution by up to 1.1e-15 (fast diagonalization: the
+    # products, not the eigendecompositions) and 1.6e-15 (Jacobi-CG)
+    X = make()
+    x = X.positions[:, 0]
+    problem = elliptic.Problem(X, space.vertex_complement(X.n, X.rim),
+                               np.sign(x) * np.sqrt(np.abs(x)))
+    assert elliptic.solver_path(problem) == path
+    with blas.threads(2):
+        two = elliptic.solve(problem)
+    with blas.threads(1):
+        assert np.array_equal(elliptic.solve(problem), two)
+
+
+def test_a_library_counterexample_sweep_has_a_tasks_report_at_two_threads():
+    # sup_grad at h = 1/64 read 7.232844175322454 at two threads against
+    # the task's 7.232844175322457 while the solve ran at the caller's count
+    with blas.threads(2):
+        two = run_counterexample([1 / 16, 1 / 32, 1 / 64], seed=3)
+    with blas.threads(1):
+        assert repr(run_counterexample([1 / 16, 1 / 32, 1 / 64], seed=3)) == repr(two)

@@ -49,7 +49,7 @@ def sqrt32():
 def all_ones_cutoff(space, y0, R):
     # window version of the cutoff for the trivial cases: psi = 1 everywhere
     return Cutoff(values=np.ones(space.n), y0=y0, R=R, c_psi=0.0,
-                  support=np.arange(space.n))
+                  support=np.arange(space.n), row=space.distances_from(y0))
 
 
 # -- cutoff -------------------------------------------------------------------
@@ -88,6 +88,38 @@ def test_cutoff_reads_the_center_row_once(monkeypatch):
     assert rows == [y0]
     assert np.array_equal(cut.support, np.flatnonzero(d < 0.5))
     assert np.array_equal(cut.values, np.clip(2.0 - d / 0.25, 0.0, 1.0))
+
+
+def test_the_checks_read_each_center_row_once_or_twice(heat32, torus32, monkeypatch):
+    # check_prop31 reads y0's row for 8B and for the cutoff, whose row
+    # serves B and the probe checks; verify_gradient_estimate for 2B and 8B
+    # and for the cutoff; run_counterexample once per mesh, for the ball
+    # and the Hoelder fit (they read it 6, 4 and 2 times)
+    y0 = torus32.vertex_at((16, 16))
+    u = torus_chart(torus32, 32, y0)[0]
+    domain = np.flatnonzero(torus32.distances_from(y0) < 14)
+    prob = Problem(torus32, domain, u + 3.0)
+    ck = estimate_ckappa(heat32, 4.0, seed=0, n_random=4)
+    rows = []
+    distances_from = MetricMeasureSpace.distances_from
+
+    def counted(self, v):
+        rows.append(int(v))
+        return distances_from(self, v)
+
+    monkeypatch.setattr(MetricMeasureSpace, "distances_from", counted)
+    check_prop31(heat32, torus32, u, np.zeros(torus32.n), y0, 1.5)
+    assert rows == [y0, y0]
+    rows.clear()
+    ball = metric_ball(torus32, y0, 1.5, distances_from(torus32, y0))
+    for mode in ("thm31", "thm11", "thm12"):
+        rep = verify_gradient_estimate(heat32, torus32, prob, ball, mode, ck)
+        assert rows == [y0, y0] and rep.profile, mode
+        rows.clear()
+    rep = run_counterexample([1 / 8, 1 / 16, 1 / 32], seed=3)
+    assert len(rows) == 3 and len(rep.rows) == 3
+    with pytest.raises(ConfigError, match="8B escapes"):      # 4B does too
+        check_prop31(heat32, torus32, u, np.zeros(torus32.n), y0, 9.0)
 
 
 # -- averaged energy ----------------------------------------------------------

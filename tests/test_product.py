@@ -353,9 +353,10 @@ def test_product_kernel_grid_matches_dense_on_a_long_grid():
 
 @pytest.mark.parametrize("t", [0.01, 0.7, 16.0])
 def test_product_kernel_matrix_is_symmetric_to_round_off(torus16, t):
-    # a column is the clamped spectral action on 1_x/mu_x: symmetric and of
-    # unit mass to round-off (measured at most 7e-16 of the maximum and
-    # 3e-14), exactly nonnegative, and the dense realization's to 1e-12
+    # a column is the outer product of its source's two clamped factor
+    # kernel columns: symmetric and of unit mass to round-off (measured at
+    # most 7e-16 of the maximum and 3e-14), exactly nonnegative, and the
+    # dense realization's to 1e-12
     for space in (torus16, sp_mod.uniform_torus(128, 8)):
         P = build_heat(space)
         K = P.kernel(t, np.arange(space.n))
