@@ -11,16 +11,17 @@ busy-waits for about 0.13 s before it sleeps (a 0.3 s sleep after one
 every one of them for the length of a ``with`` block and restores the
 previous counts on exit.  `threads(1)` is the only way the package changes
 a count, and four kinds of caller open it: `cli.run_config` around a whole
-task, the heat layer around a build's eigendecompositions and around each
-list of blocks it deals to its own worker threads
-(`heat.HeatOperator._deal`), `elliptic.solve` around either solver, and
-the two places that call scipy's sparse solvers (ARPACK and SuperLU),
-after importing them.  scipy's runtime is
-mapped only by that import, and `runtimes` reads the maps again after
-any import, so a scope opened after it finds scipy's runtime too.  A
-nested scope sets and restores the same counts, and every scope closes
-before the call that opened it returns or yields.  Nothing here runs at
-import, and no environment variable is read or written.
+task, the heat layer around a build's eigendecompositions, around each
+pass of a sweep over its column blocks (`heat.HeatOperator.apply_grid` and
+`_chebyshev_sweep`) and around a time's factor kernel tables
+(`_factor_kernels`), `elliptic.solve` around either solver, and the two
+places that call scipy's sparse solvers (ARPACK and SuperLU), after
+importing them.  scipy's runtime is mapped only by that import, and
+`runtimes` reads the maps again after any import, so a scope opened after
+it finds scipy's runtime too.  A nested scope sets and restores the same
+counts, and every scope closes before the call that opened it returns or
+yields.  Nothing here runs at import, and no environment variable is read
+or written.
 """
 
 from __future__ import annotations

@@ -84,7 +84,7 @@ def _sample_columns(H: HeatOperator, seed: int, n_random: int):
 
     Both passes draw the fields afresh from `seed`, in parts of
     `_COLUMN_BLOCK // n` columns from column 0, and a part is smoothed
-    alone.  A heat action on all k fields deals the same parts, each
+    alone.  A heat action on all k fields cuts the same parts, each
     through products of the same shapes, so every smoothing keeps the bits
     it has in that action.  One part is held at a time.
     """

@@ -296,8 +296,11 @@ def check_caccioppoli(space: MetricMeasureSpace, u, g_field, y0: int,
         raise ConfigError("degenerate annulus: r2 - r1 below mesh scale")
     u = space.check_field(u)
     g_field = space.check_field(g_field)
-    inner = metric_ball(space, y0, r1)
-    outer = metric_ball(space, y0, r2)
+    # both balls off one distance row: on a tabulated grid a row is a
+    # Dijkstra run
+    row = space.distances_from(y0)
+    inner = metric_ball(space, y0, r1, row)
+    outer = metric_ball(space, y0, r2, row)
     lhs = float(space.mu[inner.members]
                 @ carre_du_champ(space, u)[inner.members])
     mass = float(space.mu[outer.members] @ u[outer.members] ** 2)

@@ -40,14 +40,13 @@ paths:
   grid in one group.
 
 Both paths cut the stack into blocks of `_COLUMN_BLOCK // n` columns
-(about 512 KB) and deal them round-robin to the calling thread and up to
-one worker thread per further CPU (`_deal`).  Every deal runs inside one
+(about 512 KB), which bound a block's temporaries, and run them one after
+the other on the calling thread.  Each pass over the blocks runs inside one
 `blas.threads(1)` scope, inside an `mmslab run` task or not, and the scope
-closes before `_deal` returns, so none stays open across a yield.  A block
-does the same arithmetic on any thread at one BLAS thread, so the bits
-depend neither on the worker count nor on the BLAS thread count the caller
-runs at.  These workers are the package's one parallel mechanism (README,
-"One thread pool for every heat sweep").
+closes before the time it computes is yielded, so none stays open across a
+yield.  A block does the same arithmetic at one BLAS thread whatever count
+the caller runs at, so the bits do not depend on it.  The package starts
+no thread of its own (README, "Heat sweeps on the calling thread").
 
 Every action is one time of `apply_grid` and every kernel column one time
 of `kernel_grid`.  Those two, and `kernel_pairs`, which reads kernel values
@@ -90,8 +89,6 @@ round-off floor raises.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -218,7 +215,6 @@ class HeatOperator:
         # [(theta, basis)] per factor, theta the eigenvalues of -A clipped at
         # 0 and basis the mu-orthonormal eigenfields
         self._factors = self._weighted = self._X2 = self._lam = None
-        self._pool = None
         # the last stepping sweep's Chebyshev coefficients, by increment
         self._series = {}
 
@@ -287,18 +283,18 @@ class HeatOperator:
 
         The spectral path takes the coefficients of F once and synthesizes
         each time from them, in the column blocks of the module docstring,
-        dealt by `_deal` on one BLAS thread; each block writes its columns
-        of one (k, n) buffer per time, yielded as the (n, k) column-major
-        (Fortran-ordered) view.  Every deal, stepping or spectral, ends
-        before the time it computes is yielded, so the caller's BLAS thread
-        counts are its own between yields.  A column-major F is read
-        without copying it.  Stepping mode splits the grid into consecutive
-        groups whose outputs fit `_GRID_BLOCK` doubles and runs one
-        Chebyshev recurrence per group, from the previous group's last
-        output.  That output starts the next group, so it is yielded
-        read-only (writing to it raises ValueError).  Neither path holds F
-        past its coefficients or its first group, so a caller that drops F
-        frees it then.
+        one after the other on one BLAS thread; each block writes its
+        columns of one (k, n) buffer per time, yielded as the (n, k)
+        column-major (Fortran-ordered) view.  Every pass over the blocks,
+        stepping or spectral, ends before the time it computes is yielded,
+        so the caller's BLAS thread counts are its own between yields.  A
+        column-major F is read without copying it.  Stepping mode splits the
+        grid into consecutive groups whose outputs fit `_GRID_BLOCK` doubles
+        and runs one Chebyshev recurrence per group, from the previous
+        group's last output.  That output starts the next group, so it is
+        yielded read-only (writing to it raises ValueError).  Neither path
+        holds F past its coefficients or its first group, so a caller that
+        drops F frees it then.
         """
         ts = _time_grid(ts)
         F = np.asarray(F, dtype=float)
@@ -323,11 +319,15 @@ class HeatOperator:
             w = max(1, _COLUMN_BLOCK // n)
             parts = [slice(j, j + w) for j in range(0, k, w)]
             C = np.empty((k,) + tuple(wt.shape[0] for wt in self._weighted))
-            self._deal(lambda p: self._coefficients(cols[:, p], C[p]), parts)
+            with blas.threads(1):
+                for p in parts:
+                    self._coefficients(cols[:, p], C[p])
             cols = None
             for t in ts:
                 rows = np.empty((k, n))
-                self._deal(lambda p: self._synthesize(C[p], t, rows[p]), parts)
+                with blas.threads(1):
+                    for p in parts:
+                        self._synthesize(C[p], t, rows[p])
                 yield float(t), rows.T.reshape(shape)
                 # a caller that drops this output frees it before the next
                 del rows
@@ -409,27 +409,6 @@ class HeatOperator:
                                            - sp.identity(space.n)))
         return self._X2
 
-    def _block_workers(self, blocks: int):
-        """(executor, count): `count` = min(CPUs - 1, blocks - 1) worker
-        threads to share `blocks` blocks with the calling thread, or
-        (None, 0).
-
-        The pool is made on first use and starts a thread only when a task
-        finds none idle, so no more threads run than blocks; its threads
-        exit when the operator is collected.
-        """
-        # the CPUs this process may run on, where the platform says
-        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                else os.cpu_count() or 1)
-        count = min(cpus - 1, blocks - 1)
-        if count <= 0:
-            return None, 0
-        if self._pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-            self._pool = ThreadPoolExecutor(max_workers=cpus - 1,
-                                            thread_name_prefix="mmslab-chebyshev")
-        return self._pool, count
-
     def _chebyshev_sweep(self, F, dts) -> list:
         """[e^{dt A} F for dt in dts], for ascending dts >= 0, from one
         recurrence: e^{dt A} F = sum_k c_k(dt) T_k(X) F, with T_{k+1} =
@@ -438,17 +417,17 @@ class HeatOperator:
         The stored matrix is 2X, so T_1 = (2X) T_0 / 2 and T_{k+1} =
         (2X) T_k - T_{k-1}.  X 1 = -1 and 1^T M X = -1^T M, so mass is kept to
         round-off.  The recurrence runs on column blocks of about
-        `_COLUMN_BLOCK` doubles, dealt by `_deal` (sparse products and BLAS
-        release the GIL).  A block keeps its last `_FOLD` terms in a ring,
-        each row zero-padded to a multiple of `_PAD` doubles, and every
-        `_FOLD` terms adds the ring into the output of each increment whose
-        series still runs, by one (`_FOLD`,) x (`_FOLD`, padded) product of
-        that increment's coefficients, zero past its own tail.  The padding
-        puts every element through the same BLAS instructions whatever the
-        block's size, and each increment's series is cut at its own tail
-        (its Bessel coefficients are kept for the next sweep), so its output
-        has the bits of a recurrence run for it alone, at any column count,
-        group or thread.
+        `_COLUMN_BLOCK` doubles, one after the other at one BLAS thread, so
+        that one block's temporaries are live at a time.  A block keeps its
+        last `_FOLD` terms in a ring, each row zero-padded to a multiple of
+        `_PAD` doubles, and every `_FOLD` terms adds the ring into the
+        output of each increment whose series still runs, by one (`_FOLD`,)
+        x (`_FOLD`, padded) product of that increment's coefficients, zero
+        past its own tail.  The padding puts every element through the same
+        BLAS instructions whatever the block's size, and each increment's
+        series is cut at its own tail (its Bessel coefficients are kept for
+        the next sweep), so its output has the bits of a recurrence run for
+        it alone, at any column count or group.
         """
         X2 = self._shifted_generator()
         kept = self._series
@@ -470,57 +449,28 @@ class HeatOperator:
         F2 = F.reshape(n, -1)
         outs = [np.zeros(F2.shape) for _ in cs]
         width = max(1, _COLUMN_BLOCK // n)
-        starts = range(0, F2.shape[1], width)
-
-        def block(j):
-            # its temporaries die on return, before the next block starts
-            into = [out[:, j:j + width] for out in outs]
-            size = into[0].size
-            ring = np.zeros((_FOLD, -(-size // _PAD) * _PAD))
-            term = [row[:size].reshape(n, -1) for row in ring]
-            fold = np.empty(ring.shape[1])
-            folded = fold[:size].reshape(n, -1)
-            term[0][...] = F2[:, j:j + width]
-            for q, series in enumerate(live):
-                for k in range(max(1, _FOLD * q), min(_FOLD * (q + 1), terms)):
-                    if k == 1:
-                        np.multiply(X2 @ term[0], 0.5, out=term[1])
-                    else:
-                        np.subtract(X2 @ term[(k - 1) % _FOLD],
-                                    term[(k - 2) % _FOLD], out=term[k % _FOLD])
-                for i in series:
-                    np.dot(C[i, q], ring, out=fold)
-                    into[i] += folded
-
-        self._deal(block, starts)
-        return [out.reshape(F.shape) for out in outs]
-
-    def _deal(self, block, parts):
-        """block(p) for every p in `parts`, dealt round-robin to the
-        calling thread and `_block_workers` threads, with every OpenBLAS
-        runtime on one thread (`blas.threads(1)`): the column blocks of a
-        spectral or stepping sweep, never an eigendecomposition.
-
-        A block's arithmetic does not depend on the thread that runs it, so
-        the results are the same bits with or without workers, and at any
-        BLAS thread count the caller started at.  Every worker's share is
-        finished, and its exception raised, before the scope closes and the
-        caller's counts come back.
-        """
-        pool, count = self._block_workers(len(parts))
-
-        def run(share):
-            for p in share:
-                block(p)
-
         with blas.threads(1):
-            futures = [pool.submit(run, parts[i::count + 1])
-                       for i in range(1, count + 1)]
-            try:
-                run(parts[::count + 1])
-            finally:
-                for fut in futures:
-                    fut.result()
+            for j in range(0, F2.shape[1], width):
+                into = [out[:, j:j + width] for out in outs]
+                size = into[0].size
+                ring = np.zeros((_FOLD, -(-size // _PAD) * _PAD))
+                term = [row[:size].reshape(n, -1) for row in ring]
+                fold = np.empty(ring.shape[1])
+                folded = fold[:size].reshape(n, -1)
+                term[0][...] = F2[:, j:j + width]
+                for q, series in enumerate(live):
+                    for k in range(max(1, _FOLD * q), min(_FOLD * (q + 1), terms)):
+                        if k == 1:
+                            np.multiply(X2 @ term[0], 0.5, out=term[1])
+                        else:
+                            np.subtract(X2 @ term[(k - 1) % _FOLD],
+                                        term[(k - 2) % _FOLD], out=term[k % _FOLD])
+                    for i in series:
+                        np.dot(C[i, q], ring, out=fold)
+                        into[i] += folded
+                # this block's temporaries go before the next block's are made
+                del ring, term, fold, folded
+        return [out.reshape(F.shape) for out in outs]
 
     # -- kernel ---------------------------------------------------------------
 
@@ -543,9 +493,10 @@ class HeatOperator:
         in place, or on a copy where it is read-only (a stepping group's
         start).  The spectral path takes every column from the factor
         kernels, p(t, (a, b), (c, d)) = p^X(t, a, c) p^Y(t, b, d): per time,
-        one broadcast product of the sources' rows of the factor tables
-        (`_factor_kernels`) into a (k, nx, ny) array, yielded as its (n, k)
-        column-major view.  A column's bits depend on its source and t
+        each source's outer product of its rows of the factor tables
+        (`_factor_kernels`), written into its row of a (k, nx, ny) array,
+        yielded as the (n, k) column-major view.  Nothing but the tables and
+        that array is held.  A column's bits depend on its source and t
         only, not on the other sources asked with it.
         """
         ts = _kernel_times(ts)
@@ -560,11 +511,12 @@ class HeatOperator:
         shape = (self.space.n,) + xs.shape
         for t in ts:
             (KX, ix), (KY, iy) = self._factor_kernels(groups, t)
-            # the tables go before the (k, nx, ny) product is made
-            px, py = KX[ix][:, :, None], KY[iy][:, None, :]
+            rows = np.empty((xs.size, KX.shape[1], KY.shape[1]))
+            # each source's product straight into its row: no gathered copy
+            # of the table rows
+            for r, (a, b) in enumerate(zip(ix.tolist(), iy.tolist())):
+                np.multiply.outer(KX[a], KY[b], out=rows[r])
             del KX, KY
-            rows = px * py
-            del px, py
             yield float(t), rows.reshape(xs.size, -1).T.reshape(shape)
             # a caller that drops this output frees it before the next
             del rows

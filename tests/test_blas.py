@@ -1,13 +1,11 @@
 """BLAS thread counts: the two primitives of `mmslab.blas`, a task on one
 thread for all of its work, eigendecompositions included, and heat builds
 and sweeps, inside a task or not, on one BLAS thread: a build decomposes
-its factors one after the other on the calling thread, and a sweep deals
-its column blocks to the heat layer's workers; and library solves, on
-either path, on one BLAS thread."""
+its factors one after the other on the calling thread, and a sweep runs
+its column blocks there too; and library solves, on either path, on one
+BLAS thread."""
 
-import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -208,18 +206,11 @@ def test_every_eigendecomposition_in_a_task_runs_on_one_thread(monkeypatch):
     assert set(init) == set(solve_spec) == set(poincare) == {one}
 
 
-@pytest.fixture
-def four_cpus(monkeypatch):
-    # so that the heat layer would have workers to deal to on any machine
-    monkeypatch.setattr(heat.os, "sched_getaffinity", lambda pid: set(range(4)))
-
-
 # the sqrt|x| grid has two factors, the square torus one, passed twice
 @pytest.mark.parametrize("make,factors", [
     (lambda: weighted_grid_2d(((-1.0, 1.0), (-1.0, 1.0)), 1 / 64, "sqrt_abs_x"), 2),
     (lambda: uniform_torus(48, 48), 1)], ids=["sqrt64", "torus48"])
-def test_a_product_build_decomposes_on_the_calling_thread(make, factors, four_cpus,
-                                                         monkeypatch):
+def test_a_product_build_decomposes_on_the_calling_thread(make, factors, monkeypatch):
     X = make()
     where = []
     inner = heat.laplacian_spectrum
@@ -242,8 +233,6 @@ def test_a_product_build_decomposes_on_the_calling_thread(make, factors, four_cp
     assert [n for n, _, _ in where] == 2 * list(distinct.values())
     assert {c for _, _, c in where} == {one}
     assert {thread for _, thread, _ in where} == {threading.current_thread()}
-    # no worker was started
-    assert inside._pool is None and outside._pool is None
     for (w, V), (w2, V2) in zip(inside._factors, outside._factors):
         assert np.array_equal(w, w2) and np.array_equal(V, V2)
 
@@ -330,13 +319,13 @@ def test_a_sweep_inside_a_task_runs_on_one_thread(make, monkeypatch):
     assert seen and set(seen) == {one}
 
 
-def test_outside_a_task_a_heat_sweep_deals_its_blocks_on_one_thread(four_cpus, monkeypatch):
+def test_outside_a_task_a_heat_sweep_deals_its_blocks_on_one_thread(monkeypatch):
     seen = []
     inner = HeatOperator._synthesize
     fail = []
 
     def recorded(self, *args):
-        seen.append((counts(), threading.current_thread().name))
+        seen.append((counts(), threading.current_thread()))
         if fail:
             raise RuntimeError("block")
         return inner(self, *args)
@@ -347,37 +336,32 @@ def test_outside_a_task_a_heat_sweep_deals_its_blocks_on_one_thread(four_cpus, m
     F = np.random.default_rng(1).standard_normal((X.n, 2 * width + 3))
     ts = [0.1, 0.4, 1.6]
     H = HeatOperator(X)
-    try:
-        with blas.threads(1):
-            one = counts()
-            inside = [out.copy() for _, out in H.apply_grid(F, ts)]
-        for start in (1, 2):
-            seen[:] = []
-            with blas.threads(start):
-                caller = counts()
-                outside = []
-                for _, out in H.apply_grid(F, ts):
-                    assert counts() == caller
-                    outside.append(out.copy())
+    with blas.threads(1):
+        one = counts()
+        inside = [out.copy() for _, out in H.apply_grid(F, ts)]
+    for start in (1, 2):
+        seen[:] = []
+        with blas.threads(start):
+            caller = counts()
+            outside = []
+            for _, out in H.apply_grid(F, ts):
                 assert counts() == caller
-                sweep = H.apply_grid(F, ts)
-                next(sweep)
-                assert counts() == caller
-                sweep.close()
-                assert counts() == caller
-                fail.append(True)
-                with pytest.raises(RuntimeError, match="block"):
-                    next(H.apply_grid(F, ts))
-                fail.pop()
-                assert counts() == caller
-            # three blocks per time, shared with the workers at one BLAS
-            # thread: the in-scope sweep's bits
-            assert len(seen) > 12 and {c for c, _ in seen} == {one}
-            assert any(name.startswith("mmslab-chebyshev") for _, name in seen)
-            assert all(np.array_equal(a, b) for a, b in zip(outside, inside))
-    finally:
-        if H._pool is not None:
-            H._pool.shutdown()
+                outside.append(out.copy())
+            assert counts() == caller
+            sweep = H.apply_grid(F, ts)
+            next(sweep)
+            assert counts() == caller
+            sweep.close()
+            assert counts() == caller
+            fail.append(True)
+            with pytest.raises(RuntimeError, match="block"):
+                next(H.apply_grid(F, ts))
+            fail.pop()
+            assert counts() == caller
+        # three blocks per time, on the calling thread at one BLAS thread:
+        # the in-scope sweep's bits
+        assert len(seen) > 12 and set(seen) == {(one, threading.current_thread())}
+        assert all(np.array_equal(a, b) for a, b in zip(outside, inside))
 
 
 def test_a_48_torus_runs_its_heat_work_on_one_thread(monkeypatch):
@@ -395,9 +379,9 @@ def test_a_48_torus_runs_its_heat_work_on_one_thread(monkeypatch):
     assert [(e["start"], e["task"]) for e in report["blas"]] == [(n, 1) for n in start]
 
 
-def same_bits_at_any_thread_count(H, F, ts, monkeypatch):
+def same_bits_at_any_thread_count(H, F, ts):
     """The outputs of `H.apply_grid(F, ts)` in a task at BLAS start counts
-    1 and 2, without workers and with three of them, equal by `==`."""
+    1 and 2, equal by `==`."""
     def sweep():
         with blas.threads(1):
             return [v.copy() for _, v in H.apply_grid(F, ts)]
@@ -406,36 +390,19 @@ def same_bits_at_any_thread_count(H, F, ts, monkeypatch):
     for start in (1, 2):
         with blas.threads(start):
             runs.append(sweep())
-    with blas.threads(2):
-        monkeypatch.setattr(H, "_block_workers", lambda blocks: (None, 0))
-        runs.append(sweep())
-        # more threads than cores, switching often: a block lost or written
-        # twice would show
-        interval = sys.getswitchinterval()
-        try:
-            sys.setswitchinterval(1e-6)
-            with ThreadPoolExecutor(3) as pool:
-                monkeypatch.setattr(H, "_block_workers",
-                                    lambda blocks: (pool, min(3, blocks - 1)))
-                runs.append(sweep())
-        finally:
-            sys.setswitchinterval(interval)
-    for outs in zip(*runs):
-        assert all(np.array_equal(outs[0], v) for v in outs[1:])
-    if H._pool is not None:
-        H._pool.shutdown()
+    for a, b in zip(*runs):
+        assert np.array_equal(a, b)
     return runs[0]
 
 
-def test_a_wide_product_sweep_has_the_same_bits_at_any_thread_count(monkeypatch):
+def test_a_wide_product_sweep_has_the_same_bits_at_any_thread_count():
     # 31 fields on the sqrt|x| grid at h = 1/64, in blocks of
     # `_COLUMN_BLOCK // n` = 3 columns
     X = weighted_grid_2d(((-1.0, 1.0), (-1.0, 1.0)), 1 / 64, "sqrt_abs_x")
     H = HeatOperator(X)
     assert H.mode == "product"
     F = np.asfortranarray(np.random.default_rng(2).standard_normal((X.n, 31)))
-    same_bits_at_any_thread_count(H, F, [1 / 64 ** 2 / 4, 1 / 64 ** 2, 4 / 64 ** 2],
-                                  monkeypatch)
+    same_bits_at_any_thread_count(H, F, [1 / 64 ** 2 / 4, 1 / 64 ** 2, 4 / 64 ** 2])
 
 
 def test_a_large_dense_sweep_has_the_same_bits_at_any_thread_count(monkeypatch):
@@ -454,7 +421,7 @@ def test_a_large_dense_sweep_has_the_same_bits_at_any_thread_count(monkeypatch):
         return inner(self, C, t, out)
 
     monkeypatch.setattr(HeatOperator, "_synthesize", recorded)
-    same_bits_at_any_thread_count(H, F, [0.5, 2.0, 8.0], monkeypatch)
+    same_bits_at_any_thread_count(H, F, [0.5, 2.0, 8.0])
     assert sorted(parts[:3]) == [(2, 1024), (64, 1024), (64, 1024)]
 
 

@@ -351,16 +351,13 @@ def test_block_maxima_fold_in_any_block_order(seed):
         assert best == want
 
 
-def test_ckappa_memory_stays_near_one_block_and_one_smoothing_part(monkeypatch):
+def test_ckappa_memory_stays_near_one_block_and_one_smoothing_part():
     # h = 1/128, twenty sample fields: a block holds one field, so its
     # stack, coefficients and output are three columns each, and a smoothing
     # part is one column.  The fields are drawn and smoothed a part at a
-    # time, so the (n, 20) sample stack is never held.  The parts run on
-    # the calling thread alone: each worker thread would add the products'
-    # temporaries of the part it synthesizes, up to two columns here
+    # time, so the (n, 20) sample stack is never held
     space = sp_mod.weighted_grid_2d(((-1.0, 1.0), (-1.0, 1.0)), 1 / 128, "sqrt_abs_x")
     H = build_heat(space)
-    monkeypatch.setattr(H, "_block_workers", lambda blocks: (None, 0))
     ts = np.geomspace(1 / 128 ** 2, 1 / 64, 4)
     column = 8 * space.n
     block = 3 * (3 * max(1, H.grid_columns(ts.size) // 3)) * column

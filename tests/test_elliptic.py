@@ -325,6 +325,34 @@ def test_caccioppoli_degenerate_annulus():
         check_caccioppoli(g, np.zeros(g.n), np.zeros(g.n), 0, 0.25, 0.27)
 
 
+def test_caccioppoli_reads_the_center_row_once(monkeypatch):
+    # on a tabulated grid each row is a Dijkstra run: B(y0, r1) and
+    # B(y0, r2) are read off one row, with the balls' own bits
+    space = tabulated_grid(1 / 16)
+    y0 = space.vertex_at((0.0, 0.0))
+    x = space.positions[:, 0]
+    u = np.sign(x) * np.sqrt(np.abs(x))
+    g = np.cos(space.positions[:, 1])
+    r1, r2 = 0.25, 0.5
+    inner, outer = (metric_ball(space, y0, r) for r in (r1, r2))
+    rows = []
+    distances_from = MetricMeasureSpace.distances_from
+
+    def counted(self, v):
+        rows.append(int(v))
+        return distances_from(self, v)
+
+    monkeypatch.setattr(MetricMeasureSpace, "distances_from", counted)
+    rep = check_caccioppoli(space, u, g, y0, r1, r2)
+    assert rows == [y0]
+    mu = space.mu
+    assert rep.lhs == float(mu[inner.members]
+                            @ el_mod.carre_du_champ(space, u)[inner.members])
+    assert rep.extras["mass_term"] == float(mu[outer.members] @ u[outer.members] ** 2)
+    assert rep.extras["coupling_term"] == float(
+        mu[outer.members] @ (np.abs(g) * np.abs(u))[outer.members])
+
+
 # -- Moser sup bound ---------------------------------------------------------
 
 def test_sup_bound_constant_field():

@@ -5,7 +5,6 @@ import subprocess
 import sys
 import threading
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -14,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import assert_markov_semigroup, close, connected_graphs, tabulated_grid
 from mmslab import ConfigError, NumericalError
-from mmslab import heat, quad
+from mmslab import blas, heat, quad
 from mmslab import space as sp_mod
 from mmslab.cli import main, run_config
 from mmslab.form import carre_du_champ
@@ -180,6 +179,36 @@ def test_kernel_grid_over_many_sources_matches_each_source(three_modes):
             for (_, cols), (_, col) in zip(grid, op.kernel_grid(int(x), ts)):
                 assert cols.shape == (space.n, xs.size)
                 assert np.array_equal(cols[:, k], col), (op.mode, x)
+
+
+def test_a_spectral_kernel_grid_writes_each_source_into_its_row():
+    # a column is the product of its source's rows of the factor tables,
+    # written straight into its row of the output; no gathered (k, n) copy
+    # of the table rows is made, so a grid holds one output and the tables
+    cases = [(sp_mod.uniform_torus(12, 16), np.arange(0, 192, 5)),
+             (sp_mod.uniform_torus(16, 16), np.array([0, 17, 17, 255])),
+             (sp_mod.uniform_cycle(200), np.arange(0, 200, 3))]
+    for X, xs in cases:
+        H = build_heat(X)
+        groups = H._factor_groups(xs)
+        for t, cols in H.kernel_grid(xs, [0.1, 1.0]):
+            (KX, ix), (KY, iy) = H._factor_kernels(groups, t)
+            want = KX[ix][:, :, None] * KY[iy][:, None, :]
+            assert np.array_equal(cols, want.reshape(xs.size, -1).T), (H.mode, t)
+    X = sp_mod.uniform_cycle(1000)
+    H = build_heat(X)
+    assert H.mode == "dense"
+    xs = np.arange(X.n)
+    # the output, and the table of the cycle factor, one row per source
+    output = table = 8 * X.n * xs.size
+    tracemalloc.start()
+    try:
+        for _, cols in H.kernel_grid(xs, [1.0, 4.0]):
+            del cols
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= output + table + 2 ** 20
 
 
 def test_dense_mode_keeps_the_spectral_formulas():
@@ -435,32 +464,47 @@ def test_unconverged_chebyshev_series_raises(tab16, monkeypatch):
 
 
 def test_stepping_blocks_give_the_same_bits_on_any_thread(tab16, monkeypatch):
+    # four column blocks, run one after the other at one BLAS thread
+    # whatever count the caller starts at
     space, times, S = tab16
     width = heat._COLUMN_BLOCK // space.n
     F = np.random.default_rng(12).standard_normal((space.n, 3 * width + 7))
-    # the grid runs in two groups, of two times and of one
-    monkeypatch.setattr(heat, "_GRID_BLOCK", 2 * F.size)
 
-    def actions():
-        return [S.apply_batch(F, 0.01), S.kernel(0.01, np.arange(0, space.n, 4))]\
-            + [v for _, v in S.apply_grid(F, times[:3])]
+    def actions(G):
+        # the grid runs in two groups, of two times and of one
+        monkeypatch.setattr(heat, "_GRID_BLOCK", 2 * G.size)
+        return [S.apply_batch(G, 0.01)] + [v for _, v in S.apply_grid(G, times[:3])]
 
-    default = actions()
-    monkeypatch.setattr(S, "_block_workers", lambda blocks: (None, 0))
-    alone = actions()
-    # more threads than cores, switching often: a block lost or written
-    # twice would show
-    interval = sys.getswitchinterval()
-    try:
-        sys.setswitchinterval(1e-6)
-        with ThreadPoolExecutor(3) as pool:
-            monkeypatch.setattr(S, "_block_workers",
-                                lambda blocks: (pool, min(3, blocks - 1)))
-            shared = actions()
-    finally:
-        sys.setswitchinterval(interval)
-    for a, b, c in zip(default, alone, shared):
-        assert np.array_equal(a, b) and np.array_equal(a, c)
+    runs = []
+    for start in (1, 2):
+        with blas.threads(start):
+            runs.append(actions(F)
+                        + [S.kernel(0.01, np.arange(0, space.n, 4))])
+    for a, b in zip(*runs):
+        assert np.array_equal(a, b)
+    # a block lost or written twice would show against its columns swept
+    # alone
+    for j in range(0, F.shape[1], width):
+        for whole, alone in zip(runs[0], actions(F[:, j:j + width])):
+            assert np.array_equal(whole[:, j:j + width], alone)
+
+
+def test_wide_sweeps_start_no_thread(tab16):
+    # a stepping sweep of four column blocks and a product sweep of eleven
+    # run on the calling thread alone
+    space, times, S = tab16
+    rng = np.random.default_rng(17)
+    before = threading.active_count()
+    F = rng.standard_normal((space.n, 3 * (heat._COLUMN_BLOCK // space.n) + 1))
+    for _ in S.apply_grid(F, times[:3]):
+        assert threading.active_count() == before
+    X = sp_mod.weighted_grid_2d(SQUARE, 1 / 64, "sqrt_abs_x")
+    H = build_heat(X)
+    assert H.mode == "product" and -(-31 // (heat._COLUMN_BLOCK // X.n)) == 11
+    G = rng.standard_normal((X.n, 31))
+    for _ in H.apply_grid(G, [1 / 64 ** 2, 4 / 64 ** 2]):
+        assert threading.active_count() == before
+    assert threading.active_count() == before
 
 
 def test_stepping_kernel_grid_clamps_copies_not_the_sweep(tab16, monkeypatch):
@@ -562,7 +606,6 @@ def test_stepping_sweep_holds_one_group_of_outputs(tab16, monkeypatch):
     monkeypatch.setattr(heat, "_GRID_BLOCK", per_group * space.n * k)
     S.apply_batch(np.ones(space.n), 0.01)       # builds 2X, which stays
     width = heat._COLUMN_BLOCK // space.n
-    threads = 1 + S._block_workers(-(-k // width))[1]
     tracemalloc.start()
     try:
         F = np.random.default_rng(14).standard_normal((space.n, k))
@@ -572,11 +615,11 @@ def test_stepping_sweep_holds_one_group_of_outputs(tab16, monkeypatch):
     finally:
         tracemalloc.stop()
     # F, one group of outputs and the previous output, which starts the
-    # group; per thread, three recurrence terms, and an accumulator and an
-    # update per output of a column block (the fold holds a ring of five
-    # terms, a new term's product and the product of one fold)
+    # group; for the one block at work, three recurrence terms, and an
+    # accumulator and an update per output of a column block (the fold holds
+    # a ring of five terms, a new term's product and the product of one fold)
     bound = (per_group + 2) * F.nbytes \
-        + threads * (3 + 2 * per_group) * 8 * width * space.n + 2 ** 20
+        + (3 + 2 * per_group) * 8 * width * space.n + 2 ** 20
     assert peak <= bound
     # F and the grid's eight outputs alone would not fit
     assert (len(ts) + 1) * F.nbytes > bound
@@ -738,36 +781,6 @@ def assert_edge_bound(space):
     top = float(np.linalg.eigvalsh(0.5 * (S + S.T))[-1])
     assert lam >= top * (1 - 1e-12)
     assert lam <= float(np.max(2.0 * space.degree / space.mu))
-
-
-def test_block_workers_never_outnumber_the_blocks(tab16, monkeypatch):
-    space = tab16[0]
-    S = build_heat(space, mode="stepping")
-    monkeypatch.setattr(heat.os, "sched_getaffinity", lambda pid: set(range(8)))
-    assert S._block_workers(1) == (None, 0)
-    assert S._block_workers(3)[1] == 2 and S._block_workers(40)[1] == 7
-    before = set(threading.enumerate())
-    two_blocks = np.ones((space.n, heat._COLUMN_BLOCK // space.n + 1))
-    try:
-        assert close(S.apply_batch(two_blocks, 0.01), two_blocks)
-        assert len(set(threading.enumerate()) - before) <= 1
-    finally:
-        S._pool.shutdown()
-
-
-def test_stepping_runs_where_the_platform_has_no_cpu_affinity(tab16, monkeypatch):
-    # macOS and Windows have no os.sched_getaffinity
-    space = tab16[0]
-    F = np.random.default_rng(5).standard_normal((space.n, heat._COLUMN_BLOCK // space.n * 3))
-    expected = build_heat(space, mode="stepping").apply_batch(F, 0.01)
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    S = build_heat(space, mode="stepping")
-    assert S._block_workers(40)[1] == 3
-    try:
-        assert np.array_equal(S.apply_batch(F, 0.01), expected)
-    finally:
-        S._pool.shutdown()
 
 
 @settings(max_examples=40, deadline=None)

@@ -154,11 +154,11 @@ def test_only_the_blas_module_touches_openblas(path):
     assert not symbols, f"{path.name} names {sorted(symbols)}"
 
 
-@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "heat.py"],
-                         ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_only_the_heat_module_imports_threads(path):
-    # the heat layer's column-block workers are the package's one parallel
-    # mechanism; imports inside functions count too
+    # no module does, the heat module included: heat sweeps run their
+    # column blocks on the calling thread, and the package starts no
+    # thread; imports inside functions count too
     found = {name for name in imported_modules(ast.walk(ast.parse(path.read_text())))
              if name.split(".")[0] in ("threading", "concurrent")}
     assert not found, f"{path.name} imports {sorted(found)}"
